@@ -35,11 +35,14 @@ from .runner import RunResult, detect_offline, run_experiment, sweep_beta
 from .stats import KsResult, detect_shift, ks_critical, ks_one_sided, ks_pvalue, scaled_reference
 from .stream import (
     NotReadyError,
+    StreamBlock,
     StreamRecord,
     SwdHistory,
     WindowBuffer,
     make_datapoint,
+    make_datapoints,
     read_stream,
+    read_stream_blocks,
     write_stream,
 )
 from .trace import TraceRow, read_trace, write_events, write_trace
@@ -66,6 +69,7 @@ __all__ = [
     "PolicyBank",
     "RollbackResult",
     "RunResult",
+    "StreamBlock",
     "StreamRecord",
     "SwdHistory",
     "TaskLabel",
@@ -84,8 +88,10 @@ __all__ = [
     "label_alignment_accuracy",
     "load_config",
     "make_datapoint",
+    "make_datapoints",
     "optimal_label_map",
     "read_stream",
+    "read_stream_blocks",
     "read_trace",
     "run_experiment",
     "run_included_mask",

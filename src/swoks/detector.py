@@ -17,15 +17,16 @@ fresh policy is still learning.
 """
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass, field
 from typing import Iterator, Protocol
 
 import numpy as np
 
-from .ot import DirectionSet, sample_unit_directions, sliced_wasserstein
+from .ot import DirectionSet, sample_unit_directions, sorted_distance, sorted_projections
 from .seeding import child_seed
 from .stats import detect_shift
-from .stream import SwdHistory, WindowBuffer, make_datapoint
+from .stream import SwdHistory, WindowBuffer, make_datapoint, make_datapoints
 
 __all__ = [
     "DetectorConfig",
@@ -119,7 +120,7 @@ class ProbeSource(Protocol):
 
 
 class _LabelState:
-    __slots__ = ("window", "history", "ref_window", "ref_swd")
+    __slots__ = ("window", "history", "ref_window", "ref_swd", "sorted_sets")
 
     def __init__(self, window: WindowBuffer, history: SwdHistory):
         self.window = window
@@ -128,6 +129,14 @@ class _LabelState:
         # distance sample, used to score probes of this label later.
         self.ref_window: np.ndarray | None = None
         self.ref_swd: np.ndarray | None = None
+        # Sorted projections of earlier recent sets, oldest first, keyed
+        # by the window index of their first row: each comes back as the
+        # old set swd_history_len checks later.
+        self.sorted_sets: deque[tuple[int, np.ndarray]] = deque()
+
+    def clear_window(self) -> None:
+        self.window.clear()
+        self.sorted_sets.clear()
 
 
 class Detector:
@@ -205,22 +214,66 @@ class Detector:
         st.ref_window = oldest if n_keep == self._cfg.history_len else None
         old_vals = st.history.values()[: self._cfg.swd_history_len]
         st.ref_swd = old_vals if old_vals.size > 0 else None
-        st.window.clear()
+        st.clear_window()
         st.history.keep_oldest(self._cfg.swd_history_len)
 
     # -- main entry points ------------------------------------------------
 
     def ingest(self, phi, action: int, reward: float) -> DetectionEvent | None:
-        """Consume one step of experience; maybe return a DetectionEvent."""
+        """Consume one step of experience; maybe return a DetectionEvent.
+
+        A rejected step raises ValueError and leaves the detector as it was.
+        """
         dp = make_datapoint(phi, action, reward)
         if self._width is None:
             self._init_width(dp.shape[0])
+        elif dp.shape[0] != self._width:
+            raise ValueError(f"datapoint width {dp.shape[0]} does not match {self._width}")
         self.t += 1
         st = self._state(self._current)
         st.window.push(dp)
         if self.t % self._cfg.history_len != 0 or not st.window.is_full:
             return None
-        swd = sliced_wasserstein(st.window.recent_set(), st.window.old_set(), self._dirs)
+        return self._check(st)
+
+    def ingest_block(self, phi, actions, rewards) -> list[DetectionEvent]:
+        """Consume ``n`` steps at once, exactly as ``n`` calls to :meth:`ingest`.
+
+        ``phi`` is ``(n, k)``; ``actions`` and ``rewards`` have length
+        ``n``. Returns the events in order. A row that :meth:`ingest`
+        would reject raises ValueError naming it, after the rows before
+        it were ingested; their events are then not returned.
+        """
+        points = make_datapoints(phi, actions, rewards)
+        n = points.shape[0]
+        if self._width is not None and points.shape[1] != self._width:
+            raise ValueError(f"datapoint width {points.shape[1]} does not match {self._width}")
+        finite = np.isfinite(points).all(axis=1)
+        n_ok = n if finite.all() else int(np.argmin(finite))
+        if n_ok and self._width is None:
+            self._init_width(points.shape[1])
+        events: list[DetectionEvent] = []
+        h = self._cfg.history_len
+        i = 0
+        while i < n_ok:
+            # Push up to the next check boundary; the label may change there.
+            take = min(n_ok - i, h - self.t % h)
+            st = self._state(self._current)
+            st.window.extend(points[i:i + take])
+            self.t += take
+            i += take
+            if self.t % h == 0 and st.window.is_full:
+                event = self._check(st)
+                if event is not None:
+                    events.append(event)
+        if n_ok < n:
+            raise ValueError(f"row {n_ok} of the block: phi, action and scaled reward "
+                             "must be finite")
+        return events
+
+    def _check(self, st: _LabelState) -> DetectionEvent | None:
+        """The distance check due at a full window on a history_len boundary."""
+        swd = self._window_distance(st)
         st.history.push(swd)
         self.last_swd = swd
         if not st.history.is_full:
@@ -233,6 +286,20 @@ class Detector:
         if result.p_value < self._cfg.alpha:
             return self.redetect()
         return None
+
+    def _window_distance(self, st: _LabelState) -> float:
+        """Sliced distance between the recent and the old set of a full window."""
+        window, cache = st.window, st.sorted_sets
+        old_first = window.pushed - window.capacity
+        while cache and cache[0][0] < old_first:
+            cache.popleft()
+        if cache and cache[0][0] == old_first:
+            old = cache.popleft()[1]
+        else:
+            old = sorted_projections(window.old_set(), self._dirs.directions)
+        recent = sorted_projections(window.recent_set(), self._dirs.directions)
+        cache.append((window.pushed - window.set_len, recent))
+        return sorted_distance(recent, old)
 
     def redetect(self) -> DetectionEvent:
         """Resolve a triggered shift: suppress, re-adopt a label, or mint one."""
@@ -277,19 +344,19 @@ class Detector:
         try:
             for i in range(n_points):
                 phi, action, reward = next(source)
-                self.t += 1
                 points[i] = make_datapoint(phi, action, reward)
+                self.t += 1
         except StopIteration:
             pvalues[z] = None
             return DetectionEvent(
                 t=self.t, old_label=old, new_label=old, kind=EVENT_PROBE_ERROR,
                 probed_pvalues=pvalues,
             )
+        dirs = self._dirs.directions
+        ref = sorted_projections(st.ref_window, dirs)
+        h = self._cfg.history_len
         probe_swds = np.array([
-            sliced_wasserstein(
-                points[i * self._cfg.history_len:(i + 1) * self._cfg.history_len],
-                st.ref_window, self._dirs,
-            )
+            sorted_distance(sorted_projections(points[i * h:(i + 1) * h], dirs), ref)
             for i in range(n_samples)
         ])
         result = detect_shift(probe_swds, st.ref_swd,
@@ -299,7 +366,7 @@ class Detector:
             return None  # rejected; caller tries the next candidate
         # Accepted: freeze the departing label, hand the live window over.
         self._depart(old)
-        st.window.clear()
+        st.clear_window()
         st.window.extend(points)
         self._current = z
         return DetectionEvent(

@@ -7,8 +7,8 @@ renaming labels never changes the score.
 from __future__ import annotations
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
+from .detector import EVENT_NEW_TASK
 from .seeding import child_seed
 
 __all__ = [
@@ -49,6 +49,14 @@ def _confusion(pred, gt, include):
     return labels, tasks, counts, int(p.shape[0])
 
 
+def _best_assignment(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    # scipy.optimize is most of the package's import time, so only the
+    # scoring functions load it, on first use.
+    from scipy.optimize import linear_sum_assignment
+
+    return linear_sum_assignment(counts, maximize=True)
+
+
 def optimal_label_map(pred, gt, include=None) -> dict[int, int]:
     """Best injective assignment of labels to tasks by step agreement.
 
@@ -58,7 +66,7 @@ def optimal_label_map(pred, gt, include=None) -> dict[int, int]:
     labels, tasks, counts, total = _confusion(pred, gt, include)
     if total == 0:
         return {}
-    rows, cols = linear_sum_assignment(counts, maximize=True)
+    rows, cols = _best_assignment(counts)
     return {int(labels[r]): int(tasks[c]) for r, c in zip(rows, cols)}
 
 
@@ -67,7 +75,7 @@ def label_alignment_accuracy(pred, gt, include=None) -> float:
     labels, tasks, counts, total = _confusion(pred, gt, include)
     if total == 0:
         raise ValueError("no included steps to score")
-    rows, cols = linear_sum_assignment(counts, maximize=True)
+    rows, cols = _best_assignment(counts)
     return float(counts[rows, cols].sum() / total)
 
 
@@ -101,7 +109,7 @@ def run_included_mask(trace, events, stable_phase: int) -> np.ndarray:
     mirroring the detector's suppression window.
     """
     rows = list(trace)
-    changes = [0] + sorted(ev.t for ev in events if ev.kind == "new-task")
+    changes = [0] + sorted(ev.t for ev in events if ev.kind == EVENT_NEW_TASK)
     mask = np.empty(len(rows), dtype=bool)
     ci = 0
     for i, row in enumerate(rows):

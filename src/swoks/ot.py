@@ -9,7 +9,9 @@ trade-offs:
 - :func:`wasserstein_exact` minimises over all point permutations and
   is the brute-force ground truth for small sets.
 - :func:`sliced_wasserstein` is the Monte-Carlo sliced approximation:
-  the mean of exact 1D distances over random unit projections.
+  the mean of exact 1D distances over random unit projections. Its two
+  halves, :func:`sorted_projections` and :func:`sorted_distance`, let a
+  caller sort a set once and compare it many times.
 
 Costs are unnormalized: matching two singletons at distance c gives c,
 not c/n.
@@ -29,6 +31,8 @@ __all__ = [
     "wasserstein_1d",
     "wasserstein_exact",
     "sliced_wasserstein",
+    "sorted_projections",
+    "sorted_distance",
     "EXACT_SIZE_LIMIT",
 ]
 
@@ -223,7 +227,33 @@ def sliced_wasserstein(d1, d2, directions) -> float:
         raise ValueError(
             f"direction dim {dirs.shape[1]} does not match point dim {a.shape[1]}"
         )
-    proj_a = np.sort(a @ dirs.T, axis=0, kind="stable")
-    proj_b = np.sort(b @ dirs.T, axis=0, kind="stable")
-    per_direction = np.sqrt(np.sum((proj_a - proj_b) ** 2, axis=0))
-    return float(np.mean(per_direction))
+    return sorted_distance(sorted_projections(a, dirs), sorted_projections(b, dirs))
+
+
+def sorted_projections(points: np.ndarray, dirs: np.ndarray) -> np.ndarray:
+    """Projections of a point set onto every direction, each sorted.
+
+    Takes a validated ``(n, dim)`` float array and a ``(count, dim)``
+    direction array; returns a C-contiguous ``(n, count)`` array whose
+    column ``j`` is the sorted projection onto direction ``j``.
+
+    Each direction's projections are sorted as one contiguous row, which
+    is several times faster than sorting down the columns; the values
+    are the same, since sorting is tie-invariant.
+    """
+    proj = (points @ dirs.T).T.copy()
+    proj.sort(axis=1)
+    return proj.T.copy()
+
+
+def sorted_distance(proj_a: np.ndarray, proj_b: np.ndarray) -> float:
+    """Sliced distance between two outputs of :func:`sorted_projections`.
+
+    The squared differences are summed down each column of the
+    ``(n, count)`` layout, one point after the other: the order of the
+    original column-sorted formula, which keeps the result bit-identical
+    to it. Summing along contiguous rows would round differently.
+    """
+    diff = proj_a - proj_b
+    diff *= diff
+    return float(np.mean(np.sqrt(np.sum(diff, axis=0))))

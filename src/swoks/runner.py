@@ -25,7 +25,7 @@ from .detector import (
 )
 from .env import TreeGraphEnv
 from .seeding import child_seed, substream
-from .stream import read_stream
+from .stream import read_stream_blocks
 from .trace import TraceRow, write_events, write_trace
 
 __all__ = ["RunResult", "run_experiment", "detect_offline", "sweep_beta"]
@@ -178,15 +178,14 @@ def detect_offline(stream_path: str | Path, det_config: DetectorConfig):
     """Replay a recorded stream through a detector without probes.
 
     Re-detection degrades to new-label-only because stored policies
-    cannot be deployed against a file. Returns (events, detector).
+    cannot be deployed against a file. The stream is read and ingested
+    block by block, so memory does not grow with its length. Returns
+    (events, detector).
     """
-    records = read_stream(stream_path)
     detector = Detector(det_config, probe=None)
     events: list[DetectionEvent] = []
-    for rec in records:
-        event = detector.ingest(rec.phi, rec.action, rec.reward)
-        if event is not None:
-            events.append(event)
+    for block in read_stream_blocks(stream_path):
+        events.extend(detector.ingest_block(block.phi, block.action, block.reward))
     return events, detector
 
 

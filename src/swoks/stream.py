@@ -7,20 +7,25 @@ the vector is projected onto random directions.
 """
 from __future__ import annotations
 
+import itertools
 import math
+import warnings
 from collections import deque
-from typing import NamedTuple
+from typing import Iterator, NamedTuple
 
 import numpy as np
 
 __all__ = [
     "NotReadyError",
     "make_datapoint",
+    "make_datapoints",
     "WindowBuffer",
     "SwdHistory",
     "StreamRecord",
+    "StreamBlock",
     "write_stream",
     "read_stream",
+    "read_stream_blocks",
 ]
 
 
@@ -33,18 +38,41 @@ def make_datapoint(phi, action: int, reward: float) -> np.ndarray:
 
     Layout: element 0 is ``sqrt(len(phi)) * reward``, element 1 the raw
     action, the rest the latent features. Total width ``len(phi) + 2``.
+    Every element must be finite.
     """
     latent = np.asarray(phi, dtype=float)
     if latent.ndim != 1 or latent.shape[0] < 1:
         raise ValueError("phi must be a non-empty 1D vector")
-    if not np.all(np.isfinite(latent)):
-        raise ValueError("phi contains non-finite values")
-    if not (np.isfinite(action) and np.isfinite(reward)):
-        raise ValueError("action and reward must be finite")
     out = np.empty(latent.shape[0] + 2, dtype=float)
     out[0] = math.sqrt(latent.shape[0]) * float(reward)
     out[1] = float(action)
     out[2:] = latent
+    if not np.isfinite(out).all():
+        raise ValueError("phi, action and scaled reward must be finite")
+    return out
+
+
+def make_datapoints(phi, actions, rewards) -> np.ndarray:
+    """Pack a block of steps; row ``i`` is the layout of :func:`make_datapoint`.
+
+    ``phi`` is ``(n, k)``, ``actions`` and ``rewards`` have length
+    ``n``. Shapes are checked here; finiteness is left to the caller,
+    which must reject the rows that are not finite.
+    """
+    latent = np.asarray(phi, dtype=float)
+    if latent.ndim != 2 or latent.shape[1] < 1:
+        raise ValueError("phi must be a 2D block with at least one latent column")
+    n, k = latent.shape
+    a = np.asarray(actions, dtype=float)
+    r = np.asarray(rewards, dtype=float)
+    if a.shape != (n,) or r.shape != (n,):
+        raise ValueError(
+            f"actions {a.shape} and rewards {r.shape} must have shape ({n},)"
+        )
+    out = np.empty((n, k + 2), dtype=float)
+    out[:, 0] = math.sqrt(k) * r
+    out[:, 1] = a
+    out[:, 2:] = latent
     return out
 
 
@@ -69,6 +97,7 @@ class WindowBuffer:
         self._data = np.zeros((self._capacity, width), dtype=float)
         self._next = 0  # next write slot
         self._size = 0
+        self._pushed = 0  # rows pushed since the last clear
 
     @property
     def width(self) -> int:
@@ -86,6 +115,11 @@ class WindowBuffer:
     def is_full(self) -> bool:
         return self._size == self._capacity
 
+    @property
+    def pushed(self) -> int:
+        """Rows pushed since the last clear; the newest row has index ``pushed - 1``."""
+        return self._pushed
+
     def __len__(self) -> int:
         return self._size
 
@@ -100,20 +134,40 @@ class WindowBuffer:
         self._next = (self._next + 1) % self._capacity
         if self._size < self._capacity:
             self._size += 1
+        self._pushed += 1
 
     def extend(self, datapoints) -> None:
-        for dp in datapoints:
-            self.push(dp)
+        """Append the rows of an ``(n, width)`` array in order, as ``n`` pushes would."""
+        rows = np.asarray(datapoints, dtype=float)
+        if rows.size == 0:
+            return
+        if rows.ndim != 2 or rows.shape[1] != self._width:
+            raise ValueError(
+                f"datapoints shape {rows.shape} does not match buffer width {self._width}"
+            )
+        n = rows.shape[0]
+        self._pushed += n
+        self._size = min(self._size + n, self._capacity)
+        if n > self._capacity:
+            rows = rows[n - self._capacity:]
+            n = self._capacity
+        head = min(n, self._capacity - self._next)
+        self._data[self._next:self._next + head] = rows[:head]
+        self._data[:n - head] = rows[head:]
+        self._next = (self._next + n) % self._capacity
 
     def clear(self) -> None:
         self._size = 0
         self._next = 0
+        self._pushed = 0
 
     def _rows(self, start: int, count: int) -> np.ndarray:
         # start is an offset from the oldest stored row.
         first = (self._next - self._size + start) % self._capacity
-        idx = (first + np.arange(count)) % self._capacity
-        return self._data[idx].copy()
+        head = min(count, self._capacity - first)
+        if head == count:
+            return self._data[first:first + count].copy()
+        return np.concatenate([self._data[first:], self._data[:count - head]])
 
     def recent_set(self) -> np.ndarray:
         """Newest ``set_len`` rows in arrival order. Requires a full buffer."""
@@ -196,6 +250,21 @@ class StreamRecord(NamedTuple):
     phi: np.ndarray
 
 
+class StreamBlock(NamedTuple):
+    """Consecutive recorded steps as parallel arrays, one entry per step."""
+
+    t: np.ndarray  # int64
+    gt_task: np.ndarray  # int64
+    reward: np.ndarray
+    action: np.ndarray  # float, truncated toward zero like int()
+    phi: np.ndarray  # (n, k)
+
+
+# Lines parsed per numpy call: enough to amortise the call, few enough
+# that a block's arrays stay well under a megabyte.
+_BLOCK_LINES = 4096
+
+
 def _stream_header(latent_dim: int) -> list[str]:
     return ["t", "gt_task", "r", "a"] + [f"phi_{i + 1}" for i in range(latent_dim)]
 
@@ -225,41 +294,103 @@ def write_stream(path, records) -> int:
 
 
 def read_stream(path) -> list[StreamRecord]:
-    """Parse a recorded stream, reporting malformed lines by number."""
+    """Parse a whole recorded stream, reporting malformed lines by number."""
     records: list[StreamRecord] = []
-    with open(path, "r", encoding="utf-8") as fh:
-        header = fh.readline()
-        if not header:
-            raise ValueError(f"{path}:1: empty stream file")
-        cols = [c.strip() for c in header.strip().split(",")]
-        if len(cols) < 5 or cols[:4] != ["t", "gt_task", "r", "a"]:
-            raise ValueError(
-                f"{path}:1: bad header, expected 't,gt_task,r,a,phi_1..' got {header.strip()!r}"
-            )
-        expected = _stream_header(len(cols) - 4)
-        if cols != expected:
-            raise ValueError(f"{path}:1: bad latent columns, expected {expected[4:]}")
-        k = len(cols) - 4
-        for lineno, line in enumerate(fh, start=2):
-            line = line.strip()
-            if not line:
-                continue
-            parts = line.split(",")
-            if len(parts) != k + 4:
-                raise ValueError(
-                    f"{path}:{lineno}: expected {k + 4} fields, got {len(parts)}"
-                )
-            try:
-                rec = StreamRecord(
-                    t=int(parts[0]),
-                    gt_task=int(parts[1]),
-                    reward=float(parts[2]),
-                    action=int(float(parts[3])),
-                    phi=np.array([float(v) for v in parts[4:]], dtype=float),
-                )
-            except ValueError as exc:
-                raise ValueError(f"{path}:{lineno}: unparseable value ({exc})") from None
-            records.append(rec)
-    if not records:
-        raise ValueError(f"{path}: stream contains no data rows")
+    for block in read_stream_blocks(path):
+        records.extend(
+            StreamRecord(t=t, gt_task=g, reward=r, action=int(a), phi=phi)
+            for t, g, r, a, phi in zip(block.t.tolist(), block.gt_task.tolist(),
+                                       block.reward.tolist(), block.action.tolist(),
+                                       block.phi)
+        )
     return records
+
+
+def read_stream_blocks(path) -> Iterator[StreamBlock]:
+    """Parse a recorded stream block by block, reporting malformed lines by number.
+
+    Blank lines are skipped. Every value must be finite, ``t`` and
+    ``gt_task`` integers; the action is truncated toward zero. Only the
+    current block is held in memory.
+    """
+    with open(path, "r", encoding="utf-8") as fh:
+        k = _read_header(fh, path)
+        lineno = 2
+        empty = True
+        while lines := list(itertools.islice(fh, _BLOCK_LINES)):
+            table = _parse_block(lines, k)
+            if table is None:
+                table = _parse_lines(lines, k, path, lineno)
+            lineno += len(lines)
+            if table.shape[0]:
+                empty = False
+                yield StreamBlock(
+                    t=table[:, 0].astype(np.int64),
+                    gt_task=table[:, 1].astype(np.int64),
+                    reward=table[:, 2],
+                    action=np.trunc(table[:, 3]),
+                    phi=table[:, 4:],
+                )
+    if empty:
+        raise ValueError(f"{path}: stream contains no data rows")
+
+
+def _read_header(fh, path) -> int:
+    """Check the header line and return the latent width."""
+    header = fh.readline()
+    if not header:
+        raise ValueError(f"{path}:1: empty stream file")
+    cols = [c.strip() for c in header.strip().split(",")]
+    if len(cols) < 5 or cols[:4] != ["t", "gt_task", "r", "a"]:
+        raise ValueError(
+            f"{path}:1: bad header, expected 't,gt_task,r,a,phi_1..' got {header.strip()!r}"
+        )
+    expected = _stream_header(len(cols) - 4)
+    if cols != expected:
+        raise ValueError(f"{path}:1: bad latent columns, expected {expected[4:]}")
+    return len(cols) - 4
+
+
+def _parse_block(lines: list[str], k: int) -> np.ndarray | None:
+    """The lines as a ``(rows, k + 4)`` table, or None when any line is malformed.
+
+    A line of only whitespace also gives None; the per-line parse then
+    skips it.
+    """
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # a block of empty lines "contains no data"
+            table = np.loadtxt(lines, delimiter=",", ndmin=2, comments=None)
+    except ValueError:
+        return None
+    if table.shape[0] == 0:
+        return np.empty((0, k + 4))
+    if table.shape[1] != k + 4:
+        return None
+    ids = table[:, :2]
+    if not (np.isfinite(table).all() and (ids == np.trunc(ids)).all()):
+        return None
+    return table
+
+
+def _parse_lines(lines: list[str], k: int, path, first_lineno: int) -> np.ndarray:
+    """Parse line by line: the table of a block, or an error naming the bad line."""
+    rows = []
+    for lineno, line in enumerate(lines, start=first_lineno):
+        line = line.strip()
+        if not line:
+            continue
+        parts = line.split(",")
+        if len(parts) != k + 4:
+            raise ValueError(f"{path}:{lineno}: expected {k + 4} fields, got {len(parts)}")
+        try:
+            values = [float(v) for v in parts]
+        except ValueError as exc:
+            raise ValueError(f"{path}:{lineno}: unparseable value ({exc})") from None
+        if not all(map(math.isfinite, values)):
+            raise ValueError(f"{path}:{lineno}: non-finite value")
+        for name, v in zip(("t", "gt_task"), values):
+            if not v.is_integer():
+                raise ValueError(f"{path}:{lineno}: {name} must be an integer, got {v!r}")
+        rows.append(values)
+    return np.array(rows, dtype=float).reshape(-1, k + 4)

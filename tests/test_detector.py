@@ -8,6 +8,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from swoks.detector import (
     EVENT_NEW_TASK,
@@ -18,6 +20,8 @@ from swoks.detector import (
     DetectorConfig,
     TaskLabel,
 )
+from swoks.ot import sample_unit_directions, sliced_wasserstein
+from swoks.seeding import child_seed
 
 LD = 10                      # points per comparison set
 LW = 6                       # distance values per history half
@@ -342,3 +346,138 @@ class TestProbeReidentification:
             ]
 
         assert run() == run()
+
+
+class FreshDistanceDetector(Detector):
+    """Checks each distance, taken from cached sorted sets, against a fresh computation."""
+
+    verified = 0
+
+    def ingest(self, phi, action, reward):
+        event = super().ingest(phi, action, reward)
+        window = self.label_state(self.current_label.id).window
+        if event is None and self.t % self.config.history_len == 0 and window.is_full:
+            dirs = sample_unit_directions(
+                window.width, self.config.n_projections,
+                seed=child_seed(self.config.master_seed, "projections"))
+            assert self.last_swd == sliced_wasserstein(
+                window.recent_set(), window.old_set(), dirs)
+            self.verified += 1
+        return event
+
+
+class TestSortedWindowCache:
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_distances_match_fresh_computation_across_relabels(self, seed):
+        # A new label, then a re-detection that refills the old label's window.
+        probe_rng = np.random.default_rng(900 + seed)
+        probe = ScriptedProbe({1: lambda: regime(probe_rng, 0.0, 1.0)})
+        det = FreshDistanceDetector(make_config(master_seed=seed), probe)
+        rng = np.random.default_rng(300 + seed)
+        arm_second_label(det, rng)
+        ev, _ = drive_until(det, regime(rng, 0.0, 1.0), 200)
+        assert ev.kind == EVENT_RE_DETECTED
+        before = det.verified
+        # Long enough for the refilled window to pass the row indices
+        # the label's window had reached before it departed.
+        assert drive(det, regime(rng, 0.0, 1.0), 600) == []
+        assert before > 10 and det.verified - before == 60
+
+
+def detector_state(det: Detector):
+    """Everything a step can change, in comparable form."""
+    states = {}
+    for label in det.labels:
+        st = det.label_state(label.id)
+        states[label.id] = (st.window.oldest(len(st.window)).tolist(),
+                            st.history.values().tolist())
+    return (det.t, det.current_label.id, [l.id for l in det.labels],
+            det.last_swd, det.last_p_value, states)
+
+
+class TestAtomicIngest:
+    def test_rejected_width_leaves_t(self):
+        det = Detector(make_config(history_len=4, swd_history_len=2))
+        det.ingest([0.5], 0, 1.0)  # 3-wide datapoint fixes the width
+        with pytest.raises(ValueError):
+            det.ingest([0.5, 0.5, 0.5], 0, 1.0)  # 5-wide
+        assert det.t == 1
+        assert len(det.label_state(1).window) == 1
+
+    def test_rejected_block_width_leaves_t(self):
+        det = Detector(make_config(history_len=4, swd_history_len=2))
+        det.ingest_block(np.zeros((3, 1)), [0, 0, 0], [1.0, 1.0, 1.0])
+        with pytest.raises(ValueError):
+            det.ingest_block(np.zeros((2, 3)), [0, 0], [1.0, 1.0])
+        assert det.t == 3
+
+    @given(st.lists(
+        st.tuples(st.sampled_from(["ok", "nan", "inf-reward", "wide"]),
+                  st.integers(0, 3), st.booleans()),
+        min_size=1, max_size=80,
+    ))
+    @settings(max_examples=60, deadline=None)
+    def test_invalid_steps_change_nothing(self, script):
+        """Mixed valid and invalid steps, per step or per block, act as the valid ones alone.
+
+        Each entry is (kind, mean, block break); a block ends after an
+        entry whose break flag is set, and a wide step is a block of its own.
+        A valid first step fixes the width.
+        """
+        rng = np.random.default_rng(len(script))
+        steps = []
+        for kind, mean, cut in [("ok", 0, False)] + script:
+            phi = rng.normal(mean, 1.0, size=4 if kind == "wide" else 3)
+            action, reward = int(rng.integers(0, 2)), float(mean)
+            if kind == "nan":
+                phi[1] = np.nan
+            elif kind == "inf-reward":
+                reward = np.inf
+            steps.append((kind, phi, action, reward, cut))
+        cfg = make_config(history_len=4, swd_history_len=2, n_projections=8)
+
+        valid_only = Detector(cfg)
+        for kind, phi, action, reward, _ in steps:
+            if kind == "ok":
+                valid_only.ingest(phi, action, reward)
+
+        per_step = Detector(cfg)
+        for kind, phi, action, reward, _ in steps:
+            if kind == "ok":
+                per_step.ingest(phi, action, reward)
+            else:
+                before = detector_state(per_step)
+                with pytest.raises(ValueError):
+                    per_step.ingest(phi, action, reward)
+                assert detector_state(per_step) == before
+
+        per_block = Detector(cfg)
+        blocks, block = [], []
+        for step in steps:
+            if step[0] == "wide":
+                blocks += [block, [step]]
+                block = []
+                continue
+            block.append(step)
+            if step[4]:
+                blocks.append(block)
+                block = []
+        blocks.append(block)
+        for block in blocks:
+            while block:
+                phi = np.stack([s[1] for s in block])
+                actions = [s[2] for s in block]
+                rewards = [s[3] for s in block]
+                bad = next((i for i, s in enumerate(block) if s[0] != "ok"), None)
+                if bad is None:
+                    per_block.ingest_block(phi, actions, rewards)
+                    break
+                t_before = per_block.t
+                with pytest.raises(ValueError):
+                    per_block.ingest_block(phi, actions, rewards)
+                if block[bad][0] != "wide":
+                    assert per_block.t == t_before + bad
+                block = block[bad + 1:]
+
+        assert detector_state(per_step) == detector_state(valid_only)
+        assert detector_state(per_block) == detector_state(valid_only)

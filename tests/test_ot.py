@@ -221,3 +221,35 @@ class TestSlicedWasserstein:
         mc = sliced_wasserstein(d1, d2, sample_unit_directions(2, 500, seed=12))
         dense = quadrature_swd_2d(d1, d2, n_angles=1000)
         assert abs(mc - dense) / dense <= 0.02
+
+
+def column_sort_swd(d1, d2, dirs):
+    """The sliced distance as first written: projections sorted down the columns."""
+    proj_a = np.sort(d1 @ dirs.T, axis=0, kind="stable")
+    proj_b = np.sort(d2 @ dirs.T, axis=0, kind="stable")
+    return float(np.mean(np.sqrt(np.sum((proj_a - proj_b) ** 2, axis=0))))
+
+
+class TestRowMajorSortIsExact:
+    """Sorting each direction's projections as a row changes no bit of the result."""
+
+    @pytest.mark.parametrize("n", [1, 12, 60, 240])
+    @pytest.mark.parametrize("dim", [1, 10])
+    def test_random_sets(self, n, dim):
+        rng = np.random.default_rng(n * 100 + dim)
+        ds = sample_unit_directions(dim, 128, seed=n + dim)
+        for _ in range(20):
+            d1 = rng.normal(size=(n, dim)) * rng.uniform(0.1, 10.0)
+            d2 = rng.normal(rng.normal(), 1.0, size=(n, dim))
+            assert sliced_wasserstein(d1, d2, ds) == column_sort_swd(d1, d2, ds.directions)
+
+    @pytest.mark.parametrize("n", [12, 60, 240])
+    def test_ties(self, n):
+        # Few distinct values: most projections tie with another point.
+        rng = np.random.default_rng(n)
+        ds = sample_unit_directions(4, 128, seed=3)
+        for _ in range(20):
+            d1 = rng.integers(0, 3, size=(n, 4)).astype(float)
+            d2 = rng.integers(0, 2, size=(n, 4)).astype(float)
+            d2[: n // 2] = d1[: n // 2]
+            assert sliced_wasserstein(d1, d2, ds) == column_sort_swd(d1, d2, ds.directions)

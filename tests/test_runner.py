@@ -8,15 +8,22 @@ on the return, rollback of the departing policy.
 from __future__ import annotations
 
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from swoks.config import AgentConfig, ExperimentConfig
-from swoks.detector import EVENT_NEW_TASK, EVENT_RE_DETECTED, DetectorConfig
+from swoks.detector import (
+    EVENT_NEW_TASK,
+    EVENT_RE_DETECTED,
+    EVENT_SUPPRESSED,
+    Detector,
+    DetectorConfig,
+)
 from swoks.env import Curriculum, TaskSpec, TreeGraphConfig
 from swoks.runner import detect_offline, run_experiment, sweep_beta
-from swoks.stream import StreamRecord, write_stream
+from swoks.stream import StreamRecord, read_stream, write_stream
 from swoks.trace import read_trace
 
 LD, LW, PROBE = 10, 6, 8
@@ -203,6 +210,44 @@ class TestOfflineReplay:
     def test_missing_stream_file(self, tmp_path):
         with pytest.raises(FileNotFoundError):
             detect_offline(tmp_path / "nope.csv", self.det_config())
+
+    def test_block_replay_equals_step_by_step_ingest(self, tmp_path):
+        # 9437 rows: more than two read blocks, and a multiple of neither
+        # the block length nor history_len. The second change falls inside
+        # the stable phase of the first; the third lands mid-block.
+        rng = np.random.default_rng(3)
+        changes = [1500, 1900, 4100, 6000, 7900]
+        means = [0.0, 3.0, -3.0, 6.0, 0.5, 3.5]
+        records = []
+        for i in range(9437):
+            seg = sum(1 for c in changes if i >= c)
+            m = means[seg]
+            records.append(StreamRecord(t=i + 1, gt_task=seg + 1, reward=m / 3,
+                                        action=int(rng.integers(0, 2)),
+                                        phi=rng.normal(m, 1.0, size=3)))
+        path = tmp_path / "changes.csv"
+        write_stream(path, records)
+        cfg = replace(self.det_config(), stable_phase=1000)
+
+        stepwise = Detector(cfg)
+        step_events = []
+        for rec in read_stream(path):
+            event = stepwise.ingest(rec.phi, rec.action, rec.reward)
+            if event is not None:
+                step_events.append(event)
+        events, detector = detect_offline(path, cfg)
+
+        kinds = [e.kind for e in step_events]
+        assert kinds.count(EVENT_SUPPRESSED) >= 1 and kinds.count(EVENT_NEW_TASK) >= 3
+        assert any(e.t > 4096 and e.kind == EVENT_NEW_TASK for e in step_events)
+        assert events == step_events
+        assert detector.t == stepwise.t == 9437
+        assert detector.last_swd == stepwise.last_swd
+        assert detector.last_p_value == stepwise.last_p_value
+        assert detector.labels == stepwise.labels
+        for label in detector.labels:
+            assert np.array_equal(detector.label_state(label.id).history.values(),
+                                  stepwise.label_state(label.id).history.values())
 
 
 class TestBetaSweep:

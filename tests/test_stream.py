@@ -3,6 +3,8 @@
 The ring buffer is checked against a plain-list model: every operation
 is mirrored on a list and the observable views must agree.
 """
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -14,7 +16,9 @@ from swoks.stream import (
     SwdHistory,
     WindowBuffer,
     make_datapoint,
+    make_datapoints,
     read_stream,
+    read_stream_blocks,
     write_stream,
 )
 
@@ -44,6 +48,25 @@ class TestMakeDatapoint:
     def test_rejects_empty_phi(self):
         with pytest.raises(ValueError):
             make_datapoint([], 0, 1.0)
+
+    def test_rejects_overflowing_scaled_reward(self):
+        with pytest.raises(ValueError):
+            make_datapoint(np.zeros(4), 0, 1e308)
+
+    def test_block_rows_equal_single_steps(self):
+        rng = np.random.default_rng(4)
+        phi = rng.normal(size=(7, 5))
+        actions = rng.integers(0, 4, size=7)
+        rewards = rng.normal(size=7)
+        block = make_datapoints(phi, actions, rewards)
+        for i in range(7):
+            assert np.array_equal(block[i], make_datapoint(phi[i], int(actions[i]), rewards[i]))
+
+    def test_block_shape_checks(self):
+        with pytest.raises(ValueError):
+            make_datapoints(np.zeros(3), [0, 0, 0], [0.0, 0.0, 0.0])
+        with pytest.raises(ValueError):
+            make_datapoints(np.zeros((3, 2)), [0, 0], [0.0, 0.0, 0.0])
 
 
 def row(i, width=3):
@@ -143,6 +166,38 @@ class TestWindowBuffer:
             assert list(buf.old_set()[:, 0]) == model[:set_len]
             assert list(buf.recent_set()[:, 0]) == model[-set_len:]
 
+    @given(
+        st.integers(1, 4),  # set_len
+        st.integers(1, 3),  # n_windows
+        st.lists(st.integers(0, 30), min_size=0, max_size=12),  # block sizes
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_extend_matches_pushes(self, set_len, n_windows, sizes):
+        blocks = WindowBuffer(width=2, set_len=set_len, n_windows=n_windows)
+        pushes = WindowBuffer(width=2, set_len=set_len, n_windows=n_windows)
+        v = 0
+        for size in sizes:
+            rows = np.stack([row(v + i, 2) for i in range(size)]) if size else []
+            blocks.extend(rows)
+            for r in rows:
+                pushes.push(r)
+            v += size
+            assert len(blocks) == len(pushes) and blocks.pushed == pushes.pushed == v
+            assert np.array_equal(blocks.oldest(len(blocks)), pushes.oldest(len(pushes)))
+
+    def test_extend_rejects_wrong_width(self):
+        buf = WindowBuffer(width=3, set_len=2, n_windows=1)
+        with pytest.raises(ValueError):
+            buf.extend(np.zeros((2, 4)))
+        assert len(buf) == 0 and buf.pushed == 0
+
+    def test_pushed_restarts_at_clear(self):
+        buf = WindowBuffer(width=1, set_len=2, n_windows=1)
+        buf.extend(np.zeros((7, 1)))
+        assert buf.pushed == 7 and len(buf) == 4
+        buf.clear()
+        assert buf.pushed == 0
+
 
 class TestSwdHistory:
     def test_halves_after_exact_fill(self):
@@ -233,6 +288,65 @@ class TestStreamFiles:
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(ValueError, match=r"csv:4:"):
             read_stream(path)
+
+    def rewrite(self, path, n, k, edit):
+        write_stream(path, self.make_records(n=n, k=k))
+        lines = path.read_text().splitlines()
+        edit(lines)
+        path.write_text("\n".join(lines) + "\n")
+
+    @pytest.mark.parametrize("lineno", [3, 5000])  # in the first block and a later one
+    @pytest.mark.parametrize("field, value", [
+        (-1, "not_a_number"),  # a latent value
+        (0, "2.5"),  # t
+        (1, "1.5"),  # gt_task
+        (2, "nan"),  # reward
+    ])
+    def test_malformed_value_reports_path_and_line(self, tmp_path, lineno, field, value):
+        path = tmp_path / "bad.csv"
+
+        def edit(lines):
+            parts = lines[lineno - 1].split(",")
+            parts[field] = value
+            lines[lineno - 1] = ",".join(parts)
+
+        self.rewrite(path, 6000, 2, edit)
+        with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}:{lineno}: "):
+            read_stream(path)
+
+    @pytest.mark.parametrize("lineno", [4, 5000])
+    def test_wrong_column_count_reports_path_and_line(self, tmp_path, lineno):
+        path = tmp_path / "bad.csv"
+
+        def edit(lines):
+            lines[lineno - 1] += ",0.5"
+
+        self.rewrite(path, 6000, 2, edit)
+        with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}:{lineno}: expected 6"):
+            read_stream(path)
+
+    def test_blank_lines_are_skipped(self, tmp_path):
+        path = tmp_path / "gaps.csv"
+        records = self.make_records(n=5, k=2)
+        write_stream(path, records)
+        lines = path.read_text().splitlines()
+        lines[2:2] = ["", "   "]
+        path.write_text("\n".join(lines) + "\n\n")
+        back = read_stream(path)
+        assert [r.t for r in back] == [r.t for r in records]
+        assert all(np.array_equal(a.phi, b.phi) for a, b in zip(records, back))
+
+    def test_blocks_tile_the_stream(self, tmp_path):
+        path = tmp_path / "long.csv"
+        records = self.make_records(n=9000, k=3)
+        write_stream(path, records)
+        blocks = list(read_stream_blocks(path))
+        assert len(blocks) > 1
+        assert np.array_equal(np.concatenate([b.t for b in blocks]), [r.t for r in records])
+        assert np.array_equal(np.concatenate([b.phi for b in blocks]),
+                              np.stack([r.phi for r in records]))
+        assert np.array_equal(np.concatenate([b.reward for b in blocks]),
+                              [r.reward for r in records])
 
     def test_empty_file_rejected(self, tmp_path):
         path = tmp_path / "empty.csv"
