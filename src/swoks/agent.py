@@ -2,9 +2,15 @@
 
 Policies are linear-softmax over the latent plus a bias term, trained
 with one plain policy-gradient step per episode against an exponential
-running-mean baseline. The bank keeps two rolling parameter checkpoints
-per label; rolling back restores the older one, so the restored policy
-predates a detected change by at least one full backup interval.
+running-mean baseline. The episode gradient is computed for all ``T``
+steps at once: the ``(T, d + 1)`` feature rows go through one stacked
+matrix-vector product and one row-wise softmax, and the per-step outer
+products are summed over the step axis, in step order, so the result
+equals the step-by-step sum bit for bit. Sampling an action runs the
+softmax and the inverse CDF on Python floats after one ``params @ x``.
+The bank keeps two rolling parameter checkpoints per label; rolling
+back restores the older one, so the restored policy predates a detected
+change by at least one full backup interval.
 """
 from __future__ import annotations
 
@@ -58,15 +64,50 @@ class Encoder:
         return np.tanh(self._w @ x)
 
 
-def _features(phi) -> np.ndarray:
-    x = np.asarray(phi, dtype=float)
-    return np.concatenate([x, [1.0]])
-
-
 def _softmax(logits: np.ndarray) -> np.ndarray:
-    z = logits - logits.max()
-    e = np.exp(z)
-    return e / e.sum()
+    """Softmax along the last axis."""
+    e = np.exp(logits - np.maximum.reduce(logits, axis=-1, keepdims=True))
+    return e / np.add.reduce(e, axis=-1, keepdims=True)
+
+
+def _sum(values: list[float]) -> float:
+    """``np.sum`` of a list of floats, bit for bit.
+
+    numpy adds fewer than eight values one after another from 0.0 and
+    larger counts pairwise, so only those go through numpy.
+    """
+    if len(values) >= 8:
+        return float(np.sum(values))
+    total = 0.0
+    for v in values:
+        total += v
+    return total
+
+
+def _inverse_cdf(probs: list[float], u: float) -> int:
+    """First index whose running sum of ``probs`` exceeds ``u``, else the last.
+
+    The running sum is accumulated in order, as ``np.cumsum`` does, so
+    this is ``min(searchsorted(cumsum(probs), u, side="right"), n - 1)``.
+    """
+    acc = 0.0
+    for i, p in enumerate(probs):
+        acc += p
+        if u < acc:
+            return i
+    return len(probs) - 1
+
+
+def _episode_probs(params: np.ndarray, episode):
+    """Feature rows ``[phi; 1]``, actions and action probabilities of every step.
+
+    The logits come from one stacked product that runs the same
+    matrix-vector kernel per row as ``params @ x``.
+    """
+    phis, actions, _ = zip(*episode)
+    x = np.ones((len(phis), params.shape[1]))
+    x[:, :-1] = phis
+    return x, actions, _softmax(np.matmul(params, x[:, :, None])[:, :, 0])
 
 
 def episode_log_prob(params: np.ndarray, episode) -> float:
@@ -76,24 +117,21 @@ def episode_log_prob(params: np.ndarray, episode) -> float:
     with a constant advantage this is the surrogate objective whose
     gradient :func:`episode_gradient` returns.
     """
-    total = 0.0
-    for phi, action, _ in episode:
-        x = _features(phi)
-        probs = _softmax(params @ x)
-        total += float(np.log(probs[action]))
-    return total
+    _, actions, probs = _episode_probs(params, episode)
+    return float(np.log(probs[np.arange(len(actions)), actions]).sum())
 
 
 def episode_gradient(params: np.ndarray, episode) -> np.ndarray:
-    """Gradient of :func:`episode_log_prob` with respect to ``params``."""
-    grad = np.zeros_like(params)
-    for phi, action, _ in episode:
-        x = _features(phi)
-        probs = _softmax(params @ x)
-        coeff = -probs
-        coeff[action] += 1.0
-        grad += np.outer(coeff, x)
-    return grad
+    """Gradient of :func:`episode_log_prob` with respect to ``params``.
+
+    ``sum_t (onehot(a_t) - p_t) x_t^T``; the outer products are summed
+    over the steps in order.
+    """
+    x, actions, coeff = _episode_probs(params, episode)
+    np.negative(coeff, out=coeff)
+    for t, a in enumerate(actions):
+        coeff[t, a] += 1.0
+    return np.add.reduce(coeff[:, :, None] * x[:, None, :], axis=0)
 
 
 class Policy:
@@ -107,6 +145,7 @@ class Policy:
         if learning_rate <= 0.0:
             raise ValueError(f"learning_rate must be > 0, got {learning_rate}")
         self.params = np.zeros((n_actions, latent_dim + 1), dtype=float)
+        self._x = np.ones(latent_dim + 1)  # feature buffer [phi; 1]
         self.learning_rate = learning_rate
         self.update_count = 0
         self.baseline = 0.0
@@ -119,19 +158,31 @@ class Policy:
     def latent_dim(self) -> int:
         return self.params.shape[1] - 1
 
+    def _logits(self, phi) -> np.ndarray:
+        """``params @ [phi; 1]``, with ``phi`` copied into the preallocated ``x``."""
+        x = self._x
+        if np.shape(phi) != (x.shape[0] - 1,):
+            raise ValueError(f"phi shape {np.shape(phi)} does not match ({x.shape[0] - 1},)")
+        x[:-1] = phi
+        return self.params @ x
+
     def action_probs(self, phi) -> np.ndarray:
-        return _softmax(self.params @ _features(phi))
+        return _softmax(self._logits(phi))
 
     def act(self, phi, rng: np.random.Generator) -> int:
-        """Sample an action from the softmax."""
-        probs = self.action_probs(phi)
-        u = rng.random()
-        return int(min(np.searchsorted(np.cumsum(probs), u, side="right"),
-                       self.n_actions - 1))
+        """Sample an action from the softmax by inverse CDF on one uniform draw.
+
+        The probabilities are those of :meth:`action_probs` bit for bit,
+        computed on Python floats around numpy's ``exp``.
+        """
+        z = self._logits(phi)
+        e = np.exp(z - max(z.tolist())).tolist()
+        total = _sum(e)
+        return _inverse_cdf([v / total for v in e], rng.random())
 
     def act_greedy(self, phi) -> int:
         """Most probable action; ties resolve to the lowest index."""
-        return int(np.argmax(self.params @ _features(phi)))
+        return int(np.argmax(self._logits(phi)))
 
     def update(self, episode) -> None:
         """One policy-gradient step on the episode return.

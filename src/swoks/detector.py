@@ -224,14 +224,11 @@ class Detector:
 
         A rejected step raises ValueError and leaves the detector as it was.
         """
-        dp = make_datapoint(phi, action, reward)
         if self._width is None:
-            self._init_width(dp.shape[0])
-        elif dp.shape[0] != self._width:
-            raise ValueError(f"datapoint width {dp.shape[0]} does not match {self._width}")
-        self.t += 1
+            self._init_width(make_datapoint(phi, action, reward).shape[0])
         st = self._state(self._current)
-        st.window.push(dp)
+        st.window.push_step(phi, action, reward)
+        self.t += 1
         if self.t % self._cfg.history_len != 0 or not st.window.is_full:
             return None
         return self._check(st)

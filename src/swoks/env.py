@@ -16,6 +16,10 @@ from .seeding import substream
 
 __all__ = ["TreeGraphConfig", "TaskSpec", "TreeGraphEnv", "Curriculum"]
 
+# Observations per noise draw: enough to amortise the call, small enough
+# (32 KB at 16 dimensions) that memory stays flat.
+_NOISE_BLOCK = 256
+
 
 @dataclass(frozen=True)
 class TreeGraphConfig:
@@ -75,6 +79,9 @@ class TreeGraphEnv:
         base_rng = substream(config.env_seed, "tree-base-obs")
         self._base = base_rng.standard_normal((self.n_states, config.obs_dim))
         self._noise = substream(config.env_seed, "tree-obs-noise")
+        # Scaled noise rows drawn ahead in blocks; _noise_next is the next unused row.
+        self._noise_block = np.empty((0, config.obs_dim))
+        self._noise_next = 0
         self._active: int | None = None
         self._pending: int | None = None
         self._level = 0
@@ -119,12 +126,23 @@ class TreeGraphEnv:
         return (b ** level - 1) // (b - 1) + node
 
     def _observe(self) -> np.ndarray:
+        """The current node's base vector plus the next row of scaled noise.
+
+        Noise is drawn ``_NOISE_BLOCK`` rows at a time; a block draw gives
+        the same values, in order, as one ``standard_normal(obs_dim)`` call
+        per observation, so the generator runs at most one block ahead.
+        """
         base = self._base[self._state_index(self._level, self._node)]
         if self._cfg.obs_noise_sigma == 0.0:
             return base.copy()
-        return base + self._cfg.obs_noise_sigma * self._noise.standard_normal(
-            self._cfg.obs_dim
-        )
+        if self._noise_next == self._noise_block.shape[0]:
+            self._noise_block = self._cfg.obs_noise_sigma * self._noise.standard_normal(
+                (_NOISE_BLOCK, self._cfg.obs_dim)
+            )
+            self._noise_next = 0
+        noise = self._noise_block[self._noise_next]
+        self._noise_next += 1
+        return base + noise
 
     def reset(self) -> np.ndarray:
         """Start a new episode at the root and return its observation."""

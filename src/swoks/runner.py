@@ -8,6 +8,7 @@ current episode is abandoned.
 """
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -52,17 +53,24 @@ class _EnvProbe:
     Each yielded tuple is one real environment step: the detector
     counts it, it lands in the trace with probe_flag=1, and it never
     updates any policy. Rows are recorded just before the yield, at the
-    step index the detector is about to assign.
+    step index the detector is about to assign. The source refers to
+    the detector that holds it by a weak reference, so the two form no
+    reference cycle and a finished run is freed when its result is
+    dropped, without waiting for a garbage collection.
     """
 
     def __init__(self, env: TreeGraphEnv, encoder: Encoder, bank: PolicyBank,
-                 rng: np.random.Generator, record_probe):
+                 rng: np.random.Generator, trace: list[TraceRow], state: dict):
         self._env = env
         self._encoder = encoder
         self._bank = bank
         self._rng = rng
-        self._record_probe = record_probe
-        self.detector: Detector | None = None  # bound after construction
+        self._trace = trace
+        self._state = state
+        self._detector = None  # weakref.ref, bound by bind()
+
+    def bind(self, detector: Detector) -> None:
+        self._detector = weakref.ref(detector)
 
     def deploy(self, label: int):
         if label not in self._bank:
@@ -70,14 +78,21 @@ class _EnvProbe:
         policy = self._bank.get_or_create(label)
 
         def steps():
+            env, state = self._env, self._state
             while True:
-                obs = self._env.reset()
+                obs = env.reset()
                 done = False
                 while not done:
                     phi = self._encoder.encode(obs)
                     action = policy.act(phi, self._rng)
-                    obs, reward, done = self._env.step(action)
-                    self._record_probe(self.detector.t + 1, reward)
+                    obs, reward, done = env.step(action)
+                    detector = self._detector()
+                    self._trace.append(TraceRow(
+                        t=detector.t + 1, iteration=state["episode"],
+                        gt_task=env.active_task, pred_label=state["label"], event="",
+                        p_value=detector.last_p_value, swd=detector.last_swd,
+                        reward=reward, probe_flag=1,
+                    ))
                     yield phi, action, reward
 
         return steps()
@@ -108,18 +123,10 @@ def run_experiment(config: ExperimentConfig, out_dir: str | Path | None = None,
     events: list[DetectionEvent] = []
     state = {"episode": 0, "label": 1}
 
-    def record_probe(t: int, reward: float) -> None:
-        trace.append(TraceRow(
-            t=t, iteration=state["episode"], gt_task=env.active_task,
-            pred_label=state["label"], event="",
-            p_value=detector.last_p_value, swd=detector.last_swd,
-            reward=reward, probe_flag=1,
-        ))
-
-    probe_source = _EnvProbe(env, encoder, bank, probe_rng, record_probe)
+    probe_source = _EnvProbe(env, encoder, bank, probe_rng, trace, state)
     det_cfg = replace(config.detector, master_seed=child_seed(master, "detector"))
     detector = Detector(det_cfg, probe=probe_source)
-    probe_source.detector = detector
+    probe_source.bind(detector)
 
     total = config.curriculum.total_steps
     while detector.t < total:

@@ -68,12 +68,17 @@ def ks_one_sided(x1, x2) -> float:
     -------
     float in [0, 1]
     """
-    a = _as_sample(x1, "x1")
-    b = _as_sample(x2, "x2")
+    return _ks_statistic(_as_sample(x1, "x1"), _as_sample(x2, "x2"))
+
+
+def _ks_statistic(a: np.ndarray, b: np.ndarray) -> float:
+    """:func:`ks_one_sided` of two samples already checked by ``_as_sample``."""
     n1, n2 = a.shape[0], b.shape[0]
-    candidates = np.unique(np.concatenate([a, b]))
     sa = np.sort(a, kind="stable")
     sb = np.sort(b, kind="stable")
+    # Every pooled value is a candidate; a repeated one repeats its
+    # differences, which cannot change the maximum.
+    candidates = np.concatenate([sa, sb])
     # F(x-) at the candidate itself: strict counts. Just above: inclusive.
     f1_lt = np.searchsorted(sa, candidates, side="left") / n1
     f2_lt = np.searchsorted(sb, candidates, side="left") / n2
@@ -168,6 +173,8 @@ def detect_shift(w_new, w_old, alpha: float = 0.001, beta: float = 1.1) -> KsRes
         raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
     new = _as_sample(w_new, "w_new")
     ref = scaled_reference(w_old, beta)
-    statistic = ks_one_sided(ref, new)
+    if not math.isfinite(ref.max()):  # non-negative, so the max is the one to overflow
+        raise ValueError("w_old scaled by beta is not finite")
+    statistic = _ks_statistic(ref, new)
     p_value = ks_pvalue(statistic, ref.shape[0], new.shape[0])
     return KsResult(statistic=statistic, p_value=p_value, n1=ref.shape[0], n2=new.shape[0])

@@ -33,6 +33,19 @@ class NotReadyError(RuntimeError):
     """A windowed quantity was requested before the window filled up."""
 
 
+def _step_fields(phi, action: int, reward: float) -> tuple[np.ndarray, float, float]:
+    """The latent, scaled reward and action of one step, each checked finite."""
+    latent = np.asarray(phi, dtype=float)
+    if latent.ndim != 1 or latent.shape[0] < 1:
+        raise ValueError("phi must be a non-empty 1D vector")
+    scaled = math.sqrt(latent.shape[0]) * float(reward)
+    a = float(action)
+    if not (math.isfinite(scaled) and math.isfinite(a)
+            and all(map(math.isfinite, latent.tolist()))):
+        raise ValueError("phi, action and scaled reward must be finite")
+    return latent, scaled, a
+
+
 def make_datapoint(phi, action: int, reward: float) -> np.ndarray:
     """Pack one step of experience into a flat vector.
 
@@ -40,15 +53,11 @@ def make_datapoint(phi, action: int, reward: float) -> np.ndarray:
     action, the rest the latent features. Total width ``len(phi) + 2``.
     Every element must be finite.
     """
-    latent = np.asarray(phi, dtype=float)
-    if latent.ndim != 1 or latent.shape[0] < 1:
-        raise ValueError("phi must be a non-empty 1D vector")
+    latent, scaled, a = _step_fields(phi, action, reward)
     out = np.empty(latent.shape[0] + 2, dtype=float)
-    out[0] = math.sqrt(latent.shape[0]) * float(reward)
-    out[1] = float(action)
+    out[0] = scaled
+    out[1] = a
     out[2:] = latent
-    if not np.isfinite(out).all():
-        raise ValueError("phi, action and scaled reward must be finite")
     return out
 
 
@@ -123,14 +132,22 @@ class WindowBuffer:
     def __len__(self) -> int:
         return self._size
 
-    def push(self, datapoint) -> None:
-        """Append one row, evicting the oldest when full."""
-        row = np.asarray(datapoint, dtype=float)
-        if row.shape != (self._width,):
+    def push_step(self, phi, action: int, reward: float) -> None:
+        """Pack one step into the next row, evicting the oldest when full.
+
+        The row is :func:`make_datapoint`'s layout, written in place. A
+        step that is not finite or does not fit the width raises
+        ValueError before anything is written.
+        """
+        latent, scaled, a = _step_fields(phi, action, reward)
+        if latent.shape[0] + 2 != self._width:
             raise ValueError(
-                f"datapoint width {row.shape} does not match buffer width ({self._width},)"
+                f"datapoint width {latent.shape[0] + 2} does not match buffer width {self._width}"
             )
-        self._data[self._next] = row
+        i = self._next
+        self._data[i, 0] = scaled
+        self._data[i, 1] = a
+        self._data[i, 2:] = latent
         self._next = (self._next + 1) % self._capacity
         if self._size < self._capacity:
             self._size += 1

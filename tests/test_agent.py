@@ -1,12 +1,16 @@
 """Encoder, policy gradient, and the checkpoint/rollback protocol."""
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from swoks.agent import (
     BASELINE_RATE,
     Encoder,
     Policy,
     PolicyBank,
+    _inverse_cdf,
+    _sum,
     episode_gradient,
     episode_log_prob,
 )
@@ -150,6 +154,120 @@ class TestGradient:
     def test_empty_episode_rejected(self):
         with pytest.raises(ValueError):
             Policy(2, 2).update([])
+
+
+def searchsorted_index(probs, u):
+    """The sampling formula the inverse-CDF loop replaced."""
+    return int(min(np.searchsorted(np.cumsum(probs), u, side="right"), len(probs) - 1))
+
+
+def softmax_probs(params, phi):
+    """The action probabilities ``Policy.act`` sampled from before the fast path."""
+    x = np.concatenate([np.asarray(phi, dtype=float), [1.0]])
+    logits = params @ x
+    e = np.exp(logits - logits.max())
+    return e / e.sum()
+
+
+def outer_sum_gradient(params, episode):
+    """The per-step formula the batched gradient replaced."""
+    grad = np.zeros_like(params)
+    for phi, action, _ in episode:
+        x = np.concatenate([np.asarray(phi, dtype=float), [1.0]])
+        coeff = -softmax_probs(params, phi)
+        coeff[action] += 1.0
+        grad += np.outer(coeff, x)
+    return grad
+
+
+class FixedDraw:
+    """Stands in for a Generator whose every uniform draw is ``u``."""
+
+    def __init__(self, u):
+        self.u = u
+
+    def random(self):
+        return self.u
+
+
+LAST_DRAW = 1.0 - 2.0 ** -53  # the largest value Generator.random returns
+
+
+def boundary_draws(probs):
+    """Every running-sum boundary of ``probs`` and its two neighbours, within [0, 1)."""
+    draws = {0.0, LAST_DRAW}
+    for c in np.cumsum(probs).tolist():
+        draws.update((np.nextafter(c, -1.0), c, np.nextafter(c, 2.0)))
+    return sorted(float(u) for u in draws if 0.0 <= u < 1.0)
+
+
+class TestFastPathEquivalence:
+    @given(st.lists(st.floats(0.0, 1.0), min_size=2, max_size=10))
+    @settings(max_examples=200, deadline=None)
+    def test_inverse_cdf_matches_searchsorted(self, weights):
+        probs = [w / sum(weights) for w in weights] if sum(weights) > 0 else weights
+        for u in boundary_draws(probs):
+            assert _inverse_cdf(probs, u) == searchsorted_index(probs, u)
+
+    def test_inverse_cdf_when_the_sum_rounds_below_one(self):
+        probs = [0.1] * 10
+        assert np.cumsum(probs)[-1] < 1.0
+        for u in (np.cumsum(probs)[-1], np.nextafter(1.0, 0.0), LAST_DRAW):
+            assert _inverse_cdf(probs, float(u)) == searchsorted_index(probs, u) == 9
+
+    @given(st.lists(st.floats(-1e300, 1e300), max_size=40))
+    @settings(max_examples=200, deadline=None)
+    def test_sum_is_numpy_sum(self, values):
+        assert _sum(values) == np.sum(np.array(values, dtype=float))
+
+    def test_sum_is_numpy_sum_on_rounding_values(self):
+        # Probabilities-like values whose sum rounds differently by order.
+        rng = np.random.default_rng(2)
+        for n in range(41):
+            for _ in range(20):
+                values = rng.random(n).tolist()
+                assert _sum(values) == np.sum(np.array(values))
+
+    @given(st.integers(0, 2**32 - 1), st.integers(2, 10), st.integers(1, 6),
+           st.sampled_from([0.1, 1.0, 10.0, 300.0]))
+    @settings(max_examples=100, deadline=None)
+    def test_act_matches_old_formula_on_every_boundary(self, seed, n_actions, latent_dim, scale):
+        rng = np.random.default_rng(seed)
+        pol = Policy(n_actions=n_actions, latent_dim=latent_dim)
+        pol.params = rng.normal(size=pol.params.shape) * scale
+        phi = rng.normal(size=latent_dim)
+        probs = softmax_probs(pol.params, phi)
+        assert np.array_equal(pol.action_probs(phi), probs)
+        for u in boundary_draws(probs):
+            assert pol.act(phi, FixedDraw(u)) == searchsorted_index(probs, u)
+
+    @given(st.integers(0, 2**32 - 1), st.integers(2, 10), st.integers(1, 6),
+           st.integers(1, 20), st.sampled_from([0.1, 1.0, 10.0, 1000.0]))
+    @settings(max_examples=100, deadline=None)
+    def test_batched_gradient_matches_outer_sum(self, seed, n_actions, latent_dim, n_steps,
+                                                scale):
+        rng = np.random.default_rng(seed)
+        params = rng.normal(size=(n_actions, latent_dim + 1)) * scale
+        episode = random_episode(rng, n_steps, latent_dim, n_actions)
+        batched = episode_gradient(params, episode)
+        assert batched.tobytes() == outer_sum_gradient(params, episode).tobytes()
+
+    def test_update_matches_outer_sum_step(self):
+        rng = np.random.default_rng(11)
+        pol = Policy(n_actions=3, latent_dim=4, learning_rate=0.15)
+        pol.params = rng.normal(size=pol.params.shape)
+        pol.baseline = 0.25
+        episode = random_episode(rng, n_steps=5, latent_dim=4, n_actions=3)
+        advantage = sum(r for _, _, r in episode) - 0.25
+        expected = pol.params + 0.15 * advantage * outer_sum_gradient(pol.params, episode)
+        pol.update(episode)
+        assert pol.params.tobytes() == expected.tobytes()
+
+    def test_phi_of_the_wrong_shape_is_rejected(self):
+        pol = Policy(n_actions=2, latent_dim=3)
+        for phi in ([0.5], np.zeros(4), np.zeros((1, 3))):
+            with pytest.raises(ValueError):
+                pol.act(phi, FixedDraw(0.5))
 
 
 class TestBankCheckpoints:

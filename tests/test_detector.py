@@ -404,6 +404,24 @@ class TestAtomicIngest:
         assert det.t == 1
         assert len(det.label_state(1).window) == 1
 
+    @pytest.mark.parametrize("phi, reward", [
+        ([np.nan, 0.0, 0.0], 1.0),
+        ([0.0, np.inf, 0.0], 1.0),
+        ([0.0, 0.0, 0.0], 1.2e308),  # sqrt(3) * 1.2e308 overflows
+    ])
+    @pytest.mark.parametrize("n_before", [7, CAPACITY + 3])
+    def test_rejected_step_leaves_t_counters_and_ring(self, phi, reward, n_before):
+        det = Detector(make_config())
+        for i in range(n_before):
+            det.ingest(np.full(3, 0.01 * i), i % 2, 0.5)
+        window = det.label_state(1).window
+        before = (det.t, len(window), window.pushed)
+        ring = window._data.copy()
+        with pytest.raises(ValueError):
+            det.ingest(phi, 0, reward)
+        assert (det.t, len(window), window.pushed) == before
+        assert np.array_equal(window._data, ring)
+
     def test_rejected_block_width_leaves_t(self):
         det = Detector(make_config(history_len=4, swd_history_len=2))
         det.ingest_block(np.zeros((3, 1)), [0, 0, 0], [1.0, 1.0, 1.0])

@@ -3,6 +3,7 @@ import numpy as np
 import pytest
 
 from swoks.env import Curriculum, TaskSpec, TreeGraphConfig, TreeGraphEnv
+from swoks.seeding import substream
 
 
 def make_env(seed=0, sigma=0.05, tasks=None, depth=2, branching=2):
@@ -124,6 +125,32 @@ class TestObservations:
         draws = np.stack(draws)
         std = draws.std(axis=0).mean()
         assert std == pytest.approx(0.05, rel=0.15)
+
+    def test_block_draws_equal_per_call_draws(self):
+        gen = substream(0, "g")
+        block = gen.standard_normal((300, 16))
+        again = substream(0, "g")
+        assert all(np.array_equal(r, again.standard_normal(16)) for r in block)
+
+    def test_observations_equal_the_per_call_noise_formula(self):
+        # 1,203 observations cross several noise blocks.
+        base = make_env(seed=4, sigma=0.0)
+        noisy = make_env(seed=4, sigma=0.05)
+        per_call = substream(4, "tree-obs-noise")
+        rng = np.random.default_rng(0)
+        for env in (base, noisy):
+            env.set_task(1)
+
+        def expected(base_obs):
+            return base_obs + 0.05 * per_call.standard_normal(16)
+
+        for _ in range(401):
+            assert np.array_equal(noisy.reset(), expected(base.reset()))
+            done = False
+            while not done:
+                a = int(rng.integers(2))
+                obs, _, done = noisy.step(a)
+                assert np.array_equal(obs, expected(base.step(a)[0]))
 
     def test_deterministic_given_seed(self):
         def run(seed):

@@ -7,7 +7,9 @@ on the return, rollback of the departing policy.
 """
 from __future__ import annotations
 
+import gc
 import json
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -128,6 +130,19 @@ class TestMirrorCurriculum:
 
     def test_policy_bank_covers_both_labels(self, mirror_run):
         assert mirror_run.bank.labels() == [1, 2]
+
+
+class TestLifetime:
+    def test_finished_run_is_freed_without_a_collection(self):
+        gc.disable()
+        try:
+            result = run_experiment(tiny_config(MIRROR))
+            assert any(row.probe_flag for row in result.trace)  # the probe source ran
+            detector = weakref.ref(result.detector)
+            del result
+            assert detector() is None
+        finally:
+            gc.enable()
 
 
 class TestArtifacts:

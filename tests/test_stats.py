@@ -35,6 +35,23 @@ def bruteforce_one_sided(x1, x2):
 sample_lists = st.lists(
     st.floats(min_value=-50, max_value=50, allow_nan=False), min_size=1, max_size=50
 )
+# Few distinct values, so samples tie within and across themselves.
+tied_lists = st.lists(st.integers(0, 4).map(float), min_size=1, max_size=30)
+
+
+def unique_candidates_one_sided(x1, x2):
+    """The statistic as computed before the pooled values stopped being made unique."""
+    a = np.asarray(x1, dtype=float)
+    b = np.asarray(x2, dtype=float)
+    candidates = np.unique(np.concatenate([a, b]))
+    sa = np.sort(a, kind="stable")
+    sb = np.sort(b, kind="stable")
+    f1_lt = np.searchsorted(sa, candidates, side="left") / a.shape[0]
+    f2_lt = np.searchsorted(sb, candidates, side="left") / b.shape[0]
+    f1_le = np.searchsorted(sa, candidates, side="right") / a.shape[0]
+    f2_le = np.searchsorted(sb, candidates, side="right") / b.shape[0]
+    sup = max(float(np.max(f1_lt - f2_lt)), float(np.max(f1_le - f2_le)))
+    return min(1.0, max(0.0, sup))
 
 
 class TestKsOneSided:
@@ -76,6 +93,11 @@ class TestKsOneSided:
         base = ks_one_sided(a, b)
         shifted = ks_one_sided(a, np.asarray(b) + c)
         assert shifted >= base - 1e-12
+
+    @given(st.one_of(sample_lists, tied_lists), st.one_of(sample_lists, tied_lists))
+    @settings(max_examples=200, deadline=None)
+    def test_equals_the_unique_candidate_formula(self, a, b):
+        assert ks_one_sided(a, b) == unique_candidates_one_sided(a, b)
 
     def test_range(self):
         rng = np.random.default_rng(0)
@@ -193,6 +215,26 @@ class TestDetectShift:
     def test_alpha_validated(self):
         with pytest.raises(ValueError):
             detect_shift([1.0], [1.0], alpha=0.0)
+
+    @given(st.one_of(sample_lists, tied_lists), st.one_of(sample_lists, tied_lists),
+           st.sampled_from([1.0, 1.1, 1.5]))
+    @settings(max_examples=100, deadline=None)
+    def test_equals_the_unique_candidate_formula(self, w_new, w_old, beta):
+        w_old = np.abs(w_old)
+        r = detect_shift(w_new, w_old, beta=beta)
+        assert r.statistic == unique_candidates_one_sided(w_old * beta, w_new)
+        assert r.p_value == ks_pvalue(r.statistic, len(w_old), len(w_new))
+
+    def test_samples_are_still_validated(self):
+        for w_new, w_old in (([np.nan], [1.0]), ([1.0], [np.inf]), ([], [1.0]),
+                             ([1.0], [-1.0]), ([[1.0]], [1.0])):
+            with pytest.raises(ValueError):
+                detect_shift(w_new, w_old)
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_overflowing_scaled_reference_rejected(self):
+        with pytest.raises(ValueError):
+            detect_shift([1.0], [1e308], beta=2.0)
 
 
 class TestNullCalibration:

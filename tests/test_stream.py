@@ -73,6 +73,11 @@ def row(i, width=3):
     return np.full(width, float(i))
 
 
+def push(buf, v):
+    """Push the step whose packed row is ``v`` in every column (latent width 1)."""
+    buf.push_step([float(v)], v, float(v))
+
+
 class TestWindowBuffer:
     def test_capacity(self):
         buf = WindowBuffer(width=3, set_len=4, n_windows=2)
@@ -81,13 +86,20 @@ class TestWindowBuffer:
 
     def test_push_one(self):
         buf = WindowBuffer(width=3, set_len=4, n_windows=2)
-        buf.push(row(0))
+        push(buf, 0)
         assert len(buf) == 1
+        assert np.array_equal(buf.oldest(1), [row(0)])
+
+    def test_push_step_packs_like_make_datapoint(self):
+        buf = WindowBuffer(width=6, set_len=2, n_windows=1)
+        phi = np.array([0.5, -0.25, 1e-300, -3.0])
+        buf.push_step(phi, 3, -0.1)
+        assert np.array_equal(buf.oldest(1)[0], make_datapoint(phi, 3, -0.1))
 
     def test_fifo_eviction(self):
         buf = WindowBuffer(width=3, set_len=2, n_windows=1)
         for i in range(buf.capacity + 1):
-            buf.push(row(i))
+            push(buf, i)
         assert len(buf) == buf.capacity
         held = buf.oldest(buf.capacity)
         assert held[0, 0] == 1.0  # point 0 evicted
@@ -95,41 +107,41 @@ class TestWindowBuffer:
     def test_old_set_after_exact_fill(self):
         buf = WindowBuffer(width=3, set_len=4, n_windows=2)
         for i in range(buf.capacity):
-            buf.push(row(i))
+            push(buf, i)
         old = buf.old_set()
         assert np.array_equal(old, np.stack([row(i) for i in range(4)]))
         recent = buf.recent_set()
         assert np.array_equal(recent, np.stack([row(i) for i in range(8, 12)]))
 
     def test_sets_disjoint_when_full(self):
-        buf = WindowBuffer(width=1, set_len=3, n_windows=2)
+        buf = WindowBuffer(width=3, set_len=3, n_windows=2)
         for i in range(buf.capacity):
-            buf.push([float(i)])
+            push(buf, i)
         rec = set(buf.recent_set().ravel())
         old = set(buf.old_set().ravel())
         assert rec.isdisjoint(old)
 
     def test_single_window_partition(self):
         # n_windows=1: recent and old halves tile the whole buffer
-        buf = WindowBuffer(width=1, set_len=5, n_windows=1)
+        buf = WindowBuffer(width=3, set_len=5, n_windows=1)
         for i in range(10):
-            buf.push([float(i)])
-        both = np.concatenate([buf.old_set().ravel(), buf.recent_set().ravel()])
+            push(buf, i)
+        both = np.concatenate([buf.old_set()[:, 0], buf.recent_set()[:, 0]])
         assert np.array_equal(both, np.arange(10, dtype=float))
 
     def test_not_ready(self):
-        buf = WindowBuffer(width=2, set_len=3, n_windows=2)
-        buf.push(row(0, 2))
+        buf = WindowBuffer(width=3, set_len=3, n_windows=2)
+        push(buf, 0)
         with pytest.raises(NotReadyError):
             buf.recent_set()
         with pytest.raises(NotReadyError):
             buf.old_set()
 
     def test_oldest_does_not_require_full(self):
-        buf = WindowBuffer(width=2, set_len=3, n_windows=2)
+        buf = WindowBuffer(width=3, set_len=3, n_windows=2)
         for i in range(4):
-            buf.push(row(i, 2))
-        assert np.array_equal(buf.oldest(2), np.stack([row(0, 2), row(1, 2)]))
+            push(buf, i)
+        assert np.array_equal(buf.oldest(2), np.stack([row(0), row(1)]))
         with pytest.raises(ValueError):
             buf.oldest(5)
 
@@ -143,7 +155,28 @@ class TestWindowBuffer:
     def test_width_mismatch(self):
         buf = WindowBuffer(width=3, set_len=2, n_windows=1)
         with pytest.raises(ValueError):
-            buf.push(np.zeros(4))
+            buf.push_step(np.zeros(2), 0, 0.0)  # packs to width 4
+        assert len(buf) == 0 and buf.pushed == 0
+
+    @pytest.mark.parametrize("phi, action, reward", [
+        ([np.nan], 0, 1.0),
+        ([np.inf], 0, 1.0),
+        ([0.5], float("inf"), 1.0),
+        ([0.5], 0, float("nan")),
+        (np.zeros(4), 0, 1e308),  # sqrt(4) * 1e308 overflows
+    ])
+    def test_rejected_step_writes_nothing(self, phi, action, reward):
+        width = len(phi) + 2
+        buf = WindowBuffer(width=width, set_len=2, n_windows=1)
+        for i in range(buf.capacity):
+            buf.push_step(np.full(width - 2, float(i)), i, 0.0)
+        before = buf.oldest(buf.capacity)
+        with pytest.raises(ValueError):
+            buf.push_step(phi, action, reward)
+        assert len(buf) == buf.capacity and buf.pushed == buf.capacity
+        assert np.array_equal(buf.oldest(buf.capacity), before)
+        buf.push_step(np.full(width - 2, 9.0), 9, 0.0)  # the next slot is still the oldest
+        assert np.array_equal(buf.oldest(buf.capacity)[:-1], before[1:])
 
     @given(
         st.integers(1, 4),  # set_len
@@ -152,10 +185,10 @@ class TestWindowBuffer:
     )
     @settings(max_examples=80, deadline=None)
     def test_matches_list_model(self, set_len, n_windows, pushes):
-        buf = WindowBuffer(width=2, set_len=set_len, n_windows=n_windows)
+        buf = WindowBuffer(width=3, set_len=set_len, n_windows=n_windows)
         model: list[float] = []
         for v in pushes:
-            buf.push(row(v, 2))
+            push(buf, v)
             model.append(float(v))
             model = model[-buf.capacity:]
             assert len(buf) == len(model)
@@ -173,14 +206,14 @@ class TestWindowBuffer:
     )
     @settings(max_examples=80, deadline=None)
     def test_extend_matches_pushes(self, set_len, n_windows, sizes):
-        blocks = WindowBuffer(width=2, set_len=set_len, n_windows=n_windows)
-        pushes = WindowBuffer(width=2, set_len=set_len, n_windows=n_windows)
+        blocks = WindowBuffer(width=3, set_len=set_len, n_windows=n_windows)
+        pushes = WindowBuffer(width=3, set_len=set_len, n_windows=n_windows)
         v = 0
         for size in sizes:
-            rows = np.stack([row(v + i, 2) for i in range(size)]) if size else []
+            rows = np.stack([row(v + i) for i in range(size)]) if size else []
             blocks.extend(rows)
-            for r in rows:
-                pushes.push(r)
+            for i in range(size):
+                push(pushes, v + i)
             v += size
             assert len(blocks) == len(pushes) and blocks.pushed == pushes.pushed == v
             assert np.array_equal(blocks.oldest(len(blocks)), pushes.oldest(len(pushes)))
