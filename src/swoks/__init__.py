@@ -23,6 +23,7 @@ from .metrics import (
     label_alignment_accuracy,
     optimal_label_map,
     run_included_mask,
+    sweep_beta,
 )
 from .ot import (
     DirectionSet,
@@ -31,7 +32,7 @@ from .ot import (
     wasserstein_1d,
     wasserstein_exact,
 )
-from .runner import RunResult, detect_offline, run_experiment, sweep_beta
+from .runner import RunResult, detect_offline, run_experiment
 from .stats import KsResult, detect_shift, ks_critical, ks_one_sided, ks_pvalue, scaled_reference
 from .stream import (
     NotReadyError,
@@ -39,7 +40,6 @@ from .stream import (
     StreamRecord,
     SwdHistory,
     WindowBuffer,
-    make_datapoint,
     make_datapoints,
     read_stream,
     read_stream_blocks,
@@ -87,7 +87,6 @@ __all__ = [
     "ks_pvalue",
     "label_alignment_accuracy",
     "load_config",
-    "make_datapoint",
     "make_datapoints",
     "optimal_label_map",
     "read_stream",

@@ -15,8 +15,9 @@ from pathlib import Path
 
 from .config import ConfigError, load_config
 from .detector import DetectorConfig
-from .metrics import false_positive_rate
-from .runner import detect_offline, run_experiment, sweep_beta
+from .metrics import false_positive_rate, sweep_beta
+from .runner import detect_offline, run_experiment
+from .trace import event_record
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -62,19 +63,6 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _event_payload(events) -> list[dict]:
-    return [
-        {
-            "t": e.t,
-            "kind": e.kind,
-            "old_label": e.old_label,
-            "new_label": e.new_label,
-            "probed_pvalues": {str(k): v for k, v in e.probed_pvalues.items()},
-        }
-        for e in events
-    ]
-
-
 def _cmd_run(args) -> int:
     config = load_config(args.config, seed=args.seed)
     result = run_experiment(config, out_dir=args.out,
@@ -96,7 +84,7 @@ def _cmd_detect(args) -> int:
         "probe_mode": "disabled",
         "steps": detector.t,
         "final_labels": len(detector.labels),
-        "events": _event_payload(events),
+        "events": [event_record(ev) for ev in events],
     }
     text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
     if args.out is None:

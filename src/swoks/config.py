@@ -85,26 +85,38 @@ def parse_config_text(text: str, origin: str = "<config>") -> dict[str, dict[str
     return sections
 
 
-_SCHEMA: dict[str, dict[str, type]] = {
-    "experiment": {"preset": str, "master_seed": int},
+# The sections that build DetectorConfig, TreeGraphConfig and
+# AgentConfig: file key -> (dataclass field, value type). Only the keys a
+# file sets are passed on, so every default lives in the dataclass.
+_FIELDS: dict[str, dict[str, tuple[str, type]]] = {
     "detector": {
-        "history_length": int,
-        "swd_history_length": int,
-        "significance_threshold": float,
-        "ks_adjustment": float,
-        "stable_phase_duration": int,
-        "n_projections": int,
-        "probe_swd_samples": int,
+        "history_length": ("history_len", int),
+        "swd_history_length": ("swd_history_len", int),
+        "significance_threshold": ("alpha", float),
+        "ks_adjustment": ("beta", float),
+        "stable_phase_duration": ("stable_phase", int),
+        "n_projections": ("n_projections", int),
+        "probe_swd_samples": ("probe_swd_samples", int),
     },
     "env": {
-        "tree_depth": int,
-        "branching_factor": int,
-        "high_reward_value": float,
-        "fail_reward_value": float,
-        "observation_dim": int,
-        "observation_noise_sigma": float,
+        "tree_depth": ("depth", int),
+        "branching_factor": ("branching", int),
+        "high_reward_value": ("high_reward", float),
+        "fail_reward_value": ("fail_reward", float),
+        "observation_dim": ("obs_dim", int),
+        "observation_noise_sigma": ("obs_noise_sigma", float),
     },
-    "agent": {"latent_dim": int, "learning_rate": float, "model_backup_freq": int},
+    "agent": {
+        "latent_dim": ("latent_dim", int),
+        "learning_rate": ("learning_rate", float),
+        "model_backup_freq": ("backup_freq", int),
+    },
+}
+
+_SCHEMA: dict[str, dict[str, type]] = {
+    "experiment": {"preset": str, "master_seed": int},
+    **{section: {key: kind for key, (_, kind) in keys.items()}
+       for section, keys in _FIELDS.items()},
     "tasks": {"rewarded_leaves": str},
     "curriculum": {"order": str, "segment_steps": int},
 }
@@ -162,32 +174,14 @@ def _int_list(raw: str, origin: str, what: str) -> list[int]:
 
 
 def _build(values: dict[str, dict[str, object]], origin: str, preset: str) -> ExperimentConfig:
-    det = values.get("detector", {})
-    env = values.get("env", {})
-    agent = values.get("agent", {})
+    def fields(section: str) -> dict[str, object]:
+        return {_FIELDS[section][key][0]: value
+                for key, value in values.get(section, {}).items()}
+
     try:
-        detector = DetectorConfig(
-            history_len=det.get("history_length", 240),
-            swd_history_len=det.get("swd_history_length", 125),
-            alpha=det.get("significance_threshold", 0.001),
-            beta=det.get("ks_adjustment", 1.1),
-            stable_phase=det.get("stable_phase_duration", 50_000),
-            n_projections=det.get("n_projections", 128),
-            probe_swd_samples=det.get("probe_swd_samples"),
-        )
-        env_cfg = TreeGraphConfig(
-            depth=env.get("tree_depth", 2),
-            branching=env.get("branching_factor", 2),
-            high_reward=env.get("high_reward_value", 1.0),
-            fail_reward=env.get("fail_reward_value", -0.1),
-            obs_dim=env.get("observation_dim", 16),
-            obs_noise_sigma=env.get("observation_noise_sigma", 0.05),
-        )
-        agent_cfg = AgentConfig(
-            latent_dim=agent.get("latent_dim", 8),
-            learning_rate=agent.get("learning_rate", 0.08),
-            backup_freq=agent.get("model_backup_freq", 50),
-        )
+        detector = DetectorConfig(**fields("detector"))
+        env_cfg = TreeGraphConfig(**fields("env"))
+        agent_cfg = AgentConfig(**fields("agent"))
     except ValueError as exc:
         raise ConfigError(f"{origin}: {exc}") from None
 

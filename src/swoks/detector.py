@@ -1,15 +1,15 @@
 """Online task-change detector over streaming experience.
 
-Every step is packed into a datapoint and pushed into the current
-label's FIFO window. Once per ``history_len`` steps the sliced
-transport distance between the newest and oldest window is appended to
-that label's distance history; when the history is full, a one-sided
-shift test compares its new half against its scaled old half. A
-significant shift triggers re-detection: stored policies for the other
-labels are probed one by one in ascending id, fresh probe experience is
-scored against each label's frozen references, and the first label
-whose test does not reject is re-adopted. If every label rejects, a new
-label is minted.
+Steps arrive in blocks of any size; each is packed into a datapoint
+and pushed into the current label's FIFO window. Once per
+``history_len`` steps the sliced transport distance between the newest
+and oldest window is appended to that label's distance history; when
+the history is full, a one-sided shift test compares its new half
+against its scaled old half. A significant shift triggers
+re-detection: stored policies for the other labels are probed one by
+one in ascending id, fresh probe experience is scored against each
+label's frozen references, and the first label whose test does not
+reject is re-adopted. If every label rejects, a new label is minted.
 
 Probing is read-only with respect to stored references, and a stable
 phase after each new label suppresses further detections while the
@@ -17,6 +17,7 @@ fresh policy is still learning.
 """
 from __future__ import annotations
 
+import itertools
 from collections import deque
 from dataclasses import dataclass, field
 from typing import Iterator, Protocol
@@ -26,7 +27,7 @@ import numpy as np
 from .ot import DirectionSet, sample_unit_directions, sorted_distance, sorted_projections
 from .seeding import child_seed
 from .stats import detect_shift
-from .stream import SwdHistory, WindowBuffer, make_datapoint, make_datapoints
+from .stream import SwdHistory, WindowBuffer, make_datapoints
 
 __all__ = [
     "DetectorConfig",
@@ -220,26 +221,19 @@ class Detector:
     # -- main entry points ------------------------------------------------
 
     def ingest(self, phi, action: int, reward: float) -> DetectionEvent | None:
-        """Consume one step of experience; maybe return a DetectionEvent.
-
-        A rejected step raises ValueError and leaves the detector as it was.
-        """
-        if self._width is None:
-            self._init_width(make_datapoint(phi, action, reward).shape[0])
-        st = self._state(self._current)
-        st.window.push_step(phi, action, reward)
-        self.t += 1
-        if self.t % self._cfg.history_len != 0 or not st.window.is_full:
-            return None
-        return self._check(st)
+        """Consume one step: :meth:`ingest_block` of a one-row block; its event or None."""
+        events = self.ingest_block([phi], [action], [reward])
+        return events[0] if events else None
 
     def ingest_block(self, phi, actions, rewards) -> list[DetectionEvent]:
-        """Consume ``n`` steps at once, exactly as ``n`` calls to :meth:`ingest`.
+        """Consume ``n`` steps of experience; return their events in order.
 
         ``phi`` is ``(n, k)``; ``actions`` and ``rewards`` have length
-        ``n``. Returns the events in order. A row that :meth:`ingest`
-        would reject raises ValueError naming it, after the rows before
-        it were ingested; their events are then not returned.
+        ``n``. How the steps are split into blocks does not change the
+        result. A block whose width differs from the first step's raises
+        ValueError and changes nothing. A row that is not finite raises
+        ValueError naming it, after the rows before it were ingested;
+        their events are then not returned.
         """
         points = make_datapoints(phi, actions, rewards)
         n = points.shape[0]
@@ -328,7 +322,11 @@ class Detector:
         )
 
     def _probe_label(self, z: int, pvalues: dict[int, float | None]) -> DetectionEvent | None:
-        """Probe one candidate label; returns an event on accept/error."""
+        """Probe one candidate label; returns an event on accept/error.
+
+        A probe step that is not finite or does not fit the width raises
+        ValueError before ``t`` moves.
+        """
         old = self._current
         st = self._states.get(z)
         if st is None or st.ref_window is None or st.ref_swd is None:
@@ -336,19 +334,20 @@ class Detector:
             return None
         n_samples = self._cfg.resolved_probe_samples
         n_points = n_samples * self._cfg.history_len
-        points = np.empty((n_points, self._width), dtype=float)
-        source = self._probe.deploy(z)
-        try:
-            for i in range(n_points):
-                phi, action, reward = next(source)
-                points[i] = make_datapoint(phi, action, reward)
-                self.t += 1
-        except StopIteration:
+        steps = list(itertools.islice(self._probe.deploy(z), n_points))
+        if len(steps) < n_points:
+            self.t += len(steps)
             pvalues[z] = None
             return DetectionEvent(
                 t=self.t, old_label=old, new_label=old, kind=EVENT_PROBE_ERROR,
                 probed_pvalues=pvalues,
             )
+        phi, actions, rewards = zip(*steps)
+        points = make_datapoints(np.array(phi, dtype=float), actions, rewards)
+        if points.shape[1] != self._width or not np.isfinite(points).all():
+            raise ValueError(f"probe steps of label {z} must be finite and "
+                             f"pack to width {self._width}")
+        self.t += n_points
         dirs = self._dirs.directions
         ref = sorted_projections(st.ref_window, dirs)
         h = self._cfg.history_len

@@ -1,4 +1,5 @@
-"""Run evaluation: label alignment, detection delay, false positive rate.
+"""Run evaluation: label alignment, detection delay, false positive rate,
+and the seed loops that score whole runs (beta sweep, false positives).
 
 Predicted labels are arbitrary integers, so accuracy is scored under
 the best injective label-to-task assignment (rectangular Hungarian);
@@ -6,9 +7,12 @@ renaming labels never changes the score.
 """
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 
-from .detector import EVENT_NEW_TASK
+from . import runner
+from .detector import EVENT_NEW_TASK, EVENT_RE_DETECTED
 from .seeding import child_seed
 
 __all__ = [
@@ -17,6 +21,7 @@ __all__ = [
     "detection_delay",
     "run_included_mask",
     "false_positive_rate",
+    "sweep_beta",
 ]
 
 
@@ -127,10 +132,6 @@ def false_positive_rate(config, n_runs: int, seed: int) -> float:
     config should hold a single-task curriculum so every event is
     spurious by construction.
     """
-    from dataclasses import replace
-
-    from .runner import run_experiment
-
     if n_runs < 0:
         raise ValueError(f"n_runs must be >= 0, got {n_runs}")
     if n_runs == 0:
@@ -138,7 +139,37 @@ def false_positive_rate(config, n_runs: int, seed: int) -> float:
     positives = 0
     for i in range(n_runs):
         cfg = replace(config, master_seed=child_seed(seed, f"fpr-run-{i}"))
-        result = run_experiment(cfg)
+        result = runner.run_experiment(cfg)
         if result.events:
             positives += 1
     return positives / n_runs
+
+
+def sweep_beta(config, betas) -> list[dict]:
+    """Run the experiment once per beta on identical seeds.
+
+    Returns one summary row per beta: new-task event count and aligned
+    accuracy over included (non-probe, post-stable-phase) steps.
+    """
+    betas = list(betas)
+    if not betas:
+        raise ValueError("betas must not be empty")
+    rows = []
+    for beta in betas:
+        cfg = replace(config, detector=replace(config.detector, beta=float(beta)))
+        result = runner.run_experiment(cfg)
+        mask = run_included_mask(result.trace, result.events,
+                                 cfg.detector.stable_phase)
+        pred = [r.pred_label for r in result.trace]
+        gt = [r.gt_task for r in result.trace]
+        accuracy = (
+            label_alignment_accuracy(pred, gt, include=mask) if mask.any() else float("nan")
+        )
+        rows.append({
+            "beta": float(beta),
+            "new_task_events": sum(1 for e in result.events if e.kind == EVENT_NEW_TASK),
+            "re_detected_events": sum(1 for e in result.events if e.kind == EVENT_RE_DETECTED),
+            "accuracy": accuracy,
+            "final_labels": result.final_label_count,
+        })
+    return rows

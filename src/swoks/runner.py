@@ -1,14 +1,15 @@
 """Experiment loop: environment, encoder, policy bank, detector.
 
-Live steps feed the detector; when it triggers, probing runs stored
-policies in the same environment, so probe steps consume curriculum
-time and are flagged in the trace. On any accepted detection the
-departing label's policy is rolled back to its older checkpoint and the
-current episode is abandoned.
+Live steps are collected into a block and fed to the detector once per
+check interval (``history_len`` steps), the only steps at which it can
+raise an event. When it triggers, probing runs stored policies in the
+same environment, so probe steps consume curriculum time and are
+flagged in the trace. On any accepted detection the departing label's
+policy is rolled back to its older checkpoint and the current episode
+is abandoned.
 """
 from __future__ import annotations
 
-import weakref
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -29,7 +30,7 @@ from .seeding import child_seed, substream
 from .stream import read_stream_blocks
 from .trace import TraceRow, write_events, write_trace
 
-__all__ = ["RunResult", "run_experiment", "detect_offline", "sweep_beta"]
+__all__ = ["RunResult", "run_experiment", "detect_offline"]
 
 
 @dataclass
@@ -51,26 +52,19 @@ class _EnvProbe:
     """Serves re-detection probes by running stored policies live.
 
     Each yielded tuple is one real environment step: the detector
-    counts it, it lands in the trace with probe_flag=1, and it never
-    updates any policy. Rows are recorded just before the yield, at the
-    step index the detector is about to assign. The source refers to
-    the detector that holds it by a weak reference, so the two form no
-    reference cycle and a finished run is freed when its result is
-    dropped, without waiting for a garbage collection.
+    counts it and it never updates any policy. The source records each
+    step's ``(gt_task, reward)`` in ``steps``; the runner writes them to
+    the trace, with probe_flag=1, after the live step whose check ran
+    the probe, and then clears the list.
     """
 
     def __init__(self, env: TreeGraphEnv, encoder: Encoder, bank: PolicyBank,
-                 rng: np.random.Generator, trace: list[TraceRow], state: dict):
+                 rng: np.random.Generator):
         self._env = env
         self._encoder = encoder
         self._bank = bank
         self._rng = rng
-        self._trace = trace
-        self._state = state
-        self._detector = None  # weakref.ref, bound by bind()
-
-    def bind(self, detector: Detector) -> None:
-        self._detector = weakref.ref(detector)
+        self.steps: list[tuple[int, float]] = []
 
     def deploy(self, label: int):
         if label not in self._bank:
@@ -78,7 +72,7 @@ class _EnvProbe:
         policy = self._bank.get_or_create(label)
 
         def steps():
-            env, state = self._env, self._state
+            env = self._env
             while True:
                 obs = env.reset()
                 done = False
@@ -86,13 +80,7 @@ class _EnvProbe:
                     phi = self._encoder.encode(obs)
                     action = policy.act(phi, self._rng)
                     obs, reward, done = env.step(action)
-                    detector = self._detector()
-                    self._trace.append(TraceRow(
-                        t=detector.t + 1, iteration=state["episode"],
-                        gt_task=env.active_task, pred_label=state["label"], event="",
-                        p_value=detector.last_p_value, swd=detector.last_swd,
-                        reward=reward, probe_flag=1,
-                    ))
+                    self.steps.append((env.active_task, reward))
                     yield phi, action, reward
 
         return steps()
@@ -121,19 +109,23 @@ def run_experiment(config: ExperimentConfig, out_dir: str | Path | None = None,
 
     trace: list[TraceRow] = []
     events: list[DetectionEvent] = []
-    state = {"episode": 0, "label": 1}
-
-    probe_source = _EnvProbe(env, encoder, bank, probe_rng, trace, state)
+    probe_source = _EnvProbe(env, encoder, bank, probe_rng)
     det_cfg = replace(config.detector, master_seed=child_seed(master, "detector"))
     detector = Detector(det_cfg, probe=probe_source)
-    probe_source.bind(detector)
 
+    # Live steps since the last check boundary, fed to the detector at the next one.
+    h = det_cfg.history_len
+    phis = np.empty((h, config.agent.latent_dim))
+    actions = np.empty(h)
+    rewards = np.empty(h)
+    pending = 0
+    t = 0  # steps taken, live and probe: the detector's t plus the pending steps
+    iteration = 0
     total = config.curriculum.total_steps
-    while detector.t < total:
-        env.set_task(config.curriculum.task_at(detector.t + 1))
+    while t < total:
+        env.set_task(config.curriculum.task_at(t + 1))
         obs = env.reset()
         label = detector.current_label.id
-        state["label"] = label
         policy = bank.get_or_create(label)
         episode = []
         aborted = False
@@ -142,22 +134,35 @@ def run_experiment(config: ExperimentConfig, out_dir: str | Path | None = None,
             phi = encoder.encode(obs)
             action = policy.act(phi, act_rng)
             obs, reward, done = env.step(action)
-            live_t = detector.t + 1
-            mark = len(trace)  # probe rows of this step's decision land after here
-            event = detector.ingest(phi, action, reward)
             episode.append((phi, action, reward))
-            trace.insert(mark, TraceRow(
-                t=live_t, iteration=state["episode"], gt_task=env.active_task,
+            phis[pending], actions[pending], rewards[pending] = phi, action, reward
+            pending += 1
+            t += 1
+            event = None
+            if t % h == 0:
+                found = detector.ingest_block(phis[:pending], actions[:pending],
+                                              rewards[:pending])
+                pending = 0
+                event = found[0] if found else None
+            row = TraceRow(
+                t=t, iteration=iteration, gt_task=env.active_task,
                 pred_label=label, event=event.kind if event else "",
                 p_value=detector.last_p_value, swd=detector.last_swd,
                 reward=reward, probe_flag=0,
-            ))
+            )
+            trace.append(row)
+            if probe_source.steps:
+                trace.extend(
+                    TraceRow(t + i, iteration, gt_task, label, "", row.p_value, row.swd, r, 1)
+                    for i, (gt_task, r) in enumerate(probe_source.steps, start=1)
+                )
+                probe_source.steps.clear()
+                t = detector.t
             if event is None:
                 continue
             events.append(event)
             if event.kind in (EVENT_NEW_TASK, EVENT_RE_DETECTED):
                 bank.rollback(event.old_label)
-                state["label"] = event.new_label
                 aborted = True
                 break
             if event.kind == EVENT_PROBE_ERROR:
@@ -167,7 +172,9 @@ def run_experiment(config: ExperimentConfig, out_dir: str | Path | None = None,
         if not aborted and episode:
             policy.update(episode)
             bank.backup_if_due(label)
-            state["episode"] += 1
+            iteration += 1
+    if pending:
+        detector.ingest_block(phis[:pending], actions[:pending], rewards[:pending])
 
     result = RunResult(config=config, trace=trace, events=events,
                        detector=detector, bank=bank, encoder=encoder, env=env)
@@ -194,35 +201,3 @@ def detect_offline(stream_path: str | Path, det_config: DetectorConfig):
     for block in read_stream_blocks(stream_path):
         events.extend(detector.ingest_block(block.phi, block.action, block.reward))
     return events, detector
-
-
-def sweep_beta(config: ExperimentConfig, betas) -> list[dict]:
-    """Run the experiment once per beta on identical seeds.
-
-    Returns one summary row per beta: new-task event count and aligned
-    accuracy over included (non-probe, post-stable-phase) steps.
-    """
-    from .metrics import label_alignment_accuracy, run_included_mask
-
-    betas = list(betas)
-    if not betas:
-        raise ValueError("betas must not be empty")
-    rows = []
-    for beta in betas:
-        cfg = replace(config, detector=replace(config.detector, beta=float(beta)))
-        result = run_experiment(cfg)
-        mask = run_included_mask(result.trace, result.events,
-                                 cfg.detector.stable_phase)
-        pred = [r.pred_label for r in result.trace]
-        gt = [r.gt_task for r in result.trace]
-        accuracy = (
-            label_alignment_accuracy(pred, gt, include=mask) if mask.any() else float("nan")
-        )
-        rows.append({
-            "beta": float(beta),
-            "new_task_events": sum(1 for e in result.events if e.kind == EVENT_NEW_TASK),
-            "re_detected_events": sum(1 for e in result.events if e.kind == EVENT_RE_DETECTED),
-            "accuracy": accuracy,
-            "final_labels": result.final_label_count,
-        })
-    return rows

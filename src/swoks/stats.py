@@ -55,9 +55,9 @@ def ks_one_sided(x1, x2) -> float:
     """Signed supremum of the ECDF difference, ``sup_x (F1(x-) - F2(x-))``.
 
     The supremum over all real thresholds of ``P[X1 < x] - P[X2 < x]``
-    is attained either at a pooled sample value (strict counts) or just
-    above one (inclusive counts), so those finitely many candidates are
-    enumerated. The result is clamped below at 0.
+    is attained at a pooled sample value or past the largest one, where
+    the difference is 0, so the strict counts at the pooled values are
+    the only candidates. The result is clamped below at 0.
 
     Parameters
     ----------
@@ -77,15 +77,13 @@ def _ks_statistic(a: np.ndarray, b: np.ndarray) -> float:
     sa = np.sort(a, kind="stable")
     sb = np.sort(b, kind="stable")
     # Every pooled value is a candidate; a repeated one repeats its
-    # differences, which cannot change the maximum.
+    # differences, which cannot change the maximum. The difference is
+    # constant between consecutive pooled values, so its value just above
+    # one is its strict value at the next, and past the largest it is 0.
     candidates = np.concatenate([sa, sb])
-    # F(x-) at the candidate itself: strict counts. Just above: inclusive.
-    f1_lt = np.searchsorted(sa, candidates, side="left") / n1
-    f2_lt = np.searchsorted(sb, candidates, side="left") / n2
-    f1_le = np.searchsorted(sa, candidates, side="right") / n1
-    f2_le = np.searchsorted(sb, candidates, side="right") / n2
-    sup = max(float(np.max(f1_lt - f2_lt)), float(np.max(f1_le - f2_le)))
-    return min(1.0, max(0.0, sup))
+    f1 = np.searchsorted(sa, candidates, side="left") / n1
+    f2 = np.searchsorted(sb, candidates, side="left") / n2
+    return min(1.0, max(0.0, float(np.max(f1 - f2))))
 
 
 def ks_critical(n1: int, n2: int, alpha: float) -> float:

@@ -3,7 +3,8 @@
 A datapoint packs one environment step into a flat vector
 ``[sqrt(len(phi)) * reward, action, phi...]``; the reward is scaled up
 with the latent width so it is not drowned out by the latent block when
-the vector is projected onto random directions.
+the vector is projected onto random directions. Steps are packed a
+block at a time (:func:`make_datapoints`).
 """
 from __future__ import annotations
 
@@ -17,7 +18,6 @@ import numpy as np
 
 __all__ = [
     "NotReadyError",
-    "make_datapoint",
     "make_datapoints",
     "WindowBuffer",
     "SwdHistory",
@@ -33,40 +33,14 @@ class NotReadyError(RuntimeError):
     """A windowed quantity was requested before the window filled up."""
 
 
-def _step_fields(phi, action: int, reward: float) -> tuple[np.ndarray, float, float]:
-    """The latent, scaled reward and action of one step, each checked finite."""
-    latent = np.asarray(phi, dtype=float)
-    if latent.ndim != 1 or latent.shape[0] < 1:
-        raise ValueError("phi must be a non-empty 1D vector")
-    scaled = math.sqrt(latent.shape[0]) * float(reward)
-    a = float(action)
-    if not (math.isfinite(scaled) and math.isfinite(a)
-            and all(map(math.isfinite, latent.tolist()))):
-        raise ValueError("phi, action and scaled reward must be finite")
-    return latent, scaled, a
-
-
-def make_datapoint(phi, action: int, reward: float) -> np.ndarray:
-    """Pack one step of experience into a flat vector.
-
-    Layout: element 0 is ``sqrt(len(phi)) * reward``, element 1 the raw
-    action, the rest the latent features. Total width ``len(phi) + 2``.
-    Every element must be finite.
-    """
-    latent, scaled, a = _step_fields(phi, action, reward)
-    out = np.empty(latent.shape[0] + 2, dtype=float)
-    out[0] = scaled
-    out[1] = a
-    out[2:] = latent
-    return out
-
-
 def make_datapoints(phi, actions, rewards) -> np.ndarray:
-    """Pack a block of steps; row ``i`` is the layout of :func:`make_datapoint`.
+    """Pack a block of steps into an ``(n, k + 2)`` array of datapoints.
 
     ``phi`` is ``(n, k)``, ``actions`` and ``rewards`` have length
-    ``n``. Shapes are checked here; finiteness is left to the caller,
-    which must reject the rows that are not finite.
+    ``n``. Row ``i`` holds ``sqrt(k) * rewards[i]``, ``actions[i]`` and
+    ``phi[i]``. Shapes are checked here; finiteness is left to the
+    caller, which must reject the rows that are not finite (a scaled
+    reward that overflows is one).
     """
     latent = np.asarray(phi, dtype=float)
     if latent.ndim != 2 or latent.shape[1] < 1:
@@ -79,7 +53,8 @@ def make_datapoints(phi, actions, rewards) -> np.ndarray:
             f"actions {a.shape} and rewards {r.shape} must have shape ({n},)"
         )
     out = np.empty((n, k + 2), dtype=float)
-    out[:, 0] = math.sqrt(k) * r
+    with np.errstate(over="ignore"):
+        out[:, 0] = math.sqrt(k) * r
     out[:, 1] = a
     out[:, 2:] = latent
     return out
@@ -132,29 +107,8 @@ class WindowBuffer:
     def __len__(self) -> int:
         return self._size
 
-    def push_step(self, phi, action: int, reward: float) -> None:
-        """Pack one step into the next row, evicting the oldest when full.
-
-        The row is :func:`make_datapoint`'s layout, written in place. A
-        step that is not finite or does not fit the width raises
-        ValueError before anything is written.
-        """
-        latent, scaled, a = _step_fields(phi, action, reward)
-        if latent.shape[0] + 2 != self._width:
-            raise ValueError(
-                f"datapoint width {latent.shape[0] + 2} does not match buffer width {self._width}"
-            )
-        i = self._next
-        self._data[i, 0] = scaled
-        self._data[i, 1] = a
-        self._data[i, 2:] = latent
-        self._next = (self._next + 1) % self._capacity
-        if self._size < self._capacity:
-            self._size += 1
-        self._pushed += 1
-
     def extend(self, datapoints) -> None:
-        """Append the rows of an ``(n, width)`` array in order, as ``n`` pushes would."""
+        """Append the rows of an ``(n, width)`` array in order, evicting the oldest when full."""
         rows = np.asarray(datapoints, dtype=float)
         if rows.size == 0:
             return

@@ -11,7 +11,9 @@ from __future__ import annotations
 import json
 from typing import NamedTuple
 
-__all__ = ["TRACE_COLUMNS", "TraceRow", "write_trace", "read_trace", "write_events"]
+__all__ = [
+    "TRACE_COLUMNS", "TraceRow", "write_trace", "read_trace", "event_record", "write_events",
+]
 
 TRACE_COLUMNS = [
     "t", "iteration", "gt_task", "pred_label", "event",
@@ -73,18 +75,19 @@ def read_trace(path) -> list[TraceRow]:
     return rows
 
 
+def event_record(ev) -> dict:
+    """A detection event as a plain JSON-ready record, probed labels in id order."""
+    return {
+        "t": ev.t,
+        "kind": ev.kind,
+        "old_label": ev.old_label,
+        "new_label": ev.new_label,
+        "probed_pvalues": {str(k): v for k, v in sorted(ev.probed_pvalues.items())},
+    }
+
+
 def write_events(path, events) -> None:
-    """Write detection events as a JSON array of plain records."""
-    payload = [
-        {
-            "t": ev.t,
-            "kind": ev.kind,
-            "old_label": ev.old_label,
-            "new_label": ev.new_label,
-            "probed_pvalues": {str(k): v for k, v in sorted(ev.probed_pvalues.items())},
-        }
-        for ev in events
-    ]
+    """Write detection events as a JSON array of :func:`event_record` records."""
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
+        json.dump([event_record(ev) for ev in events], fh, indent=2, sort_keys=True)
         fh.write("\n")

@@ -6,6 +6,8 @@ down each of its paths: accept, reject, skip, and source failure.
 """
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -499,3 +501,77 @@ class TestAtomicIngest:
 
         assert detector_state(per_step) == detector_state(valid_only)
         assert detector_state(per_block) == detector_state(valid_only)
+
+
+class TestBlockIngestWithProbing:
+    """Block ingest with a probe source acts as per-step ingest, however the stream is cut."""
+
+    # (mean, reward, steps): a change inside the stable phase (suppressed),
+    # a new label, a return that a probe re-detects, then changes whose
+    # probes run dry after 25 steps, so later checks fall off the
+    # history_len grid.
+    PLAN = [(0.0, 1.0, 300), (3.0, -1.0, 280), (-3.0, 2.0, 420), (0.0, 1.0, 300),
+            (3.0, -1.0, 300)]
+
+    @staticmethod
+    def stream(seed):
+        rng = np.random.default_rng(seed)
+        steps = []
+        for mean, reward, n in TestBlockIngestWithProbing.PLAN:
+            steps += itertools.islice(regime(rng, mean, reward), n)
+        phi, actions, rewards = zip(*steps)
+        return np.stack(phi), np.array(actions), np.array(rewards)
+
+    @staticmethod
+    def detector(seed):
+        rng = np.random.default_rng(50 + seed)
+        probe = ScriptedProbe({
+            1: lambda: regime(rng, 3.0, -1.0),  # label 1 departed on this regime
+            2: lambda: limited_regime(rng, 3.0, -1.0, 25),
+        })
+        return Detector(make_config(stable_phase=400, master_seed=seed), probe), probe
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_per_step_aligned_and_random_blocks_agree(self, seed):
+        phi, actions, rewards = self.stream(10 + seed)
+        n = len(actions)
+        runs = []
+        for cut in ("step", "aligned", "random"):
+            det, probe = self.detector(seed)
+            chunk_rng = np.random.default_rng(seed)
+            events, i = [], 0
+            while i < n:
+                if cut == "step":
+                    event = det.ingest(phi[i], actions[i], rewards[i])
+                    events += [event] if event else []
+                    i += 1
+                    continue
+                if cut == "aligned":
+                    take = LD - det.t % LD
+                else:
+                    take = int(chunk_rng.integers(1, 3 * LD))
+                events += det.ingest_block(phi[i:i + take], actions[i:i + take],
+                                           rewards[i:i + take])
+                i += take
+            runs.append((events, detector_state(det), probe.deploy_calls))
+        kinds = {ev.kind for ev in runs[0][0]}
+        assert kinds == {EVENT_NEW_TASK, EVENT_RE_DETECTED, EVENT_SUPPRESSED, EVENT_PROBE_ERROR}
+        assert any(ev.t % LD for ev in runs[0][0])  # a dry probe moved the check grid
+        assert runs[1] == runs[0]
+        assert runs[2] == runs[0]
+
+    @pytest.mark.parametrize("bad_phi", [[0.0, np.nan, 0.0], [0.0, 0.0, 0.0, 0.0]])
+    def test_bad_probe_step_raises(self, bad_phi):
+        def script():
+            src = regime(np.random.default_rng(900), 0.0, 1.0)
+            for i in itertools.count():
+                yield (np.array(bad_phi), 0, 1.0) if i == 17 else next(src)
+
+        probe = ScriptedProbe({1: script})
+        det = Detector(make_config(master_seed=0), probe)
+        rng = np.random.default_rng(300)
+        arm_second_label(det, rng)
+        with pytest.raises(ValueError):
+            drive_until(det, regime(rng, 0.0, 1.0), 200)
+        assert probe.deploy_calls == [1]
+        assert det.t % LD == 0  # the probe steps were not counted

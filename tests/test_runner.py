@@ -24,7 +24,8 @@ from swoks.detector import (
     DetectorConfig,
 )
 from swoks.env import Curriculum, TaskSpec, TreeGraphConfig
-from swoks.runner import detect_offline, run_experiment, sweep_beta
+from swoks.metrics import sweep_beta
+from swoks.runner import detect_offline, run_experiment
 from swoks.stream import StreamRecord, read_stream, write_stream
 from swoks.trace import read_trace
 

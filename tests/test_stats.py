@@ -1,7 +1,7 @@
 """One-sided KS machinery against brute-force and scipy oracles."""
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import stats as sps
 
@@ -96,6 +96,13 @@ class TestKsOneSided:
 
     @given(st.one_of(sample_lists, tied_lists), st.one_of(sample_lists, tied_lists))
     @settings(max_examples=200, deadline=None)
+    @example([1.0, 1.0, 2.0], [1.0, 2.0, 2.0])  # ties within and across the samples
+    @example([0.0, 3.0, 3.0, 3.0], [3.0, 3.0])
+    @example([2.0, 2.0], [2.0, 2.0, 2.0])
+    @example([1.0], [2.0])  # n = 1
+    @example([2.0], [1.0])
+    @example([1.0], [1.0])
+    @example([4.0], [0.0, 4.0, 4.0, 9.0])
     def test_equals_the_unique_candidate_formula(self, a, b):
         assert ks_one_sided(a, b) == unique_candidates_one_sided(a, b)
 

@@ -10,12 +10,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from swoks.detector import Detector, DetectorConfig
 from swoks.stream import (
     NotReadyError,
     StreamRecord,
     SwdHistory,
     WindowBuffer,
-    make_datapoint,
     make_datapoints,
     read_stream,
     read_stream_blocks,
@@ -23,35 +23,30 @@ from swoks.stream import (
 )
 
 
+def pack(phi, action, reward):
+    """One step packed as a one-row block."""
+    return make_datapoints([phi], [action], [reward])[0]
+
+
 class TestMakeDatapoint:
     def test_layout(self):
-        dp = make_datapoint([0.5, -0.5], 3, 1.0)
+        dp = pack([0.5, -0.5], 3, 1.0)
         assert dp.shape == (4,)
         assert dp[0] == pytest.approx(np.sqrt(2) * 1.0)
         assert dp[1] == 3.0
         assert np.allclose(dp[2:], [0.5, -0.5])
 
     def test_all_zero(self):
-        dp = make_datapoint([0.0, 0.0, 0.0, 0.0], 0, 0.0)
+        dp = pack([0.0, 0.0, 0.0, 0.0], 0, 0.0)
         assert np.array_equal(dp, np.zeros(6))
 
     def test_negative_reward_scaling(self):
-        dp = make_datapoint(np.zeros(9), 1, -0.1)
+        dp = pack(np.zeros(9), 1, -0.1)
         assert dp[0] == pytest.approx(-0.3)
-
-    def test_rejects_nonfinite(self):
-        with pytest.raises(ValueError):
-            make_datapoint([np.nan], 0, 1.0)
-        with pytest.raises(ValueError):
-            make_datapoint([0.0], 0, float("inf"))
 
     def test_rejects_empty_phi(self):
         with pytest.raises(ValueError):
-            make_datapoint([], 0, 1.0)
-
-    def test_rejects_overflowing_scaled_reward(self):
-        with pytest.raises(ValueError):
-            make_datapoint(np.zeros(4), 0, 1e308)
+            pack([], 0, 1.0)
 
     def test_block_rows_equal_single_steps(self):
         rng = np.random.default_rng(4)
@@ -60,7 +55,7 @@ class TestMakeDatapoint:
         rewards = rng.normal(size=7)
         block = make_datapoints(phi, actions, rewards)
         for i in range(7):
-            assert np.array_equal(block[i], make_datapoint(phi[i], int(actions[i]), rewards[i]))
+            assert np.array_equal(block[i], pack(phi[i], int(actions[i]), rewards[i]))
 
     def test_block_shape_checks(self):
         with pytest.raises(ValueError):
@@ -74,8 +69,8 @@ def row(i, width=3):
 
 
 def push(buf, v):
-    """Push the step whose packed row is ``v`` in every column (latent width 1)."""
-    buf.push_step([float(v)], v, float(v))
+    """Append one row holding ``v`` in every column."""
+    buf.extend(np.full((1, buf.width), float(v)))
 
 
 class TestWindowBuffer:
@@ -89,12 +84,6 @@ class TestWindowBuffer:
         push(buf, 0)
         assert len(buf) == 1
         assert np.array_equal(buf.oldest(1), [row(0)])
-
-    def test_push_step_packs_like_make_datapoint(self):
-        buf = WindowBuffer(width=6, set_len=2, n_windows=1)
-        phi = np.array([0.5, -0.25, 1e-300, -3.0])
-        buf.push_step(phi, 3, -0.1)
-        assert np.array_equal(buf.oldest(1)[0], make_datapoint(phi, 3, -0.1))
 
     def test_fifo_eviction(self):
         buf = WindowBuffer(width=3, set_len=2, n_windows=1)
@@ -155,7 +144,7 @@ class TestWindowBuffer:
     def test_width_mismatch(self):
         buf = WindowBuffer(width=3, set_len=2, n_windows=1)
         with pytest.raises(ValueError):
-            buf.push_step(np.zeros(2), 0, 0.0)  # packs to width 4
+            buf.extend(np.zeros((1, 4)))
         assert len(buf) == 0 and buf.pushed == 0
 
     @pytest.mark.parametrize("phi, action, reward", [
@@ -166,16 +155,19 @@ class TestWindowBuffer:
         (np.zeros(4), 0, 1e308),  # sqrt(4) * 1e308 overflows
     ])
     def test_rejected_step_writes_nothing(self, phi, action, reward):
-        width = len(phi) + 2
-        buf = WindowBuffer(width=width, set_len=2, n_windows=1)
-        for i in range(buf.capacity):
-            buf.push_step(np.full(width - 2, float(i)), i, 0.0)
+        """A step the detector rejects leaves its window's ring as it was."""
+        set_len = 2
+        det = Detector(DetectorConfig(history_len=set_len, swd_history_len=2, n_projections=4))
+        latent = len(phi)
+        for i in range(set_len * 3):
+            det.ingest(np.full(latent, float(i)), i, 0.0)
+        buf = det.label_state(1).window
         before = buf.oldest(buf.capacity)
         with pytest.raises(ValueError):
-            buf.push_step(phi, action, reward)
+            det.ingest(phi, action, reward)
         assert len(buf) == buf.capacity and buf.pushed == buf.capacity
         assert np.array_equal(buf.oldest(buf.capacity), before)
-        buf.push_step(np.full(width - 2, 9.0), 9, 0.0)  # the next slot is still the oldest
+        det.ingest(np.full(latent, 9.0), 9, 0.0)  # the next slot is still the oldest
         assert np.array_equal(buf.oldest(buf.capacity)[:-1], before[1:])
 
     @given(
