@@ -45,7 +45,7 @@ from .stream import (
     read_stream_blocks,
     write_stream,
 )
-from .trace import TraceRow, read_trace, write_events, write_trace
+from .trace import Trace, TraceRow, read_trace, write_events, write_trace
 
 __version__ = "0.1.0"
 
@@ -74,6 +74,7 @@ __all__ = [
     "SwdHistory",
     "TaskLabel",
     "TaskSpec",
+    "Trace",
     "TraceRow",
     "TreeGraphConfig",
     "TreeGraphEnv",

@@ -3,11 +3,12 @@
 Policies are linear-softmax over the latent plus a bias term, trained
 with one plain policy-gradient step per episode against an exponential
 running-mean baseline. The episode gradient is computed for all ``T``
-steps at once: the ``(T, d + 1)`` feature rows go through one stacked
-matrix-vector product and one row-wise softmax, and the per-step outer
-products are summed over the step axis, in step order, so the result
-equals the step-by-step sum bit for bit. Sampling an action runs the
-softmax and the inverse CDF on Python floats after one ``params @ x``.
+steps at once: the per-step outer products are summed over the step
+axis, in step order, so the result equals the step-by-step sum bit for
+bit. Sampling an action runs the softmax and the inverse CDF on Python
+floats after one ``params @ x``; an update reuses those probabilities
+when the caller kept them, and otherwise recomputes them with one
+stacked matrix-vector product and one row-wise softmax.
 The bank keeps two rolling parameter checkpoints per label; rolling
 back restores the older one, so the restored policy predates a detected
 change by at least one full backup interval.
@@ -98,16 +99,39 @@ def _inverse_cdf(probs: list[float], u: float) -> int:
     return len(probs) - 1
 
 
+def _episode_features(episode, width: int):
+    """Feature rows ``[phi; 1]`` and actions of every step."""
+    phis, actions, _ = zip(*episode)
+    x = np.ones((len(phis), width))
+    x[:, :-1] = phis
+    return x, actions
+
+
 def _episode_probs(params: np.ndarray, episode):
     """Feature rows ``[phi; 1]``, actions and action probabilities of every step.
 
     The logits come from one stacked product that runs the same
     matrix-vector kernel per row as ``params @ x``.
     """
-    phis, actions, _ = zip(*episode)
-    x = np.ones((len(phis), params.shape[1]))
-    x[:, :-1] = phis
+    x, actions = _episode_features(episode, params.shape[1])
     return x, actions, _softmax(np.matmul(params, x[:, :, None])[:, :, 0])
+
+
+def _gradient(x: np.ndarray, actions, probs) -> np.ndarray:
+    """``sum_t (onehot(a_t) - p_t) x_t^T``, the outer products summed over the steps in order.
+
+    ``probs`` holds the probability row, as Python floats, that each
+    action ``a_t`` was drawn from. The coefficients ``onehot(a_t) - p_t``
+    are formed on those floats: the same IEEE negation and addition as
+    in numpy, without its per-call cost on a short episode.
+    """
+    coeff = []
+    for p, a in zip(probs, actions):
+        row = [-v for v in p]
+        row[a] += 1.0
+        coeff.append(row)
+    c = np.array(coeff)
+    return np.add.reduce(c[:, :, None] * x[:, None, :], axis=0)
 
 
 def episode_log_prob(params: np.ndarray, episode) -> float:
@@ -122,16 +146,9 @@ def episode_log_prob(params: np.ndarray, episode) -> float:
 
 
 def episode_gradient(params: np.ndarray, episode) -> np.ndarray:
-    """Gradient of :func:`episode_log_prob` with respect to ``params``.
-
-    ``sum_t (onehot(a_t) - p_t) x_t^T``; the outer products are summed
-    over the steps in order.
-    """
-    x, actions, coeff = _episode_probs(params, episode)
-    np.negative(coeff, out=coeff)
-    for t, a in enumerate(actions):
-        coeff[t, a] += 1.0
-    return np.add.reduce(coeff[:, :, None] * x[:, None, :], axis=0)
+    """Gradient of :func:`episode_log_prob` with respect to ``params``."""
+    x, actions, probs = _episode_probs(params, episode)
+    return _gradient(x, actions, probs.tolist())
 
 
 class Policy:
@@ -169,37 +186,50 @@ class Policy:
     def action_probs(self, phi) -> np.ndarray:
         return _softmax(self._logits(phi))
 
-    def act(self, phi, rng: np.random.Generator) -> int:
+    def act(self, phi, rng: np.random.Generator, probs: list | None = None) -> int:
         """Sample an action from the softmax by inverse CDF on one uniform draw.
 
         The probabilities are those of :meth:`action_probs` bit for bit,
-        computed on Python floats around numpy's ``exp``.
+        computed on Python floats around numpy's ``exp``. When ``probs``
+        is a list, the row of probabilities the action was drawn from is
+        appended to it, for :meth:`update` to reuse.
         """
         z = self._logits(phi)
         e = np.exp(z - max(z.tolist())).tolist()
         total = _sum(e)
-        return _inverse_cdf([v / total for v in e], rng.random())
+        p = [v / total for v in e]
+        if probs is not None:
+            probs.append(p)
+        return _inverse_cdf(p, rng.random())
 
     def act_greedy(self, phi) -> int:
         """Most probable action; ties resolve to the lowest index."""
         return int(np.argmax(self._logits(phi)))
 
-    def update(self, episode) -> None:
+    def update(self, episode, probs: list | None = None) -> None:
         """One policy-gradient step on the episode return.
 
         Advantage is the return minus the running-mean baseline; the
         baseline is updated afterwards, so an episode whose return
-        equals the baseline leaves the parameters untouched.
+        equals the baseline leaves the parameters untouched. ``probs``,
+        when given, holds per step the probabilities :meth:`act` drew
+        the action from under the current ``params``; the gradient
+        reuses them instead of recomputing the softmax, with the same
+        result bit for bit.
         """
         steps = list(episode)
         if not steps:
             raise ValueError("episode must contain at least one step")
+        if probs is not None and len(probs) != len(steps):
+            raise ValueError(f"{len(probs)} probability rows for {len(steps)} steps")
         ret = float(sum(r for _, _, r in steps))
         advantage = ret - self.baseline
         if advantage != 0.0:
-            self.params += self.learning_rate * advantage * episode_gradient(
-                self.params, steps
-            )
+            if probs is None:
+                grad = episode_gradient(self.params, steps)
+            else:
+                grad = _gradient(*_episode_features(steps, self.params.shape[1]), probs)
+            self.params += self.learning_rate * advantage * grad
         self.update_count += 1
         self.baseline += BASELINE_RATE * (ret - self.baseline)
 

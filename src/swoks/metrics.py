@@ -108,21 +108,17 @@ def detection_delay(trace) -> list[float]:
 
 
 def run_included_mask(trace, events, stable_phase: int) -> np.ndarray:
-    """Steps that count toward alignment: no probe steps, no stable phase.
+    """Steps of a :class:`~swoks.trace.Trace` that count toward alignment:
+    no probe steps, no stable phase.
 
     The stable phase restarts at 0 and at every new-task event, exactly
     mirroring the detector's suppression window.
     """
-    rows = list(trace)
-    changes = [0] + sorted(ev.t for ev in events if ev.kind == EVENT_NEW_TASK)
-    mask = np.empty(len(rows), dtype=bool)
-    ci = 0
-    for i, row in enumerate(rows):
-        while ci + 1 < len(changes) and changes[ci + 1] <= row.t:
-            ci += 1
-        in_stable = (row.t - changes[ci]) < stable_phase
-        mask[i] = not row.probe_flag and not in_stable
-    return mask
+    changes = np.array([0] + sorted(ev.t for ev in events if ev.kind == EVENT_NEW_TASK))
+    t = trace.t
+    # The latest change at or before each step.
+    last = changes[np.maximum(np.searchsorted(changes, t, side="right") - 1, 0)]
+    return (trace.probe_flag == 0) & (t - last >= stable_phase)
 
 
 def false_positive_rate(config, n_runs: int, seed: int) -> float:
@@ -160,10 +156,10 @@ def sweep_beta(config, betas) -> list[dict]:
         result = runner.run_experiment(cfg)
         mask = run_included_mask(result.trace, result.events,
                                  cfg.detector.stable_phase)
-        pred = [r.pred_label for r in result.trace]
-        gt = [r.gt_task for r in result.trace]
         accuracy = (
-            label_alignment_accuracy(pred, gt, include=mask) if mask.any() else float("nan")
+            label_alignment_accuracy(result.trace.pred_label, result.trace.gt_task,
+                                     include=mask)
+            if mask.any() else float("nan")
         )
         rows.append({
             "beta": float(beta),

@@ -2,11 +2,12 @@
 
 Live steps are collected into a block and fed to the detector once per
 check interval (``history_len`` steps), the only steps at which it can
-raise an event. When it triggers, probing runs stored policies in the
-same environment, so probe steps consume curriculum time and are
-flagged in the trace. On any accepted detection the departing label's
-policy is rolled back to its older checkpoint and the current episode
-is abandoned.
+raise an event; the block's per-step fields go to the trace's columns
+then, with the check's p_value, swd and event stored once. When it
+triggers, probing runs stored policies in the same environment, so
+probe steps consume curriculum time and are flagged in the trace. On
+any accepted detection the departing label's policy is rolled back to
+its older checkpoint and the current episode is abandoned.
 """
 from __future__ import annotations
 
@@ -28,7 +29,7 @@ from .detector import (
 from .env import TreeGraphEnv
 from .seeding import child_seed, substream
 from .stream import read_stream_blocks
-from .trace import TraceRow, write_events, write_trace
+from .trace import Trace, write_events, write_trace
 
 __all__ = ["RunResult", "run_experiment", "detect_offline"]
 
@@ -36,7 +37,7 @@ __all__ = ["RunResult", "run_experiment", "detect_offline"]
 @dataclass
 class RunResult:
     config: ExperimentConfig
-    trace: list[TraceRow]
+    trace: Trace
     events: list[DetectionEvent]
     detector: Detector
     bank: PolicyBank
@@ -107,7 +108,8 @@ def run_experiment(config: ExperimentConfig, out_dir: str | Path | None = None,
     act_rng = substream(master, "actions")
     probe_rng = substream(master, "probe-actions")
 
-    trace: list[TraceRow] = []
+    # Room for the whole curriculum and the last check interval's overrun.
+    trace = Trace(config.curriculum.total_steps + config.detector.history_len)
     events: list[DetectionEvent] = []
     probe_source = _EnvProbe(env, encoder, bank, probe_rng)
     det_cfg = replace(config.detector, master_seed=child_seed(master, "detector"))
@@ -118,6 +120,8 @@ def run_experiment(config: ExperimentConfig, out_dir: str | Path | None = None,
     phis = np.empty((h, config.agent.latent_dim))
     actions = np.empty(h)
     rewards = np.empty(h)
+    gt_tasks = np.empty(h, dtype=np.int64)
+    iterations = np.empty(h, dtype=np.int64)
     pending = 0
     t = 0  # steps taken, live and probe: the detector's t plus the pending steps
     iteration = 0
@@ -128,34 +132,34 @@ def run_experiment(config: ExperimentConfig, out_dir: str | Path | None = None,
         label = detector.current_label.id
         policy = bank.get_or_create(label)
         episode = []
+        probs = []  # the probability row each live action was drawn from
         aborted = False
         done = False
         while not done:
             phi = encoder.encode(obs)
-            action = policy.act(phi, act_rng)
+            action = policy.act(phi, act_rng, probs)
             obs, reward, done = env.step(action)
             episode.append((phi, action, reward))
             phis[pending], actions[pending], rewards[pending] = phi, action, reward
+            gt_tasks[pending], iterations[pending] = env.active_task, iteration
             pending += 1
             t += 1
-            event = None
-            if t % h == 0:
-                found = detector.ingest_block(phis[:pending], actions[:pending],
-                                              rewards[:pending])
-                pending = 0
-                event = found[0] if found else None
-            row = TraceRow(
-                t=t, iteration=iteration, gt_task=env.active_task,
-                pred_label=label, event=event.kind if event else "",
-                p_value=detector.last_p_value, swd=detector.last_swd,
-                reward=reward, probe_flag=0,
-            )
-            trace.append(row)
+            if t % h:
+                continue
+            # Check boundary. The rows before it keep the previous check's values,
+            # and all carry ``label``: the detector's label only changes in ingest_block.
+            trace.append(t - pending + 1, iterations[:pending - 1], gt_tasks[:pending - 1], label,
+                         rewards[:pending - 1], 0, detector.last_p_value, detector.last_swd)
+            found = detector.ingest_block(phis[:pending], actions[:pending], rewards[:pending])
+            event = found[0] if found else None
+            p_value, swd = detector.last_p_value, detector.last_swd
+            trace.append(t, iteration, gt_tasks[pending - 1], label, rewards[pending - 1:pending],
+                         0, p_value, swd, event.kind if event else "")
+            pending = 0
             if probe_source.steps:
-                trace.extend(
-                    TraceRow(t + i, iteration, gt_task, label, "", row.p_value, row.swd, r, 1)
-                    for i, (gt_task, r) in enumerate(probe_source.steps, start=1)
-                )
+                probe_tasks, probe_rewards = zip(*probe_source.steps)
+                trace.append(t + 1, iteration, probe_tasks, label, probe_rewards, 1,
+                             p_value, swd)
                 probe_source.steps.clear()
                 t = detector.t
             if event is None:
@@ -170,10 +174,12 @@ def run_experiment(config: ExperimentConfig, out_dir: str | Path | None = None,
                 break
             # suppressed: keep playing the episode
         if not aborted and episode:
-            policy.update(episode)
+            policy.update(episode, probs)
             bank.backup_if_due(label)
             iteration += 1
     if pending:
+        trace.append(t - pending + 1, iterations[:pending], gt_tasks[:pending], label,
+                     rewards[:pending], 0, detector.last_p_value, detector.last_swd)
         detector.ingest_block(phis[:pending], actions[:pending], rewards[:pending])
 
     result = RunResult(config=config, trace=trace, events=events,

@@ -9,6 +9,9 @@ from swoks.agent import (
     Encoder,
     Policy,
     PolicyBank,
+    _episode_features,
+    _episode_probs,
+    _gradient,
     _inverse_cdf,
     _sum,
     episode_gradient,
@@ -251,6 +254,42 @@ class TestFastPathEquivalence:
         episode = random_episode(rng, n_steps, latent_dim, n_actions)
         batched = episode_gradient(params, episode)
         assert batched.tobytes() == outer_sum_gradient(params, episode).tobytes()
+
+    @given(st.integers(0, 2**32 - 1), st.integers(2, 12), st.integers(1, 9),
+           st.integers(1, 25), st.sampled_from([0.1, 1.0, 10.0, 30.0, 300.0]))
+    @settings(max_examples=200, deadline=None)
+    def test_recorded_probabilities_give_the_recomputed_gradient(
+            self, seed, n_actions, latent_dim, n_steps, scale):
+        # Probabilities recorded by act under fixed params, as the runner
+        # keeps them over a live episode; 8 or more actions take numpy's sum.
+        rng = np.random.default_rng(seed)
+        pol = Policy(n_actions=n_actions, latent_dim=latent_dim)
+        pol.params = rng.normal(size=pol.params.shape) * scale
+        episode, probs = [], []
+        for _ in range(n_steps):
+            phi = rng.normal(size=latent_dim)
+            episode.append((phi, pol.act(phi, rng, probs), float(rng.normal())))
+        assert np.array(probs).tobytes() == _episode_probs(pol.params, episode)[2].tobytes()
+        x, actions = _episode_features(episode, latent_dim + 1)
+        recorded = _gradient(x, actions, probs)
+        assert recorded.tobytes() == episode_gradient(pol.params, episode).tobytes()
+        twin = pol.clone()
+        pol.update(episode, probs)
+        twin.update(episode)
+        assert pol.params.tobytes() == twin.params.tobytes()
+
+    def test_update_rejects_a_probability_row_per_step_mismatch(self):
+        rng = np.random.default_rng(4)
+        pol = Policy(n_actions=3, latent_dim=2)
+        episode, probs = [], []
+        for _ in range(3):
+            phi = rng.normal(size=2)
+            episode.append((phi, pol.act(phi, rng, probs), 1.0))
+        with pytest.raises(ValueError):
+            pol.update(episode, probs[:2])
+        with pytest.raises(ValueError):
+            pol.update(episode, probs + probs[:1])
+        assert pol.update_count == 0
 
     def test_update_matches_outer_sum_step(self):
         rng = np.random.default_rng(11)

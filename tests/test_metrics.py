@@ -20,6 +20,7 @@ from swoks.metrics import (
     optimal_label_map,
     run_included_mask,
 )
+from swoks.trace import Trace, TraceRow
 
 
 class Row(NamedTuple):
@@ -142,29 +143,66 @@ class TestDetectionDelay:
             detection_delay([])
 
 
+def trace_of(ts, probe_flags=None) -> Trace:
+    """A one-task, one-label trace with the given steps and probe flags."""
+    probe_flags = probe_flags or [0] * len(ts)
+    return Trace.from_rows(TraceRow(t, 0, 1, 1, "", None, None, 0.0, pf)
+                           for t, pf in zip(ts, probe_flags))
+
+
+def row_loop_mask(trace, events, stable_phase: int) -> list[bool]:
+    """The per-row loop that ``run_included_mask`` replaced."""
+    rows = list(trace)
+    changes = [0] + sorted(ev.t for ev in events if ev.kind == "new-task")
+    mask = []
+    ci = 0
+    for row in rows:
+        while ci + 1 < len(changes) and changes[ci + 1] <= row.t:
+            ci += 1
+        in_stable = (row.t - changes[ci]) < stable_phase
+        mask.append(not row.probe_flag and not in_stable)
+    return mask
+
+
 class TestIncludedMask:
     def test_stable_phase_excluded_after_start_and_after_mints(self):
-        rows = [Row(t=t, gt_task=1, pred_label=1) for t in range(1, 11)]
+        rows = trace_of(range(1, 11))
         events = [DetectionEvent(t=5, old_label=1, new_label=2, kind="new-task")]
         mask = run_included_mask(rows, events, stable_phase=3)
         expected = [False, False, True, True, False, False, False, True, True, True]
         assert mask.tolist() == expected
 
     def test_probe_steps_always_excluded(self):
-        rows = [Row(t=t, gt_task=1, pred_label=1, probe_flag=t % 2) for t in range(1, 7)]
+        rows = trace_of(range(1, 7), [t % 2 for t in range(1, 7)])
         mask = run_included_mask(rows, [], stable_phase=0)
         assert mask.tolist() == [False, True, False, True, False, True]
 
     def test_readoption_does_not_restart_the_window(self):
-        rows = [Row(t=t, gt_task=1, pred_label=1) for t in range(1, 11)]
+        rows = trace_of(range(1, 11))
         base = run_included_mask(rows, [], stable_phase=3)
         events = [DetectionEvent(t=5, old_label=1, new_label=2, kind="re-detected")]
         assert run_included_mask(rows, events, stable_phase=3).tolist() == base.tolist()
 
     def test_zero_stable_phase_keeps_everything(self):
-        rows = [Row(t=t, gt_task=1, pred_label=1) for t in range(1, 6)]
+        rows = trace_of(range(1, 6))
         mask = run_included_mask(rows, [], stable_phase=0)
         assert mask.all()
+
+    @pytest.mark.parametrize("event_ts", [
+        [0], [12], [36], [0, 12, 36], [12, 12], [5, 24], [],
+    ])
+    @pytest.mark.parametrize("stable_phase", [0, 1, 5, 12, 40])
+    def test_matches_the_row_loop(self, event_ts, stable_phase):
+        # 36 steps, checks every 12: events at t = 0, on a boundary and
+        # on the last step, with probe steps after the boundary at 24.
+        flags = [1 if 25 <= t <= 28 else 0 for t in range(1, 37)]
+        rows = trace_of(range(1, 37), flags)
+        events = [DetectionEvent(t=t, old_label=1, new_label=2, kind="new-task")
+                  for t in event_ts]
+        events.append(DetectionEvent(t=24, old_label=1, new_label=3, kind="re-detected"))
+        mask = run_included_mask(rows, events, stable_phase)
+        assert mask.dtype == bool
+        assert mask.tolist() == row_loop_mask(rows, events, stable_phase)
 
 
 def tiny_stationary_config() -> ExperimentConfig:

@@ -15,6 +15,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from swoks.agent import Policy, _episode_features, _episode_probs, _gradient, episode_gradient
 from swoks.config import AgentConfig, ExperimentConfig
 from swoks.detector import (
     EVENT_NEW_TASK,
@@ -133,6 +134,45 @@ class TestMirrorCurriculum:
         assert mirror_run.bank.labels() == [1, 2]
 
 
+class TestRecordedProbabilities:
+    def test_live_updates_after_probe_and_abort_equal_the_recomputation(self, monkeypatch):
+        # The mirror run's return to task 1 probes label 1 with its stored
+        # policy, aborts the live episode and re-adopts label 1. Every
+        # update, including label 1's first after the probe, must reuse
+        # exactly the probabilities a recomputation gives.
+        original_update = Policy.update
+        original_redetect = Detector.redetect
+        seen = {"updates": 0, "re_detected": 0, "after_probe": 0}
+
+        def redetect(detector):
+            event = original_redetect(detector)
+            if event.kind == EVENT_RE_DETECTED:
+                seen["re_detected"] += 1
+            return event
+
+        def update(policy, episode, probs=None):
+            episode = list(episode)
+            assert probs is not None and len(probs) == len(episode)
+            _, _, fresh = _episode_probs(policy.params, episode)
+            assert np.array(probs).tobytes() == fresh.tobytes()
+            x, actions = _episode_features(episode, policy.params.shape[1])
+            assert (_gradient(x, actions, probs).tobytes()
+                    == episode_gradient(policy.params, episode).tobytes())
+            twin = policy.clone()
+            original_update(twin, episode)
+            original_update(policy, episode, probs)
+            assert policy.params.tobytes() == twin.params.tobytes()
+            seen["updates"] += 1
+            seen["after_probe"] += seen["re_detected"] > 0
+
+        monkeypatch.setattr(Policy, "update", update)
+        monkeypatch.setattr(Detector, "redetect", redetect)
+        result = run_experiment(tiny_config(MIRROR))
+        assert [e.kind for e in result.events] == [EVENT_NEW_TASK, EVENT_RE_DETECTED]
+        assert any(row.probe_flag for row in result.trace)
+        assert seen["re_detected"] == 1 and 0 < seen["after_probe"] < seen["updates"]
+
+
 class TestLifetime:
     def test_finished_run_is_freed_without_a_collection(self):
         gc.disable()
@@ -147,11 +187,6 @@ class TestLifetime:
 
 
 class TestArtifacts:
-    def test_trace_csv_round_trips_exactly(self, tmp_path):
-        cfg = tiny_config(((1, 400),))
-        res = run_experiment(cfg, out_dir=tmp_path)
-        assert read_trace(tmp_path / "trace.csv") == res.trace
-
     def test_events_json_schema(self, tmp_path):
         res = run_experiment(tiny_config(MIRROR), out_dir=tmp_path)
         payload = json.loads((tmp_path / "events.json").read_text())
@@ -167,10 +202,11 @@ class TestArtifacts:
 
     def test_same_seed_gives_byte_identical_outputs(self, tmp_path):
         cfg = tiny_config(MIRROR)
-        run_experiment(cfg, out_dir=tmp_path / "a")
+        res = run_experiment(cfg, out_dir=tmp_path / "a")
         run_experiment(cfg, out_dir=tmp_path / "b")
         for name in ("trace.csv", "events.json"):
             assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+        assert read_trace(tmp_path / "a" / "trace.csv") == res.trace
 
     def test_different_seeds_differ(self, tmp_path):
         run_experiment(tiny_config(((1, 400),), seed=3), out_dir=tmp_path / "a")
