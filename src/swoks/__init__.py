@@ -26,7 +26,6 @@ from .metrics import (
     sweep_beta,
 )
 from .ot import (
-    DirectionSet,
     sample_unit_directions,
     sliced_wasserstein,
     wasserstein_1d,
@@ -37,11 +36,9 @@ from .stats import KsResult, detect_shift, ks_critical, ks_one_sided, ks_pvalue,
 from .stream import (
     NotReadyError,
     StreamBlock,
-    StreamRecord,
     SwdHistory,
     WindowBuffer,
     make_datapoints,
-    read_stream,
     read_stream_blocks,
     write_stream,
 )
@@ -56,7 +53,6 @@ __all__ = [
     "DetectionEvent",
     "Detector",
     "DetectorConfig",
-    "DirectionSet",
     "Encoder",
     "EVENT_NEW_TASK",
     "EVENT_PROBE_ERROR",
@@ -70,7 +66,6 @@ __all__ = [
     "RollbackResult",
     "RunResult",
     "StreamBlock",
-    "StreamRecord",
     "SwdHistory",
     "TaskLabel",
     "TaskSpec",
@@ -90,7 +85,6 @@ __all__ = [
     "load_config",
     "make_datapoints",
     "optimal_label_map",
-    "read_stream",
     "read_stream_blocks",
     "read_trace",
     "run_experiment",

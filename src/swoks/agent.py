@@ -16,6 +16,7 @@ change by at least one full backup interval.
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -159,8 +160,8 @@ class Policy:
             raise ValueError(f"n_actions must be >= 2, got {n_actions}")
         if latent_dim < 1:
             raise ValueError(f"latent_dim must be >= 1, got {latent_dim}")
-        if learning_rate <= 0.0:
-            raise ValueError(f"learning_rate must be > 0, got {learning_rate}")
+        if not (math.isfinite(learning_rate) and learning_rate > 0.0):
+            raise ValueError(f"learning_rate must be > 0 and finite, got {learning_rate}")
         self.params = np.zeros((n_actions, latent_dim + 1), dtype=float)
         self._x = np.ones(latent_dim + 1)  # feature buffer [phi; 1]
         self.learning_rate = learning_rate
@@ -388,8 +389,16 @@ class PolicyBank:
             flat = lines[pos + 3: pos + 3 + rows * cols]
             if len(flat) < rows * cols:
                 raise ValueError(f"{path}: truncated parameter block for label {label}")
+            values = []
+            for lineno, text in enumerate(flat, start=pos + 4):
+                try:
+                    values.append(float(text))
+                except ValueError:
+                    raise ValueError(f"{path}:{lineno}: unparseable parameter {text!r}") from None
+                if not math.isfinite(values[-1]):
+                    raise ValueError(f"{path}:{lineno}: parameter must be finite, got {text!r}")
             policy = Policy(self._n_actions, self._latent_dim, self._learning_rate)
-            policy.params = np.array([float(v) for v in flat], dtype=float).reshape(rows, cols)
+            policy.params = np.array(values, dtype=float).reshape(rows, cols)
             policy.update_count = iteration
             self._entries[label] = _Entry(policy)
             pos += 3 + rows * cols

@@ -4,6 +4,7 @@ offending line numbers.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 from importlib import resources
 from pathlib import Path
@@ -29,8 +30,8 @@ class AgentConfig:
     def __post_init__(self):
         if self.latent_dim < 1:
             raise ValueError(f"latent_dim must be >= 1, got {self.latent_dim}")
-        if self.learning_rate <= 0:
-            raise ValueError(f"learning_rate must be > 0, got {self.learning_rate}")
+        if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
+            raise ValueError(f"learning_rate must be > 0 and finite, got {self.learning_rate}")
         if self.backup_freq < 1:
             raise ValueError(f"backup_freq must be >= 1, got {self.backup_freq}")
 
@@ -139,16 +140,14 @@ def _convert(sections, origin: str) -> dict[str, dict[str, object]]:
         for key, (raw, lineno) in entries.items():
             want = _SCHEMA[section][key]
             try:
-                if want is int:
-                    out[section][key] = int(raw)
-                elif want is float:
-                    out[section][key] = float(raw)
-                else:
-                    out[section][key] = raw
+                value = want(raw)
             except ValueError:
                 raise ConfigError(
                     f"{origin}:{lineno}: {key} expects {want.__name__}, got {raw!r}"
                 ) from None
+            if want is float and not math.isfinite(value):
+                raise ConfigError(f"{origin}:{lineno}: {key} must be finite, got {raw!r}")
+            out[section][key] = value
     return out
 
 

@@ -18,13 +18,14 @@ fresh policy is still learning.
 from __future__ import annotations
 
 import itertools
+import math
 from collections import deque
 from dataclasses import dataclass, field
 from typing import Iterator, Protocol
 
 import numpy as np
 
-from .ot import DirectionSet, sample_unit_directions, sorted_distance, sorted_projections
+from .ot import sample_unit_directions, sorted_distance, sorted_projections
 from .seeding import child_seed
 from .stats import detect_shift
 from .stream import SwdHistory, WindowBuffer, make_datapoints
@@ -69,10 +70,10 @@ class DetectorConfig:
             raise ValueError(
                 f"swd_history_len must be >= 2, got {self.swd_history_len}"
             )
-        if not 0.0 < self.alpha < 1.0:
+        if not 0.0 < self.alpha < 1.0:  # also rejects nan
             raise ValueError(f"alpha must lie in (0, 1), got {self.alpha}")
-        if self.beta < 1.0:
-            raise ValueError(f"beta must be >= 1, got {self.beta}")
+        if not (math.isfinite(self.beta) and self.beta >= 1.0):
+            raise ValueError(f"beta must be >= 1 and finite, got {self.beta}")
         if self.stable_phase < 0:
             raise ValueError(f"stable_phase must be >= 0, got {self.stable_phase}")
         if self.n_projections < 1:
@@ -158,7 +159,7 @@ class Detector:
         self._states: dict[int, _LabelState] = {}
         self._current = 1
         self._width: int | None = None
-        self._dirs: DirectionSet | None = None
+        self._dirs: np.ndarray | None = None  # (n_projections, width), unit rows
 
     # -- introspection --------------------------------------------------
 
@@ -287,8 +288,8 @@ class Detector:
         if cache and cache[0][0] == old_first:
             old = cache.popleft()[1]
         else:
-            old = sorted_projections(window.old_set(), self._dirs.directions)
-        recent = sorted_projections(window.recent_set(), self._dirs.directions)
+            old = sorted_projections(window.old_set(), self._dirs)
+        recent = sorted_projections(window.recent_set(), self._dirs)
         cache.append((window.pushed - window.set_len, recent))
         return sorted_distance(recent, old)
 
@@ -348,11 +349,10 @@ class Detector:
             raise ValueError(f"probe steps of label {z} must be finite and "
                              f"pack to width {self._width}")
         self.t += n_points
-        dirs = self._dirs.directions
-        ref = sorted_projections(st.ref_window, dirs)
+        ref = sorted_projections(st.ref_window, self._dirs)
         h = self._cfg.history_len
         probe_swds = np.array([
-            sorted_distance(sorted_projections(points[i * h:(i + 1) * h], dirs), ref)
+            sorted_distance(sorted_projections(points[i * h:(i + 1) * h], self._dirs), ref)
             for i in range(n_samples)
         ])
         result = detect_shift(probe_swds, st.ref_swd,

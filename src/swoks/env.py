@@ -8,6 +8,7 @@ invisible until rewards are inspected.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -36,12 +37,15 @@ class TreeGraphConfig:
             raise ValueError(f"depth must be >= 1, got {self.depth}")
         if self.branching < 2:
             raise ValueError(f"branching must be >= 2, got {self.branching}")
-        if self.high_reward <= self.fail_reward:
-            raise ValueError("high_reward must exceed fail_reward")
+        if not (math.isfinite(self.fail_reward) and math.isfinite(self.high_reward)
+                and self.high_reward > self.fail_reward):
+            raise ValueError(f"high_reward must exceed fail_reward, both finite, got "
+                             f"{self.high_reward} and {self.fail_reward}")
         if self.obs_dim < 1:
             raise ValueError(f"obs_dim must be >= 1, got {self.obs_dim}")
-        if self.obs_noise_sigma < 0.0:
-            raise ValueError(f"obs_noise_sigma must be >= 0, got {self.obs_noise_sigma}")
+        if not (math.isfinite(self.obs_noise_sigma) and self.obs_noise_sigma >= 0.0):
+            raise ValueError(
+                f"obs_noise_sigma must be >= 0 and finite, got {self.obs_noise_sigma}")
 
 
 @dataclass(frozen=True)

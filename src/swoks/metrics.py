@@ -43,15 +43,11 @@ def _checked(pred, gt, include) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 def _confusion(pred, gt, include):
     p, g, m = _checked(pred, gt, include)
-    p, g = p[m], g[m]
-    labels = np.unique(p)
-    tasks = np.unique(g)
-    counts = np.zeros((labels.shape[0], tasks.shape[0]), dtype=int)
-    li = {v: i for i, v in enumerate(labels)}
-    ti = {v: i for i, v in enumerate(tasks)}
-    for a, b in zip(p, g):
-        counts[li[a], ti[b]] += 1
-    return labels, tasks, counts, int(p.shape[0])
+    labels, li = np.unique(p[m], return_inverse=True)
+    tasks, ti = np.unique(g[m], return_inverse=True)
+    shape = (labels.shape[0], tasks.shape[0])
+    counts = np.bincount(li * shape[1] + ti, minlength=shape[0] * shape[1]).reshape(shape)
+    return labels, tasks, counts, int(li.shape[0])
 
 
 def _best_assignment(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -87,24 +83,20 @@ def label_alignment_accuracy(pred, gt, include=None) -> float:
 def detection_delay(trace) -> list[float]:
     """Steps from each ground-truth change to the next label change.
 
-    ``trace`` is a sequence of records with t, gt_task and pred_label
-    attributes. A change never answered by a label change yields
-    ``inf``.
+    ``trace`` is a :class:`~swoks.trace.Trace`, its ``t`` increasing. A
+    change never answered by a label change yields ``inf``.
     """
-    rows = list(trace)
-    if not rows:
+    t = trace.t
+    if not t.shape[0]:
         raise ValueError("empty trace")
-    gt_changes = [
-        rows[i].t for i in range(1, len(rows)) if rows[i].gt_task != rows[i - 1].gt_task
-    ]
-    pred_changes = [
-        rows[i].t for i in range(1, len(rows)) if rows[i].pred_label != rows[i - 1].pred_label
-    ]
-    delays: list[float] = []
-    for tc in gt_changes:
-        answered = [tp for tp in pred_changes if tp >= tc]
-        delays.append(float(answered[0] - tc) if answered else float("inf"))
-    return delays
+    gt_changes = t[1:][np.diff(trace.gt_task) != 0]
+    pred_changes = t[1:][np.diff(trace.pred_label) != 0]
+    # The first label change at or after each task change.
+    first = np.searchsorted(pred_changes, gt_changes)
+    answered = first < pred_changes.shape[0]
+    delays = np.full(gt_changes.shape[0], np.inf)
+    delays[answered] = pred_changes[first[answered]] - gt_changes[answered]
+    return delays.tolist()
 
 
 def run_included_mask(trace, events, stable_phase: int) -> np.ndarray:
@@ -147,12 +139,13 @@ def sweep_beta(config, betas) -> list[dict]:
     Returns one summary row per beta: new-task event count and aligned
     accuracy over included (non-probe, post-stable-phase) steps.
     """
-    betas = list(betas)
-    if not betas:
+    # Every beta is validated before the first run starts.
+    configs = [replace(config, detector=replace(config.detector, beta=float(beta)))
+               for beta in betas]
+    if not configs:
         raise ValueError("betas must not be empty")
     rows = []
-    for beta in betas:
-        cfg = replace(config, detector=replace(config.detector, beta=float(beta)))
+    for cfg in configs:
         result = runner.run_experiment(cfg)
         mask = run_included_mask(result.trace, result.events,
                                  cfg.detector.stable_phase)
@@ -162,7 +155,7 @@ def sweep_beta(config, betas) -> list[dict]:
             if mask.any() else float("nan")
         )
         rows.append({
-            "beta": float(beta),
+            "beta": cfg.detector.beta,
             "new_task_events": sum(1 for e in result.events if e.kind == EVENT_NEW_TASK),
             "re_detected_events": sum(1 for e in result.events if e.kind == EVENT_RE_DETECTED),
             "accuracy": accuracy,

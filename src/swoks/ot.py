@@ -20,14 +20,11 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 __all__ = [
-    "DirectionSet",
     "sample_unit_directions",
-    "project",
     "wasserstein_1d",
     "wasserstein_exact",
     "sliced_wasserstein",
@@ -61,32 +58,7 @@ def _check_pair(d1, d2) -> tuple[np.ndarray, np.ndarray]:
     return a, b
 
 
-@dataclass(frozen=True, eq=False)
-class DirectionSet:
-    """A fixed bundle of unit projection directions.
-
-    Attributes
-    ----------
-    directions : ndarray of shape (count, dim)
-        Rows are unit vectors.
-    seed : int
-        Seed the bundle was drawn from; regenerating with the same seed
-        yields identical directions.
-    """
-
-    directions: np.ndarray
-    seed: int
-
-    @property
-    def count(self) -> int:
-        return self.directions.shape[0]
-
-    @property
-    def dim(self) -> int:
-        return self.directions.shape[1]
-
-
-def sample_unit_directions(dim: int, count: int, seed: int) -> DirectionSet:
+def sample_unit_directions(dim: int, count: int, seed: int) -> np.ndarray:
     """Draw ``count`` uniform directions on the unit sphere in ``dim`` dimensions.
 
     Uses the standard construction: normalise isotropic Gaussian draws.
@@ -102,7 +74,8 @@ def sample_unit_directions(dim: int, count: int, seed: int) -> DirectionSet:
 
     Returns
     -------
-    DirectionSet
+    ndarray of shape (count, dim)
+        Rows are unit vectors.
     """
     if dim < 1:
         raise ValueError(f"dim must be >= 1, got {dim}")
@@ -111,31 +84,7 @@ def sample_unit_directions(dim: int, count: int, seed: int) -> DirectionSet:
     rng = np.random.default_rng(seed)
     raw = rng.standard_normal((count, dim))
     norms = np.linalg.norm(raw, axis=1, keepdims=True)
-    return DirectionSet(directions=raw / norms, seed=seed)
-
-
-def project(points, direction) -> np.ndarray:
-    """Project points onto a single direction.
-
-    Parameters
-    ----------
-    points : array-like of shape (n, dim)
-    direction : array-like of shape (dim,)
-
-    Returns
-    -------
-    ndarray of shape (n,)
-        Scalar projections ``points @ direction``.
-    """
-    pts = _as_point_set(points, "points")
-    d = np.asarray(direction, dtype=float)
-    if d.ndim != 1 or d.shape[0] != pts.shape[1]:
-        raise ValueError(
-            f"direction must be a vector of length {pts.shape[1]}, got shape {d.shape}"
-        )
-    if not np.all(np.isfinite(d)):
-        raise ValueError("direction contains non-finite values")
-    return pts @ d
+    return raw / norms
 
 
 def wasserstein_1d(a, b) -> float:
@@ -209,7 +158,7 @@ def sliced_wasserstein(d1, d2, directions) -> float:
     Parameters
     ----------
     d1, d2 : array-like of shape (n, dim)
-    directions : DirectionSet or ndarray of shape (count, dim)
+    directions : array-like of shape (count, dim)
 
     Returns
     -------
@@ -217,10 +166,7 @@ def sliced_wasserstein(d1, d2, directions) -> float:
         Non-negative; zero when the sets are identical.
     """
     a, b = _check_pair(d1, d2)
-    if isinstance(directions, DirectionSet):
-        dirs = directions.directions
-    else:
-        dirs = np.asarray(directions, dtype=float)
+    dirs = np.asarray(directions, dtype=float)
     if dirs.ndim != 2 or dirs.shape[0] < 1:
         raise ValueError("directions must be a non-empty (count, dim) array")
     if dirs.shape[1] != a.shape[1]:

@@ -21,10 +21,8 @@ __all__ = [
     "make_datapoints",
     "WindowBuffer",
     "SwdHistory",
-    "StreamRecord",
     "StreamBlock",
     "write_stream",
-    "read_stream",
     "read_stream_blocks",
 ]
 
@@ -211,16 +209,6 @@ class SwdHistory:
         self._values.extend(kept)
 
 
-class StreamRecord(NamedTuple):
-    """One recorded step of raw experience."""
-
-    t: int
-    gt_task: int
-    reward: float
-    action: int
-    phi: np.ndarray
-
-
 class StreamBlock(NamedTuple):
     """Consecutive recorded steps as parallel arrays, one entry per step."""
 
@@ -231,8 +219,8 @@ class StreamBlock(NamedTuple):
     phi: np.ndarray  # (n, k)
 
 
-# Lines parsed per numpy call: enough to amortise the call, few enough
-# that a block's arrays stay well under a megabyte.
+# Lines parsed or formatted per batch: enough to amortise a numpy call,
+# few enough that a block's arrays stay well under a megabyte.
 _BLOCK_LINES = 4096
 
 
@@ -240,41 +228,31 @@ def _stream_header(latent_dim: int) -> list[str]:
     return ["t", "gt_task", "r", "a"] + [f"phi_{i + 1}" for i in range(latent_dim)]
 
 
-def write_stream(path, records) -> int:
-    """Write records as CSV with columns t, gt_task, r, a, phi_1..phi_k.
+def write_stream(path, block: StreamBlock) -> int:
+    """Write a block as CSV with columns t, gt_task, r, a, phi_1..phi_k.
 
-    Returns the number of rows written. All records must share one
-    latent width.
+    ``t``, ``gt_task`` and the action are written as integers (the
+    action truncated toward zero), the reward and latents with ``repr``.
+    Returns the number of rows written.
     """
-    rows = list(records)
-    if not rows:
+    t, gt_task, reward, action = (np.asarray(column) for column in block[:4])
+    reward = reward.astype(float)  # repr of a float, also for integer rewards
+    phi = np.asarray(block.phi, dtype=float)
+    if phi.ndim != 2 or any(c.shape != phi.shape[:1] for c in (t, gt_task, reward, action)):
+        raise ValueError(f"t, gt_task, r and a must be 1D with one entry per row of phi "
+                         f"{phi.shape}")
+    n, k = phi.shape
+    if not n:
         raise ValueError("cannot write an empty stream")
-    k = len(rows[0].phi)
+    line = "%d,%d,%r,%d" + ",%r" * k + "\n"
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(",".join(_stream_header(k)) + "\n")
-        for rec in rows:
-            if len(rec.phi) != k:
-                raise ValueError(
-                    f"inconsistent latent width: expected {k}, got {len(rec.phi)} at t={rec.t}"
-                )
-            parts = [str(int(rec.t)), str(int(rec.gt_task)),
-                     repr(float(rec.reward)), str(int(rec.action))]
-            parts.extend(repr(float(v)) for v in rec.phi)
-            fh.write(",".join(parts) + "\n")
-    return len(rows)
-
-
-def read_stream(path) -> list[StreamRecord]:
-    """Parse a whole recorded stream, reporting malformed lines by number."""
-    records: list[StreamRecord] = []
-    for block in read_stream_blocks(path):
-        records.extend(
-            StreamRecord(t=t, gt_task=g, reward=r, action=int(a), phi=phi)
-            for t, g, r, a, phi in zip(block.t.tolist(), block.gt_task.tolist(),
-                                       block.reward.tolist(), block.action.tolist(),
-                                       block.phi)
-        )
-    return records
+        for lo in range(0, n, _BLOCK_LINES):
+            rows = slice(lo, lo + _BLOCK_LINES)
+            fh.writelines(map(line.__mod__, zip(
+                t[rows].tolist(), gt_task[rows].tolist(), reward[rows].tolist(),
+                action[rows].tolist(), *phi[rows].T.tolist())))
+    return n
 
 
 def read_stream_blocks(path) -> Iterator[StreamBlock]:

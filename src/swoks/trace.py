@@ -57,9 +57,8 @@ class Trace:
     once per check: ``checks`` lists ``(p_value, swd)`` pairs, None
     where no check has run, and the ``check`` column holds each row's
     index into it. ``events`` maps a row index to the event kind it
-    carries. Iterating yields :class:`TraceRow` records; ``len``,
-    indexing (a slice gives a list of rows) and ``==`` behave as they do
-    for the list of those records.
+    carries. Iterating yields :class:`TraceRow` records; ``len`` and
+    ``==`` behave as they do for the list of those records.
     """
 
     t = _Column()
@@ -116,40 +115,15 @@ class Trace:
             self.events[n] = event
         self._n = n + k
 
-    @classmethod
-    def from_rows(cls, rows) -> "Trace":
-        """The trace of a sequence of :class:`TraceRow` records."""
-        rows = list(rows)
-        trace = cls()
-        if not rows:
-            return trace
-        t, iteration, gt_task, pred_label, events, p_values, swds, reward, probe_flag = zip(*rows)
-        # One check per run of rows whose p_value and swd print alike, so
-        # 0.0 and -0.0 stay apart.
-        check, key = [], None
-        for p, s in zip(p_values, swds):
-            row_key = (_fmt_opt(p), _fmt_opt(s))
-            if row_key != key:
-                trace.checks.append((p, s))
-                key = row_key
-            check.append(len(trace.checks) - 1)
-        columns = {"t": t, "iteration": iteration, "gt_task": gt_task, "pred_label": pred_label,
-                   "reward": reward, "probe_flag": probe_flag, "check": check}
-        trace._data = {name: np.array(columns[name], dtype) for name, dtype in cls._DTYPES.items()}
-        trace._n = len(rows)
-        trace.events = {i: e for i, e in enumerate(events) if e}
-        return trace
-
     def __len__(self) -> int:
         return self._n
 
-    def _chunks(self, start: int, stop: int):
-        """Rows ``start`` to ``stop`` as Python lists, ``_CHUNK`` rows at a
-        time, in ``TraceRow`` field order with ``check`` in place of p_value
-        and swd."""
+    def _chunks(self):
+        """The rows as Python lists, ``_CHUNK`` rows at a time, in
+        ``TraceRow`` field order with ``check`` in place of p_value and swd."""
         d = self._data
-        for lo in range(start, stop, _CHUNK):
-            hi = min(lo + _CHUNK, stop)
+        for lo in range(0, self._n, _CHUNK):
+            hi = min(lo + _CHUNK, self._n)
             event = [""] * (hi - lo)
             for i, kind in self.events.items():
                 if lo <= i < hi:
@@ -159,21 +133,12 @@ class Trace:
                    event, d["check"][lo:hi].tolist(), d["reward"][lo:hi].tolist(),
                    d["probe_flag"][lo:hi].tolist())
 
-    def _rows(self, start: int, stop: int):
+    def __iter__(self):
         checks = self.checks
-        for cols in self._chunks(start, stop):
+        for cols in self._chunks():
             for t, iteration, gt_task, pred_label, event, check, reward, probe_flag in zip(*cols):
                 yield TraceRow(t, iteration, gt_task, pred_label, event, *checks[check],
                                reward, probe_flag)
-
-    def __iter__(self):
-        return self._rows(0, self._n)
-
-    def __getitem__(self, index):
-        if isinstance(index, slice):
-            return [self[i] for i in range(*index.indices(self._n))]
-        i = range(self._n)[index]  # IndexError and negative indices as for a list
-        return next(self._rows(i, i + 1))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Trace):
@@ -191,15 +156,21 @@ def write_trace(path, trace: Trace) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(",".join(TRACE_COLUMNS) + "\n")
         for t, iteration, gt_task, pred_label, event, check, reward, probe_flag in (
-                trace._chunks(0, len(trace))):
+                trace._chunks()):
             fh.writelines(map(_LINE.__mod__, zip(
                 t, iteration, gt_task, pred_label, event, map(checks.__getitem__, check),
                 reward, probe_flag)))
 
 
 def read_trace(path) -> Trace:
-    """The trace of a ``trace.csv`` written by :func:`write_trace`."""
-    rows: list[TraceRow] = []
+    """The trace of a ``trace.csv`` written by :func:`write_trace`.
+
+    Lines go straight into the columns. A run of lines with the same
+    p_value and swd text is one check, so 0.0 and -0.0 stay apart.
+    """
+    trace = Trace()
+    columns = [[] for _ in Trace._DTYPES]  # in _DTYPES order
+    check_text = None
     with open(path, "r", encoding="utf-8") as fh:
         header = fh.readline().strip()
         if header.split(",") != TRACE_COLUMNS:
@@ -210,15 +181,26 @@ def read_trace(path) -> Trace:
                 continue
             parts = line.split(",")
             if len(parts) != len(TRACE_COLUMNS):
-                raise ValueError(f"{path}:{lineno}: expected {len(TRACE_COLUMNS)} fields")
-            rows.append(TraceRow(
-                t=int(parts[0]), iteration=int(parts[1]), gt_task=int(parts[2]),
-                pred_label=int(parts[3]), event=parts[4],
-                p_value=float(parts[5]) if parts[5] else None,
-                swd=float(parts[6]) if parts[6] else None,
-                reward=float(parts[7]), probe_flag=int(parts[8]),
-            ))
-    return Trace.from_rows(rows)
+                raise ValueError(f"{path}:{lineno}: expected {len(TRACE_COLUMNS)} fields, "
+                                 f"got {len(parts)}")
+            t, iteration, gt_task, pred_label, event, p_value, swd, reward, probe_flag = parts
+            try:
+                values = (int(t), int(iteration), int(gt_task), int(pred_label), float(reward),
+                          int(probe_flag))
+                if (p_value, swd) != check_text:
+                    trace.checks.append((float(p_value) if p_value else None,
+                                         float(swd) if swd else None))
+                    check_text = p_value, swd
+            except ValueError as exc:
+                raise ValueError(f"{path}:{lineno}: unparseable value ({exc})") from None
+            for column, value in zip(columns, (*values, len(trace.checks) - 1)):
+                column.append(value)
+            if event:
+                trace.events[trace._n] = event
+            trace._n += 1
+    trace._data = {name: np.array(column, dtype)
+                   for (name, dtype), column in zip(Trace._DTYPES.items(), columns)}
+    return trace
 
 
 def event_record(ev) -> dict:

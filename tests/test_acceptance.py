@@ -29,7 +29,7 @@ from swoks.ot import (
 )
 from swoks.runner import detect_offline, run_experiment
 from swoks.stats import detect_shift, ks_critical, ks_pvalue
-from swoks.stream import StreamRecord, write_stream
+from swoks.stream import StreamBlock, write_stream
 
 
 def verdict(tag: str, ok: bool, detail: str) -> bool:
@@ -163,17 +163,14 @@ def test_a6_desk_experiment_recovers_the_four_tasks():
 def test_a7_reference_scaling_is_monotone_on_a_recorded_stream(tmp_path):
     rng = np.random.default_rng(5)
     segments = [(0.0, 1.0), (3.0, -1.0), (4.25, -1.0), (5.5, -1.0)]
-    records, t = [], 0
+    rows, t = [], 0  # t, gt_task, reward, action, phi; the action drawn before phi
     for task, (mean, reward) in enumerate(segments, start=1):
         for _ in range(600):
             t += 1
-            records.append(StreamRecord(
-                t=t, gt_task=task, reward=reward,
-                action=int(rng.integers(0, 2)),
-                phi=rng.normal(mean, 1.0, size=3),
-            ))
+            rows.append((t, task, reward, int(rng.integers(0, 2)),
+                         rng.normal(mean, 1.0, size=3)))
     path = tmp_path / "recorded.csv"
-    write_stream(path, records)
+    write_stream(path, StreamBlock(*map(np.array, zip(*rows))))
     counts = {}
     for beta in (1.0, 1.1, 1.4):
         cfg = DetectorConfig(history_len=10, swd_history_len=6, alpha=0.01,

@@ -1,4 +1,6 @@
 """Encoder, policy gradient, and the checkpoint/rollback protocol."""
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -432,3 +434,23 @@ class TestBankSerialization:
         path.write_text("\n".join(lines[:-2]) + "\n")
         with pytest.raises(ValueError):
             PolicyBank(2, 2).load(path)
+
+    @pytest.mark.parametrize("text, message", [
+        ("nan", "parameter must be finite, got 'nan'"),
+        ("-inf", "parameter must be finite, got '-inf'"),
+        ("abc", "unparseable parameter 'abc'"),
+    ])
+    def test_bad_parameter_line_rejected(self, tmp_path, text, message):
+        bank = PolicyBank(2, 2)
+        for label in (1, 2):
+            bank.get_or_create(label)
+        path = tmp_path / "bank.txt"
+        bank.save(path)
+        lines = path.read_text().splitlines()
+        # Label 2's header is lines 10-12; its second parameter is line 14.
+        assert lines[9] == "label 2"
+        lines[13] = text
+        path.write_text("\n".join(lines) + "\n")
+        loaded = PolicyBank(2, 2)
+        with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}:14: {re.escape(message)}"):
+            loaded.load(path)

@@ -10,8 +10,9 @@ import sys
 import numpy as np
 import pytest
 
+import swoks.runner
 from swoks.cli import main
-from swoks.stream import StreamRecord, write_stream
+from swoks.stream import StreamBlock, write_stream
 from swoks.trace import read_trace
 
 MIRROR_CFG = """
@@ -62,17 +63,13 @@ def flat_cfg(tmp_path):
 
 def shifted_stream(tmp_path):
     rng = np.random.default_rng(11)
-    records = [
-        StreamRecord(
-            t=i + 1, gt_task=2 if i >= 300 else 1,
-            reward=-1.0 if i >= 300 else 1.0,
-            action=int(rng.integers(0, 2)),
-            phi=rng.normal(3.0 if i >= 300 else 0.0, 1.0, size=3),
-        )
+    rows = [  # t, gt_task, reward, action, phi; the action drawn before phi
+        (i + 1, 2 if i >= 300 else 1, -1.0 if i >= 300 else 1.0,
+         int(rng.integers(0, 2)), rng.normal(3.0 if i >= 300 else 0.0, 1.0, size=3))
         for i in range(600)
     ]
     path = tmp_path / "stream.csv"
-    write_stream(path, records)
+    write_stream(path, StreamBlock(*map(np.array, zip(*rows))))
     return str(path)
 
 
@@ -83,8 +80,7 @@ class TestRunCommand:
         stdout = capsys.readouterr().out
         assert "labels: 2" in stdout
         assert "events: 2" in stdout
-        rows = read_trace(out / "trace.csv")
-        assert rows[0].t == 1
+        assert read_trace(out / "trace.csv").t[0] == 1
         assert json.loads((out / "events.json").read_text())
 
     def test_save_bank_flag(self, mirror_cfg, tmp_path):
@@ -138,6 +134,16 @@ class TestSweepBetaCommand:
     def test_bad_beta_list_exits_2(self, mirror_cfg, capsys):
         assert main(["sweep-beta", "--config", mirror_cfg, "--betas", "fast"]) == 2
         assert "bad --betas" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("betas", ["nan", "1.1,nan", "inf"])
+    def test_non_finite_beta_exits_2_before_any_run(self, mirror_cfg, capsys, monkeypatch,
+                                                     betas):
+        def no_run(config):
+            raise AssertionError("a run started")
+
+        monkeypatch.setattr(swoks.runner, "run_experiment", no_run)
+        assert main(["sweep-beta", "--config", mirror_cfg, "--betas", betas]) == 2
+        assert "beta must be >= 1 and finite" in capsys.readouterr().err
 
 
 class TestCalibrateFprCommand:

@@ -3,9 +3,14 @@ override precedence, and construction of the experiment dataclasses.
 """
 from __future__ import annotations
 
+import re
+
 import pytest
 
-from swoks.config import ConfigError, load_config, parse_config_text
+from swoks.agent import Policy
+from swoks.config import _SCHEMA, AgentConfig, ConfigError, load_config, parse_config_text
+from swoks.detector import DetectorConfig
+from swoks.env import TreeGraphConfig
 
 MINIMAL = """
 [tasks]
@@ -174,3 +179,35 @@ class TestPresets:
         assert load_config("desk", seed=77).master_seed == 77
         text = "[experiment]\npreset = desk\nmaster_seed = 42\n"
         assert load_config(write_cfg(tmp_path, text), seed=77).master_seed == 77
+
+
+FLOAT_KEYS = [(section, key) for section, keys in _SCHEMA.items()
+              for key, kind in keys.items() if kind is float]
+NON_FINITE = ["nan", "inf", "-inf"]
+
+
+class TestNonFiniteFloats:
+    def test_every_float_key_is_covered(self):
+        assert len(FLOAT_KEYS) == 6
+
+    @pytest.mark.parametrize("value", NON_FINITE)
+    @pytest.mark.parametrize("section, key", FLOAT_KEYS)
+    def test_rejected_with_path_and_line(self, tmp_path, section, key, value):
+        path = write_cfg(tmp_path, f"[experiment]\npreset = desk\n[{section}]\n{key} = {value}\n")
+        with pytest.raises(ConfigError,
+                           match=rf"^{re.escape(str(path))}:4: {key} must be finite, got '{value}'"):
+            load_config(path)
+
+    @pytest.mark.parametrize("value", [float(v) for v in NON_FINITE])
+    @pytest.mark.parametrize("make", [
+        lambda v: DetectorConfig(alpha=v),
+        lambda v: DetectorConfig(beta=v),
+        lambda v: TreeGraphConfig(high_reward=v),
+        lambda v: TreeGraphConfig(fail_reward=v),
+        lambda v: TreeGraphConfig(obs_noise_sigma=v),
+        lambda v: AgentConfig(learning_rate=v),
+        lambda v: Policy(2, 2, learning_rate=v),
+    ])
+    def test_rejected_by_the_classes(self, make, value):
+        with pytest.raises(ValueError):
+            make(value)

@@ -5,34 +5,32 @@ the stationary false-positive probe.
 from __future__ import annotations
 
 import itertools
-from typing import NamedTuple
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from swoks.config import AgentConfig, ExperimentConfig
 from swoks.detector import DetectionEvent, DetectorConfig
 from swoks.env import Curriculum, TaskSpec, TreeGraphConfig
 from swoks.metrics import (
+    _confusion,
     detection_delay,
     false_positive_rate,
     label_alignment_accuracy,
     optimal_label_map,
     run_included_mask,
 )
-from swoks.trace import Trace, TraceRow
+from swoks.trace import Trace
 
 
-class Row(NamedTuple):
-    t: int
-    gt_task: int
-    pred_label: int
-    probe_flag: int = 0
-
-
-def rows_from(gt: list[int], pred: list[int]) -> list[Row]:
+def rows_from(gt: list[int], pred: list[int]) -> Trace:
+    """A trace of steps t = 1..n with the given task and label columns."""
     assert len(gt) == len(pred)
-    return [Row(t=i + 1, gt_task=g, pred_label=p) for i, (g, p) in enumerate(zip(gt, pred))]
+    trace = Trace()
+    trace.append(1, 0, np.array(gt), np.array(pred), np.zeros(len(gt)), 0, None, None)
+    return trace
 
 
 def brute_best_agreement(pred, gt) -> int:
@@ -110,6 +108,29 @@ class TestAlignmentAccuracy:
             label_alignment_accuracy([1, 2], [1, 2], include=[True])
 
 
+def dict_loop_counts(pred, gt, include) -> dict[tuple[int, int], int]:
+    """The per-step count that ``_confusion`` replaced."""
+    counts: dict[tuple[int, int], int] = {}
+    for p, g, keep in zip(pred, gt, include):
+        if keep:
+            counts[p, g] = counts.get((p, g), 0) + 1
+    return counts
+
+
+@given(st.lists(st.tuples(st.integers(-2, 4), st.integers(7, 9), st.booleans()),
+                min_size=1, max_size=60))
+@settings(max_examples=200, deadline=None)
+def test_confusion_matches_the_dict_loop(steps):
+    pred, gt, include = zip(*steps)
+    labels, tasks, counts, total = _confusion(list(pred), list(gt), list(include))
+    assert labels.tolist() == sorted({p for p, _, keep in steps if keep})
+    assert tasks.tolist() == sorted({g for _, g, keep in steps if keep})
+    assert total == sum(include)
+    got = {(int(labels[i]), int(tasks[j])): int(counts[i, j])
+           for i, j in zip(*np.nonzero(counts))}
+    assert got == dict_loop_counts(pred, gt, include)
+
+
 class TestDetectionDelay:
     def test_answered_change(self):
         gt = [1] * 499 + [2] * 300
@@ -140,14 +161,49 @@ class TestDetectionDelay:
 
     def test_empty_trace_rejected(self):
         with pytest.raises(ValueError):
-            detection_delay([])
+            detection_delay(Trace())
+
+
+def row_loop_delay(trace) -> list[float]:
+    """The per-row scan that ``detection_delay`` replaced."""
+    rows = list(trace)
+    gt_changes = [
+        rows[i].t for i in range(1, len(rows)) if rows[i].gt_task != rows[i - 1].gt_task
+    ]
+    pred_changes = [
+        rows[i].t for i in range(1, len(rows)) if rows[i].pred_label != rows[i - 1].pred_label
+    ]
+    delays: list[float] = []
+    for tc in gt_changes:
+        answered = [tp for tp in pred_changes if tp >= tc]
+        delays.append(float(answered[0] - tc) if answered else float("inf"))
+    return delays
+
+
+@given(st.lists(st.tuples(st.integers(1, 4), st.integers(1, 3), st.integers(1, 3)),
+                min_size=1, max_size=40))
+@settings(max_examples=300, deadline=None)
+@example([(1, 1, 1), (1, 2, 1), (1, 2, 1)])  # never answered: inf
+@example([(1, 1, 5), (1, 2, 6), (3, 2, 6)])  # answered on the same step: 0
+@example([(1, 1, 5), (1, 1, 6), (1, 2, 6), (2, 3, 6), (1, 3, 7)])  # a label change just before
+def test_detection_delay_matches_the_row_loop(steps):
+    # Each step is (gap in t, gt_task, pred_label); t increases with gaps.
+    trace, t = Trace(), 0
+    for gap, gt_task, pred_label in steps:
+        t += gap
+        trace.append(t, 0, gt_task, pred_label, [0.0], 0, None, None)
+    delays = detection_delay(trace)
+    assert delays == row_loop_delay(trace)
+    assert all(type(d) is float for d in delays)
 
 
 def trace_of(ts, probe_flags=None) -> Trace:
     """A one-task, one-label trace with the given steps and probe flags."""
     probe_flags = probe_flags or [0] * len(ts)
-    return Trace.from_rows(TraceRow(t, 0, 1, 1, "", None, None, 0.0, pf)
-                           for t, pf in zip(ts, probe_flags))
+    trace = Trace()
+    for t, pf in zip(ts, probe_flags):
+        trace.append(t, 0, 1, 1, [0.0], pf, None, None)
+    return trace
 
 
 def row_loop_mask(trace, events, stable_phase: int) -> list[bool]:

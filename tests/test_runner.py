@@ -27,7 +27,7 @@ from swoks.detector import (
 from swoks.env import Curriculum, TaskSpec, TreeGraphConfig
 from swoks.metrics import sweep_beta
 from swoks.runner import detect_offline, run_experiment
-from swoks.stream import StreamRecord, read_stream, write_stream
+from swoks.stream import StreamBlock, read_stream_blocks, write_stream
 from swoks.trace import read_trace
 
 LD, LW, PROBE = 10, 6, 8
@@ -125,7 +125,7 @@ class TestMirrorCurriculum:
         assert (diffs >= 0).all() and diffs.max() == 1
 
     def test_shift_check_columns_fill_once_armed(self, mirror_run):
-        rows = mirror_run.trace
+        rows = list(mirror_run.trace)
         assert all(r.swd is None for r in rows[: LD * (LW + 1) - 1])
         armed = rows[LD * (LW + 1) - 1]
         assert armed.swd is not None and armed.p_value is None
@@ -220,18 +220,14 @@ class TestArtifacts:
         assert set(res.bank.labels()) >= {1, 2}
 
 
-def synth_records(n: int, change_at: int | None, seed: int) -> list[StreamRecord]:
+def synth_stream(n: int, change_at: int | None, seed: int) -> StreamBlock:
     rng = np.random.default_rng(seed)
-    records = []
+    rows = []  # t, gt_task, reward, action, phi; the action drawn before phi
     for i in range(n):
         shifted = change_at is not None and i >= change_at
-        records.append(StreamRecord(
-            t=i + 1, gt_task=2 if shifted else 1,
-            reward=-1.0 if shifted else 1.0,
-            action=int(rng.integers(0, 2)),
-            phi=rng.normal(3.0 if shifted else 0.0, 1.0, size=3),
-        ))
-    return records
+        rows.append((i + 1, 2 if shifted else 1, -1.0 if shifted else 1.0,
+                     int(rng.integers(0, 2)), rng.normal(3.0 if shifted else 0.0, 1.0, size=3)))
+    return StreamBlock(*map(np.array, zip(*rows)))
 
 
 class TestOfflineReplay:
@@ -242,7 +238,7 @@ class TestOfflineReplay:
 
     def test_stationary_stream_is_quiet(self, tmp_path):
         path = tmp_path / "flat.csv"
-        write_stream(path, synth_records(600, None, seed=11))
+        write_stream(path, synth_stream(600, None, seed=11))
         events, detector = detect_offline(path, self.det_config())
         assert events == []
         assert detector.offline
@@ -250,7 +246,7 @@ class TestOfflineReplay:
 
     def test_recorded_change_is_found_without_probes(self, tmp_path):
         path = tmp_path / "shift.csv"
-        write_stream(path, synth_records(600, 300, seed=11))
+        write_stream(path, synth_stream(600, 300, seed=11))
         events, detector = detect_offline(path, self.det_config())
         assert len(events) == 1
         ev = events[0]
@@ -270,23 +266,23 @@ class TestOfflineReplay:
         rng = np.random.default_rng(3)
         changes = [1500, 1900, 4100, 6000, 7900]
         means = [0.0, 3.0, -3.0, 6.0, 0.5, 3.5]
-        records = []
+        rows = []  # t, gt_task, reward, action, phi; the action drawn before phi
         for i in range(9437):
             seg = sum(1 for c in changes if i >= c)
             m = means[seg]
-            records.append(StreamRecord(t=i + 1, gt_task=seg + 1, reward=m / 3,
-                                        action=int(rng.integers(0, 2)),
-                                        phi=rng.normal(m, 1.0, size=3)))
+            rows.append((i + 1, seg + 1, m / 3, int(rng.integers(0, 2)),
+                         rng.normal(m, 1.0, size=3)))
         path = tmp_path / "changes.csv"
-        write_stream(path, records)
+        write_stream(path, StreamBlock(*map(np.array, zip(*rows))))
         cfg = replace(self.det_config(), stable_phase=1000)
 
         stepwise = Detector(cfg)
         step_events = []
-        for rec in read_stream(path):
-            event = stepwise.ingest(rec.phi, rec.action, rec.reward)
-            if event is not None:
-                step_events.append(event)
+        for block in read_stream_blocks(path):
+            for phi, action, reward in zip(block.phi, block.action, block.reward):
+                event = stepwise.ingest(phi, action, reward)
+                if event is not None:
+                    step_events.append(event)
         events, detector = detect_offline(path, cfg)
 
         kinds = [e.kind for e in step_events]

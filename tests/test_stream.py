@@ -13,11 +13,10 @@ from hypothesis import strategies as st
 from swoks.detector import Detector, DetectorConfig
 from swoks.stream import (
     NotReadyError,
-    StreamRecord,
+    StreamBlock,
     SwdHistory,
     WindowBuffer,
     make_datapoints,
-    read_stream,
     read_stream_blocks,
     write_stream,
 )
@@ -270,52 +269,76 @@ class TestSwdHistory:
         assert list(h.values()) == [5.0, 1.0, 3.0]
 
 
+def read_all(path) -> StreamBlock:
+    """The whole stream as one block."""
+    return StreamBlock(*map(np.concatenate, zip(*read_stream_blocks(path))))
+
+
 class TestStreamFiles:
-    def make_records(self, n=5, k=3):
+    def make_block(self, n=5, k=3) -> StreamBlock:
         rng = np.random.default_rng(0)
-        return [
-            StreamRecord(t=i + 1, gt_task=1 + i % 2, reward=float(rng.normal()),
-                         action=int(rng.integers(0, 2)), phi=rng.normal(size=k))
+        rows = [  # per step: reward, action, phi, in this draw order
+            (i + 1, 1 + i % 2, float(rng.normal()), int(rng.integers(0, 2)), rng.normal(size=k))
             for i in range(n)
         ]
+        return StreamBlock(*map(np.array, zip(*rows)))
 
     def test_round_trip(self, tmp_path):
         path = tmp_path / "stream.csv"
-        records = self.make_records()
-        write_stream(path, records)
-        back = read_stream(path)
-        assert len(back) == len(records)
-        for a, b in zip(records, back):
-            assert a.t == b.t and a.gt_task == b.gt_task and a.action == b.action
-            assert a.reward == b.reward  # repr round-trip is exact
-            assert np.array_equal(np.asarray(a.phi), b.phi)
+        block = self.make_block()
+        assert write_stream(path, block) == 5
+        back = read_all(path)
+        for a, b in zip(block, back):
+            assert np.array_equal(a, b)  # repr round-trip is exact
+
+    def test_awkward_floats_round_trip_bit_for_bit(self, tmp_path):
+        path = tmp_path / "stream.csv"
+        awkward = np.array([-0.0, 5e-324, 1e+16])
+        block = StreamBlock(t=np.arange(1, 4), gt_task=np.array([1, 1, 2]), reward=awkward,
+                            action=np.array([0.0, 1.0, 2.0]),
+                            phi=np.stack([awkward, awkward[::-1]], axis=1))
+        write_stream(path, block)
+        assert path.read_text().splitlines()[1:] == [
+            "1,1,-0.0,0,-0.0,1e+16", "2,1,5e-324,1,5e-324,5e-324", "3,2,1e+16,2,1e+16,-0.0"]
+        back = read_all(path)
+        for a, b in zip(block, back):
+            assert np.asarray(a, dtype=float).tobytes() == np.asarray(b, dtype=float).tobytes()
+
+    def test_mismatched_columns_rejected(self, tmp_path):
+        block = self.make_block(n=4, k=2)
+        with pytest.raises(ValueError, match="one entry per row"):
+            write_stream(tmp_path / "s.csv", block._replace(reward=block.reward[:3]))
+        with pytest.raises(ValueError, match="one entry per row"):
+            write_stream(tmp_path / "s.csv", block._replace(phi=block.phi[:, 0]))
+        with pytest.raises(ValueError, match="empty"):
+            write_stream(tmp_path / "s.csv", StreamBlock(*(c[:0] for c in block)))
 
     def test_header_written(self, tmp_path):
         path = tmp_path / "stream.csv"
-        write_stream(path, self.make_records(n=2, k=2))
+        write_stream(path, self.make_block(n=2, k=2))
         first = path.read_text().splitlines()[0]
         assert first == "t,gt_task,r,a,phi_1,phi_2"
 
     def test_malformed_line_reports_number(self, tmp_path):
         path = tmp_path / "bad.csv"
-        write_stream(path, self.make_records(n=3, k=2))
+        write_stream(path, self.make_block(n=3, k=2))
         lines = path.read_text().splitlines()
         lines[2] = lines[2].rsplit(",", 1)[0] + ",not_a_number"
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(ValueError, match=r"csv:3:"):
-            read_stream(path)
+            read_all(path)
 
     def test_wrong_column_count_reports_number(self, tmp_path):
         path = tmp_path / "bad.csv"
-        write_stream(path, self.make_records(n=3, k=2))
+        write_stream(path, self.make_block(n=3, k=2))
         lines = path.read_text().splitlines()
         lines[3] += ",0.5"
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(ValueError, match=r"csv:4:"):
-            read_stream(path)
+            read_all(path)
 
     def rewrite(self, path, n, k, edit):
-        write_stream(path, self.make_records(n=n, k=k))
+        write_stream(path, self.make_block(n=n, k=k))
         lines = path.read_text().splitlines()
         edit(lines)
         path.write_text("\n".join(lines) + "\n")
@@ -337,7 +360,7 @@ class TestStreamFiles:
 
         self.rewrite(path, 6000, 2, edit)
         with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}:{lineno}: "):
-            read_stream(path)
+            read_all(path)
 
     @pytest.mark.parametrize("lineno", [4, 5000])
     def test_wrong_column_count_reports_path_and_line(self, tmp_path, lineno):
@@ -348,39 +371,37 @@ class TestStreamFiles:
 
         self.rewrite(path, 6000, 2, edit)
         with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}:{lineno}: expected 6"):
-            read_stream(path)
+            read_all(path)
 
     def test_blank_lines_are_skipped(self, tmp_path):
         path = tmp_path / "gaps.csv"
-        records = self.make_records(n=5, k=2)
-        write_stream(path, records)
+        block = self.make_block(n=5, k=2)
+        write_stream(path, block)
         lines = path.read_text().splitlines()
         lines[2:2] = ["", "   "]
         path.write_text("\n".join(lines) + "\n\n")
-        back = read_stream(path)
-        assert [r.t for r in back] == [r.t for r in records]
-        assert all(np.array_equal(a.phi, b.phi) for a, b in zip(records, back))
+        back = read_all(path)
+        assert np.array_equal(back.t, block.t)
+        assert np.array_equal(back.phi, block.phi)
 
     def test_blocks_tile_the_stream(self, tmp_path):
         path = tmp_path / "long.csv"
-        records = self.make_records(n=9000, k=3)
-        write_stream(path, records)
+        block = self.make_block(n=9000, k=3)
+        write_stream(path, block)
         blocks = list(read_stream_blocks(path))
         assert len(blocks) > 1
-        assert np.array_equal(np.concatenate([b.t for b in blocks]), [r.t for r in records])
-        assert np.array_equal(np.concatenate([b.phi for b in blocks]),
-                              np.stack([r.phi for r in records]))
-        assert np.array_equal(np.concatenate([b.reward for b in blocks]),
-                              [r.reward for r in records])
+        assert np.array_equal(np.concatenate([b.t for b in blocks]), block.t)
+        assert np.array_equal(np.concatenate([b.phi for b in blocks]), block.phi)
+        assert np.array_equal(np.concatenate([b.reward for b in blocks]), block.reward)
 
     def test_empty_file_rejected(self, tmp_path):
         path = tmp_path / "empty.csv"
         path.write_text("")
         with pytest.raises(ValueError):
-            read_stream(path)
+            read_all(path)
 
     def test_header_only_rejected(self, tmp_path):
         path = tmp_path / "header.csv"
         path.write_text("t,gt_task,r,a,phi_1\n")
         with pytest.raises(ValueError):
-            read_stream(path)
+            read_all(path)
