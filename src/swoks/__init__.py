@@ -4,7 +4,7 @@ Sliced Wasserstein distances over sliding windows of latent-action-reward
 tuples, tested with a one-sided KS statistic, drive label switches in a
 per-task policy bank with checkpoint rollback.
 """
-from .agent import Encoder, Policy, PolicyBank, RollbackResult
+from .agent import Encoder, EpisodeBuffer, Policy, PolicyBank, RollbackResult
 from .config import AgentConfig, ConfigError, ExperimentConfig, load_config
 from .detector import (
     EVENT_NEW_TASK,
@@ -54,6 +54,7 @@ __all__ = [
     "Detector",
     "DetectorConfig",
     "Encoder",
+    "EpisodeBuffer",
     "EVENT_NEW_TASK",
     "EVENT_PROBE_ERROR",
     "EVENT_RE_DETECTED",

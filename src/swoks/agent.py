@@ -2,13 +2,15 @@
 
 Policies are linear-softmax over the latent plus a bias term, trained
 with one plain policy-gradient step per episode against an exponential
-running-mean baseline. The episode gradient is computed for all ``T``
-steps at once: the per-step outer products are summed over the step
-axis, in step order, so the result equals the step-by-step sum bit for
-bit. Sampling an action runs the softmax and the inverse CDF on Python
-floats after one ``params @ x``; an update reuses those probabilities
-when the caller kept them, and otherwise recomputes them with one
-stacked matrix-vector product and one row-wise softmax.
+running-mean baseline. A live episode is kept as rows of a caller-owned
+:class:`EpisodeBuffer`: sampling an action writes the step's features
+``[phi; 1]`` into the next row, takes the logits from one
+``params.dot(row)``, runs the softmax and the inverse CDF on Python
+floats, and records the coefficients ``onehot(a) - p`` the gradient
+needs. The update sums the per-step outer products of those rows over
+the step axis, in step order, so the result equals the step-by-step
+sum bit for bit and no probability is recomputed. Probe steps sample
+without a buffer and record nothing.
 The bank keeps two rolling parameter checkpoints per label; rolling
 back restores the older one, so the restored policy predates a detected
 change by at least one full backup interval.
@@ -23,6 +25,7 @@ import numpy as np
 
 __all__ = [
     "Encoder",
+    "EpisodeBuffer",
     "Policy",
     "PolicyBank",
     "RollbackResult",
@@ -63,7 +66,7 @@ class Encoder:
             raise ValueError(
                 f"observation shape {x.shape} does not match ({self._w.shape[1]},)"
             )
-        return np.tanh(self._w @ x)
+        return np.tanh(self._w.dot(x))
 
 
 def _softmax(logits: np.ndarray) -> np.ndarray:
@@ -100,39 +103,40 @@ def _inverse_cdf(probs: list[float], u: float) -> int:
     return len(probs) - 1
 
 
-def _episode_features(episode, width: int):
-    """Feature rows ``[phi; 1]`` and actions of every step."""
-    phis, actions, _ = zip(*episode)
-    x = np.ones((len(phis), width))
-    x[:, :-1] = phis
-    return x, actions
+def _features(phi, x: np.ndarray) -> np.ndarray:
+    """``x``, whose last entry is 1, with ``phi`` written before it: the row ``[phi; 1]``."""
+    if np.shape(phi) != (x.shape[0] - 1,):
+        raise ValueError(f"phi shape {np.shape(phi)} does not match ({x.shape[0] - 1},)")
+    x[:-1] = phi
+    return x
+
+
+def _coefficients(p: list[float], action: int) -> list[float]:
+    """``onehot(action) - p`` on Python floats.
+
+    The same IEEE negation and addition as in numpy, without its
+    per-call cost on a row of a few actions.
+    """
+    row = [-v for v in p]
+    row[action] += 1.0
+    return row
+
+
+def _outer_sum(coeff: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """``sum_t coeff_t x_t^T``, the outer products summed over the rows in order."""
+    return np.add.reduce(coeff[:, :, None] * x[:, None, :], axis=0)
 
 
 def _episode_probs(params: np.ndarray, episode):
     """Feature rows ``[phi; 1]``, actions and action probabilities of every step.
 
     The logits come from one stacked product that runs the same
-    matrix-vector kernel per row as ``params @ x``.
+    matrix-vector kernel per row as ``params.dot(x)``.
     """
-    x, actions = _episode_features(episode, params.shape[1])
+    phis, actions, _ = zip(*episode)
+    x = np.ones((len(phis), params.shape[1]))
+    x[:, :-1] = phis
     return x, actions, _softmax(np.matmul(params, x[:, :, None])[:, :, 0])
-
-
-def _gradient(x: np.ndarray, actions, probs) -> np.ndarray:
-    """``sum_t (onehot(a_t) - p_t) x_t^T``, the outer products summed over the steps in order.
-
-    ``probs`` holds the probability row, as Python floats, that each
-    action ``a_t`` was drawn from. The coefficients ``onehot(a_t) - p_t``
-    are formed on those floats: the same IEEE negation and addition as
-    in numpy, without its per-call cost on a short episode.
-    """
-    coeff = []
-    for p, a in zip(probs, actions):
-        row = [-v for v in p]
-        row[a] += 1.0
-        coeff.append(row)
-    c = np.array(coeff)
-    return np.add.reduce(c[:, :, None] * x[:, None, :], axis=0)
 
 
 def episode_log_prob(params: np.ndarray, episode) -> float:
@@ -147,9 +151,50 @@ def episode_log_prob(params: np.ndarray, episode) -> float:
 
 
 def episode_gradient(params: np.ndarray, episode) -> np.ndarray:
-    """Gradient of :func:`episode_log_prob` with respect to ``params``."""
+    """Gradient of :func:`episode_log_prob` with respect to ``params``.
+
+    The probabilities are recomputed for the whole episode at once, so
+    this is the reference for the rows :meth:`Policy.act` records.
+    """
     x, actions, probs = _episode_probs(params, episode)
-    return _gradient(x, actions, probs.tolist())
+    coeff = np.array([_coefficients(p, a) for p, a in zip(probs.tolist(), actions)])
+    return _outer_sum(coeff, x)
+
+
+class EpisodeBuffer:
+    """The rows of one live episode, written by :meth:`Policy.act` and
+    read by :meth:`Policy.update`.
+
+    ``n`` steps are recorded. For ``t < n``, row ``t`` of ``x`` holds
+    step ``t``'s features ``[phi; 1]`` and row ``t`` of ``coeff`` its
+    coefficients ``onehot(a_t) - p_t``, where ``p_t`` is the probability
+    row the action was drawn from; ``rewards`` holds the step rewards,
+    appended by the caller. The arrays start with room for ``_ROWS``
+    steps and double when full. :meth:`clear` starts the next episode
+    in the same arrays.
+    """
+
+    __slots__ = ("x", "coeff", "rewards", "n")
+
+    _ROWS = 4
+
+    def __init__(self, n_actions: int, latent_dim: int):
+        self.x = np.ones((self._ROWS, latent_dim + 1))
+        self.coeff = np.empty((self._ROWS, n_actions))
+        self.rewards: list[float] = []
+        self.n = 0  # steps recorded by act
+
+    def clear(self) -> None:
+        self.n = 0
+        self.rewards.clear()
+
+    def _grow(self) -> None:
+        rows, width = self.x.shape
+        x = np.ones((2 * rows, width))
+        x[:rows] = self.x
+        coeff = np.empty((2 * rows, self.coeff.shape[1]))
+        coeff[:rows] = self.coeff
+        self.x, self.coeff = x, coeff
 
 
 class Policy:
@@ -163,7 +208,6 @@ class Policy:
         if not (math.isfinite(learning_rate) and learning_rate > 0.0):
             raise ValueError(f"learning_rate must be > 0 and finite, got {learning_rate}")
         self.params = np.zeros((n_actions, latent_dim + 1), dtype=float)
-        self._x = np.ones(latent_dim + 1)  # feature buffer [phi; 1]
         self.learning_rate = learning_rate
         self.update_count = 0
         self.baseline = 0.0
@@ -176,60 +220,54 @@ class Policy:
     def latent_dim(self) -> int:
         return self.params.shape[1] - 1
 
-    def _logits(self, phi) -> np.ndarray:
-        """``params @ [phi; 1]``, with ``phi`` copied into the preallocated ``x``."""
-        x = self._x
-        if np.shape(phi) != (x.shape[0] - 1,):
-            raise ValueError(f"phi shape {np.shape(phi)} does not match ({x.shape[0] - 1},)")
-        x[:-1] = phi
-        return self.params @ x
-
     def action_probs(self, phi) -> np.ndarray:
-        return _softmax(self._logits(phi))
+        return _softmax(self.params.dot(_features(phi, np.ones(self.params.shape[1]))))
 
-    def act(self, phi, rng: np.random.Generator, probs: list | None = None) -> int:
+    def act(self, phi, rng: np.random.Generator, episode: EpisodeBuffer | None = None) -> int:
         """Sample an action from the softmax by inverse CDF on one uniform draw.
 
         The probabilities are those of :meth:`action_probs` bit for bit,
-        computed on Python floats around numpy's ``exp``. When ``probs``
-        is a list, the row of probabilities the action was drawn from is
-        appended to it, for :meth:`update` to reuse.
+        computed on Python floats around numpy's ``exp``. With an
+        ``episode``, the step's features and coefficients go to its next
+        row, for :meth:`update`; without one (a probe step) nothing is
+        recorded.
         """
-        z = self._logits(phi)
+        params = self.params
+        if episode is None:
+            x = _features(phi, np.ones(params.shape[1]))
+        else:
+            n = episode.n
+            if n == episode.x.shape[0]:
+                episode._grow()
+            x = _features(phi, episode.x[n])
+        z = params.dot(x)
         e = np.exp(z - max(z.tolist())).tolist()
         total = _sum(e)
         p = [v / total for v in e]
-        if probs is not None:
-            probs.append(p)
-        return _inverse_cdf(p, rng.random())
+        action = _inverse_cdf(p, rng.random())
+        if episode is not None:
+            episode.coeff[n] = _coefficients(p, action)
+            episode.n = n + 1
+        return action
 
-    def act_greedy(self, phi) -> int:
-        """Most probable action; ties resolve to the lowest index."""
-        return int(np.argmax(self._logits(phi)))
-
-    def update(self, episode, probs: list | None = None) -> None:
+    def update(self, episode: EpisodeBuffer) -> None:
         """One policy-gradient step on the episode return.
 
-        Advantage is the return minus the running-mean baseline; the
-        baseline is updated afterwards, so an episode whose return
-        equals the baseline leaves the parameters untouched. ``probs``,
-        when given, holds per step the probabilities :meth:`act` drew
-        the action from under the current ``params``; the gradient
-        reuses them instead of recomputing the softmax, with the same
-        result bit for bit.
+        ``episode`` holds the rows :meth:`act` recorded under the
+        current ``params`` and one reward per step. Advantage is the
+        return minus the running-mean baseline; the baseline is updated
+        afterwards, so an episode whose return equals the baseline
+        leaves the parameters untouched.
         """
-        steps = list(episode)
-        if not steps:
+        n = episode.n
+        if not n:
             raise ValueError("episode must contain at least one step")
-        if probs is not None and len(probs) != len(steps):
-            raise ValueError(f"{len(probs)} probability rows for {len(steps)} steps")
-        ret = float(sum(r for _, _, r in steps))
+        if len(episode.rewards) != n:
+            raise ValueError(f"{len(episode.rewards)} rewards for {n} steps")
+        ret = float(sum(episode.rewards))
         advantage = ret - self.baseline
         if advantage != 0.0:
-            if probs is None:
-                grad = episode_gradient(self.params, steps)
-            else:
-                grad = _gradient(*_episode_features(steps, self.params.shape[1]), probs)
+            grad = _outer_sum(episode.coeff[:n], episode.x[:n])
             self.params += self.learning_rate * advantage * grad
         self.update_count += 1
         self.baseline += BASELINE_RATE * (ret - self.baseline)

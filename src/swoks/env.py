@@ -9,7 +9,10 @@ invisible until rewards are inspected.
 from __future__ import annotations
 
 import math
+import operator
+from bisect import bisect_left
 from dataclasses import dataclass, field
+from itertools import accumulate
 
 import numpy as np
 
@@ -82,6 +85,9 @@ class TreeGraphEnv:
             raise ValueError("at least one task is required")
         base_rng = substream(config.env_seed, "tree-base-obs")
         self._base = base_rng.standard_normal((self.n_states, config.obs_dim))
+        b = config.branching
+        # Row of self._base where each level's nodes start, root first.
+        self._level_start = [(b ** level - 1) // (b - 1) for level in range(config.depth + 1)]
         self._noise = substream(config.env_seed, "tree-obs-noise")
         # Scaled noise rows drawn ahead in blocks; _noise_next is the next unused row.
         self._noise_block = np.empty((0, config.obs_dim))
@@ -125,10 +131,6 @@ class TreeGraphEnv:
             raise KeyError(f"unknown task id {task_id}")
         self._pending = task_id
 
-    def _state_index(self, level: int, node: int) -> int:
-        b = self._cfg.branching
-        return (b ** level - 1) // (b - 1) + node
-
     def _observe(self) -> np.ndarray:
         """The current node's base vector plus the next row of scaled noise.
 
@@ -136,7 +138,7 @@ class TreeGraphEnv:
         the same values, in order, as one ``standard_normal(obs_dim)`` call
         per observation, so the generator runs at most one block ahead.
         """
-        base = self._base[self._state_index(self._level, self._node)]
+        base = self._base[self._level_start[self._level] + self._node]
         if self._cfg.obs_noise_sigma == 0.0:
             return base.copy()
         if self._noise_next == self._noise_block.shape[0]:
@@ -160,9 +162,18 @@ class TreeGraphEnv:
         return self._observe()
 
     def step(self, action: int) -> tuple[np.ndarray, float, bool]:
-        """Descend one level; returns (observation, reward, done)."""
+        """Descend one level; returns (observation, reward, done).
+
+        ``action`` is an integer (any type ``operator.index`` accepts) in
+        ``[0, branching)``; anything else raises ValueError and leaves
+        the episode as it was.
+        """
         if self._done:
             raise RuntimeError("episode is over; call reset")
+        try:
+            action = operator.index(action)
+        except TypeError:
+            raise ValueError(f"action {action!r} is not an integer") from None
         if not 0 <= action < self._cfg.branching:
             raise ValueError(
                 f"action {action} out of range [0, {self._cfg.branching})"
@@ -193,18 +204,16 @@ class Curriculum:
         for task_id, duration in self.segments:
             if duration < 1:
                 raise ValueError(f"segment durations must be >= 1, got {duration}")
+        # Last global step of each segment, for task_at's binary search.
+        object.__setattr__(self, "_ends", tuple(accumulate(d for _, d in self.segments)))
 
     @property
     def total_steps(self) -> int:
-        return sum(d for _, d in self.segments)
+        return self._ends[-1]
 
     def task_at(self, t: int) -> int:
         """Task governing global step ``t`` (1-based)."""
         if t < 1:
             raise ValueError(f"t must be >= 1, got {t}")
-        upto = 0
-        for task_id, duration in self.segments:
-            upto += duration
-            if t <= upto:
-                return task_id
-        return self.segments[-1][0]
+        i = bisect_left(self._ends, t)
+        return self.segments[min(i, len(self.segments) - 1)][0]

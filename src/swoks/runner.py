@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .agent import Encoder, PolicyBank
+from .agent import Encoder, EpisodeBuffer, PolicyBank
 from .config import ExperimentConfig
 from .detector import (
     EVENT_NEW_TASK,
@@ -117,45 +117,48 @@ def run_experiment(config: ExperimentConfig, out_dir: str | Path | None = None,
 
     # Live steps since the last check boundary, fed to the detector at the next one.
     h = det_cfg.history_len
-    phis = np.empty((h, config.agent.latent_dim))
-    actions = np.empty(h)
-    rewards = np.empty(h)
-    gt_tasks = np.empty(h, dtype=np.int64)
-    iterations = np.empty(h, dtype=np.int64)
-    pending = 0
+    phis: list[np.ndarray] = []
+    actions: list[int] = []
+    rewards: list[float] = []
+    gt_tasks: list[int] = []
+    iterations: list[int] = []
+    episode = EpisodeBuffer(env.n_actions, config.agent.latent_dim)
     t = 0  # steps taken, live and probe: the detector's t plus the pending steps
     iteration = 0
     total = config.curriculum.total_steps
     while t < total:
         env.set_task(config.curriculum.task_at(t + 1))
         obs = env.reset()
+        gt_task = env.active_task  # fixed until the next reset
         label = detector.current_label.id
         policy = bank.get_or_create(label)
-        episode = []
-        probs = []  # the probability row each live action was drawn from
+        episode.clear()
         aborted = False
         done = False
         while not done:
             phi = encoder.encode(obs)
-            action = policy.act(phi, act_rng, probs)
+            action = policy.act(phi, act_rng, episode)
             obs, reward, done = env.step(action)
-            episode.append((phi, action, reward))
-            phis[pending], actions[pending], rewards[pending] = phi, action, reward
-            gt_tasks[pending], iterations[pending] = env.active_task, iteration
-            pending += 1
+            episode.rewards.append(reward)
+            phis.append(phi)
+            actions.append(action)
+            rewards.append(reward)
+            gt_tasks.append(gt_task)
+            iterations.append(iteration)
             t += 1
             if t % h:
                 continue
             # Check boundary. The rows before it keep the previous check's values,
             # and all carry ``label``: the detector's label only changes in ingest_block.
-            trace.append(t - pending + 1, iterations[:pending - 1], gt_tasks[:pending - 1], label,
-                         rewards[:pending - 1], 0, detector.last_p_value, detector.last_swd)
-            found = detector.ingest_block(phis[:pending], actions[:pending], rewards[:pending])
+            trace.append(t - len(rewards) + 1, iterations[:-1], gt_tasks[:-1], label,
+                         rewards[:-1], 0, detector.last_p_value, detector.last_swd)
+            found = detector.ingest_block(phis, actions, rewards)
             event = found[0] if found else None
             p_value, swd = detector.last_p_value, detector.last_swd
-            trace.append(t, iteration, gt_tasks[pending - 1], label, rewards[pending - 1:pending],
+            trace.append(t, iteration, gt_task, label, rewards[-1:],
                          0, p_value, swd, event.kind if event else "")
-            pending = 0
+            for column in (phis, actions, rewards, gt_tasks, iterations):
+                column.clear()
             if probe_source.steps:
                 probe_tasks, probe_rewards = zip(*probe_source.steps)
                 trace.append(t + 1, iteration, probe_tasks, label, probe_rewards, 1,
@@ -173,14 +176,14 @@ def run_experiment(config: ExperimentConfig, out_dir: str | Path | None = None,
                 aborted = True  # probes left the env mid-episode
                 break
             # suppressed: keep playing the episode
-        if not aborted and episode:
-            policy.update(episode, probs)
+        if not aborted:
+            policy.update(episode)
             bank.backup_if_due(label)
             iteration += 1
-    if pending:
-        trace.append(t - pending + 1, iterations[:pending], gt_tasks[:pending], label,
-                     rewards[:pending], 0, detector.last_p_value, detector.last_swd)
-        detector.ingest_block(phis[:pending], actions[:pending], rewards[:pending])
+    if rewards:
+        trace.append(t - len(rewards) + 1, iterations, gt_tasks, label, rewards, 0,
+                     detector.last_p_value, detector.last_swd)
+        detector.ingest_block(phis, actions, rewards)
 
     result = RunResult(config=config, trace=trace, events=events,
                        detector=detector, bank=bank, encoder=encoder, env=env)

@@ -10,7 +10,7 @@ import time
 
 import numpy as np
 
-from conftest import record_acceptance
+from conftest import greedy_action, record_acceptance, record_episode
 
 from swoks.agent import Policy, PolicyBank, episode_gradient, episode_log_prob
 from swoks.cli import main as cli_main
@@ -121,7 +121,7 @@ def greedy_return(result, label: int, task_id: int) -> float:
     obs = env.reset()
     total, done = 0.0, False
     while not done:
-        obs, reward, done = env.step(policy.act_greedy(result.encoder.encode(obs)))
+        obs, reward, done = env.step(greedy_action(policy, result.encoder.encode(obs)))
         total += reward
     return total
 
@@ -199,10 +199,10 @@ def test_a8_rollback_restores_the_older_checkpoint():
     live = bank.get_or_create(1)
     twin = Policy(n_actions=2, latent_dim=3, learning_rate=0.1)
     for i, episode in enumerate(episodes):
-        live.update(episode)
+        live.update(record_episode(live, episode))
         bank.backup_if_due(1)
         if i < 50:
-            twin.update(episode)
+            twin.update(record_episode(twin, episode))
     saved = bank.checkpoint_iterations(1)
     bank.rollback(1)
     restored = bank.get_or_create(1)

@@ -6,14 +6,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import FixedDraw, greedy_action, record_episode
+
 from swoks.agent import (
     BASELINE_RATE,
     Encoder,
+    EpisodeBuffer,
     Policy,
     PolicyBank,
-    _episode_features,
-    _episode_probs,
-    _gradient,
     _inverse_cdf,
     _sum,
     episode_gradient,
@@ -88,7 +88,7 @@ class TestPolicyBasics:
         pol = Policy(n_actions=3, latent_dim=4)
         pol.params = rng.normal(size=pol.params.shape)
         phi = rng.normal(size=4)
-        assert pol.act_greedy(phi) == pol.act_greedy(phi)
+        assert greedy_action(pol, phi) == greedy_action(pol, phi)
 
     def test_sampling_matches_probs(self):
         # frequency check over 10^4 draws, 3 sigma binomial bound
@@ -129,16 +129,16 @@ class TestGradient:
         pol.baseline = 1.0
         episode = [(np.ones(3), 0, 1.0)]  # return equals baseline
         before = pol.params.copy()
-        pol.update(episode)
+        pol.update(record_episode(pol, episode))
         assert np.array_equal(pol.params, before)
         assert pol.update_count == 1
 
     def test_baseline_ema(self):
         pol = Policy(n_actions=2, latent_dim=2)
         episode = [(np.zeros(2), 0, 1.0)]
-        pol.update(episode)
+        pol.update(record_episode(pol, episode))
         assert pol.baseline == pytest.approx(BASELINE_RATE * 1.0)
-        pol.update(episode)
+        pol.update(record_episode(pol, episode))
         expected = BASELINE_RATE + BASELINE_RATE * (1.0 - BASELINE_RATE)
         assert pol.baseline == pytest.approx(expected)
 
@@ -148,17 +148,20 @@ class TestGradient:
         pol = Policy(n_actions=2, latent_dim=3, learning_rate=0.15)
         phi_root = np.array([0.3, -0.2, 0.6])
         phi_mid = np.array([-0.5, 0.1, 0.2])
+        episode = EpisodeBuffer(2, 3)
         for _ in range(200):
-            a1 = pol.act(phi_root, rng)
-            a2 = pol.act(phi_mid, rng)
-            reward = 1.0 if (a1, a2) == (0, 1) else -0.1
-            pol.update([(phi_root, a1, 0.0), (phi_mid, a2, reward)])
-        assert pol.act_greedy(phi_root) == 0
-        assert pol.act_greedy(phi_mid) == 1
+            episode.clear()
+            a1 = pol.act(phi_root, rng, episode)
+            episode.rewards.append(0.0)
+            a2 = pol.act(phi_mid, rng, episode)
+            episode.rewards.append(1.0 if (a1, a2) == (0, 1) else -0.1)
+            pol.update(episode)
+        assert greedy_action(pol, phi_root) == 0
+        assert greedy_action(pol, phi_mid) == 1
 
     def test_empty_episode_rejected(self):
         with pytest.raises(ValueError):
-            Policy(2, 2).update([])
+            Policy(2, 2).update(EpisodeBuffer(2, 2))
 
 
 def searchsorted_index(probs, u):
@@ -183,16 +186,6 @@ def outer_sum_gradient(params, episode):
         coeff[action] += 1.0
         grad += np.outer(coeff, x)
     return grad
-
-
-class FixedDraw:
-    """Stands in for a Generator whose every uniform draw is ``u``."""
-
-    def __init__(self, u):
-        self.u = u
-
-    def random(self):
-        return self.u
 
 
 LAST_DRAW = 1.0 - 2.0 ** -53  # the largest value Generator.random returns
@@ -257,42 +250,6 @@ class TestFastPathEquivalence:
         batched = episode_gradient(params, episode)
         assert batched.tobytes() == outer_sum_gradient(params, episode).tobytes()
 
-    @given(st.integers(0, 2**32 - 1), st.integers(2, 12), st.integers(1, 9),
-           st.integers(1, 25), st.sampled_from([0.1, 1.0, 10.0, 30.0, 300.0]))
-    @settings(max_examples=200, deadline=None)
-    def test_recorded_probabilities_give_the_recomputed_gradient(
-            self, seed, n_actions, latent_dim, n_steps, scale):
-        # Probabilities recorded by act under fixed params, as the runner
-        # keeps them over a live episode; 8 or more actions take numpy's sum.
-        rng = np.random.default_rng(seed)
-        pol = Policy(n_actions=n_actions, latent_dim=latent_dim)
-        pol.params = rng.normal(size=pol.params.shape) * scale
-        episode, probs = [], []
-        for _ in range(n_steps):
-            phi = rng.normal(size=latent_dim)
-            episode.append((phi, pol.act(phi, rng, probs), float(rng.normal())))
-        assert np.array(probs).tobytes() == _episode_probs(pol.params, episode)[2].tobytes()
-        x, actions = _episode_features(episode, latent_dim + 1)
-        recorded = _gradient(x, actions, probs)
-        assert recorded.tobytes() == episode_gradient(pol.params, episode).tobytes()
-        twin = pol.clone()
-        pol.update(episode, probs)
-        twin.update(episode)
-        assert pol.params.tobytes() == twin.params.tobytes()
-
-    def test_update_rejects_a_probability_row_per_step_mismatch(self):
-        rng = np.random.default_rng(4)
-        pol = Policy(n_actions=3, latent_dim=2)
-        episode, probs = [], []
-        for _ in range(3):
-            phi = rng.normal(size=2)
-            episode.append((phi, pol.act(phi, rng, probs), 1.0))
-        with pytest.raises(ValueError):
-            pol.update(episode, probs[:2])
-        with pytest.raises(ValueError):
-            pol.update(episode, probs + probs[:1])
-        assert pol.update_count == 0
-
     def test_update_matches_outer_sum_step(self):
         rng = np.random.default_rng(11)
         pol = Policy(n_actions=3, latent_dim=4, learning_rate=0.15)
@@ -301,14 +258,101 @@ class TestFastPathEquivalence:
         episode = random_episode(rng, n_steps=5, latent_dim=4, n_actions=3)
         advantage = sum(r for _, _, r in episode) - 0.25
         expected = pol.params + 0.15 * advantage * outer_sum_gradient(pol.params, episode)
-        pol.update(episode)
+        pol.update(record_episode(pol, episode))
         assert pol.params.tobytes() == expected.tobytes()
 
     def test_phi_of_the_wrong_shape_is_rejected(self):
         pol = Policy(n_actions=2, latent_dim=3)
+        episode = EpisodeBuffer(2, 3)
         for phi in ([0.5], np.zeros(4), np.zeros((1, 3))):
             with pytest.raises(ValueError):
                 pol.act(phi, FixedDraw(0.5))
+            with pytest.raises(ValueError):
+                pol.act(phi, FixedDraw(0.5), episode)
+            with pytest.raises(ValueError):
+                pol.action_probs(phi)
+        assert episode.n == 0 and np.all(episode.x[:, -1] == 1.0)
+
+    @given(st.integers(1, 11), st.integers(1, 19), st.integers(0, 2**32 - 1))
+    @settings(max_examples=300, deadline=None)
+    def test_dot_is_matmul_on_encoder_shapes(self, latent_dim, obs_dim, seed):
+        rng = np.random.default_rng(seed)
+        enc = Encoder(obs_dim, latent_dim, seed=seed)
+        obs = rng.normal(size=obs_dim) * 10.0
+        assert enc._w.dot(obs).tobytes() == (enc._w @ obs).tobytes()
+        assert enc.encode(obs).tobytes() == np.tanh(enc._w @ obs).tobytes()
+
+    @given(st.integers(2, 12), st.integers(1, 9), st.integers(0, 2**32 - 1),
+           st.sampled_from([0.1, 1.0, 10.0, 300.0]))
+    @settings(max_examples=300, deadline=None)
+    def test_dot_is_matmul_on_policy_shapes(self, n_actions, latent_dim, seed, scale):
+        rng = np.random.default_rng(seed)
+        params = rng.normal(size=(n_actions, latent_dim + 1)) * scale
+        rows = np.ones((3, latent_dim + 1))  # a buffer row is a view into a larger array
+        rows[1, :-1] = rng.normal(size=latent_dim)
+        assert params.dot(rows[1]).tobytes() == (params @ rows[1].copy()).tobytes()
+
+
+class TestEpisodeBuffer:
+    @given(st.integers(0, 2**32 - 1), st.integers(2, 12), st.integers(1, 9),
+           st.sampled_from([0.1, 1.0, 10.0, 30.0, 300.0]),
+           st.lists(st.tuples(st.integers(1, 25), st.booleans(), st.integers(0, 25)),
+                    min_size=1, max_size=3))
+    @settings(max_examples=200, deadline=None)
+    def test_act_and_update_equal_the_reference(self, seed, n_actions, latent_dim, scale,
+                                                 episodes):
+        # Each episode is (steps, aborted, probe_at): an aborted episode is
+        # dropped without an update; a probe act without the buffer runs
+        # before step probe_at. 8 or more actions take numpy's sum.
+        data = np.random.default_rng(seed)
+        pol = Policy(n_actions=n_actions, latent_dim=latent_dim, learning_rate=0.1)
+        pol.params = data.normal(size=pol.params.shape) * scale
+        ref = pol.clone()
+        buffer = EpisodeBuffer(n_actions, latent_dim)
+        for n_steps, aborted, probe_at in episodes:
+            buffer.clear()
+            phis = [data.normal(size=latent_dim) for _ in range(n_steps)]
+            draws = data.random(n_steps).tolist()
+            rewards = data.normal(size=n_steps).tolist()
+            expected = [searchsorted_index(ref.action_probs(phi), u)
+                        for phi, u in zip(phis, draws)]
+            for t, (phi, u, reward) in enumerate(zip(phis, draws, rewards)):
+                if t == probe_at:
+                    before = (buffer.x.tobytes(), buffer.coeff.tobytes(), buffer.n)
+                    pol.act(data.normal(size=latent_dim), FixedDraw(data.random()))
+                    assert (buffer.x.tobytes(), buffer.coeff.tobytes(), buffer.n) == before
+                assert pol.act(phi, FixedDraw(u), buffer) == expected[t]
+                buffer.rewards.append(reward)
+            assert buffer.n == n_steps
+            probs = np.array([ref.action_probs(phi) for phi in phis])
+            coeff = -probs
+            coeff[np.arange(n_steps), expected] += 1.0
+            assert buffer.coeff[:n_steps].tobytes() == coeff.tobytes()
+            assert buffer.x[:n_steps].tobytes() == np.append(phis, np.ones((n_steps, 1)),
+                                                             axis=1).tobytes()
+            if aborted:
+                continue
+            steps = list(zip(phis, expected, rewards))
+            advantage = float(sum(rewards)) - ref.baseline
+            ref.params = ref.params + 0.1 * advantage * episode_gradient(ref.params, steps)
+            ref.baseline += BASELINE_RATE * (float(sum(rewards)) - ref.baseline)
+            pol.update(buffer)
+            assert pol.params.tobytes() == ref.params.tobytes()
+            assert pol.baseline == ref.baseline
+
+    def test_update_rejects_a_reward_per_step_mismatch(self):
+        rng = np.random.default_rng(4)
+        pol = Policy(n_actions=3, latent_dim=2)
+        buffer = EpisodeBuffer(3, 2)
+        for _ in range(3):
+            pol.act(rng.normal(size=2), rng, buffer)
+        buffer.rewards.extend([1.0, 1.0])
+        with pytest.raises(ValueError):
+            pol.update(buffer)
+        buffer.rewards.extend([1.0, 1.0])
+        with pytest.raises(ValueError):
+            pol.update(buffer)
+        assert pol.update_count == 0 and not pol.params.any()
 
 
 class TestBankCheckpoints:
@@ -316,7 +360,7 @@ class TestBankCheckpoints:
         pol = bank.get_or_create(label)
         episode = episode or [(np.zeros(2), 0, 0.5)]
         for _ in range(n):
-            pol.update(episode)
+            pol.update(record_episode(pol, episode))
             bank.backup_if_due(label)
         return pol
 

@@ -92,6 +92,34 @@ class TestRewards:
         with pytest.raises(ValueError):
             env.step(2)
 
+    @pytest.mark.parametrize("action", [1.0, np.float64(0.0), 0.5, "1", None, 2, -1, [1]])
+    def test_rejected_action_leaves_the_episode_unchanged(self, action):
+        env, fresh = make_env(seed=4), make_env(seed=4)
+        for e in (env, fresh):
+            e.set_task(2)
+            e.reset()
+            e.step(0)
+        state = (env._level, env._node, env._done, env._noise_next, env._noise_block.tobytes())
+        with pytest.raises(ValueError):
+            env.step(action)
+        assert (env._level, env._node, env._done, env._noise_next,
+                env._noise_block.tobytes()) == state
+        obs, reward, done = env.step(1)
+        expected_obs, expected_reward, expected_done = fresh.step(1)
+        assert obs.tobytes() == expected_obs.tobytes()
+        assert (reward, done) == (expected_reward, expected_done)
+
+    def test_numpy_integer_action_accepted(self):
+        env, twin = make_env(seed=2), make_env(seed=2)
+        for e in (env, twin):
+            e.set_task(4)
+            e.reset()
+        for a in (1, 1):
+            obs, reward, done = env.step(np.int64(a))
+            expected = twin.step(a)
+            assert obs.tobytes() == expected[0].tobytes() and (reward, done) == expected[1:]
+        assert reward == 1.0 and done
+
 
 class TestObservations:
     def test_same_observation_across_tasks(self):
@@ -205,6 +233,33 @@ class TestCurriculum:
     def test_final_task_persists(self):
         cur = Curriculum(((1, 100), (2, 100)))
         assert cur.task_at(1000) == 2
+
+    @pytest.mark.parametrize("segments", [
+        ((1, 1),),
+        ((1, 100), (2, 100)),
+        ((3, 1), (1, 1), (2, 5), (3, 1), (1, 7)),
+        ((2, 50), (2, 50), (1, 3)),
+    ])
+    def test_lookup_matches_the_linear_scan(self, segments):
+        def linear(t):
+            upto = 0
+            for task_id, duration in segments:
+                upto += duration
+                if t <= upto:
+                    return task_id
+            return segments[-1][0]
+
+        cur = Curriculum(segments)
+        ends = np.cumsum([d for _, d in segments]).tolist()
+        probes = {1, ends[-1] + 1, ends[-1] + 1000}
+        for end in ends:
+            probes.update((end - 1, end, end + 1))
+        for t in sorted(p for p in probes if p >= 1):
+            assert cur.task_at(t) == linear(t), t
+        with pytest.raises(ValueError):
+            cur.task_at(0)
+        with pytest.raises(ValueError):
+            cur.task_at(-3)
 
     def test_total_steps(self):
         assert Curriculum(((1, 3), (2, 4))).total_steps == 7

@@ -15,7 +15,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from swoks.agent import Policy, _episode_features, _episode_probs, _gradient, episode_gradient
+from swoks.agent import Policy, episode_gradient
 from swoks.config import AgentConfig, ExperimentConfig
 from swoks.detector import (
     EVENT_NEW_TASK,
@@ -138,11 +138,21 @@ class TestRecordedProbabilities:
     def test_live_updates_after_probe_and_abort_equal_the_recomputation(self, monkeypatch):
         # The mirror run's return to task 1 probes label 1 with its stored
         # policy, aborts the live episode and re-adopts label 1. Every
-        # update, including label 1's first after the probe, must reuse
-        # exactly the probabilities a recomputation gives.
+        # update, including label 1's first after the probe, must equal
+        # the step the recomputed gradient of the episode's live steps gives.
+        original_act = Policy.act
         original_update = Policy.update
         original_redetect = Detector.redetect
         seen = {"updates": 0, "re_detected": 0, "after_probe": 0}
+        live_steps = []  # (phi, action) of the live episode so far
+
+        def act(policy, phi, rng, episode=None):
+            action = original_act(policy, phi, rng, episode)
+            if episode is not None:
+                if episode.n == 1:
+                    live_steps.clear()  # the buffer was cleared for a new episode
+                live_steps.append((phi.copy(), action))
+            return action
 
         def redetect(detector):
             event = original_redetect(detector)
@@ -150,21 +160,20 @@ class TestRecordedProbabilities:
                 seen["re_detected"] += 1
             return event
 
-        def update(policy, episode, probs=None):
-            episode = list(episode)
-            assert probs is not None and len(probs) == len(episode)
-            _, _, fresh = _episode_probs(policy.params, episode)
-            assert np.array(probs).tobytes() == fresh.tobytes()
-            x, actions = _episode_features(episode, policy.params.shape[1])
-            assert (_gradient(x, actions, probs).tobytes()
-                    == episode_gradient(policy.params, episode).tobytes())
-            twin = policy.clone()
-            original_update(twin, episode)
-            original_update(policy, episode, probs)
-            assert policy.params.tobytes() == twin.params.tobytes()
+        def update(policy, episode):
+            # Every finished episode of the depth-2 tree is two live steps.
+            assert episode.n == len(live_steps) == len(episode.rewards) == 2
+            steps = [(phi, a, r) for (phi, a), r in zip(live_steps, episode.rewards)]
+            advantage = float(sum(episode.rewards)) - policy.baseline
+            expected = policy.params + (policy.learning_rate * advantage
+                                        * episode_gradient(policy.params, steps))
+            original_update(policy, episode)
+            if advantage != 0.0:
+                assert policy.params.tobytes() == expected.tobytes()
             seen["updates"] += 1
             seen["after_probe"] += seen["re_detected"] > 0
 
+        monkeypatch.setattr(Policy, "act", act)
         monkeypatch.setattr(Policy, "update", update)
         monkeypatch.setattr(Detector, "redetect", redetect)
         result = run_experiment(tiny_config(MIRROR))
