@@ -27,7 +27,7 @@ import numpy as np
 
 from .ot import sample_unit_directions, sorted_distance, sorted_projections
 from .seeding import child_seed
-from .stats import detect_shift
+from .stats import detect_shift, detect_shift_sorted
 from .stream import SwdHistory, WindowBuffer, make_datapoints
 
 __all__ = [
@@ -270,10 +270,7 @@ class Detector:
         self.last_swd = swd
         if not st.history.is_full:
             return None
-        result = detect_shift(
-            st.history.new_half(), st.history.old_half(),
-            alpha=self._cfg.alpha, beta=self._cfg.beta,
-        )
+        result = detect_shift_sorted(*st.history.sorted_halves(), beta=self._cfg.beta)
         self.last_p_value = result.p_value
         if result.p_value < self._cfg.alpha:
             return self.redetect()

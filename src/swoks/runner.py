@@ -11,6 +11,7 @@ its older checkpoint and the current episode is abandoned.
 """
 from __future__ import annotations
 
+from contextlib import closing
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -27,8 +28,8 @@ from .detector import (
     DetectorConfig,
 )
 from .env import TreeGraphEnv
-from .seeding import child_seed, substream
-from .stream import read_stream_blocks
+from .seeding import UniformBlocks, child_seed, substream
+from .stream import prefetch_stream_blocks
 from .trace import Trace, write_events, write_trace
 
 __all__ = ["RunResult", "run_experiment", "detect_offline"]
@@ -60,7 +61,7 @@ class _EnvProbe:
     """
 
     def __init__(self, env: TreeGraphEnv, encoder: Encoder, bank: PolicyBank,
-                 rng: np.random.Generator):
+                 rng: UniformBlocks):
         self._env = env
         self._encoder = encoder
         self._bank = bank
@@ -105,8 +106,8 @@ def run_experiment(config: ExperimentConfig, out_dir: str | Path | None = None,
                       config.agent.learning_rate, config.agent.backup_freq)
     if load_bank is not None:
         bank.load(load_bank)
-    act_rng = substream(master, "actions")
-    probe_rng = substream(master, "probe-actions")
+    act_rng = UniformBlocks(substream(master, "actions"))
+    probe_rng = UniformBlocks(substream(master, "probe-actions"))
 
     # Room for the whole curriculum and the last check interval's overrun.
     trace = Trace(config.curriculum.total_steps + config.detector.history_len)
@@ -201,12 +202,15 @@ def detect_offline(stream_path: str | Path, det_config: DetectorConfig):
     """Replay a recorded stream through a detector without probes.
 
     Re-detection degrades to new-label-only because stored policies
-    cannot be deployed against a file. The stream is read and ingested
-    block by block, so memory does not grow with its length. Returns
-    (events, detector).
+    cannot be deployed against a file. The stream is ingested block by
+    block as a reader process parses it (:func:`prefetch_stream_blocks`),
+    so parsing overlaps detection and memory does not grow with the
+    stream's length; the reader is stopped before this returns or
+    raises. Returns (events, detector).
     """
     detector = Detector(det_config, probe=None)
     events: list[DetectionEvent] = []
-    for block in read_stream_blocks(stream_path):
-        events.extend(detector.ingest_block(block.phi, block.action, block.reward))
+    with closing(prefetch_stream_blocks(stream_path)) as blocks:
+        for block in blocks:
+            events.extend(detector.ingest_block(block.phi, block.action, block.reward))
     return events, detector

@@ -6,11 +6,12 @@ the streams of existing ones.
 """
 from __future__ import annotations
 
+import itertools
 import zlib
 
 import numpy as np
 
-__all__ = ["child_seed", "substream"]
+__all__ = ["child_seed", "substream", "UniformBlocks"]
 
 
 def _sequence(master_seed: int, name: str) -> np.random.SeedSequence:
@@ -29,3 +30,24 @@ def child_seed(master_seed: int, name: str) -> int:
 def substream(master_seed: int, name: str) -> np.random.Generator:
     """Generator for the named substream of ``master_seed``."""
     return np.random.default_rng(_sequence(master_seed, name))
+
+
+# Uniforms per numpy call in UniformBlocks.
+_UNIFORM_BLOCK = 256
+
+
+class UniformBlocks:
+    """Serves a generator's uniforms through ``random()``, drawn in blocks.
+
+    ``random()`` returns the values of ``rng.random(256)`` in order,
+    drawing the next block when one runs out: the same floats, in the
+    same order, as one ``rng.random()`` call each, without the cost of
+    a numpy call per value. The generator runs up to 255 values ahead
+    of the values served, so nothing else may draw from it.
+    """
+
+    __slots__ = ("random",)
+
+    def __init__(self, rng: np.random.Generator):
+        blocks = iter(lambda: rng.random(_UNIFORM_BLOCK).tolist(), None)
+        self.random = itertools.chain.from_iterable(blocks).__next__

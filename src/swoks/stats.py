@@ -21,6 +21,7 @@ __all__ = [
     "ks_pvalue",
     "scaled_reference",
     "detect_shift",
+    "detect_shift_sorted",
 ]
 
 _P_FLOOR = 1e-300
@@ -73,17 +74,25 @@ def ks_one_sided(x1, x2) -> float:
 
 def _ks_statistic(a: np.ndarray, b: np.ndarray) -> float:
     """:func:`ks_one_sided` of two samples already checked by ``_as_sample``."""
-    n1, n2 = a.shape[0], b.shape[0]
-    sa = np.sort(a, kind="stable")
-    sb = np.sort(b, kind="stable")
-    # Every pooled value is a candidate; a repeated one repeats its
-    # differences, which cannot change the maximum. The difference is
-    # constant between consecutive pooled values, so its value just above
-    # one is its strict value at the next, and past the largest it is 0.
-    candidates = np.concatenate([sa, sb])
-    f1 = np.searchsorted(sa, candidates, side="left") / n1
-    f2 = np.searchsorted(sb, candidates, side="left") / n2
-    return min(1.0, max(0.0, float(np.max(f1 - f2))))
+    return _ks_sorted(np.sort(a), np.sort(b))
+
+
+def _ks_sorted(sa: np.ndarray, sb: np.ndarray) -> float:
+    """:func:`ks_one_sided` of two samples, each in ascending order.
+
+    Only the values of the second sample are candidates. The difference
+    is constant between consecutive pooled values, so its value just
+    above one is its strict value at the next, and past the largest it
+    is 0. Going up, it rises past a value of the first sample only and
+    falls past one of the second, so a positive maximum is reached at
+    the first value of the second sample above a run of the first
+    sample's values; a maximum of 0 or less is clamped to 0 anyway. A
+    repeated value repeats its difference, which cannot change the
+    maximum.
+    """
+    f1 = sa.searchsorted(sb, "left") / sa.shape[0]
+    f2 = sb.searchsorted(sb, "left") / sb.shape[0]
+    return min(1.0, max(0.0, float((f1 - f2).max())))
 
 
 def ks_critical(n1: int, n2: int, alpha: float) -> float:
@@ -176,3 +185,21 @@ def detect_shift(w_new, w_old, alpha: float = 0.001, beta: float = 1.1) -> KsRes
     statistic = _ks_statistic(ref, new)
     p_value = ks_pvalue(statistic, ref.shape[0], new.shape[0])
     return KsResult(statistic=statistic, p_value=p_value, n1=ref.shape[0], n2=new.shape[0])
+
+
+def detect_shift_sorted(new_sorted: np.ndarray, old_sorted: np.ndarray,
+                        beta: float) -> KsResult:
+    """:func:`detect_shift` of two samples already sorted and checked.
+
+    Both are non-empty 1D float arrays in ascending order, with finite
+    non-negative values, and ``beta >= 1``, as a :class:`SwdHistory`'s
+    ``sorted_halves()`` and a ``DetectorConfig`` guarantee. Scaling by
+    ``beta`` keeps the order, and the result equals ``detect_shift`` of
+    the same samples in any order bit for bit.
+    """
+    ref = old_sorted * beta
+    if not math.isfinite(ref[-1]):  # the largest is the one to overflow
+        raise ValueError("w_old scaled by beta is not finite")
+    statistic = _ks_sorted(ref, new_sorted)
+    n1, n2 = ref.shape[0], new_sorted.shape[0]
+    return KsResult(statistic=statistic, p_value=ks_pvalue(statistic, n1, n2), n1=n1, n2=n2)

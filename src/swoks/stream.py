@@ -10,7 +10,9 @@ from __future__ import annotations
 
 import itertools
 import math
+import os
 import warnings
+from bisect import bisect_left, insort
 from collections import deque
 from typing import Iterator, NamedTuple
 
@@ -24,6 +26,7 @@ __all__ = [
     "StreamBlock",
     "write_stream",
     "read_stream_blocks",
+    "prefetch_stream_blocks",
 ]
 
 
@@ -162,6 +165,10 @@ class SwdHistory:
 
     Holds ``2 * half_len`` values once full; the newest ``half_len``
     form the new half and the preceding ``half_len`` the old half.
+    Each half is also kept sorted: a push into a full history moves
+    one value out of the old half, one from the new half into the old
+    and one into the new half, so the sorted halves are updated in
+    place rather than sorted again for every shift test.
     """
 
     def __init__(self, half_len: int):
@@ -169,6 +176,9 @@ class SwdHistory:
             raise ValueError(f"half_len must be >= 1, got {half_len}")
         self._half = half_len
         self._values: deque[float] = deque(maxlen=2 * half_len)
+        # The oldest half_len values and the rest, each in ascending order.
+        self._old_sorted: list[float] = []
+        self._new_sorted: list[float] = []
 
     @property
     def half_len(self) -> int:
@@ -185,28 +195,53 @@ class SwdHistory:
         v = float(value)
         if not np.isfinite(v) or v < 0.0:
             raise ValueError(f"distance values must be finite and non-negative, got {value}")
-        self._values.append(v)
+        values, h = self._values, self._half
+        if len(values) == 2 * h:
+            moved = values[h]
+            _replace(self._old_sorted, values[0], moved)
+            _replace(self._new_sorted, moved, v)
+        else:
+            insort(self._old_sorted if len(values) < h else self._new_sorted, v)
+        values.append(v)
 
     def values(self) -> np.ndarray:
         return np.array(self._values, dtype=float)
 
-    def new_half(self) -> np.ndarray:
+    def _require_full(self) -> None:
         if not self.is_full:
             raise NotReadyError(f"history holds {len(self._values)}/{2 * self._half} values")
-        return np.array(list(self._values)[self._half:], dtype=float)
+
+    def new_half(self) -> np.ndarray:
+        """The new half in arrival order."""
+        self._require_full()
+        return np.fromiter(itertools.islice(self._values, self._half, None), float, self._half)
 
     def old_half(self) -> np.ndarray:
-        if not self.is_full:
-            raise NotReadyError(f"history holds {len(self._values)}/{2 * self._half} values")
-        return np.array(list(self._values)[: self._half], dtype=float)
+        """The old half in arrival order."""
+        self._require_full()
+        return np.fromiter(self._values, float, self._half)
+
+    def sorted_halves(self) -> tuple[np.ndarray, np.ndarray]:
+        """``(new, old)``: the two halves, each in ascending order."""
+        self._require_full()
+        h = self._half
+        return np.fromiter(self._new_sorted, float, h), np.fromiter(self._old_sorted, float, h)
 
     def keep_oldest(self, count: int) -> None:
         """Drop everything but the oldest ``count`` values."""
         if count < 0:
             raise ValueError(f"count must be >= 0, got {count}")
-        kept = list(self._values)[:count]
+        kept = list(itertools.islice(self._values, count))
         self._values.clear()
         self._values.extend(kept)
+        self._old_sorted = sorted(kept[:self._half])
+        self._new_sorted = sorted(kept[self._half:])
+
+
+def _replace(ordered: list[float], leaving: float, entering: float) -> None:
+    """Swap one occurrence of ``leaving`` in an ascending list for ``entering``."""
+    del ordered[bisect_left(ordered, leaving)]
+    insort(ordered, entering)
 
 
 class StreamBlock(NamedTuple):
@@ -273,15 +308,131 @@ def read_stream_blocks(path) -> Iterator[StreamBlock]:
             lineno += len(lines)
             if table.shape[0]:
                 empty = False
+                # Every column is copied out contiguous: pickling a strided
+                # view for the reader's pipe costs several times as much.
                 yield StreamBlock(
                     t=table[:, 0].astype(np.int64),
                     gt_task=table[:, 1].astype(np.int64),
-                    reward=table[:, 2],
+                    reward=table[:, 2].copy(),
                     action=np.trunc(table[:, 3]),
-                    phi=table[:, 4:],
+                    phi=table[:, 4:].copy(),
                 )
     if empty:
         raise ValueError(f"{path}: stream contains no data rows")
+
+
+# How long a reader that was told to stop may take to exit before it is killed.
+_REAP_TIMEOUT_S = 1.0
+# Pipe capacity asked for, enough for two blocks of 8 latents (0.4 MB each):
+# through the default 64 KB a block crosses in many writes, each of which
+# wakes the other process.
+_PIPE_BYTES = 1 << 20
+
+
+def prefetch_stream_blocks(path) -> Iterator[StreamBlock]:
+    """:func:`read_stream_blocks`, parsed in a reader process ahead of the caller.
+
+    On the first ``next()`` a reader process is forked; it parses the
+    stream and sends each block through a pipe, so it parses the next
+    blocks while the caller works on this one. The pipe holds a couple
+    of blocks and a full pipe stalls the reader, so memory stays flat.
+    The reader's errors are raised here, after the blocks before them,
+    with the same type and message. Closing the generator (also through
+    ``contextlib.closing`` when an exception ends the caller's loop)
+    stops and reaps the reader. Without ``fork``, or with one usable
+    CPU, the blocks are parsed in this process instead.
+    """
+    started = _start_reader(path)
+    if started is None:
+        yield from read_stream_blocks(path)
+        return
+    receiver, reader = started
+    try:
+        while (item := _receive(receiver, reader, path)) is not None:
+            if isinstance(item, BaseException):
+                raise item
+            yield item
+    finally:
+        receiver.close()  # a reader blocked on a send now gets a broken pipe
+        reader.join(_REAP_TIMEOUT_S)
+        if reader.is_alive():
+            reader.kill()
+            reader.join()
+        reader.close()
+
+
+def _usable_cpus() -> int:
+    """CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def _start_reader(path):
+    """``(receiving end, reader process)``, or None where no reader can run."""
+    if not hasattr(os, "fork") or _usable_cpus() < 2:
+        return None
+    import multiprocessing  # on first use: the import costs 15-20 ms
+    from multiprocessing import util
+
+    if multiprocessing.current_process().daemon:  # may not start children
+        return None
+    ctx = multiprocessing.get_context("fork")
+    receiver, sender = ctx.Pipe(duplex=False)
+    # Every process forked from here on, this reader and any other, closes
+    # its copy of the receiving end: closing ours must break the pipe.
+    util.register_after_fork(receiver, type(receiver).close)
+    try:
+        import fcntl
+
+        fcntl.fcntl(sender.fileno(), fcntl.F_SETPIPE_SZ, _PIPE_BYTES)
+    except (AttributeError, OSError):  # not on Linux, or over this user's pipe limit
+        pass  # the default capacity only costs speed
+    reader = ctx.Process(target=_send_blocks, args=(path, sender),
+                         name="swoks-stream-reader", daemon=True)
+    try:
+        with warnings.catch_warnings():
+            # Python 3.12+ warns on every fork of a multi-threaded process.
+            # The other threads are typically BLAS workers, which stop
+            # around a fork, and the reader only parses and sends.
+            warnings.filterwarnings("ignore", ".*multi-threaded.*fork", DeprecationWarning)
+            reader.start()
+    except OSError:  # fork refused, e.g. at a process limit
+        receiver.close()
+        return None
+    finally:
+        sender.close()  # the reader holds the only writing end
+    return receiver, reader
+
+
+def _receive(receiver, reader, path):
+    """The reader's next message: a block, its error, or None at the end."""
+    try:
+        return receiver.recv()
+    except EOFError:
+        reader.join(_REAP_TIMEOUT_S)
+        raise RuntimeError(f"{path}: stream reader exited with code {reader.exitcode} "
+                           "before the end of the stream") from None
+
+
+def _send_blocks(path, sender) -> None:
+    """Body of the reader process: every block of ``path``, then None or the error."""
+    import signal  # here, not at module level: 1-2 ms of every ``import swoks``
+
+    signal.signal(signal.SIGINT, signal.SIG_IGN)  # Ctrl-C is for the parent to handle
+    try:
+        for block in read_stream_blocks(path):
+            sender.send(block)
+        outcome = None
+    except BrokenPipeError:
+        return  # the parent stopped reading
+    except Exception as exc:  # noqa: BLE001 - raised again in the parent
+        outcome = exc
+    try:
+        sender.send(outcome)
+    except BrokenPipeError:
+        pass
 
 
 def _read_header(fh, path) -> int:

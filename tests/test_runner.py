@@ -9,12 +9,15 @@ from __future__ import annotations
 
 import gc
 import json
+import multiprocessing
+import warnings
 import weakref
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from swoks import stream
 from swoks.agent import Policy, episode_gradient
 from swoks.config import AgentConfig, ExperimentConfig
 from swoks.detector import (
@@ -268,10 +271,10 @@ class TestOfflineReplay:
         with pytest.raises(FileNotFoundError):
             detect_offline(tmp_path / "nope.csv", self.det_config())
 
-    def test_block_replay_equals_step_by_step_ingest(self, tmp_path):
-        # 9437 rows: more than two read blocks, and a multiple of neither
-        # the block length nor history_len. The second change falls inside
-        # the stable phase of the first; the third lands mid-block.
+    def changes_stream(self, tmp_path):
+        """9437 rows: more than two read blocks, and a multiple of neither the
+        block length nor history_len. The second change falls inside the
+        stable phase of the first; the third lands mid-block."""
         rng = np.random.default_rng(3)
         changes = [1500, 1900, 4100, 6000, 7900]
         means = [0.0, 3.0, -3.0, 6.0, 0.5, 3.5]
@@ -283,7 +286,10 @@ class TestOfflineReplay:
                          rng.normal(m, 1.0, size=3)))
         path = tmp_path / "changes.csv"
         write_stream(path, StreamBlock(*map(np.array, zip(*rows))))
-        cfg = replace(self.det_config(), stable_phase=1000)
+        return path, replace(self.det_config(), stable_phase=1000)
+
+    def test_block_replay_equals_step_by_step_ingest(self, tmp_path):
+        path, cfg = self.changes_stream(tmp_path)
 
         stepwise = Detector(cfg)
         step_events = []
@@ -305,6 +311,50 @@ class TestOfflineReplay:
         for label in detector.labels:
             assert np.array_equal(detector.label_state(label.id).history.values(),
                                   stepwise.label_state(label.id).history.values())
+
+    def test_reader_process_and_in_process_replays_are_equal(self, tmp_path, monkeypatch):
+        path, cfg = self.changes_stream(tmp_path)
+        events, detector = detect_offline(path, cfg)
+        assert multiprocessing.active_children() == []
+        monkeypatch.setattr(stream, "_usable_cpus", lambda: 1)
+        in_process_events, in_process = detect_offline(path, cfg)
+        assert len(events) >= 4
+        assert events == in_process_events
+        assert detector.t == in_process.t == 9437
+        assert detector.last_swd == in_process.last_swd
+        assert detector.last_p_value == in_process.last_p_value
+
+    @pytest.mark.parametrize("stop", [RuntimeError("ingest failed"), KeyboardInterrupt()])
+    def test_reader_is_reaped_when_ingest_stops_early(self, tmp_path, monkeypatch, stop):
+        path = tmp_path / "long.csv"
+        write_stream(path, synth_stream(40000, None, seed=11))  # more than the pipe holds
+        ingest_block = Detector.ingest_block
+        running = []
+
+        def fail_on_second_block(detector, *args):
+            if detector.t:
+                running.extend(multiprocessing.active_children())
+                raise stop
+            return ingest_block(detector, *args)
+
+        monkeypatch.setattr(Detector, "ingest_block", fail_on_second_block)
+        with pytest.raises(type(stop)):
+            detect_offline(path, self.det_config())
+        assert len(running) == 1
+        assert multiprocessing.active_children() == []
+
+    def test_replay_raises_no_warning(self, tmp_path):
+        """Also no DeprecationWarning from a fork in a multi-threaded process
+        (Python 3.12+). That warning is cleared inside ``os.fork`` when a
+        filter turns it into an error, so the second run records warnings."""
+        path, cfg = self.changes_stream(tmp_path)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            detect_offline(path, cfg)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            detect_offline(path, cfg)
+        assert [str(w.message) for w in caught] == []
 
 
 class TestBetaSweep:

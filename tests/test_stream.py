@@ -3,6 +3,8 @@
 The ring buffer is checked against a plain-list model: every operation
 is mirrored on a list and the observable views must agree.
 """
+import errno
+import multiprocessing
 import re
 
 import numpy as np
@@ -10,13 +12,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from swoks import stream as stream_module
 from swoks.detector import Detector, DetectorConfig
+from swoks.stats import detect_shift, detect_shift_sorted
 from swoks.stream import (
     NotReadyError,
     StreamBlock,
     SwdHistory,
     WindowBuffer,
     make_datapoints,
+    prefetch_stream_blocks,
     read_stream_blocks,
     write_stream,
 )
@@ -268,24 +273,60 @@ class TestSwdHistory:
             h.push(v)
         assert list(h.values()) == [5.0, 1.0, 3.0]
 
+    @given(
+        st.integers(1, 6),  # half_len
+        st.lists(st.one_of(
+            st.integers(0, 3).map(float),  # few distinct values: ties
+            st.floats(0.0, 1e3),
+            st.integers(0, 14).map(lambda n: -n - 1),  # keep_oldest(n)
+        ), max_size=80),
+        st.sampled_from([1.0, 1.1, 1.4]),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_sorted_halves_equal_fresh_sorts(self, half_len, ops, beta):
+        """The halves kept sorted across pushes and ``keep_oldest`` equal sorting
+        the arrival-order halves, and the shift test on them equals
+        ``detect_shift`` bit for bit."""
+        h = SwdHistory(half_len)
+        for op in ops:
+            if op < 0:
+                h.keep_oldest(-op - 1)
+            else:
+                h.push(op)
+            if not h.is_full:
+                continue
+            new, old = h.sorted_halves()
+            assert new.tolist() == sorted(h.new_half().tolist())
+            assert old.tolist() == sorted(h.old_half().tolist())
+            assert detect_shift_sorted(new, old, beta) == detect_shift(
+                h.new_half(), h.old_half(), beta=beta)
+
+    def test_sorted_halves_not_ready(self):
+        h = SwdHistory(half_len=2)
+        h.push(1.0)
+        with pytest.raises(NotReadyError):
+            h.sorted_halves()
+
 
 def read_all(path) -> StreamBlock:
     """The whole stream as one block."""
     return StreamBlock(*map(np.concatenate, zip(*read_stream_blocks(path))))
 
 
+def make_block(n=5, k=3) -> StreamBlock:
+    rng = np.random.default_rng(0)
+    rows = [  # per step: reward, action, phi, in this draw order
+        (i + 1, 1 + i % 2, float(rng.normal()), int(rng.integers(0, 2)), rng.normal(size=k))
+        for i in range(n)
+    ]
+    return StreamBlock(*map(np.array, zip(*rows)))
+
+
 class TestStreamFiles:
-    def make_block(self, n=5, k=3) -> StreamBlock:
-        rng = np.random.default_rng(0)
-        rows = [  # per step: reward, action, phi, in this draw order
-            (i + 1, 1 + i % 2, float(rng.normal()), int(rng.integers(0, 2)), rng.normal(size=k))
-            for i in range(n)
-        ]
-        return StreamBlock(*map(np.array, zip(*rows)))
 
     def test_round_trip(self, tmp_path):
         path = tmp_path / "stream.csv"
-        block = self.make_block()
+        block = make_block()
         assert write_stream(path, block) == 5
         back = read_all(path)
         for a, b in zip(block, back):
@@ -305,7 +346,7 @@ class TestStreamFiles:
             assert np.asarray(a, dtype=float).tobytes() == np.asarray(b, dtype=float).tobytes()
 
     def test_mismatched_columns_rejected(self, tmp_path):
-        block = self.make_block(n=4, k=2)
+        block = make_block(n=4, k=2)
         with pytest.raises(ValueError, match="one entry per row"):
             write_stream(tmp_path / "s.csv", block._replace(reward=block.reward[:3]))
         with pytest.raises(ValueError, match="one entry per row"):
@@ -315,13 +356,13 @@ class TestStreamFiles:
 
     def test_header_written(self, tmp_path):
         path = tmp_path / "stream.csv"
-        write_stream(path, self.make_block(n=2, k=2))
+        write_stream(path, make_block(n=2, k=2))
         first = path.read_text().splitlines()[0]
         assert first == "t,gt_task,r,a,phi_1,phi_2"
 
     def test_malformed_line_reports_number(self, tmp_path):
         path = tmp_path / "bad.csv"
-        write_stream(path, self.make_block(n=3, k=2))
+        write_stream(path, make_block(n=3, k=2))
         lines = path.read_text().splitlines()
         lines[2] = lines[2].rsplit(",", 1)[0] + ",not_a_number"
         path.write_text("\n".join(lines) + "\n")
@@ -330,7 +371,7 @@ class TestStreamFiles:
 
     def test_wrong_column_count_reports_number(self, tmp_path):
         path = tmp_path / "bad.csv"
-        write_stream(path, self.make_block(n=3, k=2))
+        write_stream(path, make_block(n=3, k=2))
         lines = path.read_text().splitlines()
         lines[3] += ",0.5"
         path.write_text("\n".join(lines) + "\n")
@@ -338,7 +379,7 @@ class TestStreamFiles:
             read_all(path)
 
     def rewrite(self, path, n, k, edit):
-        write_stream(path, self.make_block(n=n, k=k))
+        write_stream(path, make_block(n=n, k=k))
         lines = path.read_text().splitlines()
         edit(lines)
         path.write_text("\n".join(lines) + "\n")
@@ -375,7 +416,7 @@ class TestStreamFiles:
 
     def test_blank_lines_are_skipped(self, tmp_path):
         path = tmp_path / "gaps.csv"
-        block = self.make_block(n=5, k=2)
+        block = make_block(n=5, k=2)
         write_stream(path, block)
         lines = path.read_text().splitlines()
         lines[2:2] = ["", "   "]
@@ -386,7 +427,7 @@ class TestStreamFiles:
 
     def test_blocks_tile_the_stream(self, tmp_path):
         path = tmp_path / "long.csv"
-        block = self.make_block(n=9000, k=3)
+        block = make_block(n=9000, k=3)
         write_stream(path, block)
         blocks = list(read_stream_blocks(path))
         assert len(blocks) > 1
@@ -405,3 +446,141 @@ class TestStreamFiles:
         path.write_text("t,gt_task,r,a,phi_1\n")
         with pytest.raises(ValueError):
             read_all(path)
+
+
+def one_cpu(monkeypatch):
+    """Make the reader's CPU check see a single usable CPU."""
+    monkeypatch.setattr(stream_module, "_usable_cpus", lambda: 1)
+
+
+def blocks_until_error(path):
+    """The blocks :func:`prefetch_stream_blocks` yields and the error that ends them."""
+    blocks = []
+    try:
+        for block in prefetch_stream_blocks(path):
+            blocks.append(block)
+    except Exception as exc:  # noqa: BLE001 - the error is what is compared
+        return blocks, exc
+    return blocks, None
+
+
+def assert_same_blocks(got, expected):
+    assert len(got) == len(expected)
+    for a, b in zip(got, expected):
+        for x, y in zip(a, b):
+            assert x.dtype == y.dtype and np.array_equal(x, y)
+
+
+class TestPrefetch:
+    """The reader process yields what ``read_stream_blocks`` yields, raises its
+    errors at the same place, and is always reaped."""
+
+    def write(self, path, n=40000, k=3):
+        """A stream of ``n`` rows; by default more than the pipe holds, so
+        the reader is still running after the first block."""
+        write_stream(path, make_block(n=n, k=k))
+        return path
+
+    def test_blocks_equal_the_in_process_blocks(self, tmp_path):
+        path = self.write(tmp_path / "long.csv", n=9000)
+        expected = list(read_stream_blocks(path))
+        assert len(expected) == 3
+        assert_same_blocks(list(prefetch_stream_blocks(path)), expected)
+        assert multiprocessing.active_children() == []
+
+    def test_reader_runs_ahead_and_an_abandoned_generator_reaps_it(self, tmp_path):
+        path = self.write(tmp_path / "long.csv")
+        blocks = prefetch_stream_blocks(path)
+        first = next(blocks)
+        assert len(multiprocessing.active_children()) == 1
+        del blocks  # never closed explicitly
+        assert multiprocessing.active_children() == []
+        assert np.array_equal(first.t, np.arange(1, 4097))
+
+    def test_closed_generator_reaps_the_reader(self, tmp_path):
+        blocks = prefetch_stream_blocks(self.write(tmp_path / "long.csv"))
+        next(blocks)
+        blocks.close()
+        assert multiprocessing.active_children() == []
+
+    def test_closing_one_of_two_readers_breaks_its_pipe(self, tmp_path, monkeypatch):
+        """The second reader, forked while the first is running, must not hold
+        the first one's pipe open, or stopping the first would take a kill."""
+        kills = []
+        kill = multiprocessing.process.BaseProcess.kill
+        monkeypatch.setattr(multiprocessing.process.BaseProcess, "kill",
+                            lambda process: (kills.append(process), kill(process)))
+        monkeypatch.setattr(stream_module, "_REAP_TIMEOUT_S", 10.0)
+        first = prefetch_stream_blocks(self.write(tmp_path / "a.csv"))
+        second = prefetch_stream_blocks(self.write(tmp_path / "b.csv"))
+        next(first)
+        next(second)
+        assert len(multiprocessing.active_children()) == 2
+        first.close()
+        assert len(multiprocessing.active_children()) == 1
+        second.close()
+        assert multiprocessing.active_children() == [] and kills == []
+
+    @pytest.mark.parametrize("no_reader", ["one usable CPU", "daemonic", "fork refused"])
+    def test_parses_in_process_where_no_reader_can_start(self, tmp_path, monkeypatch,
+                                                         no_reader):
+        if no_reader == "one usable CPU":
+            one_cpu(monkeypatch)
+        elif no_reader == "daemonic":  # a Pool worker, say: it may not start processes
+            monkeypatch.setattr(multiprocessing.current_process(), "daemon", True)
+        else:
+            def refuse(process):
+                raise BlockingIOError(errno.EAGAIN, "Resource temporarily unavailable")
+
+            monkeypatch.setattr(multiprocessing.process.BaseProcess, "start", refuse)
+        path = self.write(tmp_path / "long.csv")
+        blocks = prefetch_stream_blocks(path)
+        got = [next(blocks)]
+        assert multiprocessing.active_children() == []
+        got.extend(blocks)
+        assert_same_blocks(got, list(read_stream_blocks(path)))
+
+    @pytest.mark.parametrize("lineno", [3, 5000])  # in the first block and a later one
+    def test_malformed_line_is_raised_after_the_blocks_before_it(self, tmp_path, monkeypatch,
+                                                                  lineno):
+        path = self.write(tmp_path / "bad.csv", n=6000, k=2)
+        lines = path.read_text().splitlines()
+        lines[lineno - 1] = lines[lineno - 1].rsplit(",", 1)[0] + ",not_a_number"
+        path.write_text("\n".join(lines) + "\n")
+        blocks, error = blocks_until_error(path)
+        assert multiprocessing.active_children() == []
+        one_cpu(monkeypatch)
+        in_process, expected = blocks_until_error(path)
+        assert type(error) is ValueError
+        assert str(error) == str(expected)
+        assert str(error).startswith(f"{path}:{lineno}: unparseable value")
+        assert len(blocks) == (lineno - 2) // 4096
+        assert_same_blocks(blocks, in_process)
+
+    @pytest.mark.parametrize("content", [
+        None,  # missing file
+        "",  # empty file
+        "t,gt_task,reward,a,phi_1\n1,1,0.0,0,0.5\n",  # bad header
+        "t,gt_task,r,a,phi_1\n\n",  # header and a blank line: no data rows
+    ])
+    def test_reader_errors_keep_type_and_message(self, tmp_path, monkeypatch, content):
+        path = tmp_path / "s.csv"
+        if content is not None:
+            path.write_text(content)
+        blocks, error = blocks_until_error(path)
+        assert multiprocessing.active_children() == []
+        one_cpu(monkeypatch)
+        _, expected = blocks_until_error(path)
+        assert blocks == []
+        assert isinstance(expected, (FileNotFoundError, ValueError))
+        assert type(error) is type(expected)
+        assert str(error) == str(expected)
+
+    def test_reader_that_dies_is_reported(self, tmp_path):
+        blocks = prefetch_stream_blocks(self.write(tmp_path / "long.csv"))
+        next(blocks)
+        (reader,) = multiprocessing.active_children()
+        reader.kill()
+        with pytest.raises(RuntimeError, match=r"stream reader exited with code -9 before"):
+            list(blocks)  # the blocks still in the pipe, then the end of the pipe
+        assert multiprocessing.active_children() == []
