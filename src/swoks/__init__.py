@@ -32,7 +32,7 @@ from .ot import (
     wasserstein_exact,
 )
 from .runner import RunResult, detect_offline, run_experiment
-from .stats import KsResult, detect_shift, ks_critical, ks_one_sided, ks_pvalue, scaled_reference
+from .stats import KsResult, detect_shift, ks_critical, ks_one_sided, ks_pvalue
 from .stream import (
     NotReadyError,
     StreamBlock,
@@ -91,7 +91,6 @@ __all__ = [
     "run_experiment",
     "run_included_mask",
     "sample_unit_directions",
-    "scaled_reference",
     "sliced_wasserstein",
     "sweep_beta",
     "wasserstein_1d",

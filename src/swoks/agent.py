@@ -20,6 +20,7 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -272,13 +273,6 @@ class Policy:
         self.update_count += 1
         self.baseline += BASELINE_RATE * (ret - self.baseline)
 
-    def clone(self) -> "Policy":
-        twin = Policy(self.n_actions, self.latent_dim, self.learning_rate)
-        twin.params = self.params.copy()
-        twin.update_count = self.update_count
-        twin.baseline = self.baseline
-        return twin
-
 
 @dataclass(frozen=True)
 class RollbackResult:
@@ -289,20 +283,9 @@ class RollbackResult:
     restored_iteration: int | None
 
 
-class _Checkpoint(tuple):
-    # (iteration, params) pairs; tuple keeps it immutable and tiny.
-    __slots__ = ()
-
-    def __new__(cls, iteration: int, params: np.ndarray):
-        return super().__new__(cls, (iteration, params))
-
-    @property
-    def iteration(self) -> int:
-        return self[0]
-
-    @property
-    def params(self) -> np.ndarray:
-        return self[1]
+class _Checkpoint(NamedTuple):
+    iteration: int
+    params: np.ndarray
 
 
 class _Entry:

@@ -46,6 +46,10 @@ class ExperimentConfig:
     master_seed: int = 0
     preset: str = ""
 
+    def __post_init__(self):
+        if self.master_seed < 0:
+            raise ValueError("master_seed must be non-negative")
+
     def with_seed(self, seed: int) -> "ExperimentConfig":
         return replace(self, master_seed=seed)
 
@@ -160,8 +164,6 @@ def _merge(base: dict, overlay: dict) -> dict:
 
 
 def _preset_text(name: str) -> str:
-    if name not in PRESETS:
-        raise ConfigError(f"unknown preset {name!r}, expected one of {PRESETS}")
     return resources.files("swoks.presets").joinpath(f"{name}.cfg").read_text()
 
 
@@ -204,16 +206,15 @@ def _build(values: dict[str, dict[str, object]], origin: str, preset: str) -> Ex
     for tid in order:
         if tid not in task_ids:
             raise ConfigError(f"{origin}: curriculum task {tid} not defined in [tasks]")
+    master_seed = values.get("experiment", {}).get("master_seed", 0)
     try:
         curriculum = Curriculum(tuple((tid, int(segment_steps)) for tid in order))
+        return ExperimentConfig(
+            detector=detector, env=env_cfg, agent=agent_cfg, tasks=tasks,
+            curriculum=curriculum, master_seed=int(master_seed), preset=preset,
+        )
     except ValueError as exc:
         raise ConfigError(f"{origin}: {exc}") from None
-
-    master_seed = values.get("experiment", {}).get("master_seed", 0)
-    return ExperimentConfig(
-        detector=detector, env=env_cfg, agent=agent_cfg, tasks=tasks,
-        curriculum=curriculum, master_seed=int(master_seed), preset=preset,
-    )
 
 
 def load_config(source: str | Path, seed: int | None = None) -> ExperimentConfig:
@@ -239,7 +240,10 @@ def load_config(source: str | Path, seed: int | None = None) -> ExperimentConfig
         preset_name = ""
         preset_entry = sections.get("experiment", {}).get("preset")
         if preset_entry is not None:
-            preset_name = preset_entry[0]
+            preset_name, lineno = preset_entry
+            if preset_name not in PRESETS:
+                raise ConfigError(f"{origin}:{lineno}: unknown preset {preset_name!r}, "
+                                  f"expected one of {PRESETS}")
             base = parse_config_text(_preset_text(preset_name), f"<preset:{preset_name}>")
             _validate_keys(base, f"<preset:{preset_name}>")
             sections = _merge(base, sections)

@@ -352,8 +352,7 @@ class Detector:
             sorted_distance(sorted_projections(points[i * h:(i + 1) * h], self._dirs), ref)
             for i in range(n_samples)
         ])
-        result = detect_shift(probe_swds, st.ref_swd,
-                              alpha=self._cfg.alpha, beta=self._cfg.beta)
+        result = detect_shift(probe_swds, st.ref_swd, beta=self._cfg.beta)
         pvalues[z] = result.p_value
         if result.p_value < self._cfg.alpha:
             return None  # rejected; caller tries the next candidate

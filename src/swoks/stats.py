@@ -19,7 +19,6 @@ __all__ = [
     "ks_one_sided",
     "ks_critical",
     "ks_pvalue",
-    "scaled_reference",
     "detect_shift",
     "detect_shift_sorted",
 ]
@@ -69,12 +68,7 @@ def ks_one_sided(x1, x2) -> float:
     -------
     float in [0, 1]
     """
-    return _ks_statistic(_as_sample(x1, "x1"), _as_sample(x2, "x2"))
-
-
-def _ks_statistic(a: np.ndarray, b: np.ndarray) -> float:
-    """:func:`ks_one_sided` of two samples already checked by ``_as_sample``."""
-    return _ks_sorted(np.sort(a), np.sort(b))
+    return _ks_sorted(np.sort(_as_sample(x1, "x1")), np.sort(_as_sample(x2, "x2")))
 
 
 def _ks_sorted(sa: np.ndarray, sb: np.ndarray) -> float:
@@ -143,17 +137,7 @@ def ks_pvalue(statistic: float, n1: int, n2: int) -> float:
     return max(_P_FLOOR, min(1.0, p))
 
 
-def scaled_reference(values, beta: float) -> np.ndarray:
-    """Scale a non-negative reference sample up by ``beta >= 1``."""
-    arr = _as_sample(values, "values")
-    if np.any(arr < 0.0):
-        raise ValueError("reference values must be non-negative")
-    if beta < 1.0:
-        raise ValueError(f"beta must be >= 1, got {beta}")
-    return arr * beta
-
-
-def detect_shift(w_new, w_old, alpha: float = 0.001, beta: float = 1.1) -> KsResult:
+def detect_shift(w_new, w_old, beta: float = 1.1) -> KsResult:
     """Test whether ``w_new`` has shifted up relative to ``w_old``.
 
     The reference sample is scaled by ``beta`` first, then the
@@ -167,8 +151,6 @@ def detect_shift(w_new, w_old, alpha: float = 0.001, beta: float = 1.1) -> KsRes
         Fresh distance values under scrutiny.
     w_old : array-like
         Non-negative reference distance values.
-    alpha : float in (0, 1)
-        Intended decision threshold; validated here, applied by the caller.
     beta : float >= 1
         Reference scaling; larger values tolerate more upward drift.
 
@@ -176,15 +158,13 @@ def detect_shift(w_new, w_old, alpha: float = 0.001, beta: float = 1.1) -> KsRes
     -------
     KsResult
     """
-    if not 0.0 < alpha < 1.0:
-        raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
     new = _as_sample(w_new, "w_new")
-    ref = scaled_reference(w_old, beta)
-    if not math.isfinite(ref.max()):  # non-negative, so the max is the one to overflow
-        raise ValueError("w_old scaled by beta is not finite")
-    statistic = _ks_statistic(ref, new)
-    p_value = ks_pvalue(statistic, ref.shape[0], new.shape[0])
-    return KsResult(statistic=statistic, p_value=p_value, n1=ref.shape[0], n2=new.shape[0])
+    old = _as_sample(w_old, "w_old")
+    if np.any(old < 0.0):
+        raise ValueError("w_old values must be non-negative")
+    if beta < 1.0:
+        raise ValueError(f"beta must be >= 1, got {beta}")
+    return detect_shift_sorted(np.sort(new), np.sort(old), beta)
 
 
 def detect_shift_sorted(new_sorted: np.ndarray, old_sorted: np.ndarray,
@@ -194,8 +174,7 @@ def detect_shift_sorted(new_sorted: np.ndarray, old_sorted: np.ndarray,
     Both are non-empty 1D float arrays in ascending order, with finite
     non-negative values, and ``beta >= 1``, as a :class:`SwdHistory`'s
     ``sorted_halves()`` and a ``DetectorConfig`` guarantee. Scaling by
-    ``beta`` keeps the order, and the result equals ``detect_shift`` of
-    the same samples in any order bit for bit.
+    ``beta`` keeps the order.
     """
     ref = old_sorted * beta
     if not math.isfinite(ref[-1]):  # the largest is the one to overflow

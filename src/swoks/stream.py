@@ -207,23 +207,10 @@ class SwdHistory:
     def values(self) -> np.ndarray:
         return np.array(self._values, dtype=float)
 
-    def _require_full(self) -> None:
-        if not self.is_full:
-            raise NotReadyError(f"history holds {len(self._values)}/{2 * self._half} values")
-
-    def new_half(self) -> np.ndarray:
-        """The new half in arrival order."""
-        self._require_full()
-        return np.fromiter(itertools.islice(self._values, self._half, None), float, self._half)
-
-    def old_half(self) -> np.ndarray:
-        """The old half in arrival order."""
-        self._require_full()
-        return np.fromiter(self._values, float, self._half)
-
     def sorted_halves(self) -> tuple[np.ndarray, np.ndarray]:
         """``(new, old)``: the two halves, each in ascending order."""
-        self._require_full()
+        if not self.is_full:
+            raise NotReadyError(f"history holds {len(self._values)}/{2 * self._half} values")
         h = self._half
         return np.fromiter(self._new_sorted, float, h), np.fromiter(self._old_sorted, float, h)
 

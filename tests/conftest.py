@@ -22,6 +22,26 @@ def pytest_terminal_summary(terminalreporter):
         terminalreporter.write_line(line)
 
 
+def unique_candidates_one_sided(x1, x2):
+    """One-sided KS statistic ``sup_x (F1(x-) - F2(x-))``, clamped to [0, 1].
+
+    An independent formula: the strict and non-strict ECDF differences
+    at every distinct pooled value, as computed before the pooled values
+    stopped being made unique.
+    """
+    a = np.asarray(x1, dtype=float)
+    b = np.asarray(x2, dtype=float)
+    candidates = np.unique(np.concatenate([a, b]))
+    sa = np.sort(a, kind="stable")
+    sb = np.sort(b, kind="stable")
+    f1_lt = np.searchsorted(sa, candidates, side="left") / a.shape[0]
+    f2_lt = np.searchsorted(sb, candidates, side="left") / b.shape[0]
+    f1_le = np.searchsorted(sa, candidates, side="right") / a.shape[0]
+    f2_le = np.searchsorted(sb, candidates, side="right") / b.shape[0]
+    sup = max(float(np.max(f1_lt - f2_lt)), float(np.max(f1_le - f2_le)))
+    return min(1.0, max(0.0, sup))
+
+
 class FixedDraw:
     """Stands in for a Generator whose every uniform draw is ``u``."""
 

@@ -103,7 +103,7 @@ def test_a5_null_rejection_rate_is_calibrated():
     for _ in range(trials):
         a = rng.gamma(2.0, size=125)
         b = rng.gamma(2.0, size=125)
-        if detect_shift(a, b, alpha=0.001, beta=1.0).p_value < 0.001:
+        if detect_shift(a, b, beta=1.0).p_value < 0.001:
             rejections += 1
     elapsed = time.perf_counter() - started
     rate = rejections / trials

@@ -1,4 +1,5 @@
 """Encoder, policy gradient, and the checkpoint/rollback protocol."""
+import copy
 import re
 
 import numpy as np
@@ -326,7 +327,7 @@ class TestEpisodeBuffer:
         data = np.random.default_rng(seed)
         pol = Policy(n_actions=n_actions, latent_dim=latent_dim, learning_rate=0.1)
         pol.params = data.normal(size=pol.params.shape) * scale
-        ref = pol.clone()
+        ref = copy.deepcopy(pol)
         buffer = EpisodeBuffer(n_actions, latent_dim)
         for n_steps, aborted, probe_at in episodes:
             buffer.clear()

@@ -101,6 +101,12 @@ class TestSchemaErrors:
         with pytest.raises(ConfigError, match=r"curriculum task 9 not defined"):
             load_config(path)
 
+    def test_negative_master_seed_names_the_file(self, tmp_path):
+        path = write_cfg(tmp_path, "[experiment]\nmaster_seed = -3\n" + MINIMAL)
+        with pytest.raises(ConfigError,
+                           match=rf"^{re.escape(str(path))}: master_seed must be non-negative$"):
+            load_config(path)
+
     def test_missing_file(self, tmp_path):
         with pytest.raises(ConfigError, match="config file not found"):
             load_config(tmp_path / "nope.cfg")
@@ -172,7 +178,8 @@ class TestPresets:
 
     def test_unknown_preset_rejected(self, tmp_path):
         path = write_cfg(tmp_path, "[experiment]\npreset = huge\n" + MINIMAL)
-        with pytest.raises(ConfigError, match="unknown preset 'huge'"):
+        with pytest.raises(ConfigError,
+                           match=rf"^{re.escape(str(path))}:2: unknown preset 'huge'"):
             load_config(path)
 
     def test_seed_argument_wins_over_everything(self, tmp_path):

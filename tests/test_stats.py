@@ -5,7 +5,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import stats as sps
 
-from swoks.stats import KsResult, detect_shift, ks_critical, ks_one_sided, ks_pvalue, scaled_reference
+from conftest import unique_candidates_one_sided
+
+from swoks.stats import KsResult, detect_shift, ks_critical, ks_one_sided, ks_pvalue
 
 
 def bruteforce_one_sided(x1, x2):
@@ -37,21 +39,6 @@ sample_lists = st.lists(
 )
 # Few distinct values, so samples tie within and across themselves.
 tied_lists = st.lists(st.integers(0, 4).map(float), min_size=1, max_size=30)
-
-
-def unique_candidates_one_sided(x1, x2):
-    """The statistic as computed before the pooled values stopped being made unique."""
-    a = np.asarray(x1, dtype=float)
-    b = np.asarray(x2, dtype=float)
-    candidates = np.unique(np.concatenate([a, b]))
-    sa = np.sort(a, kind="stable")
-    sb = np.sort(b, kind="stable")
-    f1_lt = np.searchsorted(sa, candidates, side="left") / a.shape[0]
-    f2_lt = np.searchsorted(sb, candidates, side="left") / b.shape[0]
-    f1_le = np.searchsorted(sa, candidates, side="right") / a.shape[0]
-    f2_le = np.searchsorted(sb, candidates, side="right") / b.shape[0]
-    sup = max(float(np.max(f1_lt - f2_lt)), float(np.max(f1_le - f2_le)))
-    return min(1.0, max(0.0, sup))
 
 
 class TestKsOneSided:
@@ -165,22 +152,22 @@ class TestKsPvalue:
 
 
 class TestScaledReference:
+    """``detect_shift`` scales the reference sample by ``beta`` before the statistic."""
+
     def test_identity_beta(self):
-        assert np.array_equal(scaled_reference([1.0, 2.0], 1.0), [1.0, 2.0])
+        rng = np.random.default_rng(3)
+        for _ in range(20):
+            w_new, w_old = rng.gamma(2.0, size=9), rng.gamma(2.0, size=14)
+            assert detect_shift(w_new, w_old, beta=1.0).statistic == ks_one_sided(w_old, w_new)
 
     def test_default_beta_example(self):
-        assert np.allclose(scaled_reference([1.0, 2.0], 1.1), [1.1, 2.2])
+        # A 5% rise scores 0.5 unscaled and is tolerated at beta = 1.1.
+        assert detect_shift([1.05, 2.1], [1.0, 2.0], beta=1.0).statistic == 0.5
+        assert detect_shift([1.05, 2.1], [1.0, 2.0], beta=1.1).statistic == 0.0
 
     def test_zero_fixed_point(self):
-        assert np.array_equal(scaled_reference([0.0, 0.0], 3.0), [0.0, 0.0])
-
-    def test_rejects_beta_below_one(self):
-        with pytest.raises(ValueError):
-            scaled_reference([1.0], 0.9)
-
-    def test_rejects_negative_values(self):
-        with pytest.raises(ValueError):
-            scaled_reference([-1.0], 1.1)
+        assert detect_shift([0.0, 0.0], [0.0, 0.0], beta=3.0).statistic == 0.0
+        assert detect_shift([1e-9], [0.0, 0.0], beta=3.0).statistic == 1.0
 
 
 class TestDetectShift:
@@ -192,14 +179,14 @@ class TestDetectShift:
 
     def test_self_comparison_no_detection(self):
         w = np.arange(1.0, 2.05, 0.1)
-        r = detect_shift(w, w, alpha=0.001, beta=1.1)
+        r = detect_shift(w, w, beta=1.1)
         assert r.p_value >= 0.001
 
     def test_disjoint_supports_detect(self):
         rng = np.random.default_rng(1)
         w_old = rng.uniform(1, 2, size=125)
         w_new = rng.uniform(5, 6, size=125)
-        r = detect_shift(w_new, w_old, alpha=0.001, beta=1.1)
+        r = detect_shift(w_new, w_old, beta=1.1)
         assert r.statistic == 1.0
         assert r.p_value < 1e-50
 
@@ -219,10 +206,6 @@ class TestDetectShift:
         s3 = detect_shift(w_new, w_old, beta=1.5).statistic
         assert s1 + 1e-12 >= s2 >= s3 - 1e-12
 
-    def test_alpha_validated(self):
-        with pytest.raises(ValueError):
-            detect_shift([1.0], [1.0], alpha=0.0)
-
     @given(st.one_of(sample_lists, tied_lists), st.one_of(sample_lists, tied_lists),
            st.sampled_from([1.0, 1.1, 1.5]))
     @settings(max_examples=100, deadline=None)
@@ -233,10 +216,12 @@ class TestDetectShift:
         assert r.p_value == ks_pvalue(r.statistic, len(w_old), len(w_new))
 
     def test_samples_are_still_validated(self):
-        for w_new, w_old in (([np.nan], [1.0]), ([1.0], [np.inf]), ([], [1.0]),
-                             ([1.0], [-1.0]), ([[1.0]], [1.0])):
+        for w_new, w_old, beta in (([np.nan], [1.0], 1.1), ([1.0], [np.inf], 1.1),
+                                   ([], [1.0], 1.1), ([1.0], [], 1.1),
+                                   ([1.0], [-1.0], 1.1), ([1.0], [2.0, -0.5], 1.0),
+                                   ([[1.0]], [1.0], 1.1), ([1.0], [1.0], 0.9)):
             with pytest.raises(ValueError):
-                detect_shift(w_new, w_old)
+                detect_shift(w_new, w_old, beta=beta)
 
     @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
     def test_overflowing_scaled_reference_rejected(self):
@@ -252,6 +237,6 @@ class TestNullCalibration:
         for _ in range(1000):
             x = rng.gamma(2.0, size=125)
             y = rng.gamma(2.0, size=125)
-            r = detect_shift(x, y, alpha=0.001, beta=1.0)
+            r = detect_shift(x, y, beta=1.0)
             rejections += r.p_value < 0.001
         assert rejections / 1000 <= 0.005

@@ -12,9 +12,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import unique_candidates_one_sided
+
 from swoks import stream as stream_module
 from swoks.detector import Detector, DetectorConfig
-from swoks.stats import detect_shift, detect_shift_sorted
+from swoks.stats import detect_shift_sorted, ks_pvalue
 from swoks.stream import (
     NotReadyError,
     StreamBlock,
@@ -234,23 +236,24 @@ class TestSwdHistory:
         for v in range(6):
             h.push(float(v))
         assert h.is_full
-        assert np.array_equal(h.old_half(), [0.0, 1.0, 2.0])
-        assert np.array_equal(h.new_half(), [3.0, 4.0, 5.0])
+        new, old = h.sorted_halves()
+        assert new.tolist() == [3.0, 4.0, 5.0] and old.tolist() == [0.0, 1.0, 2.0]
 
     def test_one_more_push_shifts(self):
         h = SwdHistory(half_len=3)
-        for v in range(7):
-            h.push(float(v))
-        assert np.array_equal(h.old_half(), [1.0, 2.0, 3.0])
-        assert np.array_equal(h.new_half(), [4.0, 5.0, 6.0])
+        for v in (6.0, 5.0, 4.0, 3.0, 2.0, 1.0, 0.0):
+            h.push(v)
+        assert list(h.values()) == [5.0, 4.0, 3.0, 2.0, 1.0, 0.0]
+        new, old = h.sorted_halves()
+        assert new.tolist() == [0.0, 1.0, 2.0] and old.tolist() == [3.0, 4.0, 5.0]
 
     def test_not_ready_before_full(self):
         h = SwdHistory(half_len=2)
-        h.push(1.0)
+        for v in (1.0, 2.0, 3.0, 4.0):
+            h.push(v)
+        h.keep_oldest(3)
         with pytest.raises(NotReadyError):
-            h.new_half()
-        with pytest.raises(NotReadyError):
-            h.old_half()
+            h.sorted_halves()
 
     def test_rejects_bad_values(self):
         h = SwdHistory(half_len=2)
@@ -285,8 +288,8 @@ class TestSwdHistory:
     @settings(max_examples=150, deadline=None)
     def test_sorted_halves_equal_fresh_sorts(self, half_len, ops, beta):
         """The halves kept sorted across pushes and ``keep_oldest`` equal sorting
-        the arrival-order halves, and the shift test on them equals
-        ``detect_shift`` bit for bit."""
+        the arrival-order halves, and the shift test on them equals the
+        unique-candidate formula and its p-value."""
         h = SwdHistory(half_len)
         for op in ops:
             if op < 0:
@@ -296,10 +299,12 @@ class TestSwdHistory:
             if not h.is_full:
                 continue
             new, old = h.sorted_halves()
-            assert new.tolist() == sorted(h.new_half().tolist())
-            assert old.tolist() == sorted(h.old_half().tolist())
-            assert detect_shift_sorted(new, old, beta) == detect_shift(
-                h.new_half(), h.old_half(), beta=beta)
+            values = h.values().tolist()
+            assert old.tolist() == sorted(values[:half_len])
+            assert new.tolist() == sorted(values[half_len:])
+            r = detect_shift_sorted(new, old, beta)
+            assert r.statistic == unique_candidates_one_sided(old * beta, new)
+            assert r.p_value == ks_pvalue(r.statistic, half_len, half_len)
 
     def test_sorted_halves_not_ready(self):
         h = SwdHistory(half_len=2)
