@@ -169,6 +169,15 @@ class TestScaledReference:
         assert detect_shift([0.0, 0.0], [0.0, 0.0], beta=3.0).statistic == 0.0
         assert detect_shift([1e-9], [0.0, 0.0], beta=3.0).statistic == 1.0
 
+    def test_rejects_beta_below_one(self):
+        with pytest.raises(ValueError):
+            detect_shift([1.0], [1.0], beta=0.9)
+
+    def test_rejects_negative_values(self):
+        for w_old, beta in (([-1.0], 1.1), ([2.0, -0.5], 1.0)):
+            with pytest.raises(ValueError):
+                detect_shift([1.0], w_old, beta=beta)
+
 
 class TestDetectShift:
     def test_result_invariants(self):
@@ -216,12 +225,10 @@ class TestDetectShift:
         assert r.p_value == ks_pvalue(r.statistic, len(w_old), len(w_new))
 
     def test_samples_are_still_validated(self):
-        for w_new, w_old, beta in (([np.nan], [1.0], 1.1), ([1.0], [np.inf], 1.1),
-                                   ([], [1.0], 1.1), ([1.0], [], 1.1),
-                                   ([1.0], [-1.0], 1.1), ([1.0], [2.0, -0.5], 1.0),
-                                   ([[1.0]], [1.0], 1.1), ([1.0], [1.0], 0.9)):
+        for w_new, w_old in (([np.nan], [1.0]), ([1.0], [np.inf]), ([], [1.0]),
+                             ([1.0], []), ([1.0], [-1.0]), ([[1.0]], [1.0])):
             with pytest.raises(ValueError):
-                detect_shift(w_new, w_old, beta=beta)
+                detect_shift(w_new, w_old)
 
     @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
     def test_overflowing_scaled_reference_rejected(self):
