@@ -8,6 +8,7 @@ import math
 from dataclasses import dataclass, field, replace
 from importlib import resources
 from pathlib import Path
+from typing import Callable
 
 from .detector import DetectorConfig
 from .env import Curriculum, TaskSpec, TreeGraphConfig
@@ -54,46 +55,19 @@ class ExperimentConfig:
         return replace(self, master_seed=seed)
 
 
-# -- raw text parsing ----------------------------------------------------
+def _ints(raw: str) -> tuple[int, ...]:
+    try:
+        return tuple(int(part) for part in raw.split(",") if part.strip())
+    except ValueError:
+        raise ValueError("must be a comma-separated integer list") from None
 
 
-def parse_config_text(text: str, origin: str = "<config>") -> dict[str, dict[str, tuple[str, int]]]:
-    """Parse ``[section]`` / ``key = value`` lines.
-
-    Returns ``{section: {key: (raw_value, line_number)}}``. Blank lines
-    and ``#`` comments are ignored.
-    """
-    sections: dict[str, dict[str, tuple[str, int]]] = {}
-    current: str | None = None
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        if line.startswith("[") and line.endswith("]"):
-            current = line[1:-1].strip()
-            if not current:
-                raise ConfigError(f"{origin}:{lineno}: empty section name")
-            sections.setdefault(current, {})
-            continue
-        if "=" not in line:
-            raise ConfigError(f"{origin}:{lineno}: expected 'key = value', got {line!r}")
-        if current is None:
-            raise ConfigError(f"{origin}:{lineno}: key outside any [section]")
-        key, _, value = line.partition("=")
-        key = key.strip()
-        value = value.split("#", 1)[0].strip()
-        if not key:
-            raise ConfigError(f"{origin}:{lineno}: empty key")
-        if key in sections[current]:
-            raise ConfigError(f"{origin}:{lineno}: duplicate key {key!r} in [{current}]")
-        sections[current][key] = (value, lineno)
-    return sections
-
-
-# The sections that build DetectorConfig, TreeGraphConfig and
-# AgentConfig: file key -> (dataclass field, value type). Only the keys a
-# file sets are passed on, so every default lives in the dataclass.
-_FIELDS: dict[str, dict[str, tuple[str, type]]] = {
+# Every key a file may set: section -> file key -> (name, converter).
+# In [detector], [env] and [agent] the name is the dataclass field. Only
+# the keys a file sets are passed on, so every default lives in the
+# dataclasses.
+_SCHEMA: dict[str, dict[str, tuple[str, Callable[[str], object]]]] = {
+    "experiment": {"preset": ("preset", str), "master_seed": ("master_seed", int)},
     "detector": {
         "history_length": ("history_len", int),
         "swd_history_length": ("swd_history_len", int),
@@ -116,102 +90,95 @@ _FIELDS: dict[str, dict[str, tuple[str, type]]] = {
         "learning_rate": ("learning_rate", float),
         "model_backup_freq": ("backup_freq", int),
     },
+    "tasks": {"rewarded_leaves": ("rewarded_leaves", _ints)},
+    "curriculum": {"order": ("order", _ints), "segment_steps": ("segment_steps", int)},
 }
-
-_SCHEMA: dict[str, dict[str, type]] = {
-    "experiment": {"preset": str, "master_seed": int},
-    **{section: {key: kind for key, (_, kind) in keys.items()}
-       for section, keys in _FIELDS.items()},
-    "tasks": {"rewarded_leaves": str},
-    "curriculum": {"order": str, "segment_steps": int},
-}
+_REQUIRED = (("tasks", "rewarded_leaves"), ("curriculum", "order"), ("curriculum", "segment_steps"))
 
 
-def _validate_keys(sections, origin: str) -> None:
-    for section, entries in sections.items():
-        if section not in _SCHEMA:
-            lineno = min(line for _, line in entries.values()) if entries else 0
-            raise ConfigError(f"{origin}:{lineno}: unknown section [{section}]")
-        for key, (_, lineno) in entries.items():
-            if key not in _SCHEMA[section]:
-                raise ConfigError(f"{origin}:{lineno}: unknown key {key!r} in [{section}]")
+def parse_config_text(text: str, origin: str = "<config>") -> dict[str, dict[str, tuple[str, int]]]:
+    """Parse ``[section]`` / ``key = value`` lines.
+
+    Returns ``{section: {key: (raw_value, line_number)}}``. Blank lines
+    and ``#`` comments are ignored; a section not in the schema is
+    rejected at its header line.
+    """
+    sections: dict[str, dict[str, tuple[str, int]]] = {}
+    current: str | None = None
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        if line.startswith("[") and line.endswith("]"):
+            current = line[1:-1].strip()
+            if not current:
+                raise ConfigError(f"{origin}:{lineno}: empty section name")
+            if current not in _SCHEMA:
+                raise ConfigError(f"{origin}:{lineno}: unknown section [{current}]")
+            sections.setdefault(current, {})
+            continue
+        if "=" not in line:
+            raise ConfigError(f"{origin}:{lineno}: expected 'key = value', got {line!r}")
+        if current is None:
+            raise ConfigError(f"{origin}:{lineno}: key outside any [section]")
+        key, _, value = line.partition("=")
+        key = key.strip()
+        value = value.split("#", 1)[0].strip()
+        if not key:
+            raise ConfigError(f"{origin}:{lineno}: empty key")
+        if key in sections[current]:
+            raise ConfigError(f"{origin}:{lineno}: duplicate key {key!r} in [{current}]")
+        sections[current][key] = (value, lineno)
+    return sections
 
 
 def _convert(sections, origin: str) -> dict[str, dict[str, object]]:
-    out: dict[str, dict[str, object]] = {}
+    """``{section: {name: value}}``; an unknown key, a value that does not
+    convert and a non-finite float are reported at ``origin:line``."""
+    values: dict[str, dict[str, object]] = {}
     for section, entries in sections.items():
-        out[section] = {}
+        values[section] = {}
         for key, (raw, lineno) in entries.items():
-            want = _SCHEMA[section][key]
+            if key not in _SCHEMA[section]:
+                raise ConfigError(f"{origin}:{lineno}: unknown key {key!r} in [{section}]")
+            name, convert = _SCHEMA[section][key]
             try:
-                value = want(raw)
-            except ValueError:
-                raise ConfigError(
-                    f"{origin}:{lineno}: {key} expects {want.__name__}, got {raw!r}"
-                ) from None
-            if want is float and not math.isfinite(value):
+                value = convert(raw)
+            except ValueError as exc:
+                why = f"expects {convert.__name__}" if isinstance(convert, type) else exc
+                raise ConfigError(f"{origin}:{lineno}: {key} {why}, got {raw!r}") from None
+            if convert is float and not math.isfinite(value):
                 raise ConfigError(f"{origin}:{lineno}: {key} must be finite, got {raw!r}")
-            out[section][key] = value
-    return out
+            values[section][name] = value
+    return values
 
 
-def _merge(base: dict, overlay: dict) -> dict:
-    merged = {s: dict(kv) for s, kv in base.items()}
-    for section, entries in overlay.items():
-        merged.setdefault(section, {})
-        merged[section].update(entries)
-    return merged
-
-
-def _preset_text(name: str) -> str:
-    return resources.files("swoks.presets").joinpath(f"{name}.cfg").read_text()
-
-
-def _int_list(raw: str, origin: str, what: str) -> list[int]:
-    try:
-        return [int(part.strip()) for part in raw.split(",") if part.strip()]
-    except ValueError:
-        raise ConfigError(f"{origin}: {what} must be a comma-separated integer list, got {raw!r}") from None
+def _load_preset(name: str) -> dict[str, dict[str, object]]:
+    origin = f"<preset:{name}>"
+    text = resources.files("swoks.presets").joinpath(f"{name}.cfg").read_text()
+    return _convert(parse_config_text(text, origin), origin)
 
 
 def _build(values: dict[str, dict[str, object]], origin: str, preset: str) -> ExperimentConfig:
-    def fields(section: str) -> dict[str, object]:
-        return {_FIELDS[section][key][0]: value
-                for key, value in values.get(section, {}).items()}
-
-    try:
-        detector = DetectorConfig(**fields("detector"))
-        env_cfg = TreeGraphConfig(**fields("env"))
-        agent_cfg = AgentConfig(**fields("agent"))
-    except ValueError as exc:
-        raise ConfigError(f"{origin}: {exc}") from None
-
-    leaves_raw = values.get("tasks", {}).get("rewarded_leaves")
-    if leaves_raw is None:
-        raise ConfigError(f"{origin}: missing [tasks] rewarded_leaves")
-    leaves = _int_list(str(leaves_raw), origin, "rewarded_leaves")
+    for section, key in _REQUIRED:
+        if key not in values.get(section, {}):
+            raise ConfigError(f"{origin}: missing [{section}] {key}")
+    leaves = values["tasks"]["rewarded_leaves"]
+    order = values["curriculum"]["order"]
     if not leaves:
         raise ConfigError(f"{origin}: rewarded_leaves must not be empty")
-    tasks = tuple(TaskSpec(task_id=i + 1, rewarded_leaf=leaf) for i, leaf in enumerate(leaves))
-
-    cur = values.get("curriculum", {})
-    order_raw = cur.get("order")
-    if order_raw is None:
-        raise ConfigError(f"{origin}: missing [curriculum] order")
-    order = _int_list(str(order_raw), origin, "order")
-    segment_steps = cur.get("segment_steps")
-    if segment_steps is None:
-        raise ConfigError(f"{origin}: missing [curriculum] segment_steps")
-    task_ids = {t.task_id for t in tasks}
     for tid in order:
-        if tid not in task_ids:
+        if tid not in range(1, len(leaves) + 1):
             raise ConfigError(f"{origin}: curriculum task {tid} not defined in [tasks]")
-    master_seed = values.get("experiment", {}).get("master_seed", 0)
+    steps = values["curriculum"]["segment_steps"]
     try:
-        curriculum = Curriculum(tuple((tid, int(segment_steps)) for tid in order))
         return ExperimentConfig(
-            detector=detector, env=env_cfg, agent=agent_cfg, tasks=tasks,
-            curriculum=curriculum, master_seed=int(master_seed), preset=preset,
+            detector=DetectorConfig(**values.get("detector", {})),
+            env=TreeGraphConfig(**values.get("env", {})),
+            agent=AgentConfig(**values.get("agent", {})),
+            tasks=tuple(TaskSpec(task_id=i + 1, rewarded_leaf=leaf) for i, leaf in enumerate(leaves)),
+            curriculum=Curriculum(tuple((tid, steps) for tid in order)),
+            preset=preset, **values.get("experiment", {}),
         )
     except ValueError as exc:
         raise ConfigError(f"{origin}: {exc}") from None
@@ -226,30 +193,24 @@ def load_config(source: str | Path, seed: int | None = None) -> ExperimentConfig
     """
     source = str(source)
     if source in PRESETS:
-        origin = f"<preset:{source}>"
-        sections = parse_config_text(_preset_text(source), origin)
-        _validate_keys(sections, origin)
-        preset_name = source
+        origin, values, preset = f"<preset:{source}>", _load_preset(source), source
     else:
         path = Path(source)
         if not path.exists():
             raise ConfigError(f"config file not found: {source}")
         origin = str(path)
         sections = parse_config_text(path.read_text(), origin)
-        _validate_keys(sections, origin)
-        preset_name = ""
-        preset_entry = sections.get("experiment", {}).get("preset")
-        if preset_entry is not None:
-            preset_name, lineno = preset_entry
-            if preset_name not in PRESETS:
-                raise ConfigError(f"{origin}:{lineno}: unknown preset {preset_name!r}, "
-                                  f"expected one of {PRESETS}")
-            base = parse_config_text(_preset_text(preset_name), f"<preset:{preset_name}>")
-            _validate_keys(base, f"<preset:{preset_name}>")
-            sections = _merge(base, sections)
-    values = _convert(sections, origin)
-    values.get("experiment", {}).pop("preset", None)
-    config = _build(values, origin, preset_name or source)
+        values = _convert(sections, origin)
+        preset = values.get("experiment", {}).pop("preset", None)
+        if preset is not None:
+            if preset not in PRESETS:
+                raise ConfigError(f"{origin}:{sections['experiment']['preset'][1]}: unknown preset "
+                                  f"{preset!r}, expected one of {PRESETS}")
+            merged = _load_preset(preset)
+            for section, entries in values.items():
+                merged.setdefault(section, {}).update(entries)
+            values = merged
+    config = _build(values, origin, preset or source)
     if seed is not None:
         config = config.with_seed(seed)
     return config

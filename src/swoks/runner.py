@@ -94,8 +94,10 @@ def run_experiment(config: ExperimentConfig, out_dir: str | Path | None = None,
     """Run one seeded experiment over the configured curriculum.
 
     Writes ``trace.csv`` and ``events.json`` under ``out_dir`` when
-    given. Identical config and seed give byte-identical outputs.
+    given; ``out_dir`` is created before the first step. Identical config and seed give byte-identical outputs.
     """
+    if out_dir is not None:
+        Path(out_dir).mkdir(parents=True, exist_ok=True)
     master = config.master_seed
     env = TreeGraphEnv(
         replace(config.env, env_seed=child_seed(master, "env")), config.tasks
@@ -191,10 +193,8 @@ def run_experiment(config: ExperimentConfig, out_dir: str | Path | None = None,
     if save_bank is not None:
         bank.save(save_bank)
     if out_dir is not None:
-        out = Path(out_dir)
-        out.mkdir(parents=True, exist_ok=True)
-        write_trace(out / "trace.csv", trace)
-        write_events(out / "events.json", events)
+        write_trace(Path(out_dir) / "trace.csv", trace)
+        write_events(Path(out_dir) / "events.json", events)
     return result
 
 

@@ -97,6 +97,18 @@ class TestRunCommand:
         assert code == 2
         assert capsys.readouterr().err.startswith("error:")
 
+    def test_out_is_a_file_exits_2_before_any_step(self, mirror_cfg, tmp_path, capsys,
+                                                   monkeypatch):
+        def no_step(self, action):
+            raise AssertionError("the env took a step")
+
+        monkeypatch.setattr(swoks.runner.TreeGraphEnv, "step", no_step)
+        out = tmp_path / "taken"
+        out.write_text("not a directory")
+        assert main(["run", "--config", mirror_cfg, "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("error:")
+        assert out.read_text() == "not a directory"
+
 
 class TestDetectCommand:
     def test_stdout_report(self, mirror_cfg, tmp_path, capsys):

@@ -58,7 +58,8 @@ class TestSchemaErrors:
     @pytest.mark.parametrize(
         "text, where",
         [
-            ("[nosuch]\nx = 1\n", r":2: unknown section \[nosuch\]"),
+            ("[nosuch]\nx = 1\n", r":1: unknown section \[nosuch\]"),
+            ("[detector]\n[nosuch]\n", r":2: unknown section \[nosuch\]"),
             ("[detector]\nbogus = 1\n", r":2: unknown key 'bogus'"),
             ("[detector]\nhistory_length = soon\n", r":2: history_length expects int, got 'soon'"),
             ("[agent]\nlearning_rate = fast\n", r":2: learning_rate expects float"),
@@ -93,7 +94,14 @@ class TestSchemaErrors:
 
     def test_leaf_list_must_be_integers(self, tmp_path):
         path = write_cfg(tmp_path, "[tasks]\nrewarded_leaves = 0, x\n[curriculum]\norder = 1\nsegment_steps = 5\n")
-        with pytest.raises(ConfigError, match="comma-separated integer list"):
+        with pytest.raises(ConfigError, match=rf"^{re.escape(str(path))}:2: rewarded_leaves "
+                                              "must be a comma-separated integer list, got '0, x'$"):
+            load_config(path)
+
+    def test_order_list_must_be_integers(self, tmp_path):
+        path = write_cfg(tmp_path, "[tasks]\nrewarded_leaves = 0\n[curriculum]\norder = 1, x\nsegment_steps = 5\n")
+        with pytest.raises(ConfigError, match=rf"^{re.escape(str(path))}:4: order "
+                                              "must be a comma-separated integer list, got '1, x'$"):
             load_config(path)
 
     def test_curriculum_must_reference_defined_tasks(self, tmp_path):
@@ -188,8 +196,47 @@ class TestPresets:
         assert load_config(write_cfg(tmp_path, text), seed=77).master_seed == 77
 
 
+# Every dataclass key, its field written out by hand (not read from the
+# schema) and a value that no other key uses and the desk preset does not set.
+FIELD_KEYS = [
+    ("detector", "history_length", "history_len", 61),
+    ("detector", "swd_history_length", "swd_history_len", 13),
+    ("detector", "significance_threshold", "alpha", 0.002),
+    ("detector", "ks_adjustment", "beta", 1.3),
+    ("detector", "stable_phase_duration", "stable_phase", 2001),
+    ("detector", "n_projections", "n_projections", 129),
+    ("detector", "probe_swd_samples", "probe_swd_samples", 11),
+    ("env", "tree_depth", "depth", 3),
+    ("env", "branching_factor", "branching", 4),
+    ("env", "high_reward_value", "high_reward", 2.5),
+    ("env", "fail_reward_value", "fail_reward", -0.3),
+    ("env", "observation_dim", "obs_dim", 17),
+    ("env", "observation_noise_sigma", "obs_noise_sigma", 0.07),
+    ("agent", "latent_dim", "latent_dim", 9),
+    ("agent", "learning_rate", "learning_rate", 0.17),
+    ("agent", "model_backup_freq", "backup_freq", 51),
+]
+
+
+class TestKeyTable:
+    def test_every_dataclass_key_is_covered(self):
+        assert len(FIELD_KEYS) == 16
+        assert len({value for *_, value in FIELD_KEYS}) == 16
+        assert {(section, key) for section, key, *_ in FIELD_KEYS} == {
+            (section, key) for section in ("detector", "env", "agent") for key in _SCHEMA[section]}
+
+    @pytest.mark.parametrize("section, key, name, value", FIELD_KEYS)
+    def test_key_sets_its_field(self, tmp_path, section, key, name, value):
+        desk = getattr(load_config("desk"), section)
+        assert getattr(desk, name) != value
+        text = f"[experiment]\npreset = desk\n[{section}]\n{key} = {value}\n"
+        cfg = getattr(load_config(write_cfg(tmp_path, text)), section)
+        assert getattr(cfg, name) == value
+        assert type(getattr(cfg, name)) is type(value)
+
+
 FLOAT_KEYS = [(section, key) for section, keys in _SCHEMA.items()
-              for key, kind in keys.items() if kind is float]
+              for key, (_, kind) in keys.items() if kind is float]
 NON_FINITE = ["nan", "inf", "-inf"]
 
 
