@@ -37,7 +37,6 @@ from .stream import (
     NotReadyError,
     StreamBlock,
     SwdHistory,
-    WindowBuffer,
     make_datapoints,
     read_stream_blocks,
     write_stream,
@@ -74,7 +73,6 @@ __all__ = [
     "TraceRow",
     "TreeGraphConfig",
     "TreeGraphEnv",
-    "WindowBuffer",
     "detect_offline",
     "detect_shift",
     "detection_delay",

@@ -28,7 +28,7 @@ import numpy as np
 from .ot import sample_unit_directions, sorted_distance, sorted_projections
 from .seeding import child_seed
 from .stats import detect_shift, detect_shift_sorted
-from .stream import SwdHistory, WindowBuffer, make_datapoints
+from .stream import SwdHistory, make_datapoints
 
 __all__ = [
     "DetectorConfig",
@@ -121,24 +121,90 @@ class ProbeSource(Protocol):
         ...
 
 
-class _LabelState:
-    __slots__ = ("window", "history", "ref_window", "ref_swd", "sorted_sets")
+class _Window:
+    """One label's FIFO window: a ring of datapoint rows and its two point sets.
 
-    def __init__(self, window: WindowBuffer, history: SwdHistory):
+    The ring holds ``set_len * (n_sets + 1)`` rows. Once it is full, its
+    oldest ``set_len`` rows form the old set and its newest ``set_len``
+    the recent set. Rows are indexed by arrival since the last clear;
+    the sorted projections of each recent set are kept under the index
+    of its first row, because ``n_sets`` checks later the same rows are
+    the old set and need not be sorted again.
+    """
+
+    __slots__ = ("_data", "_set_len", "_capacity", "_next", "_size", "_pushed", "_sorted")
+
+    def __init__(self, width: int, set_len: int, n_sets: int):
+        self._set_len = set_len
+        self._capacity = set_len * (n_sets + 1)
+        self._data = np.zeros((self._capacity, width), dtype=float)
+        # Sorted projections of earlier recent sets, oldest first.
+        self._sorted: deque[tuple[int, np.ndarray]] = deque()
+        self.clear()
+
+    @property
+    def is_full(self) -> bool:
+        return self._size == self._capacity
+
+    def __len__(self) -> int:
+        return self._size
+
+    def extend(self, rows: np.ndarray) -> None:
+        """Append the rows of an ``(n, width)`` array in order, evicting the oldest when full."""
+        n = rows.shape[0]
+        self._pushed += n
+        self._size = min(self._size + n, self._capacity)
+        if n > self._capacity:
+            rows = rows[n - self._capacity:]
+            n = self._capacity
+        head = min(n, self._capacity - self._next)
+        self._data[self._next:self._next + head] = rows[:head]
+        self._data[:n - head] = rows[head:]
+        self._next = (self._next + n) % self._capacity
+
+    def clear(self) -> None:
+        self._next = self._size = self._pushed = 0
+        self._sorted.clear()
+
+    def _rows(self, start: int, count: int) -> np.ndarray:
+        # start is an offset from the oldest stored row.
+        first = (self._next - self._size + start) % self._capacity
+        head = min(count, self._capacity - first)
+        if head == count:
+            return self._data[first:first + count].copy()
+        return np.concatenate([self._data[first:], self._data[:count - head]])
+
+    def oldest(self, count: int) -> np.ndarray:
+        """Oldest ``count`` stored rows, a copy."""
+        if count < 0 or count > self._size:
+            raise ValueError(f"cannot take {count} rows from {self._size} stored")
+        return self._rows(0, count)
+
+    def distance(self, dirs: np.ndarray) -> float:
+        """Sliced distance between the recent and the old set of a full ring."""
+        cache, n = self._sorted, self._set_len
+        old_first = self._pushed - self._capacity
+        while cache and cache[0][0] < old_first:
+            cache.popleft()
+        if cache and cache[0][0] == old_first:
+            old = cache.popleft()[1]
+        else:
+            old = sorted_projections(self._rows(0, n), dirs)
+        recent = sorted_projections(self._rows(self._size - n, n), dirs)
+        cache.append((self._pushed - n, recent))
+        return sorted_distance(recent, old)
+
+
+class _LabelState:
+    __slots__ = ("window", "history", "ref_window", "ref_swd")
+
+    def __init__(self, window: _Window, history: SwdHistory):
         self.window = window
         self.history = history
         # Frozen at departure: the last clean reference window and
         # distance sample, used to score probes of this label later.
         self.ref_window: np.ndarray | None = None
         self.ref_swd: np.ndarray | None = None
-        # Sorted projections of earlier recent sets, oldest first, keyed
-        # by the window index of their first row: each comes back as the
-        # old set swd_history_len checks later.
-        self.sorted_sets: deque[tuple[int, np.ndarray]] = deque()
-
-    def clear_window(self) -> None:
-        self.window.clear()
-        self.sorted_sets.clear()
 
 
 class Detector:
@@ -194,8 +260,7 @@ class Detector:
     def _new_state(self) -> _LabelState:
         assert self._width is not None
         return _LabelState(
-            window=WindowBuffer(self._width, self._cfg.history_len,
-                                self._cfg.swd_history_len),
+            window=_Window(self._width, self._cfg.history_len, self._cfg.swd_history_len),
             history=SwdHistory(self._cfg.swd_history_len),
         )
 
@@ -210,13 +275,11 @@ class Detector:
         # The shift test just adjudicated the newer data as foreign to
         # this label, so only the old window and old distance half are
         # kept as the label's frozen identity.
-        st = self._state(label)
-        n_keep = min(len(st.window), self._cfg.history_len)
-        oldest = st.window.oldest(n_keep)
-        st.ref_window = oldest if n_keep == self._cfg.history_len else None
+        st, h = self._state(label), self._cfg.history_len
+        st.ref_window = st.window.oldest(h) if len(st.window) >= h else None
         old_vals = st.history.values()[: self._cfg.swd_history_len]
         st.ref_swd = old_vals if old_vals.size > 0 else None
-        st.clear_window()
+        st.window.clear()
         st.history.keep_oldest(self._cfg.swd_history_len)
 
     # -- main entry points ------------------------------------------------
@@ -265,7 +328,7 @@ class Detector:
 
     def _check(self, st: _LabelState) -> DetectionEvent | None:
         """The distance check due at a full window on a history_len boundary."""
-        swd = self._window_distance(st)
+        swd = st.window.distance(self._dirs)
         st.history.push(swd)
         self.last_swd = swd
         if not st.history.is_full:
@@ -275,20 +338,6 @@ class Detector:
         if result.p_value < self._cfg.alpha:
             return self.redetect()
         return None
-
-    def _window_distance(self, st: _LabelState) -> float:
-        """Sliced distance between the recent and the old set of a full window."""
-        window, cache = st.window, st.sorted_sets
-        old_first = window.pushed - window.capacity
-        while cache and cache[0][0] < old_first:
-            cache.popleft()
-        if cache and cache[0][0] == old_first:
-            old = cache.popleft()[1]
-        else:
-            old = sorted_projections(window.old_set(), self._dirs)
-        recent = sorted_projections(window.recent_set(), self._dirs)
-        cache.append((window.pushed - window.set_len, recent))
-        return sorted_distance(recent, old)
 
     def redetect(self) -> DetectionEvent:
         """Resolve a triggered shift: suppress, re-adopt a label, or mint one."""
@@ -358,7 +407,7 @@ class Detector:
             return None  # rejected; caller tries the next candidate
         # Accepted: freeze the departing label, hand the live window over.
         self._depart(old)
-        st.clear_window()
+        st.window.clear()
         st.window.extend(points)
         self._current = z
         return DetectionEvent(

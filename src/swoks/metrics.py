@@ -116,12 +116,15 @@ def run_included_mask(trace, events, stable_phase: int) -> np.ndarray:
 def false_positive_rate(config, n_runs: int, seed: int) -> float:
     """Fraction of stationary runs that raise any detection event.
 
-    Each run uses a seed derived from ``seed`` and the run index; the
-    config should hold a single-task curriculum so every event is
-    spurious by construction.
+    Each run uses a seed derived from ``seed`` and the run index. The
+    config's curriculum must hold a single task, so that every event is
+    spurious by construction; ValueError otherwise, before any run.
     """
     if n_runs < 0:
         raise ValueError(f"n_runs must be >= 0, got {n_runs}")
+    tasks = sorted({task for task, _ in config.curriculum.segments})
+    if len(tasks) > 1:
+        raise ValueError(f"false-positive runs need a single-task curriculum, got tasks {tasks}")
     if n_runs == 0:
         return 0.0
     positives = 0

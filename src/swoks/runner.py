@@ -94,7 +94,9 @@ def run_experiment(config: ExperimentConfig, out_dir: str | Path | None = None,
     """Run one seeded experiment over the configured curriculum.
 
     Writes ``trace.csv`` and ``events.json`` under ``out_dir`` when
-    given; ``out_dir`` is created before the first step. Identical config and seed give byte-identical outputs.
+    given; ``out_dir`` is created before the first step. The bank is
+    saved to ``save_bank`` after both files are written. Identical
+    config and seed give byte-identical outputs.
     """
     if out_dir is not None:
         Path(out_dir).mkdir(parents=True, exist_ok=True)
@@ -188,14 +190,14 @@ def run_experiment(config: ExperimentConfig, out_dir: str | Path | None = None,
                      detector.last_p_value, detector.last_swd)
         detector.ingest_block(phis, actions, rewards)
 
-    result = RunResult(config=config, trace=trace, events=events,
-                       detector=detector, bank=bank, encoder=encoder, env=env)
-    if save_bank is not None:
-        bank.save(save_bank)
+    # The run's outputs first: a bank path that cannot be written must not lose them.
     if out_dir is not None:
         write_trace(Path(out_dir) / "trace.csv", trace)
         write_events(Path(out_dir) / "events.json", events)
-    return result
+    if save_bank is not None:
+        bank.save(save_bank)
+    return RunResult(config=config, trace=trace, events=events,
+                     detector=detector, bank=bank, encoder=encoder, env=env)
 
 
 def detect_offline(stream_path: str | Path, det_config: DetectorConfig):

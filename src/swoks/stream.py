@@ -1,4 +1,4 @@
-"""Streaming data structures: datapoints, FIFO windows, distance history.
+"""Streaming data structures: datapoints, distance history, stream files.
 
 A datapoint packs one environment step into a flat vector
 ``[sqrt(len(phi)) * reward, action, phi...]``; the reward is scaled up
@@ -21,7 +21,6 @@ import numpy as np
 __all__ = [
     "NotReadyError",
     "make_datapoints",
-    "WindowBuffer",
     "SwdHistory",
     "StreamBlock",
     "write_stream",
@@ -31,7 +30,7 @@ __all__ = [
 
 
 class NotReadyError(RuntimeError):
-    """A windowed quantity was requested before the window filled up."""
+    """A distance history was asked for its halves before it filled up."""
 
 
 def make_datapoints(phi, actions, rewards) -> np.ndarray:
@@ -59,105 +58,6 @@ def make_datapoints(phi, actions, rewards) -> np.ndarray:
     out[:, 1] = a
     out[:, 2:] = latent
     return out
-
-
-class WindowBuffer:
-    """Fixed-capacity FIFO of datapoints backed by a ring of rows.
-
-    Capacity is ``set_len * (n_windows + 1)`` rows: the newest
-    ``set_len`` rows form the recent set, the oldest ``set_len`` the
-    old set, and both are only defined once the buffer is full.
-    """
-
-    def __init__(self, width: int, set_len: int, n_windows: int):
-        if width < 1:
-            raise ValueError(f"width must be >= 1, got {width}")
-        if set_len < 1:
-            raise ValueError(f"set_len must be >= 1, got {set_len}")
-        if n_windows < 1:
-            raise ValueError(f"n_windows must be >= 1, got {n_windows}")
-        self._width = width
-        self._set_len = set_len
-        self._capacity = set_len * (n_windows + 1)
-        self._data = np.zeros((self._capacity, width), dtype=float)
-        self._next = 0  # next write slot
-        self._size = 0
-        self._pushed = 0  # rows pushed since the last clear
-
-    @property
-    def width(self) -> int:
-        return self._width
-
-    @property
-    def set_len(self) -> int:
-        return self._set_len
-
-    @property
-    def capacity(self) -> int:
-        return self._capacity
-
-    @property
-    def is_full(self) -> bool:
-        return self._size == self._capacity
-
-    @property
-    def pushed(self) -> int:
-        """Rows pushed since the last clear; the newest row has index ``pushed - 1``."""
-        return self._pushed
-
-    def __len__(self) -> int:
-        return self._size
-
-    def extend(self, datapoints) -> None:
-        """Append the rows of an ``(n, width)`` array in order, evicting the oldest when full."""
-        rows = np.asarray(datapoints, dtype=float)
-        if rows.size == 0:
-            return
-        if rows.ndim != 2 or rows.shape[1] != self._width:
-            raise ValueError(
-                f"datapoints shape {rows.shape} does not match buffer width {self._width}"
-            )
-        n = rows.shape[0]
-        self._pushed += n
-        self._size = min(self._size + n, self._capacity)
-        if n > self._capacity:
-            rows = rows[n - self._capacity:]
-            n = self._capacity
-        head = min(n, self._capacity - self._next)
-        self._data[self._next:self._next + head] = rows[:head]
-        self._data[:n - head] = rows[head:]
-        self._next = (self._next + n) % self._capacity
-
-    def clear(self) -> None:
-        self._size = 0
-        self._next = 0
-        self._pushed = 0
-
-    def _rows(self, start: int, count: int) -> np.ndarray:
-        # start is an offset from the oldest stored row.
-        first = (self._next - self._size + start) % self._capacity
-        head = min(count, self._capacity - first)
-        if head == count:
-            return self._data[first:first + count].copy()
-        return np.concatenate([self._data[first:], self._data[:count - head]])
-
-    def recent_set(self) -> np.ndarray:
-        """Newest ``set_len`` rows in arrival order. Requires a full buffer."""
-        if not self.is_full:
-            raise NotReadyError(f"buffer holds {self._size}/{self._capacity} rows")
-        return self._rows(self._size - self._set_len, self._set_len)
-
-    def old_set(self) -> np.ndarray:
-        """Oldest ``set_len`` rows in arrival order. Requires a full buffer."""
-        if not self.is_full:
-            raise NotReadyError(f"buffer holds {self._size}/{self._capacity} rows")
-        return self._rows(0, self._set_len)
-
-    def oldest(self, count: int) -> np.ndarray:
-        """Oldest ``count`` stored rows (no fullness requirement)."""
-        if count < 0 or count > self._size:
-            raise ValueError(f"cannot take {count} rows from {self._size} stored")
-        return self._rows(0, count)
 
 
 class SwdHistory:

@@ -1,10 +1,12 @@
 """Run traces, kept in columns, and their CSV form.
 
-One row per global step, live and probe steps alike. The p_value and
-swd columns carry the most recent shift-check values for the label the
-step was assigned to, and are empty between a label switch and the next
-check. Floats are written with repr so a rerun with identical seeds
-produces byte-identical files.
+One row per global step, live and probe steps alike. The swd and
+p_value columns carry the detector's latest distance check and shift
+test, whichever label ran them: they are empty only before the run's
+first check and first test, and after a label switch they keep the
+triggering check's values until the new label's window is checked.
+Floats are written with repr so a rerun with identical seeds produces
+byte-identical files.
 """
 from __future__ import annotations
 

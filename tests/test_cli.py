@@ -165,6 +165,14 @@ class TestCalibrateFprCommand:
         assert code == 0
         assert "false-positive rate: 0.000000" in capsys.readouterr().out
 
+    def test_multi_task_config_exits_2_before_any_run(self, mirror_cfg, capsys, monkeypatch):
+        def no_run(config):
+            raise AssertionError("a run started")
+
+        monkeypatch.setattr(swoks.runner, "run_experiment", no_run)
+        assert main(["calibrate-fpr", "--config", mirror_cfg, "--runs", "3"]) == 2
+        assert "single-task curriculum" in capsys.readouterr().err
+
 
 class TestParser:
     def test_subcommand_is_required(self):

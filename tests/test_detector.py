@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import swoks.detector
 from swoks.detector import (
     EVENT_NEW_TASK,
     EVENT_PROBE_ERROR,
@@ -22,7 +23,7 @@ from swoks.detector import (
     DetectorConfig,
     TaskLabel,
 )
-from swoks.ot import sample_unit_directions, sliced_wasserstein
+from swoks.ot import sample_unit_directions, sliced_wasserstein, sorted_projections
 from swoks.seeding import child_seed
 
 LD = 10                      # points per comparison set
@@ -359,11 +360,12 @@ class FreshDistanceDetector(Detector):
         event = super().ingest(phi, action, reward)
         window = self.label_state(self.current_label.id).window
         if event is None and self.t % self.config.history_len == 0 and window.is_full:
+            rows = window.oldest(len(window))
+            h = self.config.history_len
             dirs = sample_unit_directions(
-                window.width, self.config.n_projections,
+                rows.shape[1], self.config.n_projections,
                 seed=child_seed(self.config.master_seed, "projections"))
-            assert self.last_swd == sliced_wasserstein(
-                window.recent_set(), window.old_set(), dirs)
+            assert self.last_swd == sliced_wasserstein(rows[-h:], rows[:h], dirs)
             self.verified += 1
         return event
 
@@ -384,6 +386,32 @@ class TestSortedWindowCache:
         # the label's window had reached before it departed.
         assert drive(det, regime(rng, 0.0, 1.0), 600) == []
         assert before > 10 and det.verified - before == 60
+
+    def test_each_check_sorts_one_set_once_warm(self, monkeypatch):
+        """The first swd_history_len checks after a fill sort both sets;
+        from then on each check finds its old set among the kept recent
+        sets and sorts only the new recent set."""
+        sorts = []
+
+        def counted(points, dirs):
+            sorts.append(len(points))
+            return sorted_projections(points, dirs)
+
+        monkeypatch.setattr(swoks.detector, "sorted_projections", counted)
+        det = Detector(make_config(stable_phase=10**9))
+        rng = np.random.default_rng(7)
+        steps = regime(rng, 0.0, 1.0)
+        fill = CAPACITY // LD - 1  # blocks of LD steps before the first check
+        per_check = []
+        for _ in range(fill + 3 * LW):
+            phi, actions, rewards = zip(*itertools.islice(steps, LD))
+            sorts.clear()
+            det.ingest_block(np.stack(phi), actions, rewards)
+            per_check.append(sorts.copy())
+        assert det.current_label.id == 1 and len(det.label_state(1).window) == CAPACITY
+        assert per_check[:fill] == [[]] * fill
+        assert per_check[fill:fill + LW] == [[LD, LD]] * LW
+        assert per_check[fill + LW:] == [[LD]] * (2 * LW)
 
 
 def detector_state(det: Detector):
@@ -417,11 +445,11 @@ class TestAtomicIngest:
         for i in range(n_before):
             det.ingest(np.full(3, 0.01 * i), i % 2, 0.5)
         window = det.label_state(1).window
-        before = (det.t, len(window), window.pushed)
+        before = (det.t, len(window), window._pushed)
         ring = window._data.copy()
         with pytest.raises(ValueError):
             det.ingest(phi, 0, reward)
-        assert (det.t, len(window), window.pushed) == before
+        assert (det.t, len(window), window._pushed) == before
         assert np.array_equal(window._data, ring)
 
     def test_rejected_block_width_leaves_t(self):

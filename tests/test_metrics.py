@@ -5,12 +5,14 @@ the stationary false-positive probe.
 from __future__ import annotations
 
 import itertools
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import swoks.runner
 from swoks.config import AgentConfig, ExperimentConfig
 from swoks.detector import DetectionEvent, DetectorConfig
 from swoks.env import Curriculum, TaskSpec, TreeGraphConfig
@@ -286,3 +288,18 @@ class TestFalsePositiveRate:
 
     def test_stationary_runs_stay_quiet(self):
         assert false_positive_rate(tiny_stationary_config(), 3, seed=99) == 0.0
+
+    def test_multi_task_curriculum_rejected_before_any_run(self, monkeypatch):
+        def no_run(config):
+            raise AssertionError("a run started")
+
+        monkeypatch.setattr(swoks.runner, "run_experiment", no_run)
+        cfg = replace(tiny_stationary_config(),
+                      tasks=(TaskSpec(task_id=1, rewarded_leaf=0), TaskSpec(task_id=2, rewarded_leaf=3)),
+                      curriculum=Curriculum(((1, 300), (2, 300), (1, 300))))
+        with pytest.raises(ValueError, match="single-task"):
+            false_positive_rate(cfg, 3, seed=1)
+        # A task repeated over several segments is still one task.
+        repeated = replace(tiny_stationary_config(), curriculum=Curriculum(((1, 300), (1, 300))))
+        with pytest.raises(AssertionError, match="a run started"):
+            false_positive_rate(repeated, 1, seed=1)

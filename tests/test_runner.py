@@ -231,6 +231,14 @@ class TestArtifacts:
         res = run_experiment(tiny_config(((1, 200),)), load_bank=bank_path)
         assert set(res.bank.labels()) >= {1, 2}
 
+    def test_unwritable_bank_path_keeps_the_outputs(self, tmp_path):
+        cfg = tiny_config(((1, 200),))
+        with pytest.raises(OSError):
+            run_experiment(cfg, out_dir=tmp_path / "out", save_bank=tmp_path / "nodir" / "bank.txt")
+        run_experiment(cfg, out_dir=tmp_path / "ref")
+        for name in ("trace.csv", "events.json"):
+            assert (tmp_path / "out" / name).read_bytes() == (tmp_path / "ref" / name).read_bytes()
+
 
 def synth_stream(n: int, change_at: int | None, seed: int) -> StreamBlock:
     rng = np.random.default_rng(seed)

@@ -1,7 +1,8 @@
 """Datapoint layout, ring-buffer windows, SWD history, stream files.
 
-The ring buffer is checked against a plain-list model: every operation
-is mirrored on a list and the observable views must agree.
+The ring buffer of a label's window is checked against a plain-list
+model: every operation is mirrored on a list and the observable views
+must agree.
 """
 import errno
 import multiprocessing
@@ -15,13 +16,13 @@ from hypothesis import strategies as st
 from conftest import unique_candidates_one_sided
 
 from swoks import stream as stream_module
-from swoks.detector import Detector, DetectorConfig
+from swoks.detector import Detector, DetectorConfig, _Window
+from swoks.ot import sample_unit_directions, sliced_wasserstein
 from swoks.stats import detect_shift_sorted, ks_pvalue
 from swoks.stream import (
     NotReadyError,
     StreamBlock,
     SwdHistory,
-    WindowBuffer,
     make_datapoints,
     prefetch_stream_blocks,
     read_stream_blocks,
@@ -75,65 +76,70 @@ def row(i, width=3):
 
 
 def push(buf, v):
-    """Append one row holding ``v`` in every column."""
-    buf.extend(np.full((1, buf.width), float(v)))
+    """Append one row holding ``v`` in every column of a 3-wide window."""
+    buf.extend(np.full((1, 3), float(v)))
+
+
+DIRS = sample_unit_directions(3, 8, seed=4)
+
+
+def fresh_distance(recent, old):
+    """The sliced distance of two sets, computed from scratch."""
+    return sliced_wasserstein(np.stack([row(v) for v in recent]),
+                              np.stack([row(v) for v in old]), DIRS)
 
 
 class TestWindowBuffer:
+    """The ring of a label's window (``swoks.detector._Window``), against a
+    plain-list model; its two point sets are seen through ``distance``."""
+
     def test_capacity(self):
-        buf = WindowBuffer(width=3, set_len=4, n_windows=2)
-        assert buf.capacity == 12
-        assert len(buf) == 0 and not buf.is_full
+        buf = _Window(width=3, set_len=4, n_sets=2)
+        for i in range(12):
+            assert len(buf) == i and not buf.is_full
+            push(buf, i)
+        assert len(buf) == 12 and buf.is_full
+        push(buf, 12)
+        assert len(buf) == 12
 
     def test_push_one(self):
-        buf = WindowBuffer(width=3, set_len=4, n_windows=2)
+        buf = _Window(width=3, set_len=4, n_sets=2)
         push(buf, 0)
         assert len(buf) == 1
         assert np.array_equal(buf.oldest(1), [row(0)])
 
     def test_fifo_eviction(self):
-        buf = WindowBuffer(width=3, set_len=2, n_windows=1)
-        for i in range(buf.capacity + 1):
+        buf = _Window(width=3, set_len=2, n_sets=1)
+        for i in range(5):
             push(buf, i)
-        assert len(buf) == buf.capacity
-        held = buf.oldest(buf.capacity)
+        assert len(buf) == 4
+        held = buf.oldest(4)
         assert held[0, 0] == 1.0  # point 0 evicted
 
     def test_old_set_after_exact_fill(self):
-        buf = WindowBuffer(width=3, set_len=4, n_windows=2)
-        for i in range(buf.capacity):
+        buf = _Window(width=3, set_len=4, n_sets=2)
+        for i in range(12):
             push(buf, i)
-        old = buf.old_set()
-        assert np.array_equal(old, np.stack([row(i) for i in range(4)]))
-        recent = buf.recent_set()
-        assert np.array_equal(recent, np.stack([row(i) for i in range(8, 12)]))
+        assert buf.distance(DIRS) == fresh_distance(range(8, 12), range(4))
 
     def test_sets_disjoint_when_full(self):
-        buf = WindowBuffer(width=3, set_len=3, n_windows=2)
-        for i in range(buf.capacity):
+        buf = _Window(width=3, set_len=3, n_sets=2)
+        for i in range(9):
             push(buf, i)
-        rec = set(buf.recent_set().ravel())
-        old = set(buf.old_set().ravel())
-        assert rec.isdisjoint(old)
+        distance = buf.distance(DIRS)
+        assert distance == fresh_distance(range(6, 9), range(3))
+        # Every row of the old set lies 6 below its match in the recent set.
+        assert distance == pytest.approx(6.0 * np.sqrt(3) * np.abs(DIRS.sum(axis=1)).mean())
 
     def test_single_window_partition(self):
-        # n_windows=1: recent and old halves tile the whole buffer
-        buf = WindowBuffer(width=3, set_len=5, n_windows=1)
+        # n_sets=1: recent and old halves tile the whole buffer
+        buf = _Window(width=3, set_len=5, n_sets=1)
         for i in range(10):
             push(buf, i)
-        both = np.concatenate([buf.old_set()[:, 0], buf.recent_set()[:, 0]])
-        assert np.array_equal(both, np.arange(10, dtype=float))
-
-    def test_not_ready(self):
-        buf = WindowBuffer(width=3, set_len=3, n_windows=2)
-        push(buf, 0)
-        with pytest.raises(NotReadyError):
-            buf.recent_set()
-        with pytest.raises(NotReadyError):
-            buf.old_set()
+        assert buf.distance(DIRS) == fresh_distance(range(5, 10), range(5))
 
     def test_oldest_does_not_require_full(self):
-        buf = WindowBuffer(width=3, set_len=3, n_windows=2)
+        buf = _Window(width=3, set_len=3, n_sets=2)
         for i in range(4):
             push(buf, i)
         assert np.array_equal(buf.oldest(2), np.stack([row(0), row(1)]))
@@ -141,17 +147,11 @@ class TestWindowBuffer:
             buf.oldest(5)
 
     def test_clear_and_extend(self):
-        buf = WindowBuffer(width=2, set_len=2, n_windows=1)
-        buf.extend([row(i, 2) for i in range(3)])
+        buf = _Window(width=2, set_len=2, n_sets=1)
+        buf.extend(np.stack([row(i, 2) for i in range(3)]))
         assert len(buf) == 3
         buf.clear()
         assert len(buf) == 0
-
-    def test_width_mismatch(self):
-        buf = WindowBuffer(width=3, set_len=2, n_windows=1)
-        with pytest.raises(ValueError):
-            buf.extend(np.zeros((1, 4)))
-        assert len(buf) == 0 and buf.pushed == 0
 
     @pytest.mark.parametrize("phi, action, reward", [
         ([np.nan], 0, 1.0),
@@ -162,72 +162,79 @@ class TestWindowBuffer:
     ])
     def test_rejected_step_writes_nothing(self, phi, action, reward):
         """A step the detector rejects leaves its window's ring as it was."""
-        set_len = 2
+        set_len, capacity = 2, 6
         det = Detector(DetectorConfig(history_len=set_len, swd_history_len=2, n_projections=4))
         latent = len(phi)
-        for i in range(set_len * 3):
+        for i in range(capacity):
             det.ingest(np.full(latent, float(i)), i, 0.0)
         buf = det.label_state(1).window
-        before = buf.oldest(buf.capacity)
+        before = buf.oldest(capacity)
         with pytest.raises(ValueError):
             det.ingest(phi, action, reward)
-        assert len(buf) == buf.capacity and buf.pushed == buf.capacity
-        assert np.array_equal(buf.oldest(buf.capacity), before)
+        assert len(buf) == capacity and buf._pushed == capacity
+        assert np.array_equal(buf.oldest(capacity), before)
         det.ingest(np.full(latent, 9.0), 9, 0.0)  # the next slot is still the oldest
-        assert np.array_equal(buf.oldest(buf.capacity)[:-1], before[1:])
+        assert np.array_equal(buf.oldest(capacity)[:-1], before[1:])
 
     @given(
         st.integers(1, 4),  # set_len
-        st.integers(1, 3),  # n_windows
+        st.integers(1, 3),  # n_sets
         st.lists(st.integers(0, 1000), min_size=0, max_size=60),
     )
     @settings(max_examples=80, deadline=None)
-    def test_matches_list_model(self, set_len, n_windows, pushes):
-        buf = WindowBuffer(width=3, set_len=set_len, n_windows=n_windows)
+    def test_matches_list_model(self, set_len, n_sets, pushes):
+        """Rows and distances agree with the list model after every push,
+        on the check grid or off it, so the kept sorted sets are never stale."""
+        buf = _Window(width=3, set_len=set_len, n_sets=n_sets)
+        capacity = set_len * (n_sets + 1)
         model: list[float] = []
         for v in pushes:
             push(buf, v)
             model.append(float(v))
-            model = model[-buf.capacity:]
+            model = model[-capacity:]
             assert len(buf) == len(model)
-            if len(model) >= 2:
-                k = min(2, len(model))
-                assert list(buf.oldest(k)[:, 0]) == model[:k]
-        if buf.is_full:
-            assert list(buf.old_set()[:, 0]) == model[:set_len]
-            assert list(buf.recent_set()[:, 0]) == model[-set_len:]
+            assert buf.is_full == (len(model) == capacity)
+            k = min(2, len(model))
+            assert list(buf.oldest(k)[:, 0]) == model[:k]
+            if buf.is_full:
+                assert buf.distance(DIRS) == fresh_distance(model[-set_len:], model[:set_len])
 
     @given(
         st.integers(1, 4),  # set_len
-        st.integers(1, 3),  # n_windows
+        st.integers(1, 3),  # n_sets
         st.lists(st.integers(0, 30), min_size=0, max_size=12),  # block sizes
     )
     @settings(max_examples=80, deadline=None)
-    def test_extend_matches_pushes(self, set_len, n_windows, sizes):
-        blocks = WindowBuffer(width=3, set_len=set_len, n_windows=n_windows)
-        pushes = WindowBuffer(width=3, set_len=set_len, n_windows=n_windows)
+    def test_extend_matches_pushes(self, set_len, n_sets, sizes):
+        blocks = _Window(width=3, set_len=set_len, n_sets=n_sets)
+        pushes = _Window(width=3, set_len=set_len, n_sets=n_sets)
         v = 0
         for size in sizes:
-            rows = np.stack([row(v + i) for i in range(size)]) if size else []
-            blocks.extend(rows)
+            blocks.extend(np.stack([row(v + i) for i in range(size)]) if size
+                          else np.empty((0, 3)))
             for i in range(size):
                 push(pushes, v + i)
             v += size
-            assert len(blocks) == len(pushes) and blocks.pushed == pushes.pushed == v
+            assert len(blocks) == len(pushes) and blocks._pushed == pushes._pushed == v
             assert np.array_equal(blocks.oldest(len(blocks)), pushes.oldest(len(pushes)))
-
-    def test_extend_rejects_wrong_width(self):
-        buf = WindowBuffer(width=3, set_len=2, n_windows=1)
-        with pytest.raises(ValueError):
-            buf.extend(np.zeros((2, 4)))
-        assert len(buf) == 0 and buf.pushed == 0
+            if blocks.is_full:
+                assert blocks.distance(DIRS) == pushes.distance(DIRS)
 
     def test_pushed_restarts_at_clear(self):
-        buf = WindowBuffer(width=1, set_len=2, n_windows=1)
-        buf.extend(np.zeros((7, 1)))
-        assert buf.pushed == 7 and len(buf) == 4
+        """A cleared window forgets its sorted sets: the refilled one's
+        distance is that of its own rows, though its row indices repeat."""
+        buf = _Window(width=3, set_len=2, n_sets=1)
+        for i in range(7):
+            push(buf, i)
+            if buf.is_full:
+                buf.distance(DIRS)
         buf.clear()
-        assert buf.pushed == 0
+        assert len(buf) == 0 and not buf.is_full
+        for i in range(100, 110):
+            push(buf, i)
+            if buf.is_full:
+                model = list(range(100, i + 1))[-4:]
+                assert buf.distance(DIRS) == fresh_distance(model[-2:], model[:2])
 
 
 class TestSwdHistory:
