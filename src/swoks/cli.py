@@ -68,7 +68,7 @@ def _cmd_run(args) -> int:
     result = run_experiment(config, out_dir=args.out,
                             load_bank=args.load_bank, save_bank=args.save_bank)
     print(f"steps: {result.detector.t}")
-    print(f"episodes: {int(result.trace.iteration.max(initial=0)) + 1}")
+    print(f"episodes: {result.episodes}")
     print(f"labels: {result.final_label_count}")
     print(f"events: {len(result.events)}")
     print(f"wrote {Path(args.out) / 'trace.csv'} and {Path(args.out) / 'events.json'}")

@@ -2,15 +2,18 @@
 
 Live steps are collected into a block and fed to the detector once per
 check interval (``history_len`` steps), the only steps at which it can
-raise an event; the block's per-step fields go to the trace's columns
-then, with the check's p_value, swd and event stored once. When it
-triggers, probing runs stored policies in the same environment, so
-probe steps consume curriculum time and are flagged in the trace. On
-any accepted detection the departing label's policy is rolled back to
-its older checkpoint and the current episode is abandoned.
+raise an event; the block's rows go to the trace then, with the check's
+p_value, swd and event. When it triggers, probing runs stored policies
+in the same environment, so probe steps consume curriculum time and are
+flagged in the trace. On any accepted detection the departing label's
+policy is rolled back to its older checkpoint and the current episode
+is abandoned. With an output directory the rows are written to
+``trace.csv`` as they come, so memory stays flat over the run and a run
+that raises leaves the rows and events it got to.
 """
 from __future__ import annotations
 
+import warnings
 from contextlib import closing
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -30,15 +33,21 @@ from .detector import (
 from .env import TreeGraphEnv
 from .seeding import UniformBlocks, child_seed, substream
 from .stream import prefetch_stream_blocks
-from .trace import Trace, write_events, write_trace
+from .trace import Trace, TraceWriter, write_events
 
 __all__ = ["RunResult", "run_experiment", "detect_offline"]
 
 
 @dataclass
 class RunResult:
+    """A finished run. ``trace`` is None when its rows went to
+    ``out_dir/trace.csv`` (:func:`~swoks.trace.read_trace` gives them
+    back); ``episodes`` counts the episodes begun, the trace's largest
+    ``iteration`` plus one."""
+
     config: ExperimentConfig
-    trace: Trace
+    trace: Trace | None
+    episodes: int
     events: list[DetectionEvent]
     detector: Detector
     bank: PolicyBank
@@ -94,12 +103,16 @@ def run_experiment(config: ExperimentConfig, out_dir: str | Path | None = None,
     """Run one seeded experiment over the configured curriculum.
 
     Writes ``trace.csv`` and ``events.json`` under ``out_dir`` when
-    given; ``out_dir`` is created before the first step. The bank is
-    saved to ``save_bank`` after both files are written. Identical
-    config and seed give byte-identical outputs.
+    given; ``out_dir`` is created and ``trace.csv`` opened before the
+    first step, and its rows are written as the run goes. Both files are
+    written also when the run raises, with what it got to, and then the
+    run's own exception propagates. The bank is saved to ``save_bank``
+    after both files are written. Identical config and seed give
+    byte-identical outputs.
     """
-    if out_dir is not None:
-        Path(out_dir).mkdir(parents=True, exist_ok=True)
+    out = None if out_dir is None else Path(out_dir)
+    if out is not None:
+        out.mkdir(parents=True, exist_ok=True)
     master = config.master_seed
     env = TreeGraphEnv(
         replace(config.env, env_seed=child_seed(master, "env")), config.tasks
@@ -113,8 +126,6 @@ def run_experiment(config: ExperimentConfig, out_dir: str | Path | None = None,
     act_rng = UniformBlocks(substream(master, "actions"))
     probe_rng = UniformBlocks(substream(master, "probe-actions"))
 
-    # Room for the whole curriculum and the last check interval's overrun.
-    trace = Trace(config.curriculum.total_steps + config.detector.history_len)
     events: list[DetectionEvent] = []
     probe_source = _EnvProbe(env, encoder, bank, probe_rng)
     det_cfg = replace(config.detector, master_seed=child_seed(master, "detector"))
@@ -131,72 +142,88 @@ def run_experiment(config: ExperimentConfig, out_dir: str | Path | None = None,
     t = 0  # steps taken, live and probe: the detector's t plus the pending steps
     iteration = 0
     total = config.curriculum.total_steps
-    while t < total:
-        env.set_task(config.curriculum.task_at(t + 1))
-        obs = env.reset()
-        gt_task = env.active_task  # fixed until the next reset
-        label = detector.current_label.id
-        policy = bank.get_or_create(label)
-        episode.clear()
-        aborted = False
-        done = False
-        while not done:
-            phi = encoder.encode(obs)
-            action = policy.act(phi, act_rng, episode)
-            obs, reward, done = env.step(action)
-            episode.rewards.append(reward)
-            phis.append(phi)
-            actions.append(action)
-            rewards.append(reward)
-            gt_tasks.append(gt_task)
-            iterations.append(iteration)
-            t += 1
-            if t % h:
-                continue
-            # Check boundary. The rows before it keep the previous check's values,
-            # and all carry ``label``: the detector's label only changes in ingest_block.
-            trace.append(t - len(rewards) + 1, iterations[:-1], gt_tasks[:-1], label,
-                         rewards[:-1], 0, detector.last_p_value, detector.last_swd)
-            found = detector.ingest_block(phis, actions, rewards)
-            event = found[0] if found else None
-            p_value, swd = detector.last_p_value, detector.last_swd
-            trace.append(t, iteration, gt_task, label, rewards[-1:],
-                         0, p_value, swd, event.kind if event else "")
-            for column in (phis, actions, rewards, gt_tasks, iterations):
-                column.clear()
-            if probe_source.steps:
-                probe_tasks, probe_rewards = zip(*probe_source.steps)
-                trace.append(t + 1, iteration, probe_tasks, label, probe_rewards, 1,
-                             p_value, swd)
-                probe_source.steps.clear()
-                t = detector.t
-            if event is None:
-                continue
-            events.append(event)
-            if event.kind in (EVENT_NEW_TASK, EVENT_RE_DETECTED):
-                bank.rollback(event.old_label)
-                aborted = True
-                break
-            if event.kind == EVENT_PROBE_ERROR:
-                aborted = True  # probes left the env mid-episode
-                break
-            # suppressed: keep playing the episode
-        if not aborted:
-            policy.update(episode)
-            bank.backup_if_due(label)
-            iteration += 1
-    if rewards:
-        trace.append(t - len(rewards) + 1, iterations, gt_tasks, label, rewards, 0,
-                     detector.last_p_value, detector.last_swd)
-        detector.ingest_block(phis, actions, rewards)
+    # Rows go straight to trace.csv with an out_dir, else to columns in memory
+    # (room for the whole curriculum and the last check interval's overrun).
+    trace = TraceWriter(out / "trace.csv") if out is not None else Trace(total + h)
+    finished = False
+    try:
+        while t < total:
+            env.set_task(config.curriculum.task_at(t + 1))
+            obs = env.reset()
+            gt_task = env.active_task  # fixed until the next reset
+            label = detector.current_label.id
+            policy = bank.get_or_create(label)
+            episode.clear()
+            aborted = False
+            done = False
+            while not done:
+                phi = encoder.encode(obs)
+                action = policy.act(phi, act_rng, episode)
+                obs, reward, done = env.step(action)
+                episode.rewards.append(reward)
+                phis.append(phi)
+                actions.append(action)
+                rewards.append(reward)
+                gt_tasks.append(gt_task)
+                iterations.append(iteration)
+                t += 1
+                if t % h:
+                    continue
+                # Check boundary. The rows before it keep the previous check's values,
+                # and all carry ``label``: the detector's label only changes in ingest_block.
+                trace.append(t - len(rewards) + 1, iterations[:-1], gt_tasks[:-1], label,
+                             rewards[:-1], 0, detector.last_p_value, detector.last_swd)
+                found = detector.ingest_block(phis, actions, rewards)
+                event = found[0] if found else None
+                p_value, swd = detector.last_p_value, detector.last_swd
+                trace.append(t, iteration, gt_task, label, rewards[-1:],
+                             0, p_value, swd, event.kind if event else "")
+                for column in (phis, actions, rewards, gt_tasks, iterations):
+                    column.clear()
+                if probe_source.steps:
+                    probe_tasks, probe_rewards = zip(*probe_source.steps)
+                    trace.append(t + 1, iteration, probe_tasks, label, probe_rewards, 1,
+                                 p_value, swd)
+                    probe_source.steps.clear()
+                    t = detector.t
+                if event is None:
+                    continue
+                events.append(event)
+                if event.kind in (EVENT_NEW_TASK, EVENT_RE_DETECTED):
+                    bank.rollback(event.old_label)
+                    aborted = True
+                    break
+                if event.kind == EVENT_PROBE_ERROR:
+                    aborted = True  # probes left the env mid-episode
+                    break
+                # suppressed: keep playing the episode
+            if not aborted:
+                policy.update(episode)
+                bank.backup_if_due(label)
+                iteration += 1
+        if rewards:
+            trace.append(t - len(rewards) + 1, iterations, gt_tasks, label, rewards, 0,
+                         detector.last_p_value, detector.last_swd)
+            detector.ingest_block(phis, actions, rewards)
+        finished = True
+    finally:
+        if out is not None:
+            try:
+                trace.close()
+                write_events(out / "events.json", events)
+            except Exception as exc:
+                if finished:
+                    raise
+                # The run raised: its own exception, not this one, propagates.
+                warnings.warn(f"outputs of the failed run in {out} are incomplete: {exc}")
 
-    # The run's outputs first: a bank path that cannot be written must not lose them.
-    if out_dir is not None:
-        write_trace(Path(out_dir) / "trace.csv", trace)
-        write_events(Path(out_dir) / "events.json", events)
+    # The bank after the run's outputs: a bank path that cannot be written must
+    # not lose them.
     if save_bank is not None:
         bank.save(save_bank)
-    return RunResult(config=config, trace=trace, events=events,
+    # Completed episodes advance ``iteration``; an aborted last one did not.
+    return RunResult(config=config, trace=None if out is not None else trace,
+                     episodes=iteration + aborted, events=events,
                      detector=detector, bank=bank, encoder=encoder, env=env)
 
 

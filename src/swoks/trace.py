@@ -6,18 +6,20 @@ test, whichever label ran them: they are empty only before the run's
 first check and first test, and after a label switch they keep the
 triggering check's values until the new label's window is checked.
 Floats are written with repr so a rerun with identical seeds produces
-byte-identical files.
+byte-identical files. A :class:`TraceWriter` writes the same bytes as
+rows are appended, so a run's memory does not grow with its length.
 """
 from __future__ import annotations
 
 import json
+from itertools import chain, repeat
 from typing import NamedTuple
 
 import numpy as np
 
 __all__ = [
-    "TRACE_COLUMNS", "Trace", "TraceRow", "write_trace", "read_trace", "event_record",
-    "write_events",
+    "TRACE_COLUMNS", "Trace", "TraceRow", "TraceWriter", "write_trace", "read_trace",
+    "event_record", "write_events",
 ]
 
 TRACE_COLUMNS = [
@@ -148,20 +150,66 @@ class Trace:
         return len(self) == len(other) and all(a == b for a, b in zip(self, other))
 
 
-def _fmt_opt(value: float | None) -> str:
-    return "" if value is None else repr(float(value))
+def _check_text(p_value: float | None, swd: float | None) -> str:
+    """A check's ``p_value,swd`` fields: repr, or empty where no check has run."""
+    return ",".join("" if v is None else repr(float(v)) for v in (p_value, swd))
+
+
+class TraceWriter:
+    """A ``trace.csv`` written as rows arrive, in :func:`write_trace`'s bytes.
+
+    The file and its header are written when the writer is made.
+    ``append`` takes :meth:`Trace.append`'s arguments and writes the rows
+    at once, so memory stays flat however long the run, and a run that
+    stops early leaves every row appended before :meth:`close`.
+    """
+
+    def __init__(self, path):
+        self._fh = open(path, "w", encoding="utf-8")
+        self._fh.write(",".join(TRACE_COLUMNS) + "\n")
+        self._check = None  # (p_value, swd, their text) of the latest append
+
+    def append(self, t: int, iteration, gt_task, pred_label, reward, probe_flag: int,
+               p_value: float | None, swd: float | None, event: str = "") -> None:
+        """Write rows ``t, t + 1, ...``, as :meth:`Trace.append` stores them."""
+        k = len(reward)
+        if not k:
+            return
+        check = self._check
+        if check is None or check[0] is not p_value or check[1] is not swd:
+            check = self._check = (p_value, swd, _check_text(p_value, swd))
+        self._write(range(t, t + k), _per_row(iteration), _per_row(gt_task),
+                    _per_row(pred_label), chain((event,), repeat("")), repeat(check[2]),
+                    map(float, reward), repeat(probe_flag))
+
+    def _write(self, *columns) -> None:
+        """Write one line per row of ``columns``: iterables in TRACE_COLUMNS
+        order, the p_value,swd pair as one formatted text, rewards as floats."""
+        self._fh.writelines(map(_LINE.__mod__, zip(*columns)))
+
+    def close(self) -> None:
+        self._fh.close()
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.close()
+
+
+def _per_row(value):
+    """``value`` as an iterable over rows: one value repeats for every row."""
+    return repeat(value) if np.isscalar(value) else value
 
 
 def write_trace(path, trace: Trace) -> None:
     """Write ``trace`` as CSV, each check's p_value and swd formatted once."""
-    checks = [f"{_fmt_opt(p)},{_fmt_opt(s)}" for p, s in trace.checks]
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(",".join(TRACE_COLUMNS) + "\n")
+    checks = [_check_text(p, s) for p, s in trace.checks]
+    with TraceWriter(path) as out:
         for t, iteration, gt_task, pred_label, event, check, reward, probe_flag in (
                 trace._chunks()):
-            fh.writelines(map(_LINE.__mod__, zip(
-                t, iteration, gt_task, pred_label, event, map(checks.__getitem__, check),
-                reward, probe_flag)))
+            out._write(t, iteration, gt_task, pred_label, event,
+                       map(checks.__getitem__, check), reward, probe_flag)
 
 
 def read_trace(path) -> Trace:

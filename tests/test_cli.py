@@ -80,7 +80,10 @@ class TestRunCommand:
         stdout = capsys.readouterr().out
         assert "labels: 2" in stdout
         assert "events: 2" in stdout
-        assert read_trace(out / "trace.csv").t[0] == 1
+        trace = read_trace(out / "trace.csv")
+        assert trace.t[0] == 1
+        # Counted by the runner, not read back: aborted episodes repeat an iteration.
+        assert f"episodes: {int(trace.iteration.max()) + 1}\n" in stdout
         assert json.loads((out / "events.json").read_text())
 
     def test_save_bank_flag(self, mirror_cfg, tmp_path):
@@ -108,6 +111,12 @@ class TestRunCommand:
         assert main(["run", "--config", mirror_cfg, "--out", str(out)]) == 2
         assert capsys.readouterr().err.startswith("error:")
         assert out.read_text() == "not a directory"
+        # trace.csv is opened before the first step, so it cannot fail after the run.
+        out = tmp_path / "out"
+        (out / "trace.csv").mkdir(parents=True)
+        assert main(["run", "--config", mirror_cfg, "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("error:")
+        assert not (out / "events.json").exists()
 
 
 class TestDetectCommand:

@@ -10,6 +10,7 @@ from __future__ import annotations
 import gc
 import json
 import multiprocessing
+import tracemalloc
 import warnings
 import weakref
 from dataclasses import replace
@@ -17,9 +18,10 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import swoks.runner
 from swoks import stream
 from swoks.agent import Policy, episode_gradient
-from swoks.config import AgentConfig, ExperimentConfig
+from swoks.config import AgentConfig, ExperimentConfig, load_config
 from swoks.detector import (
     EVENT_NEW_TASK,
     EVENT_RE_DETECTED,
@@ -31,7 +33,7 @@ from swoks.env import Curriculum, TaskSpec, TreeGraphConfig
 from swoks.metrics import sweep_beta
 from swoks.runner import detect_offline, run_experiment
 from swoks.stream import StreamBlock, read_stream_blocks, write_stream
-from swoks.trace import read_trace
+from swoks.trace import event_record, read_trace, write_trace
 
 LD, LW, PROBE = 10, 6, 8
 
@@ -197,6 +199,27 @@ class TestLifetime:
         finally:
             gc.enable()
 
+    def test_streamed_run_memory_does_not_grow_with_its_length(self, tmp_path):
+        """With an out_dir the rows go to trace.csv as they come: once the
+        windows are full, 8,000 steps peak no higher than 2,000."""
+
+        def peak_kb(steps: int) -> float:
+            cfg = replace(load_config("desk", seed=1), curriculum=Curriculum(((1, steps),)))
+            base = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            result = run_experiment(cfg, out_dir=tmp_path / str(steps))
+            peak = tracemalloc.get_traced_memory()[1]
+            assert result.events == [] and result.trace is None
+            return (peak - base) / 1024
+
+        tracemalloc.start()
+        try:
+            peak_kb(2000)  # warm-up: imports, caches and first-use allocations
+            short, long = peak_kb(2000), peak_kb(8000)
+        finally:
+            tracemalloc.stop()
+        assert abs(long - short) < 64, (short, long)
+
 
 class TestArtifacts:
     def test_events_json_schema(self, tmp_path):
@@ -218,7 +241,55 @@ class TestArtifacts:
         run_experiment(cfg, out_dir=tmp_path / "b")
         for name in ("trace.csv", "events.json"):
             assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
-        assert read_trace(tmp_path / "a" / "trace.csv") == res.trace
+        # The streamed file and the in-memory trace of the same run agree.
+        assert res.trace is None
+        streamed = tmp_path / "a" / "trace.csv"
+        mem = run_experiment(cfg)
+        assert read_trace(streamed) == mem.trace
+        write_trace(tmp_path / "mem.csv", mem.trace)
+        assert (tmp_path / "mem.csv").read_bytes() == streamed.read_bytes()
+        # The mirror run aborts episodes at its events, which repeats an iteration.
+        assert res.episodes == mem.episodes == int(mem.trace.iteration.max()) + 1
+
+    def test_run_that_raises_leaves_its_rows_and_events(self, tmp_path, monkeypatch):
+        cfg = tiny_config(MIRROR)
+        full = run_experiment(cfg)
+        write_trace(tmp_path / "full.csv", full.trace)
+        inner = Detector.ingest_block
+        calls = []
+
+        def ingest_block(self, phi, actions, rewards):
+            calls.append((self.t, len(rewards)))
+            if len(calls) == 150:  # after the new-task event, before the re-detection
+                raise RuntimeError("injected")
+            return inner(self, phi, actions, rewards)
+
+        monkeypatch.setattr(Detector, "ingest_block", ingest_block)
+        with pytest.raises(RuntimeError, match="injected"):
+            run_experiment(cfg, out_dir=tmp_path / "out")
+        t, pending = calls[-1]
+        lines = (tmp_path / "out" / "trace.csv").read_text().splitlines()
+        # Every row before the failing check boundary: the trace's header and first rows.
+        assert len(lines) == 1 + t + pending - 1
+        assert lines == (tmp_path / "full.csv").read_text().splitlines()[:len(lines)]
+        kept = [event_record(ev) for ev in full.events if ev.t <= t]
+        assert 0 < len(kept) < len(full.events)
+        assert json.loads((tmp_path / "out" / "events.json").read_text()) == kept
+
+    def test_failed_output_write_does_not_hide_the_runs_error(self, tmp_path, monkeypatch):
+        def ingest_block(self, phi, actions, rewards):
+            raise RuntimeError("injected")
+
+        def write_events(path, events):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(Detector, "ingest_block", ingest_block)
+        monkeypatch.setattr(swoks.runner, "write_events", write_events)
+        with pytest.raises(RuntimeError, match="injected"), pytest.warns(
+                UserWarning, match="disk full"):
+            run_experiment(tiny_config(MIRROR), out_dir=tmp_path)
+        # The header and the rows before the first check boundary.
+        assert (tmp_path / "trace.csv").read_text().count("\n") == 1 + (LD - 1)
 
     def test_different_seeds_differ(self, tmp_path):
         run_experiment(tiny_config(((1, 400),), seed=3), out_dir=tmp_path / "a")

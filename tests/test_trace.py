@@ -1,4 +1,5 @@
-"""The columnar trace: its rows, its CSV form and the CSV round trip."""
+"""The columnar trace: its rows, its CSV form, the CSV round trip and the
+streamed CSV."""
 from __future__ import annotations
 
 import re
@@ -8,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from swoks.trace import TRACE_COLUMNS, Trace, TraceRow, read_trace, write_trace
+from swoks.trace import TRACE_COLUMNS, Trace, TraceRow, TraceWriter, read_trace, write_trace
 
 # Values whose reprs are easy to get wrong: both zeros, an exponent form
 # on each side, the smallest subnormal.
@@ -44,13 +45,15 @@ blocks = st.lists(
 )
 
 
-def build(blocks) -> tuple[Trace, list[TraceRow]]:
-    """The trace appended block by block, as the runner does, and its rows."""
+def build(blocks, *writers: TraceWriter) -> tuple[Trace, list[TraceRow]]:
+    """The trace appended block by block, as the runner does, and its rows.
+    The same blocks are appended to each of ``writers``."""
     trace, rows = Trace(), []
     t, iteration = 1, 0
     for step, gt_task, label, rewards, probe_flag, p, s, event in blocks:
         iteration += step
-        trace.append(t, iteration, gt_task, label, rewards, probe_flag, p, s, event)
+        for sink in (trace, *writers):
+            sink.append(t, iteration, gt_task, label, rewards, probe_flag, p, s, event)
         for i, reward in enumerate(rewards):
             rows.append(TraceRow(t + i, iteration, gt_task, label, event if i == 0 else "",
                                  p, s, reward, probe_flag))
@@ -64,11 +67,14 @@ def build(blocks) -> tuple[Trace, list[TraceRow]]:
           (1, 2, 1, [-0.0], 1, -0.0, 0.0, ""),
           (0, 2, 2, [5e-324, 1e+16, 1e-05], 0, None, None, "re-detected")])
 def test_write_trace_matches_the_row_formula_and_round_trips(tmp_path_factory, blocks):
-    trace, rows = build(blocks)
+    path = tmp_path_factory.mktemp("trace") / "trace.csv"
+    streamed = path.with_name("streamed.csv")
+    with TraceWriter(streamed) as writer:
+        trace, rows = build(blocks, writer)
     assert len(trace) == len(rows)
     assert list(trace) == rows
-    path = tmp_path_factory.mktemp("trace") / "trace.csv"
     write_trace(path, trace)
+    assert streamed.read_bytes() == path.read_bytes()
     text = path.read_text(encoding="utf-8")
     assert text == ",".join(TRACE_COLUMNS) + "\n" + "".join(format_row(r) + "\n" for r in rows)
     back = read_trace(path)
@@ -79,11 +85,15 @@ def test_write_trace_matches_the_row_formula_and_round_trips(tmp_path_factory, b
     assert again.read_bytes() == path.read_bytes()
 
 
-def test_columns_hold_the_appended_rows():
+def test_columns_hold_the_appended_rows(tmp_path):
     trace = Trace()
-    trace.append(1, np.array([0, 0, 1]), np.array([2, 2, 2]), 7, np.array([0.0, 1.0, -0.1]),
-                 0, None, 0.5)
-    trace.append(4, 1, 2, 7, [1.0], 1, 0.25, 0.5, "new-task")
+    with TraceWriter(tmp_path / "streamed.csv") as writer:
+        for sink in (trace, writer):
+            sink.append(1, np.array([0, 0, 1]), np.array([2, 2, 2]), 7,
+                        np.array([0.0, 1.0, -0.1]), 0, None, 0.5)
+            sink.append(4, 1, 2, 7, [1.0], 1, 0.25, 0.5, "new-task")
+    write_trace(tmp_path / "trace.csv", trace)
+    assert (tmp_path / "streamed.csv").read_bytes() == (tmp_path / "trace.csv").read_bytes()
     assert trace.t.tolist() == [1, 2, 3, 4]
     assert trace.iteration.tolist() == [0, 0, 1, 1]
     assert trace.pred_label.tolist() == [7] * 4
@@ -97,6 +107,9 @@ def test_columns_hold_the_appended_rows():
 def test_empty_trace_writes_a_header_only(tmp_path):
     write_trace(tmp_path / "trace.csv", Trace())
     assert (tmp_path / "trace.csv").read_text() == ",".join(TRACE_COLUMNS) + "\n"
+    with TraceWriter(tmp_path / "streamed.csv") as writer:
+        writer.append(1, 0, 1, 1, [], 0, None, None)
+    assert (tmp_path / "streamed.csv").read_text() == ",".join(TRACE_COLUMNS) + "\n"
     assert read_trace(tmp_path / "trace.csv") == Trace()
     assert len(Trace()) == 0 and list(Trace()) == []
 
