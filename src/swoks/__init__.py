@@ -4,7 +4,7 @@ Sliced Wasserstein distances over sliding windows of latent-action-reward
 tuples, tested with a one-sided KS statistic, drive label switches in a
 per-task policy bank with checkpoint rollback.
 """
-from .agent import Encoder, EpisodeBuffer, Policy, PolicyBank, RollbackResult
+from .agent import Encoder, EpisodeBuffer, Policy, PolicyBank
 from .config import AgentConfig, ConfigError, ExperimentConfig, load_config
 from .detector import (
     EVENT_NEW_TASK,
@@ -41,7 +41,7 @@ from .stream import (
     read_stream_blocks,
     write_stream,
 )
-from .trace import Trace, TraceRow, read_trace, write_events, write_trace
+from .trace import Trace, TraceRow, read_trace, write_events
 
 __version__ = "0.1.0"
 
@@ -63,7 +63,6 @@ __all__ = [
     "NotReadyError",
     "Policy",
     "PolicyBank",
-    "RollbackResult",
     "RunResult",
     "StreamBlock",
     "SwdHistory",
@@ -95,6 +94,5 @@ __all__ = [
     "wasserstein_exact",
     "write_events",
     "write_stream",
-    "write_trace",
     "__version__",
 ]

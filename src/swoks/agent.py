@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -29,7 +28,6 @@ __all__ = [
     "EpisodeBuffer",
     "Policy",
     "PolicyBank",
-    "RollbackResult",
     "episode_log_prob",
     "episode_gradient",
 ]
@@ -274,15 +272,6 @@ class Policy:
         self.baseline += BASELINE_RATE * (ret - self.baseline)
 
 
-@dataclass(frozen=True)
-class RollbackResult:
-    """Outcome of a rollback; ``restored_iteration`` is None when no
-    checkpoint existed and the live policy was left untouched."""
-
-    policy: "Policy"
-    restored_iteration: int | None
-
-
 class _Checkpoint(NamedTuple):
     iteration: int
     params: np.ndarray
@@ -345,25 +334,26 @@ class PolicyBank:
             entry.checkpoints.pop(0)
         return True
 
-    def rollback(self, label: int) -> RollbackResult:
-        """Discard the live policy and restore the older checkpoint.
+    def rollback(self, label: int) -> int | None:
+        """Restore the live policy to the older checkpoint; return its iteration.
 
         The newer checkpoint may already contain foreign data from the
         change that triggered the rollback, so the older one is the
         safe restore point. The baseline running mean is reset. With no
-        checkpoint on file the live policy is returned unchanged.
+        checkpoint on file the live policy is left unchanged and None
+        is returned.
         """
         entry = self._entry(label)
         if not entry.checkpoints:
             logger.warning("rollback(%s): no checkpoint on file, policy unchanged", label)
-            return RollbackResult(policy=entry.policy, restored_iteration=None)
+            return None
         oldest = entry.checkpoints[0]
         live = entry.policy
         live.params = oldest.params.copy()
         live.update_count = oldest.iteration
         live.baseline = 0.0
         entry.checkpoints = [oldest]
-        return RollbackResult(policy=live, restored_iteration=oldest.iteration)
+        return oldest.iteration
 
     # -- serialization -------------------------------------------------
 

@@ -6,8 +6,8 @@ test, whichever label ran them: they are empty only before the run's
 first check and first test, and after a label switch they keep the
 triggering check's values until the new label's window is checked.
 Floats are written with repr so a rerun with identical seeds produces
-byte-identical files. A :class:`TraceWriter` writes the same bytes as
-rows are appended, so a run's memory does not grow with its length.
+byte-identical files. A :class:`TraceWriter` writes the file as rows
+are appended, so a run's memory does not grow with its length.
 """
 from __future__ import annotations
 
@@ -18,7 +18,7 @@ from typing import NamedTuple
 import numpy as np
 
 __all__ = [
-    "TRACE_COLUMNS", "Trace", "TraceRow", "TraceWriter", "write_trace", "read_trace",
+    "TRACE_COLUMNS", "Trace", "TraceRow", "TraceWriter", "read_trace",
     "event_record", "write_events",
 ]
 
@@ -122,25 +122,20 @@ class Trace:
     def __len__(self) -> int:
         return self._n
 
-    def _chunks(self):
-        """The rows as Python lists, ``_CHUNK`` rows at a time, in
-        ``TraceRow`` field order with ``check`` in place of p_value and swd."""
-        d = self._data
+    def __iter__(self):
+        """The rows as :class:`TraceRow` records, converted ``_CHUNK`` rows at a time."""
+        d, checks = self._data, self.checks
         for lo in range(0, self._n, _CHUNK):
             hi = min(lo + _CHUNK, self._n)
-            event = [""] * (hi - lo)
+            events = [""] * (hi - lo)
             for i, kind in self.events.items():
                 if lo <= i < hi:
-                    event[i - lo] = kind
-            yield (d["t"][lo:hi].tolist(), d["iteration"][lo:hi].tolist(),
-                   d["gt_task"][lo:hi].tolist(), d["pred_label"][lo:hi].tolist(),
-                   event, d["check"][lo:hi].tolist(), d["reward"][lo:hi].tolist(),
-                   d["probe_flag"][lo:hi].tolist())
-
-    def __iter__(self):
-        checks = self.checks
-        for cols in self._chunks():
-            for t, iteration, gt_task, pred_label, event, check, reward, probe_flag in zip(*cols):
+                    events[i - lo] = kind
+            rows = zip(d["t"][lo:hi].tolist(), d["iteration"][lo:hi].tolist(),
+                       d["gt_task"][lo:hi].tolist(), d["pred_label"][lo:hi].tolist(), events,
+                       d["check"][lo:hi].tolist(), d["reward"][lo:hi].tolist(),
+                       d["probe_flag"][lo:hi].tolist())
+            for t, iteration, gt_task, pred_label, event, check, reward, probe_flag in rows:
                 yield TraceRow(t, iteration, gt_task, pred_label, event, *checks[check],
                                reward, probe_flag)
 
@@ -156,7 +151,7 @@ def _check_text(p_value: float | None, swd: float | None) -> str:
 
 
 class TraceWriter:
-    """A ``trace.csv`` written as rows arrive, in :func:`write_trace`'s bytes.
+    """A ``trace.csv`` written as rows arrive.
 
     The file and its header are written when the writer is made.
     ``append`` takes :meth:`Trace.append`'s arguments and writes the rows
@@ -178,14 +173,10 @@ class TraceWriter:
         check = self._check
         if check is None or check[0] is not p_value or check[1] is not swd:
             check = self._check = (p_value, swd, _check_text(p_value, swd))
-        self._write(range(t, t + k), _per_row(iteration), _per_row(gt_task),
-                    _per_row(pred_label), chain((event,), repeat("")), repeat(check[2]),
-                    map(float, reward), repeat(probe_flag))
-
-    def _write(self, *columns) -> None:
-        """Write one line per row of ``columns``: iterables in TRACE_COLUMNS
-        order, the p_value,swd pair as one formatted text, rewards as floats."""
-        self._fh.writelines(map(_LINE.__mod__, zip(*columns)))
+        self._fh.writelines(map(_LINE.__mod__, zip(
+            range(t, t + k), _per_row(iteration), _per_row(gt_task), _per_row(pred_label),
+            chain((event,), repeat("")), repeat(check[2]), map(float, reward),
+            repeat(probe_flag))))
 
     def close(self) -> None:
         self._fh.close()
@@ -202,18 +193,8 @@ def _per_row(value):
     return repeat(value) if np.isscalar(value) else value
 
 
-def write_trace(path, trace: Trace) -> None:
-    """Write ``trace`` as CSV, each check's p_value and swd formatted once."""
-    checks = [_check_text(p, s) for p, s in trace.checks]
-    with TraceWriter(path) as out:
-        for t, iteration, gt_task, pred_label, event, check, reward, probe_flag in (
-                trace._chunks()):
-            out._write(t, iteration, gt_task, pred_label, event,
-                       map(checks.__getitem__, check), reward, probe_flag)
-
-
 def read_trace(path) -> Trace:
-    """The trace of a ``trace.csv`` written by :func:`write_trace`.
+    """The trace of a ``trace.csv`` written by a :class:`TraceWriter`.
 
     Lines go straight into the columns. A run of lines with the same
     p_value and swd text is one check, so 0.0 and -0.0 stay apart.

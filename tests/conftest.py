@@ -1,8 +1,10 @@
-"""Shared pytest wiring and policy helpers.
+"""Shared pytest wiring, policy helpers and scripted detector streams.
 
 Acceptance tests register one verdict line each; they are echoed in the
 terminal summary so the pass/fail record survives output capture.
 """
+import itertools
+
 import numpy as np
 
 from swoks.agent import EpisodeBuffer
@@ -69,3 +71,48 @@ def record_episode(policy, steps) -> EpisodeBuffer:
         assert policy.act(phi, draw, episode) == action
         episode.rewards.append(reward)
     return episode
+
+
+def regime(rng: np.random.Generator, mean: float, reward: float, width: int = 3,
+           scale: float = 1.0):
+    """Endless (phi, action, reward) tuples from one stationary regime.
+
+    With ``scale=0`` every latent is ``mean``, so the rows take two values.
+    """
+    while True:
+        yield rng.normal(mean, scale, size=width), int(rng.integers(0, 2)), reward
+
+
+def limited_regime(rng: np.random.Generator, mean: float, reward: float, n: int,
+                   width: int = 3):
+    """The first ``n`` tuples of :func:`regime`: a probe source that runs dry."""
+    return itertools.islice(regime(rng, mean, reward, width), n)
+
+
+class ScriptedProbe:
+    """Probe source replaying a scripted generator per label.
+
+    Records the order of deploy calls so tests can assert which
+    candidates were tried.
+    """
+
+    def __init__(self, scripts):
+        self.scripts = scripts
+        self.deploy_calls: list[int] = []
+
+    def deploy(self, label: int):
+        self.deploy_calls.append(label)
+        return self.scripts[label]()
+
+
+def detector_view(det):
+    """Everything an input can change in a ``Detector``, in comparable form."""
+    labels = {}
+    for label in det.labels:
+        st = det.label_state(label.id)
+        labels[label.id] = (
+            st.window.oldest(len(st.window)).tolist(), st.history.values().tolist(),
+            None if st.ref_window is None else st.ref_window.tolist(),
+            None if st.ref_swd is None else st.ref_swd.tolist(),
+        )
+    return det.t, det.last_swd, det.last_p_value, det.labels, det.current_label, labels

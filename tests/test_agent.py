@@ -410,34 +410,31 @@ class TestBankCheckpoints:
         twin = self.run_updates(twin_bank, 1, 50)
         params_at_50 = twin.params.copy()
         self.run_updates(bank, 1, 30)  # live at 130
-        result = bank.rollback(1)
-        assert result.restored_iteration == 50
-        assert np.array_equal(result.policy.params, params_at_50)
-        assert result.policy.update_count == 50
-        assert result.policy.baseline == 0.0
+        assert bank.rollback(1) == 50
+        assert np.array_equal(pol.params, params_at_50)
+        assert pol.update_count == 50
+        assert pol.baseline == 0.0
         assert bank.checkpoint_iterations(1) == [50]
 
     def test_rollback_safety_margin(self):
         bank = PolicyBank(2, 2, backup_freq=10)
         pol = self.run_updates(bank, 1, 37)
         assert bank.checkpoint_iterations(1) == [20, 30]
-        res = bank.rollback(1)
-        assert res.restored_iteration == 20
-        assert res.restored_iteration <= 37 - bank.backup_freq
+        restored = bank.rollback(1)
+        assert restored == 20
+        assert restored <= 37 - bank.backup_freq
 
     def test_rollback_without_checkpoint_is_noop(self):
         bank = PolicyBank(2, 2, backup_freq=50)
         pol = self.run_updates(bank, 1, 10)
         before = pol.params.copy()
-        res = bank.rollback(1)
-        assert res.restored_iteration is None
+        assert bank.rollback(1) is None
         assert np.array_equal(pol.params, before)
 
     def test_single_checkpoint_restores_it(self):
         bank = PolicyBank(2, 2, backup_freq=50)
         self.run_updates(bank, 1, 60)
-        res = bank.rollback(1)
-        assert res.restored_iteration == 50
+        assert bank.rollback(1) == 50
 
     def test_label_isolation(self):
         rng = np.random.default_rng(3)

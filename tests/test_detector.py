@@ -13,6 +13,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import ScriptedProbe, detector_view, limited_regime, regime
+
 import swoks.detector
 from swoks.detector import (
     EVENT_NEW_TASK,
@@ -23,8 +25,7 @@ from swoks.detector import (
     DetectorConfig,
     TaskLabel,
 )
-from swoks.ot import sample_unit_directions, sliced_wasserstein, sorted_projections
-from swoks.seeding import child_seed
+from swoks.ot import sorted_projections
 
 LD = 10                      # points per comparison set
 LW = 6                       # distance values per history half
@@ -47,36 +48,6 @@ def make_config(**overrides) -> DetectorConfig:
     )
     params.update(overrides)
     return DetectorConfig(**params)
-
-
-def regime(rng: np.random.Generator, mean: float, reward: float):
-    """Endless (phi, action, reward) tuples from one stationary regime."""
-    while True:
-        yield rng.normal(mean, 1.0, size=3), int(rng.integers(0, 2)), reward
-
-
-def limited_regime(rng: np.random.Generator, mean: float, reward: float, n: int):
-    def gen():
-        for _ in range(n):
-            yield rng.normal(mean, 1.0, size=3), int(rng.integers(0, 2)), reward
-
-    return gen()
-
-
-class ScriptedProbe:
-    """Probe source replaying a scripted generator per label.
-
-    Records the order of deploy calls so tests can assert which
-    candidates were tried.
-    """
-
-    def __init__(self, scripts):
-        self.scripts = scripts
-        self.deploy_calls: list[int] = []
-
-    def deploy(self, label: int):
-        self.deploy_calls.append(label)
-        return self.scripts[label]()
 
 
 def drive(det: Detector, source, steps: int):
@@ -211,6 +182,8 @@ class TestOfflineDetection:
         assert departed.ref_swd.shape == (LW,)
         # Live buffers were handed over: old label empties, new starts fresh.
         assert len(departed.window) == 0
+        with pytest.raises(ValueError):
+            departed.window.oldest(1)
         assert len(departed.history) == LW
         assert len(det.label_state(2).window) == 0
 
@@ -351,42 +324,7 @@ class TestProbeReidentification:
         assert run() == run()
 
 
-class FreshDistanceDetector(Detector):
-    """Checks each distance, taken from cached sorted sets, against a fresh computation."""
-
-    verified = 0
-
-    def ingest(self, phi, action, reward):
-        event = super().ingest(phi, action, reward)
-        window = self.label_state(self.current_label.id).window
-        if event is None and self.t % self.config.history_len == 0 and window.is_full:
-            rows = window.oldest(len(window))
-            h = self.config.history_len
-            dirs = sample_unit_directions(
-                rows.shape[1], self.config.n_projections,
-                seed=child_seed(self.config.master_seed, "projections"))
-            assert self.last_swd == sliced_wasserstein(rows[-h:], rows[:h], dirs)
-            self.verified += 1
-        return event
-
-
 class TestSortedWindowCache:
-    @pytest.mark.parametrize("seed", [0, 1])
-    def test_distances_match_fresh_computation_across_relabels(self, seed):
-        # A new label, then a re-detection that refills the old label's window.
-        probe_rng = np.random.default_rng(900 + seed)
-        probe = ScriptedProbe({1: lambda: regime(probe_rng, 0.0, 1.0)})
-        det = FreshDistanceDetector(make_config(master_seed=seed), probe)
-        rng = np.random.default_rng(300 + seed)
-        arm_second_label(det, rng)
-        ev, _ = drive_until(det, regime(rng, 0.0, 1.0), 200)
-        assert ev.kind == EVENT_RE_DETECTED
-        before = det.verified
-        # Long enough for the refilled window to pass the row indices
-        # the label's window had reached before it departed.
-        assert drive(det, regime(rng, 0.0, 1.0), 600) == []
-        assert before > 10 and det.verified - before == 60
-
     def test_each_check_sorts_one_set_once_warm(self, monkeypatch):
         """The first swd_history_len checks after a fill sort both sets;
         from then on each check finds its old set among the kept recent
@@ -414,15 +352,15 @@ class TestSortedWindowCache:
         assert per_check[fill + LW:] == [[LD]] * (2 * LW)
 
 
-def detector_state(det: Detector):
-    """Everything a step can change, in comparable form."""
-    states = {}
-    for label in det.labels:
-        st = det.label_state(label.id)
-        states[label.id] = (st.window.oldest(len(st.window)).tolist(),
-                            st.history.values().tolist())
-    return (det.t, det.current_label.id, [l.id for l in det.labels],
-            det.last_swd, det.last_p_value, states)
+# (phi, action, reward) of steps the detector rejects.
+REJECTED_STEPS = [
+    ([np.nan, 0.0, 0.0], 0, 1.0),
+    ([0.0, np.inf, 0.0], 0, 1.0),
+    ([0.0, 0.0, 0.0], 0, 1.2e308),  # sqrt(3) * 1.2e308 overflows
+    ([0.5, 0.0, 0.0], np.inf, 1.0),
+    ([0.5, 0.0, 0.0], 0, np.nan),
+    (np.zeros(4), 0, 1e308),  # 4 wide: sqrt(4) * 1e308 overflows
+]
 
 
 class TestAtomicIngest:
@@ -434,23 +372,26 @@ class TestAtomicIngest:
         assert det.t == 1
         assert len(det.label_state(1).window) == 1
 
-    @pytest.mark.parametrize("phi, reward", [
-        ([np.nan, 0.0, 0.0], 1.0),
-        ([0.0, np.inf, 0.0], 1.0),
-        ([0.0, 0.0, 0.0], 1.2e308),  # sqrt(3) * 1.2e308 overflows
-    ])
+    @pytest.mark.parametrize("phi, action, reward", REJECTED_STEPS,
+                             ids=[f"phi{i}-{r}" for i, (_, _, r) in enumerate(REJECTED_STEPS)])
     @pytest.mark.parametrize("n_before", [7, CAPACITY + 3])
-    def test_rejected_step_leaves_t_counters_and_ring(self, phi, reward, n_before):
+    def test_rejected_step_leaves_t_counters_and_ring(self, phi, action, reward, n_before):
+        """A rejected step leaves t, the ring and its counters as they were;
+        the next step is stored after the rows before it."""
         det = Detector(make_config())
         for i in range(n_before):
-            det.ingest(np.full(3, 0.01 * i), i % 2, 0.5)
+            det.ingest(np.full(len(phi), 0.01 * i), i % 2, 0.5)
         window = det.label_state(1).window
         before = (det.t, len(window), window._pushed)
         ring = window._data.copy()
+        rows = window.oldest(len(window))
         with pytest.raises(ValueError):
-            det.ingest(phi, 0, reward)
+            det.ingest(phi, action, reward)
         assert (det.t, len(window), window._pushed) == before
         assert np.array_equal(window._data, ring)
+        det.ingest(np.full(len(phi), 9.0), 1, 0.5)
+        after = window.oldest(len(window))
+        assert np.array_equal(after[:-1], rows[len(rows) + 1 - len(after):])
 
     def test_rejected_block_width_leaves_t(self):
         det = Detector(make_config(history_len=4, swd_history_len=2))
@@ -494,10 +435,10 @@ class TestAtomicIngest:
             if kind == "ok":
                 per_step.ingest(phi, action, reward)
             else:
-                before = detector_state(per_step)
+                before = detector_view(per_step)
                 with pytest.raises(ValueError):
                     per_step.ingest(phi, action, reward)
-                assert detector_state(per_step) == before
+                assert detector_view(per_step) == before
 
         per_block = Detector(cfg)
         blocks, block = [], []
@@ -527,66 +468,12 @@ class TestAtomicIngest:
                     assert per_block.t == t_before + bad
                 block = block[bad + 1:]
 
-        assert detector_state(per_step) == detector_state(valid_only)
-        assert detector_state(per_block) == detector_state(valid_only)
+        assert detector_view(per_step) == detector_view(valid_only)
+        assert detector_view(per_block) == detector_view(valid_only)
 
 
 class TestBlockIngestWithProbing:
-    """Block ingest with a probe source acts as per-step ingest, however the stream is cut."""
-
-    # (mean, reward, steps): a change inside the stable phase (suppressed),
-    # a new label, a return that a probe re-detects, then changes whose
-    # probes run dry after 25 steps, so later checks fall off the
-    # history_len grid.
-    PLAN = [(0.0, 1.0, 300), (3.0, -1.0, 280), (-3.0, 2.0, 420), (0.0, 1.0, 300),
-            (3.0, -1.0, 300)]
-
-    @staticmethod
-    def stream(seed):
-        rng = np.random.default_rng(seed)
-        steps = []
-        for mean, reward, n in TestBlockIngestWithProbing.PLAN:
-            steps += itertools.islice(regime(rng, mean, reward), n)
-        phi, actions, rewards = zip(*steps)
-        return np.stack(phi), np.array(actions), np.array(rewards)
-
-    @staticmethod
-    def detector(seed):
-        rng = np.random.default_rng(50 + seed)
-        probe = ScriptedProbe({
-            1: lambda: regime(rng, 3.0, -1.0),  # label 1 departed on this regime
-            2: lambda: limited_regime(rng, 3.0, -1.0, 25),
-        })
-        return Detector(make_config(stable_phase=400, master_seed=seed), probe), probe
-
-    @pytest.mark.parametrize("seed", [0, 1])
-    def test_per_step_aligned_and_random_blocks_agree(self, seed):
-        phi, actions, rewards = self.stream(10 + seed)
-        n = len(actions)
-        runs = []
-        for cut in ("step", "aligned", "random"):
-            det, probe = self.detector(seed)
-            chunk_rng = np.random.default_rng(seed)
-            events, i = [], 0
-            while i < n:
-                if cut == "step":
-                    event = det.ingest(phi[i], actions[i], rewards[i])
-                    events += [event] if event else []
-                    i += 1
-                    continue
-                if cut == "aligned":
-                    take = LD - det.t % LD
-                else:
-                    take = int(chunk_rng.integers(1, 3 * LD))
-                events += det.ingest_block(phi[i:i + take], actions[i:i + take],
-                                           rewards[i:i + take])
-                i += take
-            runs.append((events, detector_state(det), probe.deploy_calls))
-        kinds = {ev.kind for ev in runs[0][0]}
-        assert kinds == {EVENT_NEW_TASK, EVENT_RE_DETECTED, EVENT_SUPPRESSED, EVENT_PROBE_ERROR}
-        assert any(ev.t % LD for ev in runs[0][0])  # a dry probe moved the check grid
-        assert runs[1] == runs[0]
-        assert runs[2] == runs[0]
+    """Probe steps are checked like live ones."""
 
     @pytest.mark.parametrize("bad_phi", [[0.0, np.nan, 0.0], [0.0, 0.0, 0.0, 0.0]])
     def test_bad_probe_step_raises(self, bad_phi):

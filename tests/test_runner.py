@@ -33,7 +33,7 @@ from swoks.env import Curriculum, TaskSpec, TreeGraphConfig
 from swoks.metrics import sweep_beta
 from swoks.runner import detect_offline, run_experiment
 from swoks.stream import StreamBlock, read_stream_blocks, write_stream
-from swoks.trace import event_record, read_trace, write_trace
+from swoks.trace import event_record, read_trace
 
 LD, LW, PROBE = 10, 6, 8
 
@@ -246,15 +246,12 @@ class TestArtifacts:
         streamed = tmp_path / "a" / "trace.csv"
         mem = run_experiment(cfg)
         assert read_trace(streamed) == mem.trace
-        write_trace(tmp_path / "mem.csv", mem.trace)
-        assert (tmp_path / "mem.csv").read_bytes() == streamed.read_bytes()
         # The mirror run aborts episodes at its events, which repeats an iteration.
         assert res.episodes == mem.episodes == int(mem.trace.iteration.max()) + 1
 
     def test_run_that_raises_leaves_its_rows_and_events(self, tmp_path, monkeypatch):
         cfg = tiny_config(MIRROR)
-        full = run_experiment(cfg)
-        write_trace(tmp_path / "full.csv", full.trace)
+        full = run_experiment(cfg, out_dir=tmp_path / "full")
         inner = Detector.ingest_block
         calls = []
 
@@ -271,7 +268,7 @@ class TestArtifacts:
         lines = (tmp_path / "out" / "trace.csv").read_text().splitlines()
         # Every row before the failing check boundary: the trace's header and first rows.
         assert len(lines) == 1 + t + pending - 1
-        assert lines == (tmp_path / "full.csv").read_text().splitlines()[:len(lines)]
+        assert lines == (tmp_path / "full" / "trace.csv").read_text().splitlines()[:len(lines)]
         kept = [event_record(ev) for ev in full.events if ev.t <= t]
         assert 0 < len(kept) < len(full.events)
         assert json.loads((tmp_path / "out" / "events.json").read_text()) == kept

@@ -1,8 +1,8 @@
-"""Datapoint layout, ring-buffer windows, SWD history, stream files.
+"""Datapoint layout, SWD history, stream files and their reader process.
 
-The ring buffer of a label's window is checked against a plain-list
-model: every operation is mirrored on a list and the observable views
-must agree.
+A label's window (its ring of rows and their kept sorted sets) and the
+history's kept sorted halves are checked through the detector, against
+the plain reference detector in ``test_reference_detector.py``.
 """
 import errno
 import multiprocessing
@@ -10,15 +10,9 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
-
-from conftest import unique_candidates_one_sided
 
 from swoks import stream as stream_module
-from swoks.detector import Detector, DetectorConfig, _Window
-from swoks.ot import sample_unit_directions, sliced_wasserstein
-from swoks.stats import detect_shift_sorted, ks_pvalue
+from swoks.detector import Detector, DetectorConfig
 from swoks.stream import (
     NotReadyError,
     StreamBlock,
@@ -71,172 +65,6 @@ class TestMakeDatapoint:
             make_datapoints(np.zeros((3, 2)), [0, 0], [0.0, 0.0, 0.0])
 
 
-def row(i, width=3):
-    return np.full(width, float(i))
-
-
-def push(buf, v):
-    """Append one row holding ``v`` in every column of a 3-wide window."""
-    buf.extend(np.full((1, 3), float(v)))
-
-
-DIRS = sample_unit_directions(3, 8, seed=4)
-
-
-def fresh_distance(recent, old):
-    """The sliced distance of two sets, computed from scratch."""
-    return sliced_wasserstein(np.stack([row(v) for v in recent]),
-                              np.stack([row(v) for v in old]), DIRS)
-
-
-class TestWindowBuffer:
-    """The ring of a label's window (``swoks.detector._Window``), against a
-    plain-list model; its two point sets are seen through ``distance``."""
-
-    def test_capacity(self):
-        buf = _Window(width=3, set_len=4, n_sets=2)
-        for i in range(12):
-            assert len(buf) == i and not buf.is_full
-            push(buf, i)
-        assert len(buf) == 12 and buf.is_full
-        push(buf, 12)
-        assert len(buf) == 12
-
-    def test_push_one(self):
-        buf = _Window(width=3, set_len=4, n_sets=2)
-        push(buf, 0)
-        assert len(buf) == 1
-        assert np.array_equal(buf.oldest(1), [row(0)])
-
-    def test_fifo_eviction(self):
-        buf = _Window(width=3, set_len=2, n_sets=1)
-        for i in range(5):
-            push(buf, i)
-        assert len(buf) == 4
-        held = buf.oldest(4)
-        assert held[0, 0] == 1.0  # point 0 evicted
-
-    def test_old_set_after_exact_fill(self):
-        buf = _Window(width=3, set_len=4, n_sets=2)
-        for i in range(12):
-            push(buf, i)
-        assert buf.distance(DIRS) == fresh_distance(range(8, 12), range(4))
-
-    def test_sets_disjoint_when_full(self):
-        buf = _Window(width=3, set_len=3, n_sets=2)
-        for i in range(9):
-            push(buf, i)
-        distance = buf.distance(DIRS)
-        assert distance == fresh_distance(range(6, 9), range(3))
-        # Every row of the old set lies 6 below its match in the recent set.
-        assert distance == pytest.approx(6.0 * np.sqrt(3) * np.abs(DIRS.sum(axis=1)).mean())
-
-    def test_single_window_partition(self):
-        # n_sets=1: recent and old halves tile the whole buffer
-        buf = _Window(width=3, set_len=5, n_sets=1)
-        for i in range(10):
-            push(buf, i)
-        assert buf.distance(DIRS) == fresh_distance(range(5, 10), range(5))
-
-    def test_oldest_does_not_require_full(self):
-        buf = _Window(width=3, set_len=3, n_sets=2)
-        for i in range(4):
-            push(buf, i)
-        assert np.array_equal(buf.oldest(2), np.stack([row(0), row(1)]))
-        with pytest.raises(ValueError):
-            buf.oldest(5)
-
-    def test_clear_and_extend(self):
-        buf = _Window(width=2, set_len=2, n_sets=1)
-        buf.extend(np.stack([row(i, 2) for i in range(3)]))
-        assert len(buf) == 3
-        buf.clear()
-        assert len(buf) == 0
-
-    @pytest.mark.parametrize("phi, action, reward", [
-        ([np.nan], 0, 1.0),
-        ([np.inf], 0, 1.0),
-        ([0.5], float("inf"), 1.0),
-        ([0.5], 0, float("nan")),
-        (np.zeros(4), 0, 1e308),  # sqrt(4) * 1e308 overflows
-    ])
-    def test_rejected_step_writes_nothing(self, phi, action, reward):
-        """A step the detector rejects leaves its window's ring as it was."""
-        set_len, capacity = 2, 6
-        det = Detector(DetectorConfig(history_len=set_len, swd_history_len=2, n_projections=4))
-        latent = len(phi)
-        for i in range(capacity):
-            det.ingest(np.full(latent, float(i)), i, 0.0)
-        buf = det.label_state(1).window
-        before = buf.oldest(capacity)
-        with pytest.raises(ValueError):
-            det.ingest(phi, action, reward)
-        assert len(buf) == capacity and buf._pushed == capacity
-        assert np.array_equal(buf.oldest(capacity), before)
-        det.ingest(np.full(latent, 9.0), 9, 0.0)  # the next slot is still the oldest
-        assert np.array_equal(buf.oldest(capacity)[:-1], before[1:])
-
-    @given(
-        st.integers(1, 4),  # set_len
-        st.integers(1, 3),  # n_sets
-        st.lists(st.integers(0, 1000), min_size=0, max_size=60),
-    )
-    @settings(max_examples=80, deadline=None)
-    def test_matches_list_model(self, set_len, n_sets, pushes):
-        """Rows and distances agree with the list model after every push,
-        on the check grid or off it, so the kept sorted sets are never stale."""
-        buf = _Window(width=3, set_len=set_len, n_sets=n_sets)
-        capacity = set_len * (n_sets + 1)
-        model: list[float] = []
-        for v in pushes:
-            push(buf, v)
-            model.append(float(v))
-            model = model[-capacity:]
-            assert len(buf) == len(model)
-            assert buf.is_full == (len(model) == capacity)
-            k = min(2, len(model))
-            assert list(buf.oldest(k)[:, 0]) == model[:k]
-            if buf.is_full:
-                assert buf.distance(DIRS) == fresh_distance(model[-set_len:], model[:set_len])
-
-    @given(
-        st.integers(1, 4),  # set_len
-        st.integers(1, 3),  # n_sets
-        st.lists(st.integers(0, 30), min_size=0, max_size=12),  # block sizes
-    )
-    @settings(max_examples=80, deadline=None)
-    def test_extend_matches_pushes(self, set_len, n_sets, sizes):
-        blocks = _Window(width=3, set_len=set_len, n_sets=n_sets)
-        pushes = _Window(width=3, set_len=set_len, n_sets=n_sets)
-        v = 0
-        for size in sizes:
-            blocks.extend(np.stack([row(v + i) for i in range(size)]) if size
-                          else np.empty((0, 3)))
-            for i in range(size):
-                push(pushes, v + i)
-            v += size
-            assert len(blocks) == len(pushes) and blocks._pushed == pushes._pushed == v
-            assert np.array_equal(blocks.oldest(len(blocks)), pushes.oldest(len(pushes)))
-            if blocks.is_full:
-                assert blocks.distance(DIRS) == pushes.distance(DIRS)
-
-    def test_pushed_restarts_at_clear(self):
-        """A cleared window forgets its sorted sets: the refilled one's
-        distance is that of its own rows, though its row indices repeat."""
-        buf = _Window(width=3, set_len=2, n_sets=1)
-        for i in range(7):
-            push(buf, i)
-            if buf.is_full:
-                buf.distance(DIRS)
-        buf.clear()
-        assert len(buf) == 0 and not buf.is_full
-        for i in range(100, 110):
-            push(buf, i)
-            if buf.is_full:
-                model = list(range(100, i + 1))[-4:]
-                assert buf.distance(DIRS) == fresh_distance(model[-2:], model[:2])
-
-
 class TestSwdHistory:
     def test_halves_after_exact_fill(self):
         h = SwdHistory(half_len=3)
@@ -283,41 +111,36 @@ class TestSwdHistory:
             h.push(v)
         assert list(h.values()) == [5.0, 1.0, 3.0]
 
-    @given(
-        st.integers(1, 6),  # half_len
-        st.lists(st.one_of(
-            st.integers(0, 3).map(float),  # few distinct values: ties
-            st.floats(0.0, 1e3),
-            st.integers(0, 14).map(lambda n: -n - 1),  # keep_oldest(n)
-        ), max_size=80),
-        st.sampled_from([1.0, 1.1, 1.4]),
-    )
-    @settings(max_examples=150, deadline=None)
-    def test_sorted_halves_equal_fresh_sorts(self, half_len, ops, beta):
-        """The halves kept sorted across pushes and ``keep_oldest`` equal sorting
-        the arrival-order halves, and the shift test on them equals the
-        unique-candidate formula and its p-value."""
-        h = SwdHistory(half_len)
-        for op in ops:
-            if op < 0:
-                h.keep_oldest(-op - 1)
-            else:
-                h.push(op)
-            if not h.is_full:
-                continue
-            new, old = h.sorted_halves()
-            values = h.values().tolist()
-            assert old.tolist() == sorted(values[:half_len])
-            assert new.tolist() == sorted(values[half_len:])
-            r = detect_shift_sorted(new, old, beta)
-            assert r.statistic == unique_candidates_one_sided(old * beta, new)
-            assert r.p_value == ks_pvalue(r.statistic, half_len, half_len)
-
     def test_sorted_halves_not_ready(self):
         h = SwdHistory(half_len=2)
         h.push(1.0)
         with pytest.raises(NotReadyError):
             h.sorted_halves()
+
+
+class TestWindowBuffer:
+    @pytest.mark.parametrize("phi, action, reward", [
+        ([np.nan], 0, 1.0),
+        ([np.inf], 0, 1.0),
+        ([0.5], float("inf"), 1.0),
+        ([0.5], 0, float("nan")),
+        (np.zeros(4), 0, 1e308),  # sqrt(4) * 1e308 overflows
+    ])
+    def test_rejected_step_writes_nothing(self, phi, action, reward):
+        """A step the detector rejects leaves its window's ring as it was."""
+        set_len, capacity = 2, 6
+        det = Detector(DetectorConfig(history_len=set_len, swd_history_len=2, n_projections=4))
+        latent = len(phi)
+        for i in range(capacity):
+            det.ingest(np.full(latent, float(i)), i, 0.0)
+        buf = det.label_state(1).window
+        before = buf.oldest(capacity)
+        with pytest.raises(ValueError):
+            det.ingest(phi, action, reward)
+        assert len(buf) == capacity and buf._pushed == capacity
+        assert np.array_equal(buf.oldest(capacity), before)
+        det.ingest(np.full(latent, 9.0), 9, 0.0)  # the next slot is still the oldest
+        assert np.array_equal(buf.oldest(capacity)[:-1], before[1:])
 
 
 def read_all(path) -> StreamBlock:

@@ -1,5 +1,4 @@
-"""The columnar trace: its rows, its CSV form, the CSV round trip and the
-streamed CSV."""
+"""The columnar trace: its rows, the streamed CSV and its round trip."""
 from __future__ import annotations
 
 import re
@@ -9,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from swoks.trace import TRACE_COLUMNS, Trace, TraceRow, TraceWriter, read_trace, write_trace
+from swoks.trace import TRACE_COLUMNS, Trace, TraceRow, TraceWriter, read_trace
 
 # Values whose reprs are easy to get wrong: both zeros, an exponent form
 # on each side, the smallest subnormal.
@@ -19,7 +18,7 @@ EVENTS = ["", "", "", "new-task", "re-detected", "suppressed", "probe-error"]
 
 
 def format_row(row: TraceRow) -> str:
-    """The per-row formula write_trace replaced."""
+    """One ``trace.csv`` line, formatted field by field."""
     def opt(value):
         return "" if value is None else repr(float(value))
 
@@ -66,23 +65,21 @@ def build(blocks, *writers: TraceWriter) -> tuple[Trace, list[TraceRow]]:
 @example([(0, 1, 1, [0.0, -0.0, 0.0], 0, 0.0, -0.0, "new-task"),
           (1, 2, 1, [-0.0], 1, -0.0, 0.0, ""),
           (0, 2, 2, [5e-324, 1e+16, 1e-05], 0, None, None, "re-detected")])
-def test_write_trace_matches_the_row_formula_and_round_trips(tmp_path_factory, blocks):
+def test_trace_csv_matches_the_row_formula_and_round_trips(tmp_path_factory, blocks):
     path = tmp_path_factory.mktemp("trace") / "trace.csv"
-    streamed = path.with_name("streamed.csv")
-    with TraceWriter(streamed) as writer:
+    with TraceWriter(path) as writer:
         trace, rows = build(blocks, writer)
     assert len(trace) == len(rows)
     assert list(trace) == rows
-    write_trace(path, trace)
-    assert streamed.read_bytes() == path.read_bytes()
     text = path.read_text(encoding="utf-8")
     assert text == ",".join(TRACE_COLUMNS) + "\n" + "".join(format_row(r) + "\n" for r in rows)
     back = read_trace(path)
     assert back == trace
-    # The rebuilt trace keeps every sign and bit: it writes the same bytes.
-    again = path.with_name("again.csv")
-    write_trace(again, back)
-    assert again.read_bytes() == path.read_bytes()
+    # The rebuilt trace keeps every sign and bit.
+    for name in Trace._DTYPES:
+        assert getattr(back, name).tobytes() == getattr(trace, name).tobytes(), name
+    assert repr(back.checks) == repr(trace.checks)
+    assert back.events == trace.events
 
 
 def test_columns_hold_the_appended_rows(tmp_path):
@@ -92,8 +89,9 @@ def test_columns_hold_the_appended_rows(tmp_path):
             sink.append(1, np.array([0, 0, 1]), np.array([2, 2, 2]), 7,
                         np.array([0.0, 1.0, -0.1]), 0, None, 0.5)
             sink.append(4, 1, 2, 7, [1.0], 1, 0.25, 0.5, "new-task")
-    write_trace(tmp_path / "trace.csv", trace)
-    assert (tmp_path / "streamed.csv").read_bytes() == (tmp_path / "trace.csv").read_bytes()
+    text = (tmp_path / "streamed.csv").read_text(encoding="utf-8")
+    assert text == ",".join(TRACE_COLUMNS) + "\n" + "".join(format_row(r) + "\n" for r in trace)
+    assert read_trace(tmp_path / "streamed.csv") == trace
     assert trace.t.tolist() == [1, 2, 3, 4]
     assert trace.iteration.tolist() == [0, 0, 1, 1]
     assert trace.pred_label.tolist() == [7] * 4
@@ -105,20 +103,18 @@ def test_columns_hold_the_appended_rows(tmp_path):
 
 
 def test_empty_trace_writes_a_header_only(tmp_path):
-    write_trace(tmp_path / "trace.csv", Trace())
-    assert (tmp_path / "trace.csv").read_text() == ",".join(TRACE_COLUMNS) + "\n"
-    with TraceWriter(tmp_path / "streamed.csv") as writer:
+    with TraceWriter(tmp_path / "trace.csv") as writer:
         writer.append(1, 0, 1, 1, [], 0, None, None)
-    assert (tmp_path / "streamed.csv").read_text() == ",".join(TRACE_COLUMNS) + "\n"
+    assert (tmp_path / "trace.csv").read_text() == ",".join(TRACE_COLUMNS) + "\n"
     assert read_trace(tmp_path / "trace.csv") == Trace()
     assert len(Trace()) == 0 and list(Trace()) == []
 
 
 class TestReadTraceErrors:
     def written(self, tmp_path, edit):
-        trace, _ = build([(0, 1, 1, [0.5, -0.1, 1.0], 0, 0.25, 0.5, "new-task")])
         path = tmp_path / "trace.csv"
-        write_trace(path, trace)
+        with TraceWriter(path) as writer:
+            build([(0, 1, 1, [0.5, -0.1, 1.0], 0, 0.25, 0.5, "new-task")], writer)
         lines = path.read_text().splitlines()
         edit(lines)
         path.write_text("\n".join(lines) + "\n")
