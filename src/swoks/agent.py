@@ -5,12 +5,14 @@ with one plain policy-gradient step per episode against an exponential
 running-mean baseline. A live episode is kept as rows of a caller-owned
 :class:`EpisodeBuffer`: sampling an action writes the step's features
 ``[phi; 1]`` into the next row, takes the logits from one
-``params.dot(row)``, runs the softmax and the inverse CDF on Python
-floats, and records the coefficients ``onehot(a) - p`` the gradient
-needs. The update sums the per-step outer products of those rows over
-the step axis, in step order, so the result equals the step-by-step
-sum bit for bit and no probability is recomputed. Probe steps sample
-without a buffer and record nothing.
+``params.dot(row)``, subtracts the largest on Python floats, takes the
+exponentials from one ``np.exp`` call, runs the rest of the softmax and
+the inverse CDF on Python floats, and records the coefficients
+``onehot(a) - p`` the gradient needs. The update sums the per-step outer
+products of those rows over the step axis, in step order, so the result
+equals the step-by-step sum bit for bit and no probability is
+recomputed. Probe steps write their features into one row the policy
+keeps and record nothing.
 The bank keeps two rolling parameter checkpoints per label; rolling
 back restores the older one, so the restored policy predates a detected
 change by at least one full backup interval.
@@ -35,6 +37,7 @@ __all__ = [
 logger = logging.getLogger(__name__)
 
 BASELINE_RATE = 0.1
+_FLOAT = np.dtype(float)
 
 
 class Encoder:
@@ -50,6 +53,7 @@ class Encoder:
             raise ValueError("obs_dim and latent_dim must be >= 1")
         rng = np.random.default_rng(seed)
         self._w = rng.standard_normal((latent_dim, obs_dim)) / np.sqrt(obs_dim)
+        self._obs_shape = (obs_dim,)
 
     @property
     def latent_dim(self) -> int:
@@ -60,12 +64,12 @@ class Encoder:
         return self._w.shape[1]
 
     def encode(self, obs) -> np.ndarray:
-        x = np.asarray(obs, dtype=float)
-        if x.shape != (self._w.shape[1],):
-            raise ValueError(
-                f"observation shape {x.shape} does not match ({self._w.shape[1]},)"
-            )
-        return np.tanh(self._w.dot(x))
+        if type(obs) is not np.ndarray or obs.dtype is not _FLOAT or obs.shape != self._obs_shape:
+            obs = np.asarray(obs, dtype=float)
+            if obs.shape != self._obs_shape:
+                raise ValueError(
+                    f"observation shape {obs.shape} does not match {self._obs_shape}")
+        return np.tanh(self._w.dot(obs))
 
 
 def _softmax(logits: np.ndarray) -> np.ndarray:
@@ -104,8 +108,9 @@ def _inverse_cdf(probs: list[float], u: float) -> int:
 
 def _features(phi, x: np.ndarray) -> np.ndarray:
     """``x``, whose last entry is 1, with ``phi`` written before it: the row ``[phi; 1]``."""
-    if np.shape(phi) != (x.shape[0] - 1,):
-        raise ValueError(f"phi shape {np.shape(phi)} does not match ({x.shape[0] - 1},)")
+    shape = phi.shape if type(phi) is np.ndarray else np.shape(phi)
+    if shape != (x.shape[0] - 1,):
+        raise ValueError(f"phi shape {shape} does not match ({x.shape[0] - 1},)")
     x[:-1] = phi
     return x
 
@@ -122,8 +127,9 @@ def _coefficients(p: list[float], action: int) -> list[float]:
 
 
 def _outer_sum(coeff: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """``sum_t coeff_t x_t^T``, the outer products summed over the rows in order."""
-    return np.add.reduce(coeff[:, :, None] * x[:, None, :], axis=0)
+    """``sum_t coeff_t x_t^T``, the outer products summed over the rows in order,
+    from ``coeff`` and ``x`` shaped ``(n, A, 1)`` and ``(n, 1, K)``."""
+    return np.add.reduce(coeff * x, axis=0)
 
 
 def _episode_probs(params: np.ndarray, episode):
@@ -157,7 +163,7 @@ def episode_gradient(params: np.ndarray, episode) -> np.ndarray:
     """
     x, actions, probs = _episode_probs(params, episode)
     coeff = np.array([_coefficients(p, a) for p, a in zip(probs.tolist(), actions)])
-    return _outer_sum(coeff, x)
+    return _outer_sum(coeff[:, :, None], x[:, None, :])
 
 
 class EpisodeBuffer:
@@ -173,13 +179,14 @@ class EpisodeBuffer:
     in the same arrays.
     """
 
-    __slots__ = ("x", "coeff", "rewards", "n")
+    __slots__ = ("x", "coeff", "rewards", "n", "_factors")
 
     _ROWS = 4
 
     def __init__(self, n_actions: int, latent_dim: int):
         self.x = np.ones((self._ROWS, latent_dim + 1))
         self.coeff = np.empty((self._ROWS, n_actions))
+        self._factors = self.coeff[:, :, None], self.x[:, None, :]  # of update's outer products
         self.rewards: list[float] = []
         self.n = 0  # steps recorded by act
 
@@ -194,6 +201,7 @@ class EpisodeBuffer:
         coeff = np.empty((2 * rows, self.coeff.shape[1]))
         coeff[:rows] = self.coeff
         self.x, self.coeff = x, coeff
+        self._factors = coeff[:, :, None], x[:, None, :]
 
 
 class Policy:
@@ -207,6 +215,7 @@ class Policy:
         if not (math.isfinite(learning_rate) and learning_rate > 0.0):
             raise ValueError(f"learning_rate must be > 0 and finite, got {learning_rate}")
         self.params = np.zeros((n_actions, latent_dim + 1), dtype=float)
+        self._probe_x = np.ones(latent_dim + 1)  # the features row of every probe step
         self.learning_rate = learning_rate
         self.update_count = 0
         self.baseline = 0.0
@@ -225,22 +234,24 @@ class Policy:
     def act(self, phi, rng: np.random.Generator, episode: EpisodeBuffer | None = None) -> int:
         """Sample an action from the softmax by inverse CDF on one uniform draw.
 
-        The probabilities are those of :meth:`action_probs` bit for bit,
-        computed on Python floats around numpy's ``exp``. With an
-        ``episode``, the step's features and coefficients go to its next
-        row, for :meth:`update`; without one (a probe step) nothing is
-        recorded.
+        The probabilities are those of :meth:`action_probs` bit for bit:
+        the largest logit is subtracted on Python floats, one ``np.exp``
+        call takes the exponentials, and their sum and quotients are
+        Python floats again. With an ``episode``, the step's features and
+        coefficients go to its next row, for :meth:`update`; without one
+        (a probe step) the features go to a row the policy keeps and
+        nothing is recorded.
         """
-        params = self.params
         if episode is None:
-            x = _features(phi, np.ones(params.shape[1]))
+            x = _features(phi, self._probe_x)
         else:
             n = episode.n
             if n == episode.x.shape[0]:
                 episode._grow()
             x = _features(phi, episode.x[n])
-        z = params.dot(x)
-        e = np.exp(z - max(z.tolist())).tolist()
+        z = self.params.dot(x).tolist()
+        top = max(z)
+        e = np.exp([v - top for v in z]).tolist()
         total = _sum(e)
         p = [v / total for v in e]
         action = _inverse_cdf(p, rng.random())
@@ -266,8 +277,10 @@ class Policy:
         ret = float(sum(episode.rewards))
         advantage = ret - self.baseline
         if advantage != 0.0:
-            grad = _outer_sum(episode.coeff[:n], episode.x[:n])
-            self.params += self.learning_rate * advantage * grad
+            coeff, x = episode._factors
+            grad = _outer_sum(coeff[:n], x[:n])
+            grad *= self.learning_rate * advantage
+            self.params += grad
         self.update_count += 1
         self.baseline += BASELINE_RATE * (ret - self.baseline)
 

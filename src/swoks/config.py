@@ -12,6 +12,7 @@ from typing import Callable
 
 from .detector import DetectorConfig
 from .env import Curriculum, TaskSpec, TreeGraphConfig
+from .stats import ks_pvalue
 
 __all__ = ["ConfigError", "ExperimentConfig", "AgentConfig", "load_config", "parse_config_text"]
 
@@ -172,7 +173,7 @@ def _build(values: dict[str, dict[str, object]], origin: str, preset: str) -> Ex
             raise ConfigError(f"{origin}: curriculum task {tid} not defined in [tasks]")
     steps = values["curriculum"]["segment_steps"]
     try:
-        return ExperimentConfig(
+        config = ExperimentConfig(
             detector=DetectorConfig(**values.get("detector", {})),
             env=TreeGraphConfig(**values.get("env", {})),
             agent=AgentConfig(**values.get("agent", {})),
@@ -182,6 +183,16 @@ def _build(values: dict[str, dict[str, object]], origin: str, preset: str) -> Ex
         )
     except ValueError as exc:
         raise ConfigError(f"{origin}: {exc}") from None
+    # A KS test whose smallest p-value, ks_pvalue(1, m, n), is not below alpha never rejects.
+    d, L = config.detector, config.detector.swd_history_len
+    n = d.resolved_probe_samples
+    for test, floor, keys in (
+            ("shift", ks_pvalue(1.0, L, L), f"swd_history_length = {L}"),
+            ("probe", ks_pvalue(1.0, n, L), f"probe_swd_samples = {n} and swd_history_length = {L}")):
+        if floor >= d.alpha:
+            raise ConfigError(f"{origin}: the {test} test can never reject: at {keys} its smallest "
+                              f"p-value, {floor:.3g}, is not below significance_threshold = {d.alpha}")
+    return config
 
 
 def load_config(source: str | Path, seed: int | None = None) -> ExperimentConfig:

@@ -52,6 +52,10 @@ class DetectorConfig:
     cadence of distance computation; swd_history_len is the size of
     each half of the shift test. probe_swd_samples defaults to
     ``min(swd_history_len, 25)`` when left unset.
+
+    A test never rejects if ``alpha`` is not above its smallest p-value,
+    ``exp(-L)`` for the shift test and ``exp(-2 n L / (n + L))`` for a probe
+    (``L = swd_history_len``): :func:`~swoks.config.load_config` refuses it.
     """
 
     history_len: int = 240

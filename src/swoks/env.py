@@ -84,18 +84,19 @@ class TreeGraphEnv:
         if not self._tasks:
             raise ValueError("at least one task is required")
         base_rng = substream(config.env_seed, "tree-base-obs")
-        self._base = base_rng.standard_normal((self.n_states, config.obs_dim))
+        base = base_rng.standard_normal((self.n_states, config.obs_dim))
         b = config.branching
-        # Row of self._base where each level's nodes start, root first.
-        self._level_start = [(b ** level - 1) // (b - 1) for level in range(config.depth + 1)]
+        # Base observation rows per level, root first: _rows[level][node].
+        self._rows = [list(base[(b ** level - 1) // (b - 1):(b ** (level + 1) - 1) // (b - 1)])
+                      for level in range(config.depth + 1)]
+        self._branching, self._depth, self._sigma = b, config.depth, config.obs_noise_sigma
         self._noise = substream(config.env_seed, "tree-obs-noise")
-        # Scaled noise rows drawn ahead in blocks; _noise_next is the next unused row.
-        self._noise_block = np.empty((0, config.obs_dim))
-        self._noise_next = 0
+        # Unused scaled noise rows of the latest block, the next one last.
+        self._noise_rows: list[np.ndarray] = []
         self._active: int | None = None
         self._pending: int | None = None
-        self._level = 0
-        self._node = 0  # index within the current level
+        self._rewarded = -1  # the active task's rewarded leaf
+        self._level = self._node = 0  # the current node: its level and index within it
         self._done = True
 
     @property
@@ -138,22 +139,19 @@ class TreeGraphEnv:
         the same values, in order, as one ``standard_normal(obs_dim)`` call
         per observation, so the generator runs at most one block ahead.
         """
-        base = self._base[self._level_start[self._level] + self._node]
-        if self._cfg.obs_noise_sigma == 0.0:
+        base = self._rows[self._level][self._node]
+        if self._sigma == 0.0:
             return base.copy()
-        if self._noise_next == self._noise_block.shape[0]:
-            self._noise_block = self._cfg.obs_noise_sigma * self._noise.standard_normal(
-                (_NOISE_BLOCK, self._cfg.obs_dim)
-            )
-            self._noise_next = 0
-        noise = self._noise_block[self._noise_next]
-        self._noise_next += 1
-        return base + noise
+        if not self._noise_rows:
+            self._noise_rows = list(self._sigma * self._noise.standard_normal(
+                (_NOISE_BLOCK, base.shape[0])))[::-1]
+        return base + self._noise_rows.pop()
 
     def reset(self) -> np.ndarray:
         """Start a new episode at the root and return its observation."""
         if self._pending is not None:
             self._active = self._pending
+            self._rewarded = self._tasks[self._active].rewarded_leaf
         if self._active is None:
             raise RuntimeError("no active task; call set_task before reset")
         self._level = 0
@@ -170,26 +168,21 @@ class TreeGraphEnv:
         """
         if self._done:
             raise RuntimeError("episode is over; call reset")
-        try:
-            action = operator.index(action)
-        except TypeError:
-            raise ValueError(f"action {action!r} is not an integer") from None
-        if not 0 <= action < self._cfg.branching:
-            raise ValueError(
-                f"action {action} out of range [0, {self._cfg.branching})"
-            )
-        self._node = self._node * self._cfg.branching + action
+        if type(action) is not int:
+            try:
+                action = operator.index(action)
+            except TypeError:
+                raise ValueError(f"action {action!r} is not an integer") from None
+        b = self._branching
+        if not 0 <= action < b:
+            raise ValueError(f"action {action} out of range [0, {b})")
+        self._node = node = self._node * b + action
         self._level += 1
         obs = self._observe()
-        if self._level == self._cfg.depth:
-            self._done = True
-            rewarded = self._tasks[self._active].rewarded_leaf
-            reward = (
-                self._cfg.high_reward if self._node == rewarded else self._cfg.fail_reward
-            )
-        else:
-            reward = 0.0
-        return obs, reward, self._done
+        if self._level < self._depth:
+            return obs, 0.0, False
+        self._done = True
+        return obs, self._cfg.high_reward if node == self._rewarded else self._cfg.fail_reward, True
 
 
 @dataclass(frozen=True)
@@ -213,7 +206,12 @@ class Curriculum:
 
     def task_at(self, t: int) -> int:
         """Task governing global step ``t`` (1-based)."""
+        return self.segment(t)[0]
+
+    def segment(self, t: int) -> tuple[int, int]:
+        """Task and last step of the segment governing step ``t`` (1-based); the
+        final segment's last step is the schedule's, though its task persists."""
         if t < 1:
             raise ValueError(f"t must be >= 1, got {t}")
-        i = bisect_left(self._ends, t)
-        return self.segments[min(i, len(self.segments) - 1)][0]
+        i = min(bisect_left(self._ends, t), len(self._ends) - 1)
+        return self.segments[i][0], self._ends[i]

@@ -145,17 +145,19 @@ def run_experiment(config: ExperimentConfig, out_dir: str | Path | None = None,
     # Rows go straight to trace.csv with an out_dir, else to columns in memory
     # (room for the whole curriculum and the last check interval's overrun).
     trace = TraceWriter(out / "trace.csv") if out is not None else Trace(total + h)
+    renew = 0  # steps taken when the task, the label and its policy are next looked up
     finished = False
     try:
         while t < total:
-            env.set_task(config.curriculum.task_at(t + 1))
+            if t >= renew:
+                # The task only changes where a segment ends, the label only at a check.
+                gt_task, renew = config.curriculum.segment(t + 1)
+                env.set_task(gt_task)
+                label = detector.current_label.id
+                policy = bank.get_or_create(label)
             obs = env.reset()
-            gt_task = env.active_task  # fixed until the next reset
-            label = detector.current_label.id
-            policy = bank.get_or_create(label)
             episode.clear()
-            aborted = False
-            done = False
+            aborted = done = False
             while not done:
                 phi = encoder.encode(obs)
                 action = policy.act(phi, act_rng, episode)
@@ -180,6 +182,7 @@ def run_experiment(config: ExperimentConfig, out_dir: str | Path | None = None,
                              0, p_value, swd, event.kind if event else "")
                 for column in (phis, actions, rewards, gt_tasks, iterations):
                     column.clear()
+                renew = t
                 if probe_source.steps:
                     probe_tasks, probe_rewards = zip(*probe_source.steps)
                     trace.append(t + 1, iteration, probe_tasks, label, probe_rewards, 1,

@@ -28,7 +28,6 @@ TRACE_COLUMNS = [
 ]
 
 _CHUNK = 4096  # rows per tolist() batch, which bounds the Python objects alive at once
-_LINE = "%d,%d,%d,%d,%s,%s,%r,%d\n"  # one trace.csv row; the p_value,swd pair comes formatted
 
 
 class TraceRow(NamedTuple):
@@ -173,10 +172,21 @@ class TraceWriter:
         check = self._check
         if check is None or check[0] is not p_value or check[1] is not swd:
             check = self._check = (p_value, swd, _check_text(p_value, swd))
-        self._fh.writelines(map(_LINE.__mod__, zip(
-            range(t, t + k), _per_row(iteration), _per_row(gt_task), _per_row(pred_label),
-            chain((event,), repeat("")), repeat(check[2]), map(float, reward),
-            repeat(probe_flag))))
+        # The fields every row shares are formatted once, into the line format.
+        fields = [range(t, t + k), _per_row(iteration), _per_row(gt_task)]
+        if np.isscalar(pred_label):
+            label = "%d" % pred_label
+        else:
+            label = "%d"
+            fields.append(pred_label)
+        head = "%d,%d,%d," + label + ","
+        tail = "," + check[2] + ",%r," + "%d\n" % probe_flag
+        first = head + str(event).replace("%", "%%") + tail
+        # One format call for the block: zip stops at the shortest per-row field.
+        values = tuple(chain.from_iterable(zip(*fields, map(float, reward))))
+        rows = len(values) // (len(fields) + 1)
+        if rows:
+            self._fh.write((first + (head + tail) * (rows - 1)) % values)
 
     def close(self) -> None:
         self._fh.close()

@@ -265,3 +265,32 @@ class TestNonFiniteFloats:
     def test_rejected_by_the_classes(self, make, value):
         with pytest.raises(ValueError):
             make(value)
+
+
+class TestDetectorThatCannotFire:
+    """At statistic 1 the shift test's p-value is exp(-L) and a probe's
+    exp(-2 n L / (n + L)); a config whose alpha is not above it is refused."""
+
+    def load(self, tmp_path, detector):
+        text = f"[experiment]\npreset = desk\n[detector]\nsignificance_threshold = 0.001\n{detector}"
+        return load_config(write_cfg(tmp_path, text))
+
+    def test_shift_test_that_cannot_reject_is_refused(self, tmp_path):
+        # exp(-6) = 0.0025 >= 0.001
+        with pytest.raises(ConfigError, match=rf"^{re.escape(str(tmp_path / 'exp.cfg'))}: "
+                           r"the shift test can never reject: at swd_history_length = 6 .*"
+                           r"0\.00248.* significance_threshold = 0\.001$"):
+            self.load(tmp_path, "swd_history_length = 6\n")
+
+    def test_shift_test_that_can_reject_is_accepted(self, tmp_path):
+        # exp(-7) = 0.00091 < 0.001, and the probe floor exp(-2*12*7/19) is lower still
+        assert self.load(tmp_path, "swd_history_length = 7\n").detector.swd_history_len == 7
+
+    def test_probe_test_that_cannot_reject_is_refused(self, tmp_path):
+        # exp(-2 * 1 * 12 / 13) = 0.158 >= 0.001
+        with pytest.raises(ConfigError, match=r"the probe test can never reject: at "
+                           r"probe_swd_samples = 1 and swd_history_length = 12 .*0\.158"):
+            self.load(tmp_path, "probe_swd_samples = 1\n")
+
+    def test_the_class_still_accepts_both(self):
+        assert DetectorConfig(swd_history_len=2, probe_swd_samples=1).swd_history_len == 2

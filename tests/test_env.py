@@ -92,33 +92,44 @@ class TestRewards:
         with pytest.raises(ValueError):
             env.step(2)
 
-    @pytest.mark.parametrize("action", [1.0, np.float64(0.0), 0.5, "1", None, 2, -1, [1]])
+    @pytest.mark.parametrize("action",
+                             [1.0, np.float64(0.0), 0.5, "1", None, 2, -1, [1], np.True_])
     def test_rejected_action_leaves_the_episode_unchanged(self, action):
+        # np.True_ is refused because operator.index refuses it.
         env, fresh = make_env(seed=4), make_env(seed=4)
         for e in (env, fresh):
             e.set_task(2)
             e.reset()
             e.step(0)
-        state = (env._level, env._node, env._done, env._noise_next, env._noise_block.tobytes())
+
+        def state():
+            # Position, the unserved noise rows and the noise generator's state.
+            unserved = b"".join(row.tobytes() for row in env._noise_rows)
+            return (env._level, env._node, env._done, unserved,
+                    env._noise.bit_generator.state)
+
+        before = state()
         with pytest.raises(ValueError):
             env.step(action)
-        assert (env._level, env._node, env._done, env._noise_next,
-                env._noise_block.tobytes()) == state
+        assert state() == before
         obs, reward, done = env.step(1)
         expected_obs, expected_reward, expected_done = fresh.step(1)
         assert obs.tobytes() == expected_obs.tobytes()
         assert (reward, done) == (expected_reward, expected_done)
 
     def test_numpy_integer_action_accepted(self):
-        env, twin = make_env(seed=2), make_env(seed=2)
-        for e in (env, twin):
-            e.set_task(4)
-            e.reset()
-        for a in (1, 1):
-            obs, reward, done = env.step(np.int64(a))
-            expected = twin.step(a)
-            assert obs.tobytes() == expected[0].tobytes() and (reward, done) == expected[1:]
-        assert reward == 1.0 and done
+        # Every type operator.index accepts steps exactly as the int does.
+        for action in (np.int64(1), True, np.uint8(1)):
+            env, twin = make_env(seed=2), make_env(seed=2)
+            for e in (env, twin):
+                e.set_task(4)
+                e.reset()
+            for _ in range(2):
+                obs, reward, done = env.step(action)
+                expected = twin.step(1)
+                assert obs.tobytes() == expected[0].tobytes() and (reward, done) == expected[1:]
+                assert type(reward) is type(expected[1])
+            assert reward == 1.0 and done
 
 
 class TestObservations:
@@ -242,12 +253,13 @@ class TestCurriculum:
     ])
     def test_lookup_matches_the_linear_scan(self, segments):
         def linear(t):
+            """(task, last step) of the segment governing ``t``."""
             upto = 0
             for task_id, duration in segments:
                 upto += duration
                 if t <= upto:
-                    return task_id
-            return segments[-1][0]
+                    return task_id, upto
+            return segments[-1][0], upto
 
         cur = Curriculum(segments)
         ends = np.cumsum([d for _, d in segments]).tolist()
@@ -255,11 +267,13 @@ class TestCurriculum:
         for end in ends:
             probes.update((end - 1, end, end + 1))
         for t in sorted(p for p in probes if p >= 1):
-            assert cur.task_at(t) == linear(t), t
-        with pytest.raises(ValueError):
-            cur.task_at(0)
-        with pytest.raises(ValueError):
-            cur.task_at(-3)
+            assert cur.segment(t) == linear(t), t
+            assert cur.task_at(t) == linear(t)[0], t
+        for t in (0, -3):
+            with pytest.raises(ValueError):
+                cur.task_at(t)
+            with pytest.raises(ValueError):
+                cur.segment(t)
 
     def test_total_steps(self):
         assert Curriculum(((1, 3), (2, 4))).total_steps == 7

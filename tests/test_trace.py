@@ -82,6 +82,47 @@ def test_trace_csv_matches_the_row_formula_and_round_trips(tmp_path_factory, blo
     assert back.events == trace.events
 
 
+# Every append shape the runner makes, as Trace.append arguments:
+# (t, iteration, gt_task, pred_label, reward, probe_flag, p_value, swd, event).
+RUNNER_APPENDS = [
+    # before the first check: rows before a boundary, per-row iteration and gt_task lists
+    (1, [0, 0, 1, 1], [2, 2, 2, 3], 1, [0.0, -0.1, 0.0, -0.0], 0, None, None),
+    # the boundary row: one row, scalars, the check's values
+    (5, 1, 3, 1, [np.float64(1.0)], 0, None, 0.25),
+    # the boundary row that carries an event
+    (6, 2, 3, 1, [-0.0], 0, 0.0005, 0.5, "new-task"),
+    # a probe block of tuples, probe_flag=1
+    (7, 2, (3, 3, 3), 1, (0.0, 1.0, np.float64(-0.1)), 1, 0.0005, 0.5),
+    # a multi-row block whose first row carries an event, numpy rewards
+    (10, np.array([3, 3]), [3, 4], 2, np.array([-0.0, 1e-05]), 0, -0.0, 5e-324, "re-detected"),
+    # one pred_label per row, as Trace.append takes it
+    (12, 4, 4, np.array([2, 3]), [0.30000000000000004, -0.0], 0, None, None, "suppressed"),
+    # an event text that reads as a format directive
+    (14, 4, 4, 3, [1.0], 0, None, None, "%d%%"),
+]
+
+
+def test_every_runner_append_shape_writes_the_row_formula(tmp_path):
+    def per_row(value, k):
+        return list(value) if isinstance(value, (list, tuple, np.ndarray)) else [value] * k
+
+    trace, rows = Trace(), []
+    with TraceWriter(tmp_path / "trace.csv") as writer:
+        for t, iteration, gt_task, label, reward, flag, p, s, *event in RUNNER_APPENDS:
+            for sink in (trace, writer):
+                sink.append(t, iteration, gt_task, label, reward, flag, p, s, *event)
+            k = len(reward)
+            kinds = [*event, *[""] * k][:k] if event else [""] * k
+            rows += [TraceRow(t + i, it, gt, lab, kind, p, s, float(r), flag)
+                     for i, (it, gt, lab, kind, r) in enumerate(zip(
+                         per_row(iteration, k), per_row(gt_task, k), per_row(label, k),
+                         kinds, reward))]
+    text = (tmp_path / "trace.csv").read_text(encoding="utf-8")
+    assert text == ",".join(TRACE_COLUMNS) + "\n" + "".join(format_row(r) + "\n" for r in rows)
+    assert list(trace) == rows
+    assert read_trace(tmp_path / "trace.csv") == trace
+
+
 def test_columns_hold_the_appended_rows(tmp_path):
     trace = Trace()
     with TraceWriter(tmp_path / "streamed.csv") as writer:

@@ -1,0 +1,82 @@
+"""Print the SHA-256 of the outputs that a hot-path change must leave unchanged.
+
+    python3 tools/output_hashes.py > hashes.json
+
+The script imports ``swoks`` from this checkout's ``src/`` and prints,
+as JSON:
+
+- ``desk``: ``trace.csv`` and ``events.json`` of ``swoks run --config
+  desk`` for seeds 1-5;
+- ``detect``: the stdout of ``swoks detect --config desk`` on the
+  synthetic stream ``perfbench/synth.py`` makes with
+  ``generate(3, segments_for(4, 20000))``, written to ``stream.csv`` in
+  the working directory (stdout names the stream, so the path is fixed);
+- ``sweep-beta``: the stdout of ``swoks sweep-beta --config desk
+  --betas 1.0,1.1,1.4``;
+- ``calibrate-fpr``: the stdout of ``swoks calibrate-fpr --config
+  perfbench/configs/stationary.cfg --runs 3``.
+
+Run it on two checkouts and compare the output: equal JSON means the
+same bytes. Everything is written under a temporary directory; nothing
+in the checkout changes. It takes about 15 s on 2 CPUs.
+"""
+from __future__ import annotations
+
+import contextlib
+import hashlib
+import io
+import json
+import os
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
+
+import synth  # noqa: E402  (perfbench/synth.py)
+from swoks.cli import main  # noqa: E402
+
+DESK_SEEDS = range(1, 6)
+STATIONARY_CONFIG = ROOT / "perfbench" / "configs" / "stationary.cfg"
+
+
+def _sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def _stdout(argv: list[str]) -> str:
+    """The SHA-256 of what ``swoks <argv>`` prints; a failing command raises."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(argv)
+    if code != 0:
+        raise SystemExit(f"swoks {' '.join(argv)} exited {code}")
+    return _sha256(out.getvalue().encode("utf-8"))
+
+
+def hashes() -> dict:
+    result: dict = {"desk": {}}
+    for seed in DESK_SEEDS:
+        out = Path(f"desk-{seed}")
+        _stdout(["run", "--config", "desk", "--seed", str(seed), "--out", str(out)])
+        result["desk"][str(seed)] = {
+            name: _sha256((out / name).read_bytes()) for name in ("trace.csv", "events.json")}
+    synth.write_csv("stream.csv", synth.generate(3, synth.segments_for(4, 20000)))
+    result["detect"] = _stdout(["detect", "--config", "desk", "--stream", "stream.csv"])
+    result["sweep-beta"] = _stdout(["sweep-beta", "--config", "desk", "--betas", "1.0,1.1,1.4"])
+    result["calibrate-fpr"] = _stdout(
+        ["calibrate-fpr", "--config", str(STATIONARY_CONFIG), "--runs", "3"])
+    return result
+
+
+if __name__ == "__main__":
+    here = os.getcwd()
+    with tempfile.TemporaryDirectory(prefix="swoks-hashes-") as work:
+        os.chdir(work)
+        try:
+            found = hashes()
+        finally:
+            os.chdir(here)
+    json.dump(found, sys.stdout, indent=2, sort_keys=True)
+    sys.stdout.write("\n")
