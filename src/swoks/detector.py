@@ -171,18 +171,19 @@ class _Window:
         self._sorted.clear()
 
     def _rows(self, start: int, count: int) -> np.ndarray:
-        # start is an offset from the oldest stored row.
+        # start is an offset from the oldest stored row. A view of the ring
+        # where the rows do not wrap: valid only until the next extend.
         first = (self._next - self._size + start) % self._capacity
         head = min(count, self._capacity - first)
         if head == count:
-            return self._data[first:first + count].copy()
+            return self._data[first:first + count]
         return np.concatenate([self._data[first:], self._data[:count - head]])
 
     def oldest(self, count: int) -> np.ndarray:
-        """Oldest ``count`` stored rows, a copy."""
+        """Oldest ``count`` stored rows, a copy: a frozen reference outlives the ring."""
         if count < 0 or count > self._size:
             raise ValueError(f"cannot take {count} rows from {self._size} stored")
-        return self._rows(0, count)
+        return self._rows(0, count).copy()
 
     def distance(self, dirs: np.ndarray) -> float:
         """Sliced distance between the recent and the old set of a full ring."""

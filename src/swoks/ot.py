@@ -198,8 +198,10 @@ def sorted_distance(proj_a: np.ndarray, proj_b: np.ndarray) -> float:
     The squared differences are summed down each column of the
     ``(n, count)`` layout, one point after the other: the order of the
     original column-sorted formula, which keeps the result bit-identical
-    to it. Summing along contiguous rows would round differently.
+    to it. Summing along contiguous rows would round differently. The
+    mean is ``np.mean``'s own sum and division, without its wrapper.
     """
     diff = proj_a - proj_b
     diff *= diff
-    return float(np.mean(np.sqrt(np.sum(diff, axis=0))))
+    norms = np.sqrt(np.add.reduce(diff, axis=0))
+    return float(np.add.reduce(norms) / norms.shape[0])

@@ -139,6 +139,7 @@ def run_experiment(config: ExperimentConfig, out_dir: str | Path | None = None,
     gt_tasks: list[int] = []
     iterations: list[int] = []
     episode = EpisodeBuffer(env.n_actions, config.agent.latent_dim)
+    backup_freq = bank.backup_freq
     t = 0  # steps taken, live and probe: the detector's t plus the pending steps
     iteration = 0
     total = config.curriculum.total_steps
@@ -202,7 +203,8 @@ def run_experiment(config: ExperimentConfig, out_dir: str | Path | None = None,
                 # suppressed: keep playing the episode
             if not aborted:
                 policy.update(episode)
-                bank.backup_if_due(label)
+                if policy.update_count % backup_freq == 0:  # else no backup is due
+                    bank.backup_if_due(label)
                 iteration += 1
         if rewards:
             trace.append(t - len(rewards) + 1, iterations, gt_tasks, label, rewards, 0,
@@ -235,8 +237,9 @@ def detect_offline(stream_path: str | Path, det_config: DetectorConfig):
 
     Re-detection degrades to new-label-only because stored policies
     cannot be deployed against a file. The stream is ingested block by
-    block as a reader process parses it (:func:`prefetch_stream_blocks`),
-    so parsing overlaps detection and memory does not grow with the
+    block as a reader process parses it and hands it over through a ring
+    of slots in shared memory (:func:`prefetch_stream_blocks`), so
+    parsing overlaps detection and memory does not grow with the
     stream's length; the reader is stopped before this returns or
     raises. Returns (events, detector).
     """

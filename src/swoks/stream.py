@@ -186,61 +186,83 @@ def read_stream_blocks(path) -> Iterator[StreamBlock]:
     """
     with open(path, "r", encoding="utf-8") as fh:
         k = _read_header(fh, path)
-        lineno = 2
-        empty = True
-        while lines := list(itertools.islice(fh, _BLOCK_LINES)):
-            table = _parse_block(lines, k)
-            if table is None:
-                table = _parse_lines(lines, k, path, lineno)
-            lineno += len(lines)
-            if table.shape[0]:
-                empty = False
-                # Every column is copied out contiguous: pickling a strided
-                # view for the reader's pipe costs several times as much.
-                yield StreamBlock(
-                    t=table[:, 0].astype(np.int64),
-                    gt_task=table[:, 1].astype(np.int64),
-                    reward=table[:, 2].copy(),
-                    action=np.trunc(table[:, 3]),
-                    phi=table[:, 4:].copy(),
-                )
+        yield from map(_block, _tables(fh, k, path))
+
+
+def _tables(fh, k: int, path) -> Iterator[np.ndarray]:
+    """The validated ``(rows, k + 4)`` table of every non-empty block after the header."""
+    lineno = 2
+    empty = True
+    while lines := list(itertools.islice(fh, _BLOCK_LINES)):
+        table = _parse_block(lines, k)
+        if table is None:
+            table = _parse_lines(lines, k, path, lineno)
+        lineno += len(lines)
+        if table.shape[0]:
+            empty = False
+            yield table
     if empty:
         raise ValueError(f"{path}: stream contains no data rows")
 
 
+def _block(table: np.ndarray) -> StreamBlock:
+    """A table's columns as a block that owns its arrays, each contiguous."""
+    return StreamBlock(
+        t=table[:, 0].astype(np.int64),
+        gt_task=table[:, 1].astype(np.int64),
+        reward=table[:, 2].copy(),
+        action=np.trunc(table[:, 3]),
+        phi=table[:, 4:].copy(),
+    )
+
+
 # How long a reader that was told to stop may take to exit before it is killed.
 _REAP_TIMEOUT_S = 1.0
-# Pipe capacity asked for, enough for two blocks of 8 latents (0.4 MB each):
-# through the default 64 KB a block crosses in many writes, each of which
-# wakes the other process.
-_PIPE_BYTES = 1 << 20
+# Slots in the ring of blocks shared with the reader. While a new label's
+# window fills (30,240 rows, 7.4 blocks, at paper windows) the detector
+# makes no checks and drains the ring faster than the reader parses, so the
+# ring holds eight blocks, or as many as fit in _RING_BYTES, but at least two.
+_RING_BLOCKS = 8
+_RING_BYTES = 8 << 20
 
 
 def prefetch_stream_blocks(path) -> Iterator[StreamBlock]:
     """:func:`read_stream_blocks`, parsed in a reader process ahead of the caller.
 
-    On the first ``next()`` a reader process is forked; it parses the
-    stream and sends each block through a pipe, so it parses the next
-    blocks while the caller works on this one. The pipe holds a couple
-    of blocks and a full pipe stalls the reader, so memory stays flat.
-    The reader's errors are raised here, after the blocks before them,
-    with the same type and message. Closing the generator (also through
-    ``contextlib.closing`` when an exception ends the caller's loop)
-    stops and reaps the reader. Without ``fork``, or with one usable
-    CPU, the blocks are parsed in this process instead.
+    On the first ``next()`` the header is read here and a reader process
+    is forked to parse the rest. It copies each block's table into a free
+    slot of a ring in shared memory and sends only the slot and row count
+    through a pipe; this process copies the slot into a block of its own
+    and hands the slot back before yielding the block. The ring holds a
+    few blocks and a reader without a free slot waits, so memory stays
+    flat. The reader's errors are raised here, after the blocks before
+    them, with the same type and message. Closing the generator (also
+    through ``contextlib.closing`` when an exception ends the caller's
+    loop) stops and reaps the reader. Without ``fork``, in a daemonic
+    process or with one usable CPU, the blocks are parsed in this process
+    instead.
     """
-    started = _start_reader(path)
-    if started is None:
-        yield from read_stream_blocks(path)
-        return
-    receiver, reader = started
+    with open(path, "r", encoding="utf-8") as fh:
+        k = _read_header(fh, path)
+        started = _start_reader(fh, k, path)
+        if started is None:
+            yield from map(_block, _tables(fh, k, path))
+            return
+    receiver, returns, reader, slots = started
     try:
         while (item := _receive(receiver, reader, path)) is not None:
             if isinstance(item, BaseException):
                 raise item
-            yield item
+            slot, rows = item
+            block = _block(slots[slot, :rows])
+            try:
+                returns.send(slot)
+            except BrokenPipeError:
+                pass  # the reader has exited; the next receive says how
+            yield block
     finally:
-        receiver.close()  # a reader blocked on a send now gets a broken pipe
+        receiver.close()  # a reader blocked on a send now gets a broken pipe,
+        returns.close()  # and one waiting for a free slot the end of its pipe
         reader.join(_REAP_TIMEOUT_S)
         if reader.is_alive():
             reader.kill()
@@ -256,45 +278,49 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def _start_reader(path):
-    """``(receiving end, reader process)``, or None where no reader can run."""
+def _start_reader(fh, k: int, path):
+    """``(block pipe, slot pipe, reader process, ring slots)``, or None where no
+    reader can run. The reader goes on reading ``fh`` after its header."""
     if not hasattr(os, "fork") or _usable_cpus() < 2:
         return None
+    import mmap  # on first use, like multiprocessing
     import multiprocessing  # on first use: the import costs 15-20 ms
     from multiprocessing import util
 
     if multiprocessing.current_process().daemon:  # may not start children
         return None
     ctx = multiprocessing.get_context("fork")
+    slot_bytes = 8 * _BLOCK_LINES * (k + 4)
+    n_slots = max(2, min(_RING_BLOCKS, _RING_BYTES // slot_bytes))
+    ring = mmap.mmap(-1, n_slots * slot_bytes)  # anonymous: shared with forked children
+    slots = np.frombuffer(ring, dtype=float).reshape(n_slots, _BLOCK_LINES, k + 4)
     receiver, sender = ctx.Pipe(duplex=False)
+    free, returns = ctx.Pipe(duplex=False)
     # Every process forked from here on, this reader and any other, closes
-    # its copy of the receiving end: closing ours must break the pipe.
-    util.register_after_fork(receiver, type(receiver).close)
-    try:
-        import fcntl
-
-        fcntl.fcntl(sender.fileno(), fcntl.F_SETPIPE_SZ, _PIPE_BYTES)
-    except (AttributeError, OSError):  # not on Linux, or over this user's pipe limit
-        pass  # the default capacity only costs speed
-    reader = ctx.Process(target=_send_blocks, args=(path, sender),
+    # its copies of our ends: closing ours must break the pipes.
+    for end in (receiver, returns):
+        util.register_after_fork(end, type(end).close)
+    reader = ctx.Process(target=_fill_slots, args=(fh, k, path, slots, sender, free),
                          name="swoks-stream-reader", daemon=True)
     try:
         with warnings.catch_warnings():
             # Python 3.12+ warns on every fork of a multi-threaded process.
             # The other threads are typically BLAS workers, which stop
-            # around a fork, and the reader only parses and sends.
+            # around a fork, and the reader only parses and copies.
             warnings.filterwarnings("ignore", ".*multi-threaded.*fork", DeprecationWarning)
             reader.start()
     except OSError:  # fork refused, e.g. at a process limit
         receiver.close()
+        returns.close()
         return None
     finally:
-        sender.close()  # the reader holds the only writing end
-    return receiver, reader
+        sender.close()  # the reader holds the only writing end of the block pipe
+        free.close()  # and the only reading end of the slot pipe
+    return receiver, returns, reader, slots
 
 
 def _receive(receiver, reader, path):
-    """The reader's next message: a block, its error, or None at the end."""
+    """The reader's next message: a ``(slot, rows)`` pair, its error, or None at the end."""
     try:
         return receiver.recv()
     except EOFError:
@@ -303,16 +329,19 @@ def _receive(receiver, reader, path):
                            "before the end of the stream") from None
 
 
-def _send_blocks(path, sender) -> None:
-    """Body of the reader process: every block of ``path``, then None or the error."""
+def _fill_slots(fh, k, path, slots, sender, free) -> None:
+    """Body of the reader process: each table into a slot (the ring's own on
+    the first lap, then each one handed back), then None or the error."""
     import signal  # here, not at module level: 1-2 ms of every ``import swoks``
 
     signal.signal(signal.SIGINT, signal.SIG_IGN)  # Ctrl-C is for the parent to handle
     try:
-        for block in read_stream_blocks(path):
-            sender.send(block)
+        for i, table in enumerate(_tables(fh, k, path)):
+            slot = i if i < len(slots) else free.recv()
+            slots[slot, :table.shape[0]] = table
+            sender.send((slot, table.shape[0]))
         outcome = None
-    except BrokenPipeError:
+    except (BrokenPipeError, EOFError):
         return  # the parent stopped reading
     except Exception as exc:  # noqa: BLE001 - raised again in the parent
         outcome = exc

@@ -6,6 +6,7 @@ the plain reference detector in ``test_reference_detector.py``.
 """
 import errno
 import multiprocessing
+import multiprocessing.connection
 import re
 
 import numpy as np
@@ -419,3 +420,41 @@ class TestPrefetch:
         with pytest.raises(RuntimeError, match=r"stream reader exited with code -9 before"):
             list(blocks)  # the blocks still in the pipe, then the end of the pipe
         assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("ring_blocks", [None, 2])  # the shipped ring, and two slots
+    def test_blocks_outlive_the_ring_slots_they_came_through(self, tmp_path, monkeypatch,
+                                                             ring_blocks):
+        """Every block is held until the stream ends, by when each slot was
+        reused: a block that shared memory with its slot would have changed."""
+        if ring_blocks is not None:
+            monkeypatch.setattr(stream_module, "_RING_BLOCKS", ring_blocks)
+        path = self.write(tmp_path / "long.csv")
+        expected = list(read_stream_blocks(path))
+        assert len(expected) > stream_module._RING_BLOCKS
+        assert_same_blocks(list(prefetch_stream_blocks(path)), expected)
+        assert multiprocessing.active_children() == []
+
+    def test_closing_while_the_reader_waits_for_a_slot_reaps_it(self, tmp_path, monkeypatch):
+        """Closing hands no slot back but ends the slot pipe: the waiting reader
+        exits by itself, without a kill."""
+        kills = []
+        kill = multiprocessing.process.BaseProcess.kill
+        monkeypatch.setattr(multiprocessing.process.BaseProcess, "kill",
+                            lambda process: (kills.append(process), kill(process)))
+        monkeypatch.setattr(stream_module, "_REAP_TIMEOUT_S", 10.0)
+        monkeypatch.setattr(stream_module, "_RING_BLOCKS", 2)
+        # The reader only receives to wait for a free slot; it counts each wait.
+        waits = multiprocessing.get_context("fork").Semaphore(0)
+        recv = multiprocessing.connection.Connection.recv
+
+        def counted_recv(connection):
+            if multiprocessing.parent_process() is not None:  # in the reader
+                waits.release()
+            return recv(connection)
+
+        monkeypatch.setattr(multiprocessing.connection.Connection, "recv", counted_recv)
+        blocks = prefetch_stream_blocks(self.write(tmp_path / "long.csv"))
+        next(blocks)  # slot 0 comes back: the third block takes it, the fourth waits
+        assert waits.acquire(timeout=10) and waits.acquire(timeout=10)
+        blocks.close()
+        assert multiprocessing.active_children() == [] and kills == []

@@ -11,6 +11,10 @@ as JSON:
   synthetic stream ``perfbench/synth.py`` makes with
   ``generate(3, segments_for(4, 20000))``, written to ``stream.csv`` in
   the working directory (stdout names the stream, so the path is fixed);
+- ``detect-paper``: the stdout of ``swoks detect --config paper`` on
+  ``generate(3, segments_for(2, 150000))``, written to
+  ``paper-stream.csv``: paper windows (n = 240) on a stream of 74
+  blocks, many more than the reader's ring has slots;
 - ``sweep-beta``: the stdout of ``swoks sweep-beta --config desk
   --betas 1.0,1.1,1.4``;
 - ``calibrate-fpr``: the stdout of ``swoks calibrate-fpr --config
@@ -18,7 +22,7 @@ as JSON:
 
 Run it on two checkouts and compare the output: equal JSON means the
 same bytes. Everything is written under a temporary directory; nothing
-in the checkout changes. It takes about 15 s on 2 CPUs.
+in the checkout changes. It takes about 20 s on 2 CPUs.
 """
 from __future__ import annotations
 
@@ -64,6 +68,9 @@ def hashes() -> dict:
             name: _sha256((out / name).read_bytes()) for name in ("trace.csv", "events.json")}
     synth.write_csv("stream.csv", synth.generate(3, synth.segments_for(4, 20000)))
     result["detect"] = _stdout(["detect", "--config", "desk", "--stream", "stream.csv"])
+    synth.write_csv("paper-stream.csv", synth.generate(3, synth.segments_for(2, 150000)))
+    result["detect-paper"] = _stdout(
+        ["detect", "--config", "paper", "--stream", "paper-stream.csv"])
     result["sweep-beta"] = _stdout(["sweep-beta", "--config", "desk", "--betas", "1.0,1.1,1.4"])
     result["calibrate-fpr"] = _stdout(
         ["calibrate-fpr", "--config", str(STATIONARY_CONFIG), "--runs", "3"])
