@@ -5,14 +5,15 @@ with one plain policy-gradient step per episode against an exponential
 running-mean baseline. A live episode is kept as rows of a caller-owned
 :class:`EpisodeBuffer`: sampling an action writes the step's features
 ``[phi; 1]`` into the next row, takes the logits from one
-``params.dot(row)``, subtracts the largest on Python floats, takes the
-exponentials from one ``np.exp`` call, runs the rest of the softmax and
-the inverse CDF on Python floats, and records the coefficients
-``onehot(a) - p`` the gradient needs. The update sums the per-step outer
-products of those rows over the step axis, in step order, so the result
-equals the step-by-step sum bit for bit and no probability is
-recomputed. Probe steps write their features into one row the policy
-keeps and record nothing.
+``params.dot(row)``, subtracts the largest, exponentiates them in place
+with one ``np.exp`` call, runs the rest of the softmax and the inverse
+CDF on Python floats, and records the coefficients ``onehot(a) - p`` the
+gradient needs. The update sums the per-step outer products of those
+rows over the step axis, in step order, so the result equals the
+step-by-step sum bit for bit and no probability is recomputed. Probe
+rollouts encode and sample many steps at once (:meth:`Encoder.encode_rows`,
+:meth:`Policy.act_rows`), with the same results per row, and record
+nothing.
 The bank keeps two rolling parameter checkpoints per label; rolling
 back restores the older one, so the restored policy predates a detected
 change by at least one full backup interval.
@@ -63,13 +64,20 @@ class Encoder:
     def obs_dim(self) -> int:
         return self._w.shape[1]
 
-    def encode(self, obs) -> np.ndarray:
+    def encode(self, obs, out: np.ndarray | None = None) -> np.ndarray:
+        """The latent of one observation, written to ``out`` when given."""
         if type(obs) is not np.ndarray or obs.dtype is not _FLOAT or obs.shape != self._obs_shape:
             obs = np.asarray(obs, dtype=float)
             if obs.shape != self._obs_shape:
                 raise ValueError(
                     f"observation shape {obs.shape} does not match {self._obs_shape}")
-        return np.tanh(self._w.dot(obs))
+        return np.tanh(self._w.dot(obs), out=out)
+
+    def encode_rows(self, obs: np.ndarray) -> np.ndarray:
+        """The latents of ``(S, obs_dim)`` observations: :meth:`encode` of each
+        row bit for bit, from one stacked product that runs the same
+        matrix-vector kernel per row."""
+        return np.tanh(np.matmul(self._w, obs[:, :, None])[:, :, 0])
 
 
 def _softmax(logits: np.ndarray) -> np.ndarray:
@@ -132,16 +140,22 @@ def _outer_sum(coeff: np.ndarray, x: np.ndarray) -> np.ndarray:
     return np.add.reduce(coeff * x, axis=0)
 
 
-def _episode_probs(params: np.ndarray, episode):
-    """Feature rows ``[phi; 1]``, actions and action probabilities of every step.
+def _rows_probs(params: np.ndarray, phis) -> tuple[np.ndarray, np.ndarray]:
+    """Feature rows ``[phi; 1]`` of ``(S, k)`` latents and their action probabilities.
 
     The logits come from one stacked product that runs the same
     matrix-vector kernel per row as ``params.dot(x)``.
     """
-    phis, actions, _ = zip(*episode)
     x = np.ones((len(phis), params.shape[1]))
     x[:, :-1] = phis
-    return x, actions, _softmax(np.matmul(params, x[:, :, None])[:, :, 0])
+    return x, _softmax(np.matmul(params, x[:, :, None])[:, :, 0])
+
+
+def _episode_probs(params: np.ndarray, episode):
+    """Feature rows ``[phi; 1]``, actions and action probabilities of every step."""
+    phis, actions, _ = zip(*episode)
+    x, probs = _rows_probs(params, phis)
+    return x, actions, probs
 
 
 def episode_log_prob(params: np.ndarray, episode) -> float:
@@ -186,7 +200,8 @@ class EpisodeBuffer:
     def __init__(self, n_actions: int, latent_dim: int):
         self.x = np.ones((self._ROWS, latent_dim + 1))
         self.coeff = np.empty((self._ROWS, n_actions))
-        self._factors = self.coeff[:, :, None], self.x[:, None, :]  # of update's outer products
+        # The factors of update's outer products over the first n rows, by n.
+        self._factors: dict[int, tuple[np.ndarray, np.ndarray]] = {}
         self.rewards: list[float] = []
         self.n = 0  # steps recorded by act
 
@@ -201,7 +216,7 @@ class EpisodeBuffer:
         coeff = np.empty((2 * rows, self.coeff.shape[1]))
         coeff[:rows] = self.coeff
         self.x, self.coeff = x, coeff
-        self._factors = coeff[:, :, None], x[:, None, :]
+        self._factors.clear()
 
 
 class Policy:
@@ -215,7 +230,6 @@ class Policy:
         if not (math.isfinite(learning_rate) and learning_rate > 0.0):
             raise ValueError(f"learning_rate must be > 0 and finite, got {learning_rate}")
         self.params = np.zeros((n_actions, latent_dim + 1), dtype=float)
-        self._probe_x = np.ones(latent_dim + 1)  # the features row of every probe step
         self.learning_rate = learning_rate
         self.update_count = 0
         self.baseline = 0.0
@@ -231,34 +245,40 @@ class Policy:
     def action_probs(self, phi) -> np.ndarray:
         return _softmax(self.params.dot(_features(phi, np.ones(self.params.shape[1]))))
 
-    def act(self, phi, rng: np.random.Generator, episode: EpisodeBuffer | None = None) -> int:
+    def act(self, phi, rng: np.random.Generator, episode: EpisodeBuffer) -> int:
         """Sample an action from the softmax by inverse CDF on one uniform draw.
 
         The probabilities are those of :meth:`action_probs` bit for bit:
-        the largest logit is subtracted on Python floats, one ``np.exp``
-        call takes the exponentials, and their sum and quotients are
-        Python floats again. With an ``episode``, the step's features and
-        coefficients go to its next row, for :meth:`update`; without one
-        (a probe step) the features go to a row the policy keeps and
-        nothing is recorded.
+        the largest logit is subtracted from the logits array, one
+        ``np.exp`` call exponentiates it in place, and the sum and
+        quotients are Python floats. The step's features and coefficients
+        go to the next row of ``episode``, for :meth:`update`.
         """
-        if episode is None:
-            x = _features(phi, self._probe_x)
-        else:
-            n = episode.n
-            if n == episode.x.shape[0]:
-                episode._grow()
-            x = _features(phi, episode.x[n])
-        z = self.params.dot(x).tolist()
-        top = max(z)
-        e = np.exp([v - top for v in z]).tolist()
+        n = episode.n
+        if n == episode.x.shape[0]:
+            episode._grow()
+        z = self.params.dot(_features(phi, episode.x[n]))
+        z -= max(z.tolist())
+        e = np.exp(z, out=z).tolist()
         total = _sum(e)
         p = [v / total for v in e]
         action = _inverse_cdf(p, rng.random())
-        if episode is not None:
-            episode.coeff[n] = _coefficients(p, action)
-            episode.n = n + 1
+        episode.coeff[n] = _coefficients(p, action)
+        episode.n = n + 1
         return action
+
+    def act_rows(self, phi: np.ndarray, draws: np.ndarray) -> np.ndarray:
+        """Actions for the ``(S, k)`` latents, row ``i`` drawn by inverse CDF
+        on ``draws[i]``, recording nothing.
+
+        Each action is the one :meth:`act` draws from the same latent and
+        uniform, bit for bit: the row-wise softmax of :func:`episode_gradient`,
+        and the first index whose running sum of probabilities
+        (``np.cumsum``, accumulated in order) exceeds the draw, else the last.
+        """
+        _, probs = _rows_probs(self.params, phi)
+        below = np.cumsum(probs, axis=1) <= draws[:, None]
+        return np.minimum(np.add.reduce(below, axis=1), probs.shape[1] - 1)
 
     def update(self, episode: EpisodeBuffer) -> None:
         """One policy-gradient step on the episode return.
@@ -277,8 +297,10 @@ class Policy:
         ret = float(sum(episode.rewards))
         advantage = ret - self.baseline
         if advantage != 0.0:
-            coeff, x = episode._factors
-            grad = _outer_sum(coeff[:n], x[:n])
+            factors = episode._factors.get(n)
+            if factors is None:
+                factors = episode._factors[n] = episode.coeff[:n, :, None], episode.x[:n, None, :]
+            grad = _outer_sum(*factors)
             grad *= self.learning_rate * advantage
             self.params += grad
         self.update_count += 1

@@ -17,11 +17,10 @@ fresh policy is still learning.
 """
 from __future__ import annotations
 
-import itertools
 import math
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Iterator, Protocol
+from typing import Protocol
 
 import numpy as np
 
@@ -120,8 +119,14 @@ class DetectionEvent:
 class ProbeSource(Protocol):
     """Supplies fresh experience under a stored policy on demand."""
 
-    def deploy(self, label: int) -> Iterator[tuple[np.ndarray, int, float]]:
-        """Yield (phi, action, reward) steps collected under ``label``'s policy."""
+    def deploy(self, label: int, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``n`` steps collected under ``label``'s policy, as ``phi (m, k)``,
+        ``actions (m,)`` and ``rewards (m,)``, in step order.
+
+        ``m <= n``; a source that cannot deliver all ``n`` steps returns
+        the ``m < n`` it took, and the detector reports a probe error
+        after counting them.
+        """
         ...
 
 
@@ -308,8 +313,9 @@ class Detector:
         n = points.shape[0]
         if self._width is not None and points.shape[1] != self._width:
             raise ValueError(f"datapoint width {points.shape[1]} does not match {self._width}")
-        finite = np.isfinite(points).all(axis=1)
-        n_ok = n if finite.all() else int(np.argmin(finite))
+        n_ok = n
+        if not np.isfinite(points).all():  # the per-row mask only for a block that needs it
+            n_ok = int(np.argmin(np.isfinite(points).all(axis=1)))
         if n_ok and self._width is None:
             self._init_width(points.shape[1])
         events: list[DetectionEvent] = []
@@ -376,7 +382,8 @@ class Detector:
     def _probe_label(self, z: int, pvalues: dict[int, float | None]) -> DetectionEvent | None:
         """Probe one candidate label; returns an event on accept/error.
 
-        A probe step that is not finite or does not fit the width raises
+        A probe step that is not finite or does not fit the width, or a
+        source that returns more than the steps asked for, raises
         ValueError before ``t`` moves.
         """
         old = self._current
@@ -386,17 +393,16 @@ class Detector:
             return None
         n_samples = self._cfg.resolved_probe_samples
         n_points = n_samples * self._cfg.history_len
-        steps = list(itertools.islice(self._probe.deploy(z), n_points))
-        if len(steps) < n_points:
-            self.t += len(steps)
+        phi, actions, rewards = self._probe.deploy(z, n_points)
+        if len(rewards) < n_points:
+            self.t += len(rewards)
             pvalues[z] = None
             return DetectionEvent(
                 t=self.t, old_label=old, new_label=old, kind=EVENT_PROBE_ERROR,
                 probed_pvalues=pvalues,
             )
-        phi, actions, rewards = zip(*steps)
-        points = make_datapoints(np.array(phi, dtype=float), actions, rewards)
-        if points.shape[1] != self._width or not np.isfinite(points).all():
+        points = make_datapoints(phi, actions, rewards)
+        if points.shape != (n_points, self._width) or not np.isfinite(points).all():
             raise ValueError(f"probe steps of label {z} must be finite and "
                              f"pack to width {self._width}")
         self.t += n_points

@@ -86,9 +86,11 @@ class TreeGraphEnv:
         base_rng = substream(config.env_seed, "tree-base-obs")
         base = base_rng.standard_normal((self.n_states, config.obs_dim))
         b = config.branching
-        # Base observation rows per level, root first: _rows[level][node].
-        self._rows = [list(base[(b ** level - 1) // (b - 1):(b ** (level + 1) - 1) // (b - 1)])
-                      for level in range(config.depth + 1)]
+        # Base observations per level, root first: _levels[level][node], as
+        # arrays for rollout and as lists of rows for step.
+        self._levels = [base[(b ** level - 1) // (b - 1):(b ** (level + 1) - 1) // (b - 1)]
+                        for level in range(config.depth + 1)]
+        self._rows = [list(level) for level in self._levels]
         self._branching, self._depth, self._sigma = b, config.depth, config.obs_noise_sigma
         self._noise = substream(config.env_seed, "tree-obs-noise")
         # Unused scaled noise rows of the latest block, the next one last.
@@ -147,13 +149,34 @@ class TreeGraphEnv:
                 (_NOISE_BLOCK, base.shape[0])))[::-1]
         return base + self._noise_rows.pop()
 
-    def reset(self) -> np.ndarray:
-        """Start a new episode at the root and return its observation."""
+    def _take_noise(self, count: int) -> np.ndarray:
+        """The next ``count`` rows of scaled noise as one array, the rows
+        ``count`` calls of :meth:`_observe` would add, from the same block draws."""
+        rows, dim = self._noise_rows, self._cfg.obs_dim
+        out = np.empty((count, dim))
+        served = min(count, len(rows))
+        if served:
+            out[:served] = rows[:-served - 1:-1]
+            del rows[-served:]
+        while served < count:
+            block = self._sigma * self._noise.standard_normal((_NOISE_BLOCK, dim))
+            used = min(count - served, _NOISE_BLOCK)
+            out[served:served + used] = block[:used]
+            self._noise_rows = list(block[used:])[::-1]
+            served += used
+        return out
+
+    def _begin(self) -> None:
+        """Apply the pending task, as every episode's start does."""
         if self._pending is not None:
             self._active = self._pending
             self._rewarded = self._tasks[self._active].rewarded_leaf
         if self._active is None:
             raise RuntimeError("no active task; call set_task before reset")
+
+    def reset(self) -> np.ndarray:
+        """Start a new episode at the root and return its observation."""
+        self._begin()
         self._level = 0
         self._node = 0
         self._done = False
@@ -183,6 +206,53 @@ class TreeGraphEnv:
             return obs, 0.0, False
         self._done = True
         return obs, self._cfg.high_reward if node == self._rewarded else self._cfg.fail_reward, True
+
+    def rollout(self, n: int, choose) -> tuple[np.ndarray, np.ndarray]:
+        """Play ``n`` steps as whole episodes, level by level across all of them.
+
+        Equivalent to ``n`` :meth:`step` calls, each after a :meth:`reset`
+        where an episode ends or none has begun: the same noise rows in the
+        same order, the same task and rewards, and the same level, node and
+        ``done`` at the end, a partial last episode included. At each level
+        ``choose(steps, obs)`` receives the observations ``(A, obs_dim)`` of
+        the ``A`` episodes that take a step there, in episode order, and the
+        indexes of those steps among the ``n``, and returns their actions,
+        integers in ``[0, branching)``. Returns the ``(n,)`` actions and
+        rewards in step order. ``n = 0`` changes nothing.
+        """
+        if n <= 0:
+            return np.zeros(0, dtype=np.intp), np.zeros(0)
+        self._begin()
+        d, b = self._depth, self._branching
+        full, part = divmod(n, d)
+        episodes = full + (part > 0)
+        # Per-step order: each episode's root observation, then one per step.
+        noise = (None if self._sigma == 0.0
+                 else self._take_noise(full * (d + 1) + (part + 1 if part else 0)))
+        steps = np.arange(episodes * d).reshape(episodes, d)
+        actions = np.zeros((episodes, d), dtype=np.intp)
+        nodes = np.zeros(episodes, dtype=np.intp)
+        for level in range(d):
+            live = full + (part > level)  # the partial last episode stops at level part
+            if not live:
+                break
+            obs = self._levels[level][nodes[:live]]
+            if noise is not None:
+                obs += noise[level::d + 1][:live]
+            chosen = choose(steps[:live, level], obs)
+            if chosen.min() < 0 or chosen.max() >= b:
+                raise ValueError(f"actions must lie in [0, {b})")
+            actions[:live, level] = chosen
+            nodes[:live] = nodes[:live] * b + chosen
+        rewards = np.zeros((episodes, d))
+        cfg = self._cfg
+        rewards[:full, d - 1] = np.where(nodes[:full] == self._rewarded,
+                                         cfg.high_reward, cfg.fail_reward)
+        if part:  # the n-th step left the last episode at level part
+            self._level, self._node, self._done = part, int(nodes[full]), False
+        else:
+            self._level, self._node, self._done = d, int(nodes[full - 1]), True
+        return actions.reshape(-1)[:n], rewards.reshape(-1)[:n]
 
 
 @dataclass(frozen=True)

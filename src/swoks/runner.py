@@ -2,12 +2,14 @@
 
 Live steps are collected into a block and fed to the detector once per
 check interval (``history_len`` steps), the only steps at which it can
-raise an event; the block's rows go to the trace then, with the check's
+raise an event; each latent is encoded straight into its row of the
+block, and the block's rows go to the trace at the check, with its
 p_value, swd and event. When it triggers, probing runs stored policies
-in the same environment, so probe steps consume curriculum time and are
-flagged in the trace. On any accepted detection the departing label's
-policy is rolled back to its older checkpoint and the current episode
-is abandoned. With an output directory the rows are written to
+in the same environment, each probe as one batched rollout of whole
+episodes (:class:`_EnvProbe`), so probe steps consume curriculum time
+and are flagged in the trace. On any accepted detection the departing
+label's policy is rolled back to its older checkpoint and the current
+episode is abandoned. With an output directory the rows are written to
 ``trace.csv`` as they come, so memory stays flat over the run and a run
 that raises leaves the rows and events it got to.
 """
@@ -62,11 +64,18 @@ class RunResult:
 class _EnvProbe:
     """Serves re-detection probes by running stored policies live.
 
-    Each yielded tuple is one real environment step: the detector
-    counts it and it never updates any policy. The source records each
-    step's ``(gt_task, reward)`` in ``steps``; the runner writes them to
-    the trace, with probe_flag=1, after the live step whose check ran
-    the probe, and then clears the list.
+    A probe of ``n`` steps is one batched rollout
+    (:meth:`TreeGraphEnv.rollout`): whole episodes from the root, played
+    level by level across all of them, each level's observations encoded
+    and its actions sampled at once, with the probe RNG's uniforms taken
+    in step order. Its steps, phi, actions and rewards, and the env it
+    leaves behind equal those of ``n`` live ``reset``/``step`` calls with
+    :meth:`Encoder.encode` and :meth:`Policy.act`. Every step is a real
+    environment step: the detector counts it and it never updates any
+    policy. The source records each probe's ``(gt_task, rewards)`` in
+    ``blocks``; the runner writes them to the trace, with probe_flag=1,
+    after the live step whose check ran the probes, and then clears the
+    list.
     """
 
     def __init__(self, env: TreeGraphEnv, encoder: Encoder, bank: PolicyBank,
@@ -75,26 +84,22 @@ class _EnvProbe:
         self._encoder = encoder
         self._bank = bank
         self._rng = rng
-        self.steps: list[tuple[int, float]] = []
+        self.blocks: list[tuple[int, np.ndarray]] = []
 
-    def deploy(self, label: int):
-        if label not in self._bank:
-            return iter(())  # no stored policy: immediate probe failure
-        policy = self._bank.get_or_create(label)
+    def deploy(self, label: int, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        if label not in self._bank:  # no stored policy: immediate probe failure
+            return np.empty((0, self._encoder.latent_dim)), np.empty(0, int), np.empty(0)
+        policy, encoder, random = self._bank.get_or_create(label), self._encoder, self._rng.random
+        draws = np.array([random() for _ in range(n)])
+        phi = np.empty((n, encoder.latent_dim))
 
-        def steps():
-            env = self._env
-            while True:
-                obs = env.reset()
-                done = False
-                while not done:
-                    phi = self._encoder.encode(obs)
-                    action = policy.act(phi, self._rng)
-                    obs, reward, done = env.step(action)
-                    self.steps.append((env.active_task, reward))
-                    yield phi, action, reward
+        def choose(steps: np.ndarray, obs: np.ndarray) -> np.ndarray:
+            phi[steps] = latents = encoder.encode_rows(obs)
+            return policy.act_rows(latents, draws[steps])
 
-        return steps()
+        actions, rewards = self._env.rollout(n, choose)
+        self.blocks.append((self._env.active_task, rewards))
+        return phi, actions, rewards
 
 
 def run_experiment(config: ExperimentConfig, out_dir: str | Path | None = None,
@@ -131,9 +136,11 @@ def run_experiment(config: ExperimentConfig, out_dir: str | Path | None = None,
     det_cfg = replace(config.detector, master_seed=child_seed(master, "detector"))
     detector = Detector(det_cfg, probe=probe_source)
 
-    # Live steps since the last check boundary, fed to the detector at the next one.
+    # Live steps since the last check boundary, fed to the detector at the next one;
+    # each step's latent is encoded straight into its row of ``latents``.
     h = det_cfg.history_len
-    phis: list[np.ndarray] = []
+    latents = np.empty((h, config.agent.latent_dim))
+    latent_rows = list(latents)
     actions: list[int] = []
     rewards: list[float] = []
     gt_tasks: list[int] = []
@@ -160,11 +167,10 @@ def run_experiment(config: ExperimentConfig, out_dir: str | Path | None = None,
             episode.clear()
             aborted = done = False
             while not done:
-                phi = encoder.encode(obs)
+                phi = encoder.encode(obs, out=latent_rows[len(rewards)])
                 action = policy.act(phi, act_rng, episode)
                 obs, reward, done = env.step(action)
                 episode.rewards.append(reward)
-                phis.append(phi)
                 actions.append(action)
                 rewards.append(reward)
                 gt_tasks.append(gt_task)
@@ -176,20 +182,19 @@ def run_experiment(config: ExperimentConfig, out_dir: str | Path | None = None,
                 # and all carry ``label``: the detector's label only changes in ingest_block.
                 trace.append(t - len(rewards) + 1, iterations[:-1], gt_tasks[:-1], label,
                              rewards[:-1], 0, detector.last_p_value, detector.last_swd)
-                found = detector.ingest_block(phis, actions, rewards)
+                found = detector.ingest_block(latents[:len(rewards)], actions, rewards)
                 event = found[0] if found else None
                 p_value, swd = detector.last_p_value, detector.last_swd
                 trace.append(t, iteration, gt_task, label, rewards[-1:],
                              0, p_value, swd, event.kind if event else "")
-                for column in (phis, actions, rewards, gt_tasks, iterations):
+                for column in (actions, rewards, gt_tasks, iterations):
                     column.clear()
                 renew = t
-                if probe_source.steps:
-                    probe_tasks, probe_rewards = zip(*probe_source.steps)
-                    trace.append(t + 1, iteration, probe_tasks, label, probe_rewards, 1,
+                for probe_task, probe_rewards in probe_source.blocks:
+                    trace.append(t + 1, iteration, probe_task, label, probe_rewards, 1,
                                  p_value, swd)
-                    probe_source.steps.clear()
-                    t = detector.t
+                    t += len(probe_rewards)
+                probe_source.blocks.clear()
                 if event is None:
                     continue
                 events.append(event)
@@ -209,7 +214,7 @@ def run_experiment(config: ExperimentConfig, out_dir: str | Path | None = None,
         if rewards:
             trace.append(t - len(rewards) + 1, iterations, gt_tasks, label, rewards, 0,
                          detector.last_p_value, detector.last_swd)
-            detector.ingest_block(phis, actions, rewards)
+            detector.ingest_block(latents[:len(rewards)], actions, rewards)
         finished = True
     finally:
         if out is not None:

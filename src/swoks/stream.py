@@ -93,7 +93,7 @@ class SwdHistory:
 
     def push(self, value: float) -> None:
         v = float(value)
-        if not np.isfinite(v) or v < 0.0:
+        if not math.isfinite(v) or v < 0.0:
             raise ValueError(f"distance values must be finite and non-negative, got {value}")
         values, h = self._values, self._half
         if len(values) == 2 * h:

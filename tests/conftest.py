@@ -92,17 +92,20 @@ def limited_regime(rng: np.random.Generator, mean: float, reward: float, n: int,
 class ScriptedProbe:
     """Probe source replaying a scripted generator per label.
 
-    Records the order of deploy calls so tests can assert which
-    candidates were tried.
+    ``deploy(label, n)`` returns the first ``n`` steps of a fresh run of
+    the label's script as ``(phi, actions, rewards)`` columns, fewer when
+    the script runs dry. Records the order of deploy calls so tests can
+    assert which candidates were tried.
     """
 
     def __init__(self, scripts):
         self.scripts = scripts
         self.deploy_calls: list[int] = []
 
-    def deploy(self, label: int):
+    def deploy(self, label: int, n: int):
         self.deploy_calls.append(label)
-        return self.scripts[label]()
+        steps = list(itertools.islice(self.scripts[label](), n))
+        return tuple(zip(*steps)) or ((), (), ())
 
 
 def detector_view(det):

@@ -100,7 +100,8 @@ class TestPolicyBasics:
         phi = np.array([0.4, -0.7])
         probs = pol.action_probs(phi)
         n = 10_000
-        counts = np.bincount([pol.act(phi, rng) for _ in range(n)], minlength=3)
+        buffer = EpisodeBuffer(3, 2)
+        counts = np.bincount([pol.act(phi, rng, buffer) for _ in range(n)], minlength=3)
         for a in range(3):
             sigma = np.sqrt(n * probs[a] * (1 - probs[a]))
             assert abs(counts[a] - n * probs[a]) <= 3 * sigma
@@ -243,8 +244,8 @@ class TestFastPathEquivalence:
         phis = rng.normal(size=(600, 4))
         blocks = UniformBlocks(substream(2, "actions"))
         generator = substream(2, "actions")
-        assert ([pol.act(phi, blocks) for phi in phis]
-                == [pol.act(phi, generator) for phi in phis])
+        assert ([pol.act(phi, blocks, EpisodeBuffer(3, 4)) for phi in phis]
+                == [pol.act(phi, generator, EpisodeBuffer(3, 4)) for phi in phis])
 
     @given(st.integers(0, 2**32 - 1), st.integers(2, 10), st.integers(1, 6),
            st.sampled_from([0.1, 1.0, 10.0, 300.0]))
@@ -256,8 +257,9 @@ class TestFastPathEquivalence:
         phi = rng.normal(size=latent_dim)
         probs = softmax_probs(pol.params, phi)
         assert np.array_equal(pol.action_probs(phi), probs)
+        buffer = EpisodeBuffer(n_actions, latent_dim)
         for u in boundary_draws(probs):
-            assert pol.act(phi, FixedDraw(u)) == searchsorted_index(probs, u)
+            assert pol.act(phi, FixedDraw(u), buffer) == searchsorted_index(probs, u)
 
     @given(st.integers(0, 2**32 - 1), st.integers(2, 10), st.integers(1, 6),
            st.integers(1, 20), st.sampled_from([0.1, 1.0, 10.0, 1000.0]))
@@ -286,8 +288,6 @@ class TestFastPathEquivalence:
         episode = EpisodeBuffer(2, 3)
         for phi in ([0.5], np.zeros(4), np.zeros((1, 3))):
             with pytest.raises(ValueError):
-                pol.act(phi, FixedDraw(0.5))
-            with pytest.raises(ValueError):
                 pol.act(phi, FixedDraw(0.5), episode)
             with pytest.raises(ValueError):
                 pol.action_probs(phi)
@@ -313,6 +313,41 @@ class TestFastPathEquivalence:
         assert params.dot(rows[1]).tobytes() == (params @ rows[1].copy()).tobytes()
 
 
+class TestRowWisePaths:
+    """The probe rollout's stacked encoder and sampler against the per-step ones."""
+
+    @given(st.integers(1, 11), st.integers(1, 19), st.integers(1, 40), st.integers(0, 2**32 - 1))
+    @settings(max_examples=200, deadline=None)
+    def test_encode_rows_and_out_equal_encode(self, latent_dim, obs_dim, rows, seed):
+        rng = np.random.default_rng(seed)
+        enc = Encoder(obs_dim, latent_dim, seed=seed)
+        obs = rng.normal(size=(rows, obs_dim)) * 10.0
+        per_row = np.array([enc.encode(o) for o in obs])
+        assert enc.encode_rows(obs).tobytes() == per_row.tobytes()
+        block = np.empty((rows, latent_dim))
+        for i, o in enumerate(obs):
+            latent = enc.encode(o, out=block[i])
+            assert np.shares_memory(latent, block)
+            assert latent.tobytes() == per_row[i].tobytes()
+        assert block.tobytes() == per_row.tobytes()
+
+    @given(st.integers(0, 2**32 - 1), st.integers(2, 12), st.integers(1, 9), st.integers(1, 40),
+           st.sampled_from([0.1, 1.0, 10.0, 300.0]))
+    @settings(max_examples=200, deadline=None)
+    def test_act_rows_equals_act_per_row(self, seed, n_actions, latent_dim, rows, scale):
+        # Half the draws sit on a running-sum boundary of their row or next to one.
+        # 8 or more actions take numpy's pairwise sum.
+        rng = np.random.default_rng(seed)
+        pol = Policy(n_actions=n_actions, latent_dim=latent_dim)
+        pol.params = rng.normal(size=pol.params.shape) * scale
+        phi = rng.normal(size=(rows, latent_dim))
+        draws = [float(rng.choice(boundary_draws(pol.action_probs(p)))) if rng.random() < 0.5
+                 else float(rng.random()) for p in phi]
+        buffer = EpisodeBuffer(n_actions, latent_dim)
+        expected = [pol.act(p, FixedDraw(u), buffer) for p, u in zip(phi, draws)]
+        assert pol.act_rows(phi, np.array(draws)).tolist() == expected
+
+
 class TestEpisodeBuffer:
     @given(st.integers(0, 2**32 - 1), st.integers(2, 12), st.integers(1, 9),
            st.sampled_from([0.1, 1.0, 10.0, 30.0, 300.0]),
@@ -322,8 +357,8 @@ class TestEpisodeBuffer:
     def test_act_and_update_equal_the_reference(self, seed, n_actions, latent_dim, scale,
                                                  episodes):
         # Each episode is (steps, aborted, probe_at): an aborted episode is
-        # dropped without an update; a probe act without the buffer runs
-        # before step probe_at. 8 or more actions take numpy's sum.
+        # dropped without an update; a probe's act_rows runs before step
+        # probe_at. 8 or more actions take numpy's sum.
         data = np.random.default_rng(seed)
         pol = Policy(n_actions=n_actions, latent_dim=latent_dim, learning_rate=0.1)
         pol.params = data.normal(size=pol.params.shape) * scale
@@ -339,7 +374,7 @@ class TestEpisodeBuffer:
             for t, (phi, u, reward) in enumerate(zip(phis, draws, rewards)):
                 if t == probe_at:
                     before = (buffer.x.tobytes(), buffer.coeff.tobytes(), buffer.n)
-                    pol.act(data.normal(size=latent_dim), FixedDraw(data.random()))
+                    pol.act_rows(data.normal(size=(3, latent_dim)), data.random(3))
                     assert (buffer.x.tobytes(), buffer.coeff.tobytes(), buffer.n) == before
                 assert pol.act(phi, FixedDraw(u), buffer) == expected[t]
                 buffer.rewards.append(reward)

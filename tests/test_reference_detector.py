@@ -107,7 +107,7 @@ class ReferenceDetector:
             pvalues[z] = None
             return None
         n = self.cfg.resolved_probe_samples * h
-        rows = [self.pack(*step) for step in itertools.islice(self.probe.deploy(z), n)]
+        rows = [self.pack(*step) for step in zip(*self.probe.deploy(z, n))]
         self.t += len(rows)
         if len(rows) < n:
             pvalues[z] = None

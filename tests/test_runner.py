@@ -7,6 +7,7 @@ on the return, rollback of the departing policy.
 """
 from __future__ import annotations
 
+import copy
 import gc
 import json
 import multiprocessing
@@ -20,7 +21,7 @@ import pytest
 
 import swoks.runner
 from swoks import stream
-from swoks.agent import Policy, episode_gradient
+from swoks.agent import Encoder, EpisodeBuffer, Policy, PolicyBank, episode_gradient
 from swoks.config import AgentConfig, ExperimentConfig, load_config
 from swoks.detector import (
     EVENT_NEW_TASK,
@@ -29,9 +30,10 @@ from swoks.detector import (
     Detector,
     DetectorConfig,
 )
-from swoks.env import Curriculum, TaskSpec, TreeGraphConfig
+from swoks.env import Curriculum, TaskSpec, TreeGraphConfig, TreeGraphEnv
 from swoks.metrics import sweep_beta
-from swoks.runner import detect_offline, run_experiment
+from swoks.runner import _EnvProbe, detect_offline, run_experiment
+from swoks.seeding import UniformBlocks, substream
 from swoks.stream import StreamBlock, read_stream_blocks, write_stream
 from swoks.trace import event_record, read_trace
 
@@ -185,6 +187,109 @@ class TestRecordedProbabilities:
         assert [e.kind for e in result.events] == [EVENT_NEW_TASK, EVENT_RE_DETECTED]
         assert any(row.probe_flag for row in result.trace)
         assert seen["re_detected"] == 1 and 0 < seen["after_probe"] < seen["updates"]
+
+
+def env_view(env) -> tuple:
+    """Everything a probe can change in a ``TreeGraphEnv``, in comparable form."""
+    return (env._level, env._node, env._done, env._active, env._rewarded,
+            [row.tobytes() for row in env._noise_rows], env._noise.bit_generator.state)
+
+
+def per_step_probe(env, encoder, policy, rng, n: int):
+    """``n`` probe steps through ``reset``/``step``/``encode``/``act``, one at a time."""
+    phis, actions, rewards = [], [], []
+    buffer = EpisodeBuffer(env.n_actions, encoder.latent_dim)
+    done = True
+    for _ in range(n):
+        if done:
+            obs = env.reset()
+            buffer.clear()
+        phi = encoder.encode(obs)
+        action = policy.act(phi, rng, buffer)
+        obs, reward, done = env.step(action)
+        phis.append(phi)
+        actions.append(action)
+        rewards.append(reward)
+    return np.array(phis), actions, rewards
+
+
+class TestBatchedProbe:
+    """One batched probe rollout against the same steps taken one at a time."""
+
+    # (depth, branching, sigma, n, switch task before the probe)
+    CASES = {
+        "desk": (2, 2, 0.05, 720, False),
+        "depth-3-branching-3": (3, 3, 0.05, 650, False),
+        "sigma-0": (2, 2, 0.0, 720, False),
+        "partial-last-episode": (3, 2, 0.05, 301, False),
+        "one-step": (2, 2, 0.05, 1, False),
+        "branching-8": (2, 8, 0.05, 500, False),
+        "task-set-before-probe": (2, 3, 0.05, 400, True),
+    }
+
+    @pytest.mark.parametrize("case", list(CASES))
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_rollout_equals_per_step_calls(self, case, seed):
+        depth, branching, sigma, n, switch = self.CASES[case]
+        tasks = tuple(TaskSpec(task_id=i + 1, rewarded_leaf=leaf)
+                      for i, leaf in enumerate((0, branching ** depth - 1)))
+        env = TreeGraphEnv(
+            TreeGraphConfig(depth=depth, branching=branching, obs_dim=16,
+                            obs_noise_sigma=sigma, env_seed=seed), tasks)
+        encoder = Encoder(16, 8, seed=seed)
+        bank = PolicyBank(branching, 8)
+        data = np.random.default_rng(seed)
+        bank.get_or_create(1).params = data.normal(size=(branching, 9)) * 2.0
+        env.set_task(1)
+        rng = substream(seed, "probe-actions")
+        # Live steps first, so the probe starts mid-episode and mid noise block.
+        live = bank.get_or_create(1)
+        buffer = EpisodeBuffer(branching, 8)
+        obs = env.reset()
+        for _ in range(depth - 1):
+            obs, _, _ = env.step(live.act(encoder.encode(obs), data, buffer))
+        rng.random(37)
+        if switch:
+            env.set_task(2)
+        twins = copy.deepcopy((env, encoder, bank, rng))
+        blocks = UniformBlocks(rng)
+        twin_blocks = UniformBlocks(twins[3])
+        for _ in range(5):
+            assert blocks.random() == twin_blocks.random()
+
+        probe = _EnvProbe(env, encoder, bank, blocks)
+        phi, actions, rewards = probe.deploy(1, n)
+        ref_env, ref_encoder, ref_bank = twins[:3]
+        ref_phi, ref_actions, ref_rewards = per_step_probe(
+            ref_env, ref_encoder, ref_bank.get_or_create(1), twin_blocks, n)
+
+        assert phi.shape == (n, 8) and phi.tobytes() == ref_phi.tobytes()
+        assert actions.tolist() == ref_actions
+        assert rewards.tolist() == ref_rewards
+        assert env_view(env) == env_view(ref_env)
+        assert blocks.random() == twin_blocks.random()
+        assert probe.blocks == [(ref_env.active_task, rewards)]
+        assert env.active_task == (2 if switch else 1)
+        if n > 1:  # not a degenerate policy: every action and a leaf's reward occur
+            assert len(set(ref_actions)) == branching and min(ref_rewards) < 0.0
+
+    def test_label_without_a_policy_returns_no_steps(self):
+        env = TreeGraphEnv(TreeGraphConfig(), (TaskSpec(1, 0),))
+        env.set_task(1)
+        env.reset()
+        before = env_view(env)
+        blocks = UniformBlocks(substream(0, "probe-actions"))
+        probe = _EnvProbe(env, Encoder(16, 8), PolicyBank(2, 8), blocks)
+        phi, actions, rewards = probe.deploy(3, 120)
+        assert phi.shape == (0, 8) and len(actions) == len(rewards) == 0
+        assert env_view(env) == before and probe.blocks == []
+        assert blocks.random() == substream(0, "probe-actions").random()
+
+    def test_rollout_rejects_an_action_out_of_range(self):
+        env = TreeGraphEnv(TreeGraphConfig(), (TaskSpec(1, 0),))
+        env.set_task(1)
+        with pytest.raises(ValueError):
+            env.rollout(4, lambda steps, obs: np.full(len(steps), 2))
 
 
 class TestLifetime:

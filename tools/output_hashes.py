@@ -7,6 +7,11 @@ as JSON:
 
 - ``desk``: ``trace.csv`` and ``events.json`` of ``swoks run --config
   desk`` for seeds 1-5;
+- ``deep-tree``: the same files of ``swoks run`` seed 1 on the desk
+  preset with a depth-3, branching-3 tree and probes of 13 x 50 steps
+  (``DEEP_TREE_CONFIG``, written to ``deep-tree.cfg``): 650 is not a
+  multiple of the depth, so every probe ends in the middle of an
+  episode, and the run re-detects labels;
 - ``detect``: the stdout of ``swoks detect --config desk`` on the
   synthetic stream ``perfbench/synth.py`` makes with
   ``generate(3, segments_for(4, 20000))``, written to ``stream.csv`` in
@@ -43,6 +48,21 @@ from swoks.cli import main  # noqa: E402
 
 DESK_SEEDS = range(1, 6)
 STATIONARY_CONFIG = ROOT / "perfbench" / "configs" / "stationary.cfg"
+DEEP_TREE_CONFIG = """\
+[experiment]
+preset = desk
+
+[detector]
+history_length = 50
+probe_swd_samples = 13
+
+[env]
+tree_depth = 3
+branching_factor = 3
+
+[tasks]
+rewarded_leaves = 0,13,26,8
+"""
 
 
 def _sha256(data: bytes) -> str:
@@ -59,13 +79,18 @@ def _stdout(argv: list[str]) -> str:
     return _sha256(out.getvalue().encode("utf-8"))
 
 
+def _run(config: str, seed: int, out: Path) -> dict:
+    """The SHA-256 of ``trace.csv`` and ``events.json`` of one ``swoks run``."""
+    _stdout(["run", "--config", config, "--seed", str(seed), "--out", str(out)])
+    return {name: _sha256((out / name).read_bytes()) for name in ("trace.csv", "events.json")}
+
+
 def hashes() -> dict:
     result: dict = {"desk": {}}
     for seed in DESK_SEEDS:
-        out = Path(f"desk-{seed}")
-        _stdout(["run", "--config", "desk", "--seed", str(seed), "--out", str(out)])
-        result["desk"][str(seed)] = {
-            name: _sha256((out / name).read_bytes()) for name in ("trace.csv", "events.json")}
+        result["desk"][str(seed)] = _run("desk", seed, Path(f"desk-{seed}"))
+    Path("deep-tree.cfg").write_text(DEEP_TREE_CONFIG, encoding="utf-8")
+    result["deep-tree"] = _run("deep-tree.cfg", 1, Path("deep-tree"))
     synth.write_csv("stream.csv", synth.generate(3, synth.segments_for(4, 20000)))
     result["detect"] = _stdout(["detect", "--config", "desk", "--stream", "stream.csv"])
     synth.write_csv("paper-stream.csv", synth.generate(3, synth.segments_for(2, 150000)))
