@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import logging
 import math
+import zipfile
 from typing import NamedTuple
 
 import numpy as np
@@ -393,58 +394,54 @@ class PolicyBank:
     # -- serialization -------------------------------------------------
 
     def save(self, path) -> None:
-        """Write live policies as flat text.
+        """Write the live policies to ``path`` as one ``.npz`` archive, in
+        label order: ``labels`` and ``iterations`` (the update counts), int64
+        ``(L,)``, and ``params``, float64 ``(L, n_actions, latent_dim + 1)``.
 
-        Per label: a 3-line header (label, iteration, shape) followed
-        by one parameter per line in row-major order.
+        The same bank gives the same bytes. Checkpoints and baselines are
+        not saved.
         """
-        with open(path, "w", encoding="utf-8") as fh:
-            for label in self.labels():
-                policy = self._entries[label].policy
-                rows, cols = policy.params.shape
-                fh.write(f"label {label}\n")
-                fh.write(f"iteration {policy.update_count}\n")
-                fh.write(f"shape {rows} {cols}\n")
-                for value in policy.params.ravel():
-                    fh.write(repr(float(value)) + "\n")
+        labels = self.labels()
+        policies = [self._entries[label].policy for label in labels]
+        shape = (len(labels), self._n_actions, self._latent_dim + 1)
+        with open(path, "wb") as fh:  # np.savez adds ".npz" to a path that lacks it
+            np.savez(fh, labels=np.array(labels, dtype=np.int64),
+                     iterations=np.array([p.update_count for p in policies], dtype=np.int64),
+                     params=np.array([p.params for p in policies], dtype=float).reshape(shape))
 
     def load(self, path) -> None:
-        """Restore live policies written by :meth:`save`.
+        """Restore live policies written by :meth:`save`, replacing entries
+        with the same labels; checkpoints start empty and baselines at 0.
 
-        Existing entries with the same labels are replaced; checkpoints
-        start empty.
+        Anything but such an archive for this bank's shape, with distinct
+        labels, counts >= 0 and finite parameters, raises ValueError naming
+        ``path`` and changes nothing.
         """
-        with open(path, "r", encoding="utf-8") as fh:
-            lines = [ln.rstrip("\n") for ln in fh]
-        pos = 0
-        while pos < len(lines):
-            if not lines[pos].strip():
-                pos += 1
-                continue
-            try:
-                label = int(lines[pos].split()[1])
-                iteration = int(lines[pos + 1].split()[1])
-                rows, cols = (int(v) for v in lines[pos + 2].split()[1:3])
-            except (IndexError, ValueError) as exc:
-                raise ValueError(f"{path}: bad policy header at line {pos + 1} ({exc})") from None
-            if (rows, cols) != (self._n_actions, self._latent_dim + 1):
-                raise ValueError(
-                    f"{path}: policy shape ({rows}, {cols}) does not match bank "
-                    f"({self._n_actions}, {self._latent_dim + 1})"
-                )
-            flat = lines[pos + 3: pos + 3 + rows * cols]
-            if len(flat) < rows * cols:
-                raise ValueError(f"{path}: truncated parameter block for label {label}")
-            values = []
-            for lineno, text in enumerate(flat, start=pos + 4):
-                try:
-                    values.append(float(text))
-                except ValueError:
-                    raise ValueError(f"{path}:{lineno}: unparseable parameter {text!r}") from None
-                if not math.isfinite(values[-1]):
-                    raise ValueError(f"{path}:{lineno}: parameter must be finite, got {text!r}")
+        try:
+            with open(path, "rb") as fh:  # np.load leaves its own handle open on a bad zip
+                archive = np.load(fh, allow_pickle=False)
+                if not isinstance(archive, np.lib.npyio.NpzFile):
+                    raise ValueError("a single .npy array")
+                labels, counts, params = (archive[key] for key in ("labels", "iterations", "params"))
+        except (EOFError, KeyError, ValueError, zipfile.BadZipFile) as exc:
+            raise ValueError(f"{path}: not a policy bank archive ({exc})") from None
+        n, width = labels.size, (self._n_actions, self._latent_dim + 1)
+        for key, array, dtype, shape in (("labels", labels, np.int64, (n,)),
+                                         ("iterations", counts, np.int64, (n,)),
+                                         ("params", params, _FLOAT, (n, *width))):
+            if array.dtype != dtype or array.shape != shape:
+                raise ValueError(f"{path}: {key} is {array.dtype} {array.shape}, "
+                                 f"expected {np.dtype(dtype)} {shape}")
+        entries: dict[int, _Entry] = {}
+        for label, count, values in zip(labels.tolist(), counts.tolist(), params):
+            if label in entries:
+                raise ValueError(f"{path}: label {label} appears twice")
+            if count < 0:
+                raise ValueError(f"{path}: label {label} has update count {count} < 0")
+            if not np.isfinite(values).all():
+                raise ValueError(f"{path}: label {label} has a parameter that is not finite")
             policy = Policy(self._n_actions, self._latent_dim, self._learning_rate)
-            policy.params = np.array(values, dtype=float).reshape(rows, cols)
-            policy.update_count = iteration
-            self._entries[label] = _Entry(policy)
-            pos += 3 + rows * cols
+            policy.params = values.copy()
+            policy.update_count = count
+            entries[label] = _Entry(policy)
+        self._entries.update(entries)

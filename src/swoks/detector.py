@@ -206,15 +206,14 @@ class _Window:
 
 
 class _LabelState:
-    __slots__ = ("window", "history", "ref_window", "ref_swd")
+    __slots__ = ("window", "history", "ref_window")
 
     def __init__(self, window: _Window, history: SwdHistory):
         self.window = window
-        self.history = history
-        # Frozen at departure: the last clean reference window and
-        # distance sample, used to score probes of this label later.
+        self.history = history  # frozen while departed: only the current label's grows
+        # Frozen at departure: the last clean reference window, which with
+        # the history scores probes of this label later.
         self.ref_window: np.ndarray | None = None
-        self.ref_swd: np.ndarray | None = None
 
 
 class Detector:
@@ -287,8 +286,6 @@ class Detector:
         # kept as the label's frozen identity.
         st, h = self._state(label), self._cfg.history_len
         st.ref_window = st.window.oldest(h) if len(st.window) >= h else None
-        old_vals = st.history.values()[: self._cfg.swd_history_len]
-        st.ref_swd = old_vals if old_vals.size > 0 else None
         st.window.clear()
         st.history.keep_oldest(self._cfg.swd_history_len)
 
@@ -388,7 +385,7 @@ class Detector:
         """
         old = self._current
         st = self._states.get(z)
-        if st is None or st.ref_window is None or st.ref_swd is None:
+        if st is None or st.ref_window is None or not len(st.history):
             pvalues[z] = None  # nothing to compare against; treat as rejection
             return None
         n_samples = self._cfg.resolved_probe_samples
@@ -412,7 +409,7 @@ class Detector:
             sorted_distance(sorted_projections(points[i * h:(i + 1) * h], self._dirs), ref)
             for i in range(n_samples)
         ])
-        result = detect_shift(probe_swds, st.ref_swd, beta=self._cfg.beta)
+        result = detect_shift(probe_swds, st.history.values(), beta=self._cfg.beta)
         pvalues[z] = result.p_value
         if result.p_value < self._cfg.alpha:
             return None  # rejected; caller tries the next candidate

@@ -3,6 +3,7 @@
 Acceptance tests register one verdict line each; they are echoed in the
 terminal summary so the pass/fail record survives output capture.
 """
+import io
 import itertools
 
 import numpy as np
@@ -73,6 +74,52 @@ def record_episode(policy, steps) -> EpisodeBuffer:
     return episode
 
 
+def npz_bytes(**arrays) -> bytes:
+    buf = io.BytesIO()
+    np.savez(buf, **arrays)
+    return buf.getvalue()
+
+
+def bad_banks(n_actions: int, latent_dim: int) -> dict[str, tuple[bytes, str]]:
+    """Files ``PolicyBank.load`` must reject for a bank of this shape, by
+    case: the file's bytes and a fragment of the error message."""
+    one = dict(labels=np.array([1], dtype=np.int64), iterations=np.array([0], dtype=np.int64),
+               params=np.zeros((1, n_actions, latent_dim + 1)))
+    good = npz_bytes(**one)
+
+    def bad(**changes):
+        return npz_bytes(**{**one, **changes})
+
+    nan, inf = np.array(one["params"]), np.array(one["params"])
+    nan[0, -1, -1], inf[0, 0, 0] = np.nan, -np.inf
+    text = "label 1\niteration 0\n" + f"shape {n_actions} {latent_dim + 1}\n"
+    text += "0.0\n" * (n_actions * (latent_dim + 1))
+    npy = io.BytesIO()
+    np.save(npy, one["params"])
+    return {
+        "duplicate-label": (bad(labels=np.array([2, 2], dtype=np.int64),
+                                iterations=np.array([0, 0], dtype=np.int64),
+                                params=np.zeros((2, n_actions, latent_dim + 1))),
+                            "label 2 appears twice"),
+        "negative-count": (bad(iterations=np.array([-3], dtype=np.int64)),
+                           "label 1 has update count -3 < 0"),
+        "nan-parameter": (bad(params=nan), "label 1 has a parameter that is not finite"),
+        "inf-parameter": (bad(params=inf), "label 1 has a parameter that is not finite"),
+        "params-float32": (bad(params=one["params"].astype(np.float32)), "params is float32"),
+        "labels-float": (bad(labels=np.array([1.0])), "labels is float64"),
+        "params-shape": (bad(params=np.zeros((1, n_actions + 1, latent_dim + 1))),
+                         f"params is float64 (1, {n_actions + 1}, {latent_dim + 1})"),
+        "iterations-length": (bad(iterations=np.array([0, 0], dtype=np.int64)),
+                              "iterations is int64 (2,), expected int64 (1,)"),
+        "missing-array": (npz_bytes(labels=one["labels"], iterations=one["iterations"]),
+                          "not a policy bank archive"),
+        "empty-file": (b"", "not a policy bank archive"),
+        "truncated-archive": (good[:len(good) // 2], "not a policy bank archive"),
+        "text-bank": (text.encode(), "not a policy bank archive"),
+        "npy-array": (npy.getvalue(), "not a policy bank archive"),
+    }
+
+
 def regime(rng: np.random.Generator, mean: float, reward: float, width: int = 3,
            scale: float = 1.0):
     """Endless (phi, action, reward) tuples from one stationary regime.
@@ -116,6 +163,5 @@ def detector_view(det):
         labels[label.id] = (
             st.window.oldest(len(st.window)).tolist(), st.history.values().tolist(),
             None if st.ref_window is None else st.ref_window.tolist(),
-            None if st.ref_swd is None else st.ref_swd.tolist(),
         )
     return det.t, det.last_swd, det.last_p_value, det.labels, det.current_label, labels

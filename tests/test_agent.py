@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import FixedDraw, greedy_action, record_episode
+from conftest import FixedDraw, bad_banks, greedy_action, record_episode
 
 from swoks.agent import (
     BASELINE_RATE,
@@ -493,14 +493,19 @@ class TestBankCheckpoints:
 
 
 class TestBankSerialization:
-    def test_round_trip(self, tmp_path):
+    @staticmethod
+    def random_bank(labels=(1, 2, 5)) -> PolicyBank:
         rng = np.random.default_rng(0)
         bank = PolicyBank(3, 4, backup_freq=10)
-        for label in (1, 2, 5):
+        for label in labels:
             pol = bank.get_or_create(label)
-            pol.params = rng.normal(size=pol.params.shape)
+            pol.params = rng.normal(size=pol.params.shape) * 10.0 ** rng.integers(-300, 300, size=(3, 5))
             pol.update_count = label * 7
-        path = tmp_path / "bank.txt"
+        return bank
+
+    def test_round_trip(self, tmp_path):
+        bank = self.random_bank()
+        path = tmp_path / "bank.npz"
         bank.save(path)
         loaded = PolicyBank(3, 4, backup_freq=10)
         loaded.load(path)
@@ -508,45 +513,62 @@ class TestBankSerialization:
         for label in (1, 2, 5):
             a = bank.get_or_create(label)
             b = loaded.get_or_create(label)
-            assert np.array_equal(a.params, b.params)  # repr round-trip exact
+            assert a.params.tobytes() == b.params.tobytes()
             assert a.update_count == b.update_count
+            assert b.baseline == 0.0
             assert loaded.checkpoint_iterations(label) == []
+
+    def test_archive_layout(self, tmp_path):
+        bank = self.random_bank()
+        path = tmp_path / "bank"  # no suffix added
+        bank.save(path)
+        assert [p.name for p in tmp_path.iterdir()] == ["bank"]
+        with np.load(path, allow_pickle=False) as archive:
+            assert sorted(archive.files) == ["iterations", "labels", "params"]
+            assert archive["labels"].dtype == np.int64
+            assert archive["labels"].tolist() == [1, 2, 5]
+            assert archive["iterations"].dtype == np.int64
+            assert archive["iterations"].tolist() == [7, 14, 35]
+            assert archive["params"].shape == (3, 3, 5)
+            assert archive["params"][2].tobytes() == bank.get_or_create(5).params.tobytes()
+
+    def test_saves_are_byte_identical(self, tmp_path):
+        bank = self.random_bank()
+        bank.save(tmp_path / "a")
+        bank.save(tmp_path / "b")
+        loaded = PolicyBank(3, 4)
+        loaded.load(tmp_path / "a")
+        loaded.save(tmp_path / "c")
+        assert (tmp_path / "a").read_bytes() == (tmp_path / "b").read_bytes()
+        assert (tmp_path / "a").read_bytes() == (tmp_path / "c").read_bytes()
+
+    def test_empty_bank_round_trip(self, tmp_path):
+        PolicyBank(3, 4).save(tmp_path / "bank.npz")
+        loaded = PolicyBank(3, 4)
+        loaded.load(tmp_path / "bank.npz")
+        assert loaded.labels() == []
 
     def test_shape_mismatch_rejected(self, tmp_path):
         bank = PolicyBank(3, 4)
         bank.get_or_create(1)
-        path = tmp_path / "bank.txt"
+        path = tmp_path / "bank.npz"
         bank.save(path)
         other = PolicyBank(2, 4)
         with pytest.raises(ValueError):
             other.load(path)
 
-    def test_truncated_file_rejected(self, tmp_path):
-        bank = PolicyBank(2, 2)
-        bank.get_or_create(1)
-        path = tmp_path / "bank.txt"
-        bank.save(path)
-        lines = path.read_text().splitlines()
-        path.write_text("\n".join(lines[:-2]) + "\n")
-        with pytest.raises(ValueError):
-            PolicyBank(2, 2).load(path)
+    @pytest.mark.parametrize("case", sorted(bad_banks(3, 4)))
+    def test_bad_file_rejected_without_change(self, tmp_path, case):
+        data, message = bad_banks(3, 4)[case]
+        path = tmp_path / "bank.npz"
+        path.write_bytes(data)
+        bank = PolicyBank(3, 4)
+        bank.get_or_create(1).params += 1.0
+        with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}: .*{re.escape(message)}"):
+            bank.load(path)
+        assert bank.labels() == [1]
+        assert (bank.get_or_create(1).params == 1.0).all()
 
-    @pytest.mark.parametrize("text, message", [
-        ("nan", "parameter must be finite, got 'nan'"),
-        ("-inf", "parameter must be finite, got '-inf'"),
-        ("abc", "unparseable parameter 'abc'"),
-    ])
-    def test_bad_parameter_line_rejected(self, tmp_path, text, message):
-        bank = PolicyBank(2, 2)
-        for label in (1, 2):
-            bank.get_or_create(label)
-        path = tmp_path / "bank.txt"
-        bank.save(path)
-        lines = path.read_text().splitlines()
-        # Label 2's header is lines 10-12; its second parameter is line 14.
-        assert lines[9] == "label 2"
-        lines[13] = text
-        path.write_text("\n".join(lines) + "\n")
-        loaded = PolicyBank(2, 2)
-        with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}:14: {re.escape(message)}"):
-            loaded.load(path)
+    def test_missing_file_is_an_oserror(self, tmp_path):
+        with pytest.raises(FileNotFoundError):
+            PolicyBank(3, 4).load(tmp_path / "absent.npz")

@@ -10,8 +10,11 @@ import sys
 import numpy as np
 import pytest
 
+from conftest import bad_banks
+
 import swoks.runner
 from swoks.cli import main
+from swoks.config import load_config
 from swoks.stream import StreamBlock, write_stream
 from swoks.trace import read_trace
 
@@ -88,11 +91,30 @@ class TestRunCommand:
 
     def test_save_bank_flag(self, mirror_cfg, tmp_path):
         out = tmp_path / "out"
-        bank = tmp_path / "bank.txt"
+        bank = tmp_path / "bank.npz"
         code = main(["run", "--config", mirror_cfg, "--out", str(out),
                      "--save-bank", str(bank)])
         assert code == 0
-        assert "label 1" in bank.read_text()
+        with np.load(bank, allow_pickle=False) as archive:
+            assert 1 in archive["labels"].tolist()
+
+    @pytest.mark.parametrize("case", sorted(bad_banks(2, 4)))
+    def test_bad_load_bank_exits_2_before_any_step(self, mirror_cfg, tmp_path, capsys,
+                                                   monkeypatch, case):
+        def no_step(self, action):
+            raise AssertionError("the env took a step")
+
+        config = load_config(mirror_cfg)
+        data, message = bad_banks(config.env.branching, config.agent.latent_dim)[case]
+        bank = tmp_path / "bank.npz"
+        bank.write_bytes(data)
+        monkeypatch.setattr(swoks.runner.TreeGraphEnv, "step", no_step)
+        code = main(["run", "--config", mirror_cfg, "--out", str(tmp_path / "out"),
+                     "--load-bank", str(bank)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {bank}: ")
+        assert message in err
 
     def test_missing_config_exits_2(self, tmp_path, capsys):
         code = main(["run", "--config", str(tmp_path / "nope.cfg"),

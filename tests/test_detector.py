@@ -174,18 +174,27 @@ class TestOfflineDetection:
         det = Detector(make_config())
         rng = np.random.default_rng(200)
         drive(det, regime(rng, 0.0, 1.0), 300)
-        drive_until(det, regime(rng, 3.0, -1.0), 200)
+        shifted = regime(rng, 3.0, -1.0)
+        for _ in range(200):
+            before = det.label_state(1).history.values()
+            if det.ingest(*next(shifted)) is not None:
+                break
         departed = det.label_state(1)
+        assert det.current_label.id == 2
         assert departed.ref_window is not None
         assert departed.ref_window.shape == (LD, WIDTH)
-        assert departed.ref_swd is not None
-        assert departed.ref_swd.shape == (LW,)
         # Live buffers were handed over: old label empties, new starts fresh.
         assert len(departed.window) == 0
         with pytest.raises(ValueError):
             departed.window.oldest(1)
-        assert len(departed.history) == LW
         assert len(det.label_state(2).window) == 0
+        # The kept history is the old half of the triggering check's history
+        # (whose push dropped the oldest value), and it stays frozen.
+        assert len(before) == 2 * LW
+        kept = departed.history.values().tolist()
+        assert kept == before[1:LW + 1].tolist()
+        drive(det, shifted, 2 * CAPACITY)
+        assert departed.history.values().tolist() == kept
 
     def test_second_change_mints_a_third_label(self):
         det = Detector(make_config())

@@ -55,7 +55,7 @@ class ReferenceDetector:
         self.labels = {1: TaskLabel(id=1, created_at=0)}
         self.current = 1
         self.states = defaultdict(
-            lambda: SimpleNamespace(rows=[], history=[], ref_window=None, ref_swd=None))
+            lambda: SimpleNamespace(rows=[], history=[], ref_window=None))
         self.capacity = config.history_len * (config.swd_history_len + 1)
         self.dirs = None
 
@@ -103,7 +103,7 @@ class ReferenceDetector:
 
     def probe_label(self, z: int, pvalues) -> DetectionEvent | None:
         old, h, st = self.current, self.cfg.history_len, self.states[z]
-        if st.ref_window is None:
+        if st.ref_window is None or not st.history:
             pvalues[z] = None
             return None
         n = self.cfg.resolved_probe_samples * h
@@ -115,7 +115,7 @@ class ReferenceDetector:
                                   kind=EVENT_PROBE_ERROR, probed_pvalues=pvalues)
         swds = [sliced_wasserstein(rows[i:i + h], st.ref_window, self.dirs)
                 for i in range(0, n, h)]
-        pvalues[z] = detect_shift(swds, st.ref_swd, beta=self.cfg.beta).p_value
+        pvalues[z] = detect_shift(swds, st.history, beta=self.cfg.beta).p_value
         if pvalues[z] < self.cfg.alpha:
             return None
         self.depart(old)
@@ -127,9 +127,9 @@ class ReferenceDetector:
     def depart(self, label: int) -> None:
         # Only the oldest rows and the old distance half are kept: the
         # shift test just judged the newer ones foreign to this label.
-        st, half = self.states[label], self.cfg.swd_history_len
-        st.ref_window, st.ref_swd = st.rows[:self.cfg.history_len], st.history[:half]
-        st.rows, st.history = [], st.history[:half]
+        st = self.states[label]
+        st.ref_window = st.rows[:self.cfg.history_len]
+        st.rows, st.history = [], st.history[:self.cfg.swd_history_len]
 
     def view(self):
         """What :func:`conftest.detector_view` reads from a ``Detector``."""

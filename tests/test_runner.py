@@ -399,15 +399,34 @@ class TestArtifacts:
         assert (tmp_path / "a" / "trace.csv").read_bytes() != (tmp_path / "b" / "trace.csv").read_bytes()
 
     def test_bank_save_and_load_between_runs(self, tmp_path):
-        bank_path = tmp_path / "bank.txt"
+        bank_path = tmp_path / "bank.npz"
         run_experiment(tiny_config(MIRROR), save_bank=bank_path)
         res = run_experiment(tiny_config(((1, 200),)), load_bank=bank_path)
         assert set(res.bank.labels()) >= {1, 2}
 
+    def test_desk_bank_round_trip_is_exact(self, tmp_path):
+        """Desk seed 1's four trained labels and one more go through the
+        archive bit for bit, and saving the loaded bank gives the same bytes."""
+        bank = run_experiment(load_config("desk").with_seed(1)).bank
+        assert bank.labels() == [1, 2, 3, 4]
+        extra = bank.get_or_create(5)
+        extra.params = np.random.default_rng(5).normal(size=extra.params.shape)
+        extra.update_count = 12
+        bank.save(tmp_path / "bank")
+        loaded = PolicyBank(2, bank.get_or_create(1).latent_dim)
+        loaded.load(tmp_path / "bank")
+        assert loaded.labels() == [1, 2, 3, 4, 5]
+        for label in loaded.labels():
+            saved, restored = bank.get_or_create(label), loaded.get_or_create(label)
+            assert restored.params.tobytes() == saved.params.tobytes()
+            assert restored.update_count == saved.update_count > 0
+        loaded.save(tmp_path / "again")
+        assert (tmp_path / "again").read_bytes() == (tmp_path / "bank").read_bytes()
+
     def test_unwritable_bank_path_keeps_the_outputs(self, tmp_path):
         cfg = tiny_config(((1, 200),))
         with pytest.raises(OSError):
-            run_experiment(cfg, out_dir=tmp_path / "out", save_bank=tmp_path / "nodir" / "bank.txt")
+            run_experiment(cfg, out_dir=tmp_path / "out", save_bank=tmp_path / "nodir" / "bank.npz")
         run_experiment(cfg, out_dir=tmp_path / "ref")
         for name in ("trace.csv", "events.json"):
             assert (tmp_path / "out" / name).read_bytes() == (tmp_path / "ref" / name).read_bytes()

@@ -6,7 +6,10 @@ The script imports ``swoks`` from this checkout's ``src/`` and prints,
 as JSON:
 
 - ``desk``: ``trace.csv`` and ``events.json`` of ``swoks run --config
-  desk`` for seeds 1-5;
+  desk`` for seeds 1-5; seed 1 also saves its policy bank to ``bank``
+  (no suffix, so every version of the program writes the same path);
+- ``bank``: the same files of ``swoks run --config desk --seed 2
+  --load-bank bank``, a run that starts from seed 1's bank;
 - ``deep-tree``: the same files of ``swoks run`` seed 1 on the desk
   preset with a depth-3, branching-3 tree and probes of 13 x 50 steps
   (``DEEP_TREE_CONFIG``, written to ``deep-tree.cfg``): 650 is not a
@@ -79,16 +82,18 @@ def _stdout(argv: list[str]) -> str:
     return _sha256(out.getvalue().encode("utf-8"))
 
 
-def _run(config: str, seed: int, out: Path) -> dict:
+def _run(config: str, seed: int, out: Path, *flags: str) -> dict:
     """The SHA-256 of ``trace.csv`` and ``events.json`` of one ``swoks run``."""
-    _stdout(["run", "--config", config, "--seed", str(seed), "--out", str(out)])
+    _stdout(["run", "--config", config, "--seed", str(seed), "--out", str(out), *flags])
     return {name: _sha256((out / name).read_bytes()) for name in ("trace.csv", "events.json")}
 
 
 def hashes() -> dict:
     result: dict = {"desk": {}}
     for seed in DESK_SEEDS:
-        result["desk"][str(seed)] = _run("desk", seed, Path(f"desk-{seed}"))
+        flags = ["--save-bank", "bank"] if seed == 1 else []
+        result["desk"][str(seed)] = _run("desk", seed, Path(f"desk-{seed}"), *flags)
+    result["bank"] = _run("desk", 2, Path("bank-loaded"), "--load-bank", "bank")
     Path("deep-tree.cfg").write_text(DEEP_TREE_CONFIG, encoding="utf-8")
     result["deep-tree"] = _run("deep-tree.cfg", 1, Path("deep-tree"))
     synth.write_csv("stream.csv", synth.generate(3, synth.segments_for(4, 20000)))
