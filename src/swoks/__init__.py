@@ -33,14 +33,7 @@ from .ot import (
 )
 from .runner import RunResult, detect_offline, run_experiment
 from .stats import KsResult, detect_shift, ks_critical, ks_one_sided, ks_pvalue
-from .stream import (
-    NotReadyError,
-    StreamBlock,
-    SwdHistory,
-    make_datapoints,
-    read_stream_blocks,
-    write_stream,
-)
+from .stream import StreamBlock, make_datapoints, read_stream_blocks, write_stream
 from .trace import Trace, TraceRow, read_trace, write_events
 
 __version__ = "0.1.0"
@@ -60,12 +53,10 @@ __all__ = [
     "EVENT_SUPPRESSED",
     "ExperimentConfig",
     "KsResult",
-    "NotReadyError",
     "Policy",
     "PolicyBank",
     "RunResult",
     "StreamBlock",
-    "SwdHistory",
     "TaskLabel",
     "TaskSpec",
     "Trace",

@@ -26,8 +26,8 @@ import numpy as np
 
 from .ot import sample_unit_directions, sorted_distance, sorted_projections
 from .seeding import child_seed
-from .stats import detect_shift, detect_shift_sorted
-from .stream import SwdHistory, make_datapoints
+from .stats import detect_shift
+from .stream import make_datapoints
 
 __all__ = [
     "DetectorConfig",
@@ -208,9 +208,11 @@ class _Window:
 class _LabelState:
     __slots__ = ("window", "history", "ref_window")
 
-    def __init__(self, window: _Window, history: SwdHistory):
+    def __init__(self, window: _Window, history: deque[float]):
         self.window = window
-        self.history = history  # frozen while departed: only the current label's grows
+        # The last 2 * swd_history_len distances, oldest first; frozen while
+        # departed: only the current label's grows.
+        self.history = history
         # Frozen at departure: the last clean reference window, which with
         # the history scores probes of this label later.
         self.ref_window: np.ndarray | None = None
@@ -270,7 +272,7 @@ class Detector:
         assert self._width is not None
         return _LabelState(
             window=_Window(self._width, self._cfg.history_len, self._cfg.swd_history_len),
-            history=SwdHistory(self._cfg.swd_history_len),
+            history=deque(maxlen=2 * self._cfg.swd_history_len),
         )
 
     def _state(self, label: int) -> _LabelState:
@@ -287,7 +289,8 @@ class Detector:
         st, h = self._state(label), self._cfg.history_len
         st.ref_window = st.window.oldest(h) if len(st.window) >= h else None
         st.window.clear()
-        st.history.keep_oldest(self._cfg.swd_history_len)
+        while len(st.history) > self._cfg.swd_history_len:
+            st.history.pop()
 
     # -- main entry points ------------------------------------------------
 
@@ -337,11 +340,15 @@ class Detector:
     def _check(self, st: _LabelState) -> DetectionEvent | None:
         """The distance check due at a full window on a history_len boundary."""
         swd = st.window.distance(self._dirs)
-        st.history.push(swd)
+        if not 0.0 <= swd < math.inf:  # projections of finite rows can overflow
+            raise ValueError(f"distance values must be finite and non-negative, got {swd}")
+        st.history.append(swd)
         self.last_swd = swd
-        if not st.history.is_full:
+        half = self._cfg.swd_history_len
+        if len(st.history) < 2 * half:
             return None
-        result = detect_shift_sorted(*st.history.sorted_halves(), beta=self._cfg.beta)
+        values = np.array(st.history)
+        result = detect_shift(values[half:], values[:half], beta=self._cfg.beta)
         self.last_p_value = result.p_value
         if result.p_value < self._cfg.alpha:
             return self.redetect()
@@ -409,7 +416,7 @@ class Detector:
             sorted_distance(sorted_projections(points[i * h:(i + 1) * h], self._dirs), ref)
             for i in range(n_samples)
         ])
-        result = detect_shift(probe_swds, st.history.values(), beta=self._cfg.beta)
+        result = detect_shift(probe_swds, np.array(st.history), beta=self._cfg.beta)
         pvalues[z] = result.p_value
         if result.p_value < self._cfg.alpha:
             return None  # rejected; caller tries the next candidate

@@ -20,7 +20,6 @@ __all__ = [
     "ks_critical",
     "ks_pvalue",
     "detect_shift",
-    "detect_shift_sorted",
 ]
 
 _P_FLOOR = 1e-300
@@ -46,7 +45,7 @@ def _as_sample(x, name: str) -> np.ndarray:
         raise ValueError(f"{name} must be a 1D sample, got ndim={arr.ndim}")
     if arr.shape[0] < 1:
         raise ValueError(f"{name} must be non-empty")
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise ValueError(f"{name} contains non-finite values")
     return arr
 
@@ -158,27 +157,15 @@ def detect_shift(w_new, w_old, beta: float = 1.1) -> KsResult:
     -------
     KsResult
     """
-    new = _as_sample(w_new, "w_new")
-    old = _as_sample(w_old, "w_old")
-    if np.any(old < 0.0):
+    new = np.sort(_as_sample(w_new, "w_new"))
+    old = np.sort(_as_sample(w_old, "w_old"))
+    if old[0] < 0.0:
         raise ValueError("w_old values must be non-negative")
     if beta < 1.0:
         raise ValueError(f"beta must be >= 1, got {beta}")
-    return detect_shift_sorted(np.sort(new), np.sort(old), beta)
-
-
-def detect_shift_sorted(new_sorted: np.ndarray, old_sorted: np.ndarray,
-                        beta: float) -> KsResult:
-    """:func:`detect_shift` of two samples already sorted and checked.
-
-    Both are non-empty 1D float arrays in ascending order, with finite
-    non-negative values, and ``beta >= 1``, as a :class:`SwdHistory`'s
-    ``sorted_halves()`` and a ``DetectorConfig`` guarantee. Scaling by
-    ``beta`` keeps the order.
-    """
-    ref = old_sorted * beta
+    ref = old * beta  # scaling keeps the order
     if not math.isfinite(ref[-1]):  # the largest is the one to overflow
         raise ValueError("w_old scaled by beta is not finite")
-    statistic = _ks_sorted(ref, new_sorted)
-    n1, n2 = ref.shape[0], new_sorted.shape[0]
+    statistic = _ks_sorted(ref, new)
+    n1, n2 = ref.shape[0], new.shape[0]
     return KsResult(statistic=statistic, p_value=ks_pvalue(statistic, n1, n2), n1=n1, n2=n2)

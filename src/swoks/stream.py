@@ -1,4 +1,4 @@
-"""Streaming data structures: datapoints, distance history, stream files.
+"""Streaming data: datapoints and stream files.
 
 A datapoint packs one environment step into a flat vector
 ``[sqrt(len(phi)) * reward, action, phi...]``; the reward is scaled up
@@ -12,25 +12,17 @@ import itertools
 import math
 import os
 import warnings
-from bisect import bisect_left, insort
-from collections import deque
 from typing import Iterator, NamedTuple
 
 import numpy as np
 
 __all__ = [
-    "NotReadyError",
     "make_datapoints",
-    "SwdHistory",
     "StreamBlock",
     "write_stream",
     "read_stream_blocks",
     "prefetch_stream_blocks",
 ]
-
-
-class NotReadyError(RuntimeError):
-    """A distance history was asked for its halves before it filled up."""
 
 
 def make_datapoints(phi, actions, rewards) -> np.ndarray:
@@ -60,77 +52,6 @@ def make_datapoints(phi, actions, rewards) -> np.ndarray:
     return out
 
 
-class SwdHistory:
-    """FIFO of sliced distance values split into an old and a new half.
-
-    Holds ``2 * half_len`` values once full; the newest ``half_len``
-    form the new half and the preceding ``half_len`` the old half.
-    Each half is also kept sorted: a push into a full history moves
-    one value out of the old half, one from the new half into the old
-    and one into the new half, so the sorted halves are updated in
-    place rather than sorted again for every shift test.
-    """
-
-    def __init__(self, half_len: int):
-        if half_len < 1:
-            raise ValueError(f"half_len must be >= 1, got {half_len}")
-        self._half = half_len
-        self._values: deque[float] = deque(maxlen=2 * half_len)
-        # The oldest half_len values and the rest, each in ascending order.
-        self._old_sorted: list[float] = []
-        self._new_sorted: list[float] = []
-
-    @property
-    def half_len(self) -> int:
-        return self._half
-
-    @property
-    def is_full(self) -> bool:
-        return len(self._values) == 2 * self._half
-
-    def __len__(self) -> int:
-        return len(self._values)
-
-    def push(self, value: float) -> None:
-        v = float(value)
-        if not math.isfinite(v) or v < 0.0:
-            raise ValueError(f"distance values must be finite and non-negative, got {value}")
-        values, h = self._values, self._half
-        if len(values) == 2 * h:
-            moved = values[h]
-            _replace(self._old_sorted, values[0], moved)
-            _replace(self._new_sorted, moved, v)
-        else:
-            insort(self._old_sorted if len(values) < h else self._new_sorted, v)
-        values.append(v)
-
-    def values(self) -> np.ndarray:
-        return np.array(self._values, dtype=float)
-
-    def sorted_halves(self) -> tuple[np.ndarray, np.ndarray]:
-        """``(new, old)``: the two halves, each in ascending order."""
-        if not self.is_full:
-            raise NotReadyError(f"history holds {len(self._values)}/{2 * self._half} values")
-        h = self._half
-        return np.fromiter(self._new_sorted, float, h), np.fromiter(self._old_sorted, float, h)
-
-    def keep_oldest(self, count: int) -> None:
-        """Drop everything but the oldest ``count`` values."""
-        if count < 0:
-            raise ValueError(f"count must be >= 0, got {count}")
-        kept = list(itertools.islice(self._values, count))
-        self._values.clear()
-        self._values.extend(kept)
-        self._old_sorted = sorted(kept[:self._half])
-        self._new_sorted = sorted(kept[self._half:])
-
-
-def _replace(ordered: list[float], leaving: float, entering: float) -> None:
-    """Swap one occurrence of ``leaving`` in an ascending list for ``entering``."""
-    del ordered[bisect_left(ordered, leaving)]
-    insort(ordered, entering)
-
-
 class StreamBlock(NamedTuple):
     """Consecutive recorded steps as parallel arrays, one entry per step."""
 
@@ -140,6 +61,10 @@ class StreamBlock(NamedTuple):
     action: np.ndarray  # float, truncated toward zero like int()
     phi: np.ndarray  # (n, k)
 
+
+# t and gt_task become int64, so they must lie in [-2**63, 2**63); both
+# ends are exact as floats.
+_INT64_END = 2.0 ** 63
 
 # Lines parsed or formatted per batch: enough to amortise a numpy call,
 # few enough that a block's arrays stay well under a megabyte.
@@ -181,8 +106,8 @@ def read_stream_blocks(path) -> Iterator[StreamBlock]:
     """Parse a recorded stream block by block, reporting malformed lines by number.
 
     Blank lines are skipped. Every value must be finite, ``t`` and
-    ``gt_task`` integers; the action is truncated toward zero. Only the
-    current block is held in memory.
+    ``gt_task`` integers in the int64 range; the action is truncated
+    toward zero. Only the current block is held in memory.
     """
     with open(path, "r", encoding="utf-8") as fh:
         k = _read_header(fh, path)
@@ -384,7 +309,8 @@ def _parse_block(lines: list[str], k: int) -> np.ndarray | None:
     if table.shape[1] != k + 4:
         return None
     ids = table[:, :2]
-    if not (np.isfinite(table).all() and (ids == np.trunc(ids)).all()):
+    if not (np.isfinite(table).all() and (ids == np.trunc(ids)).all()
+            and (ids >= -_INT64_END).all() and (ids < _INT64_END).all()):
         return None
     return table
 
@@ -408,5 +334,7 @@ def _parse_lines(lines: list[str], k: int, path, first_lineno: int) -> np.ndarra
         for name, v in zip(("t", "gt_task"), values):
             if not v.is_integer():
                 raise ValueError(f"{path}:{lineno}: {name} must be an integer, got {v!r}")
+            if not -_INT64_END <= v < _INT64_END:
+                raise ValueError(f"{path}:{lineno}: {name} {v!r} is outside the int64 range")
         rows.append(values)
     return np.array(rows, dtype=float).reshape(-1, k + 4)

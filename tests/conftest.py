@@ -161,7 +161,7 @@ def detector_view(det):
     for label in det.labels:
         st = det.label_state(label.id)
         labels[label.id] = (
-            st.window.oldest(len(st.window)).tolist(), st.history.values().tolist(),
+            st.window.oldest(len(st.window)).tolist(), list(st.history),
             None if st.ref_window is None else st.ref_window.tolist(),
         )
     return det.t, det.last_swd, det.last_p_value, det.labels, det.current_label, labels

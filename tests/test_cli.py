@@ -159,6 +159,13 @@ class TestDetectCommand:
         assert "wrote" in capsys.readouterr().out
         assert json.loads(target.read_text())["steps"] == 600
 
+    def test_stream_id_past_int64_exits_2(self, mirror_cfg, tmp_path, capsys):
+        stream = tmp_path / "big.csv"
+        stream.write_text("t,gt_task,r,a,phi_1\n1,1,0.5,1,0.1\n1e300,1,0.5,1,0.1\n")
+        assert main(["detect", "--stream", str(stream), "--config", mirror_cfg]) == 2
+        assert capsys.readouterr().err.startswith(
+            f"error: {stream}:3: t 1e+300 is outside the int64 range")
+
     def test_missing_stream_exits_2(self, mirror_cfg, tmp_path, capsys):
         code = main(["detect", "--stream", str(tmp_path / "nope.csv"),
                      "--config", mirror_cfg])

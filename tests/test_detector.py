@@ -176,7 +176,7 @@ class TestOfflineDetection:
         drive(det, regime(rng, 0.0, 1.0), 300)
         shifted = regime(rng, 3.0, -1.0)
         for _ in range(200):
-            before = det.label_state(1).history.values()
+            before = list(det.label_state(1).history)
             if det.ingest(*next(shifted)) is not None:
                 break
         departed = det.label_state(1)
@@ -189,12 +189,12 @@ class TestOfflineDetection:
             departed.window.oldest(1)
         assert len(det.label_state(2).window) == 0
         # The kept history is the old half of the triggering check's history
-        # (whose push dropped the oldest value), and it stays frozen.
+        # (whose append dropped the oldest value), and it stays frozen.
         assert len(before) == 2 * LW
-        kept = departed.history.values().tolist()
-        assert kept == before[1:LW + 1].tolist()
+        kept = list(departed.history)
+        assert kept == before[1:LW + 1]
         drive(det, shifted, 2 * CAPACITY)
-        assert departed.history.values().tolist() == kept
+        assert list(departed.history) == kept
 
     def test_second_change_mints_a_third_label(self):
         det = Detector(make_config())
@@ -408,6 +408,22 @@ class TestAtomicIngest:
         with pytest.raises(ValueError):
             det.ingest_block(np.zeros((2, 3)), [0, 0], [1.0, 1.0])
         assert det.t == 3
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_non_finite_distance_is_rejected_before_it_enters_the_history(self):
+        """Finite rows can still project past the float range: their distance
+        raises ValueError and the history, last_swd and the p-value stay."""
+        det = Detector(make_config(history_len=2, swd_history_len=2, n_projections=128))
+        for _ in range(12):  # a full history of zero distances, then one test
+            det.ingest([0.0], 0, 0.0)
+        history = det.label_state(1).history
+        assert list(history) == [0.0] * 4 and det.last_p_value == 1.0
+        huge = 1.7e308  # 3-wide rows of this project past 1.8e308 on many directions
+        det.ingest([huge], huge, 0.0)
+        with pytest.raises(ValueError, match="distance values must be finite"):
+            det.ingest([huge], huge, huge)
+        assert list(history) == [0.0] * 4
+        assert (det.last_swd, det.last_p_value) == (0.0, 1.0)
 
     @given(st.lists(
         st.tuples(st.sampled_from(["ok", "nan", "inf-reward", "wide"]),

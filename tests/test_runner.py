@@ -509,8 +509,8 @@ class TestOfflineReplay:
         assert detector.last_p_value == stepwise.last_p_value
         assert detector.labels == stepwise.labels
         for label in detector.labels:
-            assert np.array_equal(detector.label_state(label.id).history.values(),
-                                  stepwise.label_state(label.id).history.values())
+            assert (list(detector.label_state(label.id).history)
+                    == list(stepwise.label_state(label.id).history))
 
     def test_reader_process_and_in_process_replays_are_equal(self, tmp_path, monkeypatch):
         path, cfg = self.changes_stream(tmp_path)

@@ -151,6 +151,38 @@ class TestKsPvalue:
         assert 0.0 < p <= 1.0
 
 
+def shifted_samples(n1, n2):
+    """``(reference, new)`` pairs at every attainable statistic of an n1/n2 test.
+
+    The reference is ``0..n1-1``. The new sample is the same grid (or, for
+    n2 < n1, every ``n1/n2``-th point of it) shifted by whole and half steps,
+    so half the pairs tie across the samples.
+    """
+    ref = np.arange(n1, dtype=float)
+    new = np.arange(n2) * (n1 / n2)
+    for shift in np.arange(-n1 / n2, n1 + 1, 0.5):
+        yield ref, new + shift
+
+
+class TestExactReference:
+    """``ks_pvalue`` against scipy's exact one-sided p-value at the shipped sizes:
+    12/12 and 125/125 for the shift test, 125 history values against 25 probe
+    distances for a paper-window probe."""
+
+    @pytest.mark.parametrize("n1, n2", [(12, 12), (125, 125), (125, 25)])
+    def test_significant_p_values_are_not_below_the_exact_ones(self, n1, n2):
+        statistics = set()
+        for ref, new in shifted_samples(n1, n2):
+            d = ks_one_sided(ref, new)
+            exact = sps.ks_2samp(ref, new, alternative="greater", method="exact")
+            # scipy rounds D to the nearest multiple of 1 / lcm(n1, n2)
+            assert d == pytest.approx(exact.statistic, abs=1e-12)
+            if exact.pvalue < 0.05:
+                assert ks_pvalue(d, n1, n2) >= exact.pvalue
+            statistics.add(round(d * n1))
+        assert statistics == set(range(n1 + 1))  # every D = k / n1 was tested
+
+
 class TestScaledReference:
     """``detect_shift`` scales the reference sample by ``beta`` before the statistic."""
 

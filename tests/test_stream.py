@@ -1,8 +1,8 @@
-"""Datapoint layout, SWD history, stream files and their reader process.
+"""Datapoint layout, stream files and their reader process.
 
-A label's window (its ring of rows and their kept sorted sets) and the
-history's kept sorted halves are checked through the detector, against
-the plain reference detector in ``test_reference_detector.py``.
+A label's window (its ring of rows and their kept sorted sets) and its
+distance history are checked through the detector, against the plain
+reference detector in ``test_reference_detector.py``.
 """
 import errno
 import multiprocessing
@@ -15,9 +15,7 @@ import pytest
 from swoks import stream as stream_module
 from swoks.detector import Detector, DetectorConfig
 from swoks.stream import (
-    NotReadyError,
     StreamBlock,
-    SwdHistory,
     make_datapoints,
     prefetch_stream_blocks,
     read_stream_blocks,
@@ -64,59 +62,6 @@ class TestMakeDatapoint:
             make_datapoints(np.zeros(3), [0, 0, 0], [0.0, 0.0, 0.0])
         with pytest.raises(ValueError):
             make_datapoints(np.zeros((3, 2)), [0, 0], [0.0, 0.0, 0.0])
-
-
-class TestSwdHistory:
-    def test_halves_after_exact_fill(self):
-        h = SwdHistory(half_len=3)
-        for v in range(6):
-            h.push(float(v))
-        assert h.is_full
-        new, old = h.sorted_halves()
-        assert new.tolist() == [3.0, 4.0, 5.0] and old.tolist() == [0.0, 1.0, 2.0]
-
-    def test_one_more_push_shifts(self):
-        h = SwdHistory(half_len=3)
-        for v in (6.0, 5.0, 4.0, 3.0, 2.0, 1.0, 0.0):
-            h.push(v)
-        assert list(h.values()) == [5.0, 4.0, 3.0, 2.0, 1.0, 0.0]
-        new, old = h.sorted_halves()
-        assert new.tolist() == [0.0, 1.0, 2.0] and old.tolist() == [3.0, 4.0, 5.0]
-
-    def test_not_ready_before_full(self):
-        h = SwdHistory(half_len=2)
-        for v in (1.0, 2.0, 3.0, 4.0):
-            h.push(v)
-        h.keep_oldest(3)
-        with pytest.raises(NotReadyError):
-            h.sorted_halves()
-
-    def test_rejects_bad_values(self):
-        h = SwdHistory(half_len=2)
-        with pytest.raises(ValueError):
-            h.push(-1.0)
-        with pytest.raises(ValueError):
-            h.push(float("nan"))
-
-    def test_keep_oldest(self):
-        h = SwdHistory(half_len=3)
-        for v in range(6):
-            h.push(float(v))
-        h.keep_oldest(2)
-        assert list(h.values()) == [0.0, 1.0]
-        assert not h.is_full
-
-    def test_values_order(self):
-        h = SwdHistory(half_len=2)
-        for v in (5.0, 1.0, 3.0):
-            h.push(v)
-        assert list(h.values()) == [5.0, 1.0, 3.0]
-
-    def test_sorted_halves_not_ready(self):
-        h = SwdHistory(half_len=2)
-        h.push(1.0)
-        with pytest.raises(NotReadyError):
-            h.sorted_halves()
 
 
 class TestWindowBuffer:
@@ -226,6 +171,8 @@ class TestStreamFiles:
         (0, "2.5"),  # t
         (1, "1.5"),  # gt_task
         (2, "nan"),  # reward
+        (0, "1e300"),  # t past int64
+        (1, "-9223372036854777856"),  # gt_task: the float below -2**63
     ])
     def test_malformed_value_reports_path_and_line(self, tmp_path, lineno, field, value):
         path = tmp_path / "bad.csv"
@@ -270,6 +217,17 @@ class TestStreamFiles:
         assert np.array_equal(np.concatenate([b.t for b in blocks]), block.t)
         assert np.array_equal(np.concatenate([b.phi for b in blocks]), block.phi)
         assert np.array_equal(np.concatenate([b.reward for b in blocks]), block.reward)
+
+    def test_int64_ends_read_back_exactly(self, tmp_path):
+        """-2**63 and the largest float below 2**63 are ids; 2**63 is not."""
+        path = tmp_path / "ends.csv"
+        path.write_text("t,gt_task,r,a,phi_1\n"
+                        "-9223372036854775808,9223372036854774784,0.5,1,0.1\n")
+        back = read_all(path)
+        assert back.t.tolist() == [-2 ** 63] and back.gt_task.tolist() == [2 ** 63 - 1024]
+        path.write_text("t,gt_task,r,a,phi_1\n1,9223372036854775808,0.5,1,0.1\n")
+        with pytest.raises(ValueError, match=r"csv:2: gt_task 9.22\d+e\+18 is outside the int64"):
+            read_all(path)
 
     def test_empty_file_rejected(self, tmp_path):
         path = tmp_path / "empty.csv"
@@ -376,12 +334,15 @@ class TestPrefetch:
         got.extend(blocks)
         assert_same_blocks(got, list(read_stream_blocks(path)))
 
-    @pytest.mark.parametrize("lineno", [3, 5000])  # in the first block and a later one
-    def test_malformed_line_is_raised_after_the_blocks_before_it(self, tmp_path, monkeypatch,
-                                                                  lineno):
-        path = self.write(tmp_path / "bad.csv", n=6000, k=2)
+    def error_after_blocks(self, path, lineno, field, value, monkeypatch):
+        """Set one field of a line, then check that the reader and the
+        in-process parse yield the same blocks before it and raise the same
+        ValueError; return its message."""
+        path = self.write(path, n=6000, k=2)
         lines = path.read_text().splitlines()
-        lines[lineno - 1] = lines[lineno - 1].rsplit(",", 1)[0] + ",not_a_number"
+        parts = lines[lineno - 1].split(",")
+        parts[field] = value
+        lines[lineno - 1] = ",".join(parts)
         path.write_text("\n".join(lines) + "\n")
         blocks, error = blocks_until_error(path)
         assert multiprocessing.active_children() == []
@@ -389,9 +350,23 @@ class TestPrefetch:
         in_process, expected = blocks_until_error(path)
         assert type(error) is ValueError
         assert str(error) == str(expected)
-        assert str(error).startswith(f"{path}:{lineno}: unparseable value")
         assert len(blocks) == (lineno - 2) // 4096
         assert_same_blocks(blocks, in_process)
+        return str(error)
+
+    @pytest.mark.parametrize("lineno", [3, 5000])  # in the first block and a later one
+    def test_malformed_line_is_raised_after_the_blocks_before_it(self, tmp_path, monkeypatch,
+                                                                  lineno):
+        path = tmp_path / "bad.csv"
+        message = self.error_after_blocks(path, lineno, -1, "not_a_number", monkeypatch)
+        assert message.startswith(f"{path}:{lineno}: unparseable value")
+
+    @pytest.mark.parametrize("lineno", [3, 5000])
+    def test_id_past_int64_is_raised_after_the_blocks_before_it(self, tmp_path, monkeypatch,
+                                                                lineno):
+        path = tmp_path / "bad.csv"
+        message = self.error_after_blocks(path, lineno, 0, "1e300", monkeypatch)
+        assert message == f"{path}:{lineno}: t 1e+300 is outside the int64 range"
 
     @pytest.mark.parametrize("content", [
         None,  # missing file
