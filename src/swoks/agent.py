@@ -3,17 +3,18 @@
 Policies are linear-softmax over the latent plus a bias term, trained
 with one plain policy-gradient step per episode against an exponential
 running-mean baseline. A live episode is kept as rows of a caller-owned
-:class:`EpisodeBuffer`: sampling an action writes the step's features
-``[phi; 1]`` into the next row, takes the logits from one
+:class:`EpisodeBuffer`: sampling an action copies the step's ready
+features ``[phi; 1]`` into the next row, takes the logits from one
 ``params.dot(row)``, subtracts the largest, exponentiates them in place
 with one ``np.exp`` call, runs the rest of the softmax and the inverse
 CDF on Python floats, and records the coefficients ``onehot(a) - p`` the
 gradient needs. The update sums the per-step outer products of those
 rows over the step axis, in step order, so the result equals the
-step-by-step sum bit for bit and no probability is recomputed. Probe
-rollouts encode and sample many steps at once (:meth:`Encoder.encode_rows`,
-:meth:`Policy.act_rows`), with the same results per row, and record
-nothing.
+step-by-step sum bit for bit and no probability is recomputed. Live
+plans and probe rollouts encode many observations at once
+(:meth:`Encoder.encode_rows`), and probes sample many steps at once
+(:meth:`Policy.act_rows`), with the same results per row; a probe
+records nothing.
 The bank keeps two rolling parameter checkpoints per label; rolling
 back restores the older one, so the restored policy predates a detected
 change by at least one full backup interval.
@@ -55,7 +56,6 @@ class Encoder:
             raise ValueError("obs_dim and latent_dim must be >= 1")
         rng = np.random.default_rng(seed)
         self._w = rng.standard_normal((latent_dim, obs_dim)) / np.sqrt(obs_dim)
-        self._obs_shape = (obs_dim,)
 
     @property
     def latent_dim(self) -> int:
@@ -65,14 +65,12 @@ class Encoder:
     def obs_dim(self) -> int:
         return self._w.shape[1]
 
-    def encode(self, obs, out: np.ndarray | None = None) -> np.ndarray:
-        """The latent of one observation, written to ``out`` when given."""
-        if type(obs) is not np.ndarray or obs.dtype is not _FLOAT or obs.shape != self._obs_shape:
-            obs = np.asarray(obs, dtype=float)
-            if obs.shape != self._obs_shape:
-                raise ValueError(
-                    f"observation shape {obs.shape} does not match {self._obs_shape}")
-        return np.tanh(self._w.dot(obs), out=out)
+    def encode(self, obs) -> np.ndarray:
+        """The latent of one observation."""
+        obs = np.asarray(obs, dtype=float)
+        if obs.shape != (self.obs_dim,):
+            raise ValueError(f"observation shape {obs.shape} does not match ({self.obs_dim},)")
+        return np.tanh(self._w.dot(obs))
 
     def encode_rows(self, obs: np.ndarray) -> np.ndarray:
         """The latents of ``(S, obs_dim)`` observations: :meth:`encode` of each
@@ -247,18 +245,24 @@ class Policy:
         return _softmax(self.params.dot(_features(phi, np.ones(self.params.shape[1]))))
 
     def act(self, phi, rng: np.random.Generator, episode: EpisodeBuffer) -> int:
-        """Sample an action from the softmax by inverse CDF on one uniform draw.
+        """:meth:`act_row` of the features ``[phi; 1]``."""
+        return self.act_row(_features(phi, np.ones(self.params.shape[1])), rng, episode)
+
+    def act_row(self, x: np.ndarray, rng: np.random.Generator, episode: EpisodeBuffer) -> int:
+        """Sample an action for the feature row ``x = [phi; 1]`` by inverse CDF
+        on one uniform draw.
 
         The probabilities are those of :meth:`action_probs` bit for bit:
         the largest logit is subtracted from the logits array, one
         ``np.exp`` call exponentiates it in place, and the sum and
-        quotients are Python floats. The step's features and coefficients
-        go to the next row of ``episode``, for :meth:`update`.
+        quotients are Python floats. ``x`` and the step's coefficients go
+        to the next row of ``episode``, for :meth:`update`.
         """
         n = episode.n
         if n == episode.x.shape[0]:
             episode._grow()
-        z = self.params.dot(_features(phi, episode.x[n]))
+        episode.x[n] = x
+        z = self.params.dot(x)
         z -= max(z.tolist())
         e = np.exp(z, out=z).tolist()
         total = _sum(e)

@@ -64,9 +64,12 @@ class TreeGraphEnv:
 
     Each node has a base observation vector drawn once from the
     environment seed and shared by all tasks; every visit adds fresh
-    Gaussian noise. Leaf ``j`` is the one at the end of the action path
-    whose digits spell ``j`` in base ``b``. ``set_task`` takes effect
-    at the next ``reset``, never mid-episode.
+    Gaussian noise. The noise is one stream of rows with a cursor: the
+    ``i``-th observation of the env's life, whichever call makes it,
+    adds row ``i``, so the noise a future episode will see is known in
+    advance (:meth:`plan`). Leaf ``j`` is the one at the end of the
+    action path whose digits spell ``j`` in base ``b``. ``set_task``
+    takes effect at the next ``reset``, never mid-episode.
     """
 
     def __init__(self, config: TreeGraphConfig, tasks):
@@ -85,16 +88,20 @@ class TreeGraphEnv:
             raise ValueError("at least one task is required")
         base_rng = substream(config.env_seed, "tree-base-obs")
         base = base_rng.standard_normal((self.n_states, config.obs_dim))
-        b = config.branching
-        # Base observations per level, root first: _levels[level][node], as
-        # arrays for rollout and as lists of rows for step.
+        b, d = config.branching, config.depth
+        # Base observations per level, root first: _levels[level][node].
         self._levels = [base[(b ** level - 1) // (b - 1):(b ** (level + 1) - 1) // (b - 1)]
-                        for level in range(config.depth + 1)]
-        self._rows = [list(level) for level in self._levels]
-        self._branching, self._depth, self._sigma = b, config.depth, config.obs_noise_sigma
+                        for level in range(d + 1)]
+        # The nodes an episode acts at, root first, and the level of each, for plan.
+        self._inner = base[:(b ** d - 1) // (b - 1)]
+        self._inner_levels = np.repeat(np.arange(d), b ** np.arange(d))
+        self._branching, self._depth, self._sigma = b, d, config.obs_noise_sigma
         self._noise = substream(config.env_seed, "tree-obs-noise")
-        # Unused scaled noise rows of the latest block, the next one last.
-        self._noise_rows: list[np.ndarray] = []
+        # Scaled noise drawn so far, from row _first on; observation i adds row i.
+        self._noise_rows = np.empty((0, config.obs_dim))
+        self._noise_buffer = np.empty((2 * _NOISE_BLOCK, config.obs_dim))
+        self._first = 0
+        self._cursor = 0  # observations made: the next one adds noise row _cursor
         self._active: int | None = None
         self._pending: int | None = None
         self._rewarded = -1  # the active task's rewarded leaf
@@ -134,39 +141,58 @@ class TreeGraphEnv:
             raise KeyError(f"unknown task id {task_id}")
         self._pending = task_id
 
-    def _observe(self) -> np.ndarray:
-        """The current node's base vector plus the next row of scaled noise.
+    @property
+    def cursor(self) -> int:
+        """Observations made so far, by :meth:`reset`, :meth:`step`,
+        :meth:`rollout` and their silent forms: the next one adds noise row
+        ``cursor``."""
+        return self._cursor
 
-        Noise is drawn ``_NOISE_BLOCK`` rows at a time; a block draw gives
-        the same values, in order, as one ``standard_normal(obs_dim)`` call
-        per observation, so the generator runs at most one block ahead.
+    def _noise_at(self, start: int, count: int) -> np.ndarray:
+        """Scaled noise rows ``start`` to ``start + count``, ``start`` at or
+        after every row still needed.
+
+        Noise is drawn in whole ``_NOISE_BLOCK``-row blocks, as many as the
+        rows asked for need, after the rows kept; a block draw gives the same
+        values, in order, as one ``standard_normal(obs_dim)`` call per
+        observation, so row ``i`` is always the ``i``-th such draw, scaled,
+        whenever it is drawn. Rows before ``start`` are dropped when the next
+        block comes. The rows live in a reused buffer, so the view returned
+        is valid only until the next call.
         """
-        base = self._rows[self._level][self._node]
+        rows, first = self._noise_rows, self._first
+        end = first + len(rows)
+        if start + count > end:
+            blocks = -(-(start + count - end) // _NOISE_BLOCK)
+            kept = rows[min(start, end) - first:]
+            first = min(start, end)
+            size = len(kept) + blocks * _NOISE_BLOCK
+            # A plan's rows fit the buffer; a long rollout's get an array of their own.
+            rows = (self._noise_buffer[:size] if size <= len(self._noise_buffer)
+                    else np.empty((size, rows.shape[1])))
+            rows[:len(kept)] = kept  # numpy copies overlapping rows as if through a buffer
+            drawn = rows[len(kept):]
+            self._noise.standard_normal(out=drawn)
+            drawn *= self._sigma
+            self._noise_rows, self._first = rows, first
+        return rows[start - first:start - first + count]
+
+    def _observe(self) -> np.ndarray:
+        """The current node's base vector plus the noise row its visit
+        consumed, row ``cursor - 1``."""
+        base = self._levels[self._level][self._node]
         if self._sigma == 0.0:
             return base.copy()
-        if not self._noise_rows:
-            self._noise_rows = list(self._sigma * self._noise.standard_normal(
-                (_NOISE_BLOCK, base.shape[0])))[::-1]
-        return base + self._noise_rows.pop()
+        return base + self._noise_at(self._cursor - 1, 1)[0]
 
-    def _take_noise(self, count: int) -> np.ndarray:
-        """The next ``count`` rows of scaled noise as one array, the rows
-        ``count`` calls of :meth:`_observe` would add, from the same block draws."""
-        rows, dim = self._noise_rows, self._cfg.obs_dim
-        out = np.empty((count, dim))
-        served = min(count, len(rows))
-        if served:
-            out[:served] = rows[:-served - 1:-1]
-            del rows[-served:]
-        while served < count:
-            block = self._sigma * self._noise.standard_normal((_NOISE_BLOCK, dim))
-            used = min(count - served, _NOISE_BLOCK)
-            out[served:served + used] = block[:used]
-            self._noise_rows = list(block[used:])[::-1]
-            served += used
-        return out
+    def _take_noise(self, count: int) -> np.ndarray | None:
+        """Consume the next ``count`` observations; their scaled noise rows, the
+        rows ``count`` calls of :meth:`_observe` would add, or None when sigma is 0."""
+        start = self._cursor
+        self._cursor += count
+        return None if self._sigma == 0.0 else self._noise_at(start, count)
 
-    def _begin(self) -> None:
+    def _apply_task(self) -> None:
         """Apply the pending task, as every episode's start does."""
         if self._pending is not None:
             self._active = self._pending
@@ -174,21 +200,23 @@ class TreeGraphEnv:
         if self._active is None:
             raise RuntimeError("no active task; call set_task before reset")
 
-    def reset(self) -> np.ndarray:
-        """Start a new episode at the root and return its observation."""
-        self._begin()
+    def start(self) -> None:
+        """:meth:`reset` without its observation: the root visit's noise row
+        is consumed, not added."""
+        self._apply_task()
         self._level = 0
         self._node = 0
         self._done = False
+        self._cursor += 1
+
+    def reset(self) -> np.ndarray:
+        """Start a new episode at the root and return its observation."""
+        self.start()
         return self._observe()
 
-    def step(self, action: int) -> tuple[np.ndarray, float, bool]:
-        """Descend one level; returns (observation, reward, done).
-
-        ``action`` is an integer (any type ``operator.index`` accepts) in
-        ``[0, branching)``; anything else raises ValueError and leaves
-        the episode as it was.
-        """
+    def advance(self, action: int) -> tuple[float, bool]:
+        """:meth:`step` without its observation: descend one level, consume
+        the visit's noise row, return (reward, done)."""
         if self._done:
             raise RuntimeError("episode is over; call reset")
         if type(action) is not int:
@@ -201,11 +229,43 @@ class TreeGraphEnv:
             raise ValueError(f"action {action} out of range [0, {b})")
         self._node = node = self._node * b + action
         self._level += 1
-        obs = self._observe()
+        self._cursor += 1
         if self._level < self._depth:
-            return obs, 0.0, False
+            return 0.0, False
         self._done = True
-        return obs, self._cfg.high_reward if node == self._rewarded else self._cfg.fail_reward, True
+        return self._cfg.high_reward if node == self._rewarded else self._cfg.fail_reward, True
+
+    def step(self, action: int) -> tuple[np.ndarray, float, bool]:
+        """Descend one level; returns (observation, reward, done).
+
+        ``action`` is an integer (any type ``operator.index`` accepts) in
+        ``[0, branching)``; anything else raises ValueError and leaves
+        the episode as it was.
+        """
+        reward, done = self.advance(action)
+        return self._observe(), reward, done
+
+    def plan(self) -> np.ndarray:
+        """What the next ``_NOISE_BLOCK // (depth + 1)`` whole episodes can
+        observe where they act, consuming nothing.
+
+        Returns ``(E, N, obs_dim)`` for the ``E`` episodes and the ``N``
+        nodes that are not leaves. Nodes are numbered root first, level by
+        level, so node ``g``'s children are ``g * branching + 1 + action``.
+        Episode ``e`` is the one whose :meth:`reset` makes observation
+        ``cursor + e * (depth + 1)``, and row ``[e, g]`` is the observation
+        that episode makes if it visits ``g``: the node's base vector plus
+        the noise row drawn at ``g``'s level, the vector :meth:`reset` or
+        :meth:`step` returns there. Only those episodes' rows are drawn.
+        """
+        d = self._depth
+        episodes = _NOISE_BLOCK // (d + 1)
+        if self._sigma == 0.0:
+            return np.repeat(self._inner[None], episodes, axis=0)
+        noise = self._noise_at(self._cursor, episodes * (d + 1)).reshape(episodes, d + 1, -1)
+        obs = noise.take(self._inner_levels, axis=1)  # C-contiguous, unlike [:, levels]
+        obs += self._inner  # noise + base: the same sums as base + noise
+        return obs
 
     def rollout(self, n: int, choose) -> tuple[np.ndarray, np.ndarray]:
         """Play ``n`` steps as whole episodes, level by level across all of them.
@@ -222,13 +282,12 @@ class TreeGraphEnv:
         """
         if n <= 0:
             return np.zeros(0, dtype=np.intp), np.zeros(0)
-        self._begin()
+        self._apply_task()
         d, b = self._depth, self._branching
         full, part = divmod(n, d)
         episodes = full + (part > 0)
         # Per-step order: each episode's root observation, then one per step.
-        noise = (None if self._sigma == 0.0
-                 else self._take_noise(full * (d + 1) + (part + 1 if part else 0)))
+        noise = self._take_noise(full * (d + 1) + (part + 1 if part else 0))
         steps = np.arange(episodes * d).reshape(episodes, d)
         actions = np.zeros((episodes, d), dtype=np.intp)
         nodes = np.zeros(episodes, dtype=np.intp)

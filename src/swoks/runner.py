@@ -1,10 +1,20 @@
 """Experiment loop: environment, encoder, policy bank, detector.
 
-Live steps are collected into a block and fed to the detector once per
-check interval (``history_len`` steps), the only steps at which it can
-raise an event; each latent is encoded straight into its row of the
-block, and the block's rows go to the trace at the check, with its
-p_value, swd and event. When it triggers, probing runs stored policies
+Live episodes are encoded a plan at a time: :meth:`TreeGraphEnv.plan`
+gives the observation each of the next whole episodes would make at
+each node it can act at, one :meth:`Encoder.encode_rows` call turns
+them into ready rows ``[phi; 1]``, and a live step picks its row by
+episode and node, samples its action from it
+(:meth:`Policy.act_row`) and advances the env, with the same latents,
+actions and rewards, bit for bit, as ``reset``/``step``/``encode``/
+``act`` one step at a time. A plan serves an episode only where the
+env's noise cursor sits at the start of one of its episodes, so an
+aborted episode or a probe simply leads to a new plan. Live steps are
+collected into a block and fed to the detector once per check interval
+(``history_len`` steps), the only steps at which it can raise an event;
+their latents are copied from the plan rows into the block at the
+check (or before a new plan), and the block's rows go to the trace at
+the check, with its p_value, swd and event. When it triggers, probing runs stored policies
 in the same environment, each probe as one batched rollout of whole
 episodes (:class:`_EnvProbe`), so probe steps consume curriculum time
 and are flagged in the trace. On any accepted detection the departing
@@ -102,6 +112,16 @@ class _EnvProbe:
         return phi, actions, rewards
 
 
+def _encode_plan(env: TreeGraphEnv, encoder: Encoder) -> tuple[np.ndarray, int]:
+    """The rows ``[phi; 1]`` of :meth:`TreeGraphEnv.plan`'s observations,
+    episode after episode, and the number of nodes per episode."""
+    obs = env.plan()
+    episodes, nodes, _ = obs.shape
+    x = np.ones((episodes * nodes, encoder.latent_dim + 1))
+    x[:, :-1] = encoder.encode_rows(obs.reshape(episodes * nodes, -1))
+    return x, nodes
+
+
 def run_experiment(config: ExperimentConfig, out_dir: str | Path | None = None,
                    load_bank: str | Path | None = None,
                    save_bank: str | Path | None = None) -> RunResult:
@@ -136,11 +156,19 @@ def run_experiment(config: ExperimentConfig, out_dir: str | Path | None = None,
     det_cfg = replace(config.detector, master_seed=child_seed(master, "detector"))
     detector = Detector(det_cfg, probe=probe_source)
 
-    # Live steps since the last check boundary, fed to the detector at the next one;
-    # each step's latent is encoded straight into its row of ``latents``.
+    # Live steps since the last check boundary, fed to the detector at the next one.
+    # Their latents come from a plan: row ``r`` of ``plan_x`` is ``[phi; 1]`` of one
+    # node an episode of the plan can act at, encoded with the whole plan at once.
+    # ``plan_rows`` holds the rows of the pending steps whose latents are not yet
+    # copied into ``latents`` (the first ``written`` are).
     h = det_cfg.history_len
     latents = np.empty((h, config.agent.latent_dim))
-    latent_rows = list(latents)
+    written = 0
+    plan_rows: list[int] = []
+    plan_x = None
+    plan_at = plan_span = nodes = 0  # the plan's first cursor, its observations, nodes
+    stride = config.env.depth + 1  # observations per whole episode
+    b = env.n_actions
     actions: list[int] = []
     rewards: list[float] = []
     gt_tasks: list[int] = []
@@ -163,13 +191,27 @@ def run_experiment(config: ExperimentConfig, out_dir: str | Path | None = None,
                 env.set_task(gt_task)
                 label = detector.current_label.id
                 policy = bank.get_or_create(label)
-            obs = env.reset()
+            # A plan serves an episode that starts where one of its episodes does;
+            # an aborted episode or a probe in between moves the cursor off them.
+            offset = env.cursor - plan_at
+            if offset % stride or not 0 <= offset < plan_span:
+                if plan_rows:
+                    latents[written:len(rewards)] = plan_x[plan_rows, :-1]
+                    written = len(rewards)
+                    plan_rows.clear()
+                plan_x, nodes = _encode_plan(env, encoder)
+                plan_at, plan_span, offset = env.cursor, len(plan_x) // nodes * stride, 0
+            first = offset // stride * nodes
+            node = 0
+            env.start()
             episode.clear()
             aborted = done = False
             while not done:
-                phi = encoder.encode(obs, out=latent_rows[len(rewards)])
-                action = policy.act(phi, act_rng, episode)
-                obs, reward, done = env.step(action)
+                row = first + node
+                action = policy.act_row(plan_x[row], act_rng, episode)
+                reward, done = env.advance(action)
+                node = node * b + 1 + action
+                plan_rows.append(row)
                 episode.rewards.append(reward)
                 actions.append(action)
                 rewards.append(reward)
@@ -182,6 +224,9 @@ def run_experiment(config: ExperimentConfig, out_dir: str | Path | None = None,
                 # and all carry ``label``: the detector's label only changes in ingest_block.
                 trace.append(t - len(rewards) + 1, iterations[:-1], gt_tasks[:-1], label,
                              rewards[:-1], 0, detector.last_p_value, detector.last_swd)
+                latents[written:len(rewards)] = plan_x[plan_rows, :-1]
+                written = 0
+                plan_rows.clear()
                 found = detector.ingest_block(latents[:len(rewards)], actions, rewards)
                 event = found[0] if found else None
                 p_value, swd = detector.last_p_value, detector.last_swd
@@ -214,6 +259,7 @@ def run_experiment(config: ExperimentConfig, out_dir: str | Path | None = None,
         if rewards:
             trace.append(t - len(rewards) + 1, iterations, gt_tasks, label, rewards, 0,
                          detector.last_p_value, detector.last_swd)
+            latents[written:len(rewards)] = plan_x[plan_rows, :-1]
             detector.ingest_block(latents[:len(rewards)], actions, rewards)
         finished = True
     finally:

@@ -62,9 +62,9 @@ class StreamBlock(NamedTuple):
     phi: np.ndarray  # (n, k)
 
 
-# t and gt_task become int64, so they must lie in [-2**63, 2**63); both
-# ends are exact as floats.
-_INT64_END = 2.0 ** 63
+# t and gt_task are parsed as floats, which hold every integer exactly only
+# inside (-2**53, 2**53): a text id past it would read back as a neighbour.
+_EXACT_END = 2.0 ** 53
 
 # Lines parsed or formatted per batch: enough to amortise a numpy call,
 # few enough that a block's arrays stay well under a megabyte.
@@ -106,8 +106,9 @@ def read_stream_blocks(path) -> Iterator[StreamBlock]:
     """Parse a recorded stream block by block, reporting malformed lines by number.
 
     Blank lines are skipped. Every value must be finite, ``t`` and
-    ``gt_task`` integers in the int64 range; the action is truncated
-    toward zero. Only the current block is held in memory.
+    ``gt_task`` integers in ``(-2**53, 2**53)``, where a float holds
+    each exactly; the action is truncated toward zero. Only the current
+    block is held in memory.
     """
     with open(path, "r", encoding="utf-8") as fh:
         k = _read_header(fh, path)
@@ -310,7 +311,7 @@ def _parse_block(lines: list[str], k: int) -> np.ndarray | None:
         return None
     ids = table[:, :2]
     if not (np.isfinite(table).all() and (ids == np.trunc(ids)).all()
-            and (ids >= -_INT64_END).all() and (ids < _INT64_END).all()):
+            and (np.abs(ids) < _EXACT_END).all()):
         return None
     return table
 
@@ -331,10 +332,11 @@ def _parse_lines(lines: list[str], k: int, path, first_lineno: int) -> np.ndarra
             raise ValueError(f"{path}:{lineno}: unparseable value ({exc})") from None
         if not all(map(math.isfinite, values)):
             raise ValueError(f"{path}:{lineno}: non-finite value")
-        for name, v in zip(("t", "gt_task"), values):
+        for name, v, text in zip(("t", "gt_task"), values, parts):
             if not v.is_integer():
                 raise ValueError(f"{path}:{lineno}: {name} must be an integer, got {v!r}")
-            if not -_INT64_END <= v < _INT64_END:
-                raise ValueError(f"{path}:{lineno}: {name} {v!r} is outside the int64 range")
+            if not abs(v) < _EXACT_END:
+                raise ValueError(f"{path}:{lineno}: {name} {text.strip()} is outside "
+                                 "(-2**53, 2**53), the ids a float holds exactly")
         rows.append(values)
     return np.array(rows, dtype=float).reshape(-1, k + 4)

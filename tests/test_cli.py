@@ -108,7 +108,7 @@ class TestRunCommand:
         data, message = bad_banks(config.env.branching, config.agent.latent_dim)[case]
         bank = tmp_path / "bank.npz"
         bank.write_bytes(data)
-        monkeypatch.setattr(swoks.runner.TreeGraphEnv, "step", no_step)
+        monkeypatch.setattr(swoks.runner.TreeGraphEnv, "advance", no_step)
         code = main(["run", "--config", mirror_cfg, "--out", str(tmp_path / "out"),
                      "--load-bank", str(bank)])
         assert code == 2
@@ -127,7 +127,7 @@ class TestRunCommand:
         def no_step(self, action):
             raise AssertionError("the env took a step")
 
-        monkeypatch.setattr(swoks.runner.TreeGraphEnv, "step", no_step)
+        monkeypatch.setattr(swoks.runner.TreeGraphEnv, "advance", no_step)
         out = tmp_path / "taken"
         out.write_text("not a directory")
         assert main(["run", "--config", mirror_cfg, "--out", str(out)]) == 2
@@ -164,7 +164,7 @@ class TestDetectCommand:
         stream.write_text("t,gt_task,r,a,phi_1\n1,1,0.5,1,0.1\n1e300,1,0.5,1,0.1\n")
         assert main(["detect", "--stream", str(stream), "--config", mirror_cfg]) == 2
         assert capsys.readouterr().err.startswith(
-            f"error: {stream}:3: t 1e+300 is outside the int64 range")
+            f"error: {stream}:3: t 1e300 is outside (-2**53, 2**53)")
 
     def test_missing_stream_exits_2(self, mirror_cfg, tmp_path, capsys):
         code = main(["detect", "--stream", str(tmp_path / "nope.csv"),

@@ -103,9 +103,9 @@ class TestRewards:
             e.step(0)
 
         def state():
-            # Position, the unserved noise rows and the noise generator's state.
-            unserved = b"".join(row.tobytes() for row in env._noise_rows)
-            return (env._level, env._node, env._done, unserved,
+            # Position, the cursor, the unserved noise rows and the noise generator's state.
+            unserved = env._noise_rows[env.cursor - env._first:].tobytes()
+            return (env._level, env._node, env._done, env.cursor, unserved,
                     env._noise.bit_generator.state)
 
         before = state()

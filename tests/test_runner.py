@@ -15,9 +15,12 @@ import tracemalloc
 import warnings
 import weakref
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import swoks.runner
 from swoks import stream
@@ -30,7 +33,7 @@ from swoks.detector import (
     Detector,
     DetectorConfig,
 )
-from swoks.env import Curriculum, TaskSpec, TreeGraphConfig, TreeGraphEnv
+from swoks.env import _NOISE_BLOCK, Curriculum, TaskSpec, TreeGraphConfig, TreeGraphEnv
 from swoks.metrics import sweep_beta
 from swoks.runner import _EnvProbe, detect_offline, run_experiment
 from swoks.seeding import UniformBlocks, substream
@@ -147,18 +150,17 @@ class TestRecordedProbabilities:
         # policy, aborts the live episode and re-adopts label 1. Every
         # update, including label 1's first after the probe, must equal
         # the step the recomputed gradient of the episode's live steps gives.
-        original_act = Policy.act
+        original_act = Policy.act_row
         original_update = Policy.update
         original_redetect = Detector.redetect
         seen = {"updates": 0, "re_detected": 0, "after_probe": 0}
         live_steps = []  # (phi, action) of the live episode so far
 
-        def act(policy, phi, rng, episode=None):
-            action = original_act(policy, phi, rng, episode)
-            if episode is not None:
-                if episode.n == 1:
-                    live_steps.clear()  # the buffer was cleared for a new episode
-                live_steps.append((phi.copy(), action))
+        def act_row(policy, x, rng, episode):
+            action = original_act(policy, x, rng, episode)
+            if episode.n == 1:
+                live_steps.clear()  # the buffer was cleared for a new episode
+            live_steps.append((x[:-1].copy(), action))
             return action
 
         def redetect(detector):
@@ -180,7 +182,7 @@ class TestRecordedProbabilities:
             seen["updates"] += 1
             seen["after_probe"] += seen["re_detected"] > 0
 
-        monkeypatch.setattr(Policy, "act", act)
+        monkeypatch.setattr(Policy, "act_row", act_row)
         monkeypatch.setattr(Policy, "update", update)
         monkeypatch.setattr(Detector, "redetect", redetect)
         result = run_experiment(tiny_config(MIRROR))
@@ -189,10 +191,15 @@ class TestRecordedProbabilities:
         assert seen["re_detected"] == 1 and 0 < seen["after_probe"] < seen["updates"]
 
 
+def unserved_noise(env) -> bytes:
+    """The scaled noise rows a ``TreeGraphEnv`` drew but has not consumed yet."""
+    return env._noise_rows[env.cursor - env._first:].tobytes()
+
+
 def env_view(env) -> tuple:
     """Everything a probe can change in a ``TreeGraphEnv``, in comparable form."""
     return (env._level, env._node, env._done, env._active, env._rewarded,
-            [row.tobytes() for row in env._noise_rows], env._noise.bit_generator.state)
+            env.cursor, unserved_noise(env), env._noise.bit_generator.state)
 
 
 def per_step_probe(env, encoder, policy, rng, n: int):
@@ -290,6 +297,174 @@ class TestBatchedProbe:
         env.set_task(1)
         with pytest.raises(ValueError):
             env.rollout(4, lambda steps, obs: np.full(len(steps), 2))
+
+
+class ShadowEnv(TreeGraphEnv):
+    """A ``TreeGraphEnv`` that also plays every episode on a twin through
+    ``reset`` and ``step`` alone and checks that both pay the same; ``obs`` is
+    the twin's latest observation, ``plans`` the cursor of each plan made."""
+
+    made: list = []
+
+    def __init__(self, config, tasks):
+        super().__init__(config, tasks)
+        self.twin = TreeGraphEnv(config, tasks)
+        self.obs = None
+        self.plans: list[int] = []
+        self.made.append(self)
+
+    def set_task(self, task_id):
+        super().set_task(task_id)
+        self.twin.set_task(task_id)
+
+    def plan(self):
+        self.plans.append(self.cursor)
+        return super().plan()
+
+    def start(self):
+        super().start()
+        self.obs = self.twin.reset()
+
+    def advance(self, action):
+        reward, done = super().advance(action)
+        self.obs, twin_reward, twin_done = self.twin.step(action)
+        assert (reward, done) == (twin_reward, twin_done)
+        return reward, done
+
+    def rollout(self, n, choose):
+        actions, rewards = super().rollout(n, choose)
+        done = True
+        for action, reward in zip(actions.tolist(), rewards.tolist()):
+            if done:
+                self.twin.reset()
+            _, twin_reward, done = self.twin.step(action)
+            assert twin_reward == reward
+        return actions, rewards
+
+
+class TestLivePlan:
+    """Live steps served from plans against the same steps through per-step
+    ``reset``/``step``/``encode``/``act`` calls."""
+
+    # (depth, branching, sigma, curriculum, probe_swd_samples)
+    CASES = {
+        "desk": (2, 2, 0.05, ((1, 700), (2, 700)), PROBE),
+        "depth-3-branching-3": (3, 3, 0.05, ((1, 700), (2, 700)), PROBE),
+        "sigma-0": (2, 2, 0.0, ((1, 700), (2, 700)), PROBE),
+        "branching-8": (2, 8, 0.05, ((1, 700), (2, 700)), PROBE),
+        # Checks land mid-episode, and a probe of 20 steps stays inside the plan.
+        "abort-after-probe": (3, 2, 0.05, MIRROR, 2),
+    }
+
+    @pytest.mark.parametrize("case", list(CASES))
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_live_steps_equal_per_step_calls(self, case, seed, monkeypatch):
+        depth, branching, sigma, segments, probe = self.CASES[case]
+        cfg = tiny_config(segments, seed=seed, probe_swd_samples=probe)
+        cfg = replace(cfg, env=replace(cfg.env, depth=depth, branching=branching,
+                                       obs_noise_sigma=sigma),
+                      tasks=(TaskSpec(1, 0), TaskSpec(2, branching ** depth - 1)))
+        original_act_row = Policy.act_row
+        made: list[ShadowEnv] = []
+        # Per live step: the twin's observation, the policy's parameters, the
+        # uniform drawn, and the plan row, action and buffer rows of the live step.
+        steps = []
+
+        def act_row(policy, x, rng, episode):
+            draws = []
+
+            def random():
+                draws.append(rng.random())
+                return draws[-1]
+
+            n, params = episode.n, policy.params.copy()
+            action = original_act_row(policy, x, SimpleNamespace(random=random), episode)
+            steps.append((made[-1].obs, params, draws[0], n, x.copy(), action,
+                          episode.x[n].copy(), episode.coeff[n].copy()))
+            return action
+
+        monkeypatch.setattr(ShadowEnv, "made", made)
+        monkeypatch.setattr(swoks.runner, "TreeGraphEnv", ShadowEnv)
+        monkeypatch.setattr(Policy, "act_row", act_row)
+        result = run_experiment(cfg)
+        monkeypatch.undo()
+
+        ref = EpisodeBuffer(branching, cfg.agent.latent_dim)
+        for obs, params, draw, n, x, action, x_row, coeff_row in steps:
+            phi = result.encoder.encode(obs)
+            assert x.tobytes() == np.append(phi, 1.0).tobytes()
+            policy = Policy(branching, cfg.agent.latent_dim)
+            policy.params = params
+            if n == 0:
+                ref.clear()
+            assert ref.n == n
+            assert policy.act(phi, SimpleNamespace(random=lambda: draw), ref) == action
+            assert ref.x[n].tobytes() == x_row.tobytes()
+            assert ref.coeff[n].tobytes() == coeff_row.tobytes()
+
+        env = result.env
+        assert env is made[0] and len(made) == 1
+        assert (env.cursor, env._level, env._node, env._done) == (
+            env.twin.cursor, env.twin._level, env.twin._node, env.twin._done)
+        live = result.trace.probe_flag == 0
+        assert len(steps) == int(live.sum())
+        # Plans are reused: one serves many episodes.
+        assert 0 < len(env.plans) < len(steps) / (10 * depth)
+        if case == "abort-after-probe":
+            # An event after probing aborted a live episode mid-way: the cursor left
+            # the grid of the plan's episodes before it ran out, and a new plan began.
+            assert any(e.probed_pvalues for e in result.events)
+            assert result.trace.probe_flag.any()
+            span = _NOISE_BLOCK // (depth + 1) * (depth + 1)
+            assert any((b - a) % (depth + 1) and b - a < span
+                       for a, b in zip(env.plans, env.plans[1:]))
+
+    @given(st.integers(1, 3), st.integers(2, 4), st.sampled_from([0.0, 0.05, 2.0]),
+           st.integers(0, 2**16), st.lists(st.integers(-2, 7), max_size=300))
+    @settings(max_examples=60, deadline=None)
+    def test_observations_are_one_draw_each_in_order(self, depth, branching, sigma, seed,
+                                                     moves):
+        """``reset`` and ``step`` return the base vector plus ``sigma`` times one
+        ``standard_normal(obs_dim)`` draw per observation, in order, whatever
+        ``plan`` (move -2) and ``rollout`` (move -1) calls come between them; an
+        episode that starts on the latest plan's grid observes the plan's rows."""
+        cfg = TreeGraphConfig(depth=depth, branching=branching, obs_dim=4,
+                              obs_noise_sigma=sigma, env_seed=seed)
+        env = TreeGraphEnv(cfg, (TaskSpec(1, 0),))
+        base = TreeGraphEnv(replace(cfg, obs_noise_sigma=0.0), (TaskSpec(1, 0),))
+        env.set_task(1)
+        base.set_task(1)
+        per_call = substream(seed, "tree-obs-noise")
+        plan_at, plan = 0, np.empty((0, 0, 4))
+        rows = None  # the plan's rows for the running episode, if it started on its grid
+        done, node = True, 0
+        for move in moves:
+            if move == -2:
+                cursor = env.cursor
+                plan_at, plan = cursor, env.plan()
+                assert env.cursor == cursor
+                nodes = (branching ** depth - 1) // (branching - 1)  # those that are not leaves
+                assert plan.shape == (_NOISE_BLOCK // (depth + 1), nodes, 4)
+                continue
+            if move == -1:
+                cursor = env.cursor
+                env.rollout(5, lambda steps, obs: np.zeros(len(steps), dtype=int))
+                per_call.standard_normal((env.cursor - cursor, 4))
+                done = True
+                continue
+            if done:
+                episode, off_grid = divmod(env.cursor - plan_at, depth + 1)
+                rows = None if off_grid or episode >= len(plan) else plan[episode]
+                obs, expected, node, done = env.reset(), base.reset(), 0, False
+            else:
+                action = move % branching
+                obs, _, done = env.step(action)
+                expected = base.step(action)[0]
+                node = node * branching + 1 + action
+            expected = expected + sigma * per_call.standard_normal(4)
+            assert obs.tobytes() == expected.tobytes()
+            if rows is not None and not done:
+                assert rows[node].tobytes() == obs.tobytes()
 
 
 class TestLifetime:

@@ -173,6 +173,9 @@ class TestStreamFiles:
         (2, "nan"),  # reward
         (0, "1e300"),  # t past int64
         (1, "-9223372036854777856"),  # gt_task: the float below -2**63
+        (0, str(2 ** 53 + 1)),  # t: parses as 2**53, one lower
+        (1, str(2 ** 62 + 1)),  # gt_task: parses as 2**62
+        (0, str(-2 ** 53)),  # t: exact, but so is the parse of -2**53 - 1
     ])
     def test_malformed_value_reports_path_and_line(self, tmp_path, lineno, field, value):
         path = tmp_path / "bad.csv"
@@ -218,16 +221,23 @@ class TestStreamFiles:
         assert np.array_equal(np.concatenate([b.phi for b in blocks]), block.phi)
         assert np.array_equal(np.concatenate([b.reward for b in blocks]), block.reward)
 
-    def test_int64_ends_read_back_exactly(self, tmp_path):
-        """-2**63 and the largest float below 2**63 are ids; 2**63 is not."""
+    def test_exact_id_ends_read_back_exactly(self, tmp_path):
+        """Ids up to 2**53 - 1 either way read back; 2**53 + 1 and 2**62 + 1,
+        which parse one lower, are refused with their line."""
         path = tmp_path / "ends.csv"
-        path.write_text("t,gt_task,r,a,phi_1\n"
-                        "-9223372036854775808,9223372036854774784,0.5,1,0.1\n")
+        top = 2 ** 53 - 1
+        write_stream(path, StreamBlock(t=np.array([-top, top]), gt_task=np.array([top, -top]),
+                                       reward=np.zeros(2), action=np.zeros(2),
+                                       phi=np.zeros((2, 1))))
         back = read_all(path)
-        assert back.t.tolist() == [-2 ** 63] and back.gt_task.tolist() == [2 ** 63 - 1024]
-        path.write_text("t,gt_task,r,a,phi_1\n1,9223372036854775808,0.5,1,0.1\n")
-        with pytest.raises(ValueError, match=r"csv:2: gt_task 9.22\d+e\+18 is outside the int64"):
-            read_all(path)
+        assert back.t.tolist() == [-top, top] and back.gt_task.tolist() == [top, -top]
+        for name, column, value in (("t", 0, 2 ** 53 + 1), ("gt_task", 1, 2 ** 62 + 1)):
+            row = ["1", "1", "0.5", "1", "0.1"]
+            row[column] = str(value)
+            path.write_text("t,gt_task,r,a,phi_1\n1,1,0.5,1,0.1\n" + ",".join(row) + "\n")
+            with pytest.raises(ValueError, match=rf"csv:3: {name} {value} is outside "
+                                                 r"\(-2\*\*53, 2\*\*53\)"):
+                read_all(path)
 
     def test_empty_file_rejected(self, tmp_path):
         path = tmp_path / "empty.csv"
@@ -366,7 +376,8 @@ class TestPrefetch:
                                                                 lineno):
         path = tmp_path / "bad.csv"
         message = self.error_after_blocks(path, lineno, 0, "1e300", monkeypatch)
-        assert message == f"{path}:{lineno}: t 1e+300 is outside the int64 range"
+        assert message == (f"{path}:{lineno}: t 1e300 is outside (-2**53, 2**53), "
+                           "the ids a float holds exactly")
 
     @pytest.mark.parametrize("content", [
         None,  # missing file

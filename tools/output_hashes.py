@@ -15,6 +15,13 @@ as JSON:
   (``DEEP_TREE_CONFIG``, written to ``deep-tree.cfg``): 650 is not a
   multiple of the depth, so every probe ends in the middle of an
   episode, and the run re-detects labels;
+- ``no-noise``: the same files of seed 1 on the desk preset with
+  ``observation_noise_sigma = 0`` (``NO_NOISE_CONFIG``): every episode
+  observes the base vectors, and the live loop draws no noise;
+- ``wide-tree``: the same files of seed 1 on the desk preset with a
+  depth-3, branching-6 tree and rewarded leaves 0, 50, 100 and 150
+  (``WIDE_TREE_CONFIG``): 43 nodes to act at per episode, so the live
+  loop's plans are far larger than its episodes' steps;
 - ``detect``: the stdout of ``swoks detect --config desk`` on the
   synthetic stream ``perfbench/synth.py`` makes with
   ``generate(3, segments_for(4, 20000))``, written to ``stream.csv`` in
@@ -30,7 +37,7 @@ as JSON:
 
 Run it on two checkouts and compare the output: equal JSON means the
 same bytes. Everything is written under a temporary directory; nothing
-in the checkout changes. It takes about 20 s on 2 CPUs.
+in the checkout changes. It takes about 30 s on 2 CPUs.
 """
 from __future__ import annotations
 
@@ -66,6 +73,24 @@ branching_factor = 3
 [tasks]
 rewarded_leaves = 0,13,26,8
 """
+NO_NOISE_CONFIG = """\
+[experiment]
+preset = desk
+
+[env]
+observation_noise_sigma = 0
+"""
+WIDE_TREE_CONFIG = """\
+[experiment]
+preset = desk
+
+[env]
+tree_depth = 3
+branching_factor = 6
+
+[tasks]
+rewarded_leaves = 0,50,100,150
+"""
 
 
 def _sha256(data: bytes) -> str:
@@ -94,8 +119,10 @@ def hashes() -> dict:
         flags = ["--save-bank", "bank"] if seed == 1 else []
         result["desk"][str(seed)] = _run("desk", seed, Path(f"desk-{seed}"), *flags)
     result["bank"] = _run("desk", 2, Path("bank-loaded"), "--load-bank", "bank")
-    Path("deep-tree.cfg").write_text(DEEP_TREE_CONFIG, encoding="utf-8")
-    result["deep-tree"] = _run("deep-tree.cfg", 1, Path("deep-tree"))
+    for name, config in (("deep-tree", DEEP_TREE_CONFIG), ("no-noise", NO_NOISE_CONFIG),
+                         ("wide-tree", WIDE_TREE_CONFIG)):
+        Path(f"{name}.cfg").write_text(config, encoding="utf-8")
+        result[name] = _run(f"{name}.cfg", 1, Path(name))
     synth.write_csv("stream.csv", synth.generate(3, synth.segments_for(4, 20000)))
     result["detect"] = _stdout(["detect", "--config", "desk", "--stream", "stream.csv"])
     synth.write_csv("paper-stream.csv", synth.generate(3, synth.segments_for(2, 150000)))
