@@ -1,7 +1,9 @@
 """Online task-change detector over streaming experience.
 
 Steps arrive in blocks of any size; each is packed into a datapoint
-and pushed into the current label's FIFO window. Once per
+and pushed into the current label's FIFO window. A block with a step
+that is not finite or has another width is rejected whole and leaves
+the detector as it was. Once per
 ``history_len`` steps the sliced transport distance between the newest
 and oldest window is appended to that label's distance history; when
 the history is full, a one-sided shift test compares its new half
@@ -304,26 +306,26 @@ class Detector:
 
         ``phi`` is ``(n, k)``; ``actions`` and ``rewards`` have length
         ``n``. How the steps are split into blocks does not change the
-        result. A block whose width differs from the first step's raises
-        ValueError and changes nothing. A row that is not finite raises
-        ValueError naming it, after the rows before it were ingested;
-        their events are then not returned.
+        result. A block whose width differs from the first step's, or with
+        a row that is not finite, raises ValueError (naming the first such
+        row) and changes nothing.
         """
         points = make_datapoints(phi, actions, rewards)
         n = points.shape[0]
         if self._width is not None and points.shape[1] != self._width:
             raise ValueError(f"datapoint width {points.shape[1]} does not match {self._width}")
-        n_ok = n
         if not np.isfinite(points).all():  # the per-row mask only for a block that needs it
-            n_ok = int(np.argmin(np.isfinite(points).all(axis=1)))
-        if n_ok and self._width is None:
+            bad = int(np.argmin(np.isfinite(points).all(axis=1)))
+            raise ValueError(f"row {bad} of the block: phi, action and scaled reward "
+                             "must be finite")
+        if n and self._width is None:
             self._init_width(points.shape[1])
         events: list[DetectionEvent] = []
         h = self._cfg.history_len
         i = 0
-        while i < n_ok:
+        while i < n:
             # Push up to the next check boundary; the label may change there.
-            take = min(n_ok - i, h - self.t % h)
+            take = min(n - i, h - self.t % h)
             st = self._state(self._current)
             st.window.extend(points[i:i + take])
             self.t += take
@@ -332,9 +334,6 @@ class Detector:
                 event = self._check(st)
                 if event is not None:
                     events.append(event)
-        if n_ok < n:
-            raise ValueError(f"row {n_ok} of the block: phi, action and scaled reward "
-                             "must be finite")
         return events
 
     def _check(self, st: _LabelState) -> DetectionEvent | None:

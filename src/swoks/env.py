@@ -64,12 +64,16 @@ class TreeGraphEnv:
 
     Each node has a base observation vector drawn once from the
     environment seed and shared by all tasks; every visit adds fresh
-    Gaussian noise. The noise is one stream of rows with a cursor: the
-    ``i``-th observation of the env's life, whichever call makes it,
-    adds row ``i``, so the noise a future episode will see is known in
-    advance (:meth:`plan`). Leaf ``j`` is the one at the end of the
-    action path whose digits spell ``j`` in base ``b``. ``set_task``
-    takes effect at the next ``reset``, never mid-episode.
+    Gaussian noise, scaled by sigma (at sigma 0 too, where it adds
+    ±0.0). The noise is one stream of rows with a cursor: the ``i``-th
+    observation of the env's life, whichever call makes it, adds row
+    ``i``, so the noise a future episode will see is known in advance
+    (:meth:`plan`). Nodes are numbered root first, level by level, so
+    node ``g``'s children are ``g * b + 1 + action`` and the leaves are
+    the last ``b**d`` numbers. Leaf ``j`` is the one at the end of the
+    action path whose digits spell ``j`` in base ``b``. The env's state
+    is the cursor, the current node and ``done``. ``set_task`` takes
+    effect at the next ``reset``, never mid-episode.
     """
 
     def __init__(self, config: TreeGraphConfig, tasks):
@@ -87,13 +91,12 @@ class TreeGraphEnv:
         if not self._tasks:
             raise ValueError("at least one task is required")
         base_rng = substream(config.env_seed, "tree-base-obs")
-        base = base_rng.standard_normal((self.n_states, config.obs_dim))
+        # Base observations by node number.
+        self._base = base_rng.standard_normal((self.n_states, config.obs_dim))
         b, d = config.branching, config.depth
-        # Base observations per level, root first: _levels[level][node].
-        self._levels = [base[(b ** level - 1) // (b - 1):(b ** (level + 1) - 1) // (b - 1)]
-                        for level in range(d + 1)]
+        self._first_leaf = (b ** d - 1) // (b - 1)
         # The nodes an episode acts at, root first, and the level of each, for plan.
-        self._inner = base[:(b ** d - 1) // (b - 1)]
+        self._inner = self._base[:self._first_leaf]
         self._inner_levels = np.repeat(np.arange(d), b ** np.arange(d))
         self._branching, self._depth, self._sigma = b, d, config.obs_noise_sigma
         self._noise = substream(config.env_seed, "tree-obs-noise")
@@ -104,8 +107,8 @@ class TreeGraphEnv:
         self._cursor = 0  # observations made: the next one adds noise row _cursor
         self._active: int | None = None
         self._pending: int | None = None
-        self._rewarded = -1  # the active task's rewarded leaf
-        self._level = self._node = 0  # the current node: its level and index within it
+        self._rewarded = -1  # the node number of the active task's rewarded leaf
+        self._node = 0  # the current node's number
         self._done = True
 
     @property
@@ -180,23 +183,20 @@ class TreeGraphEnv:
     def _observe(self) -> np.ndarray:
         """The current node's base vector plus the noise row its visit
         consumed, row ``cursor - 1``."""
-        base = self._levels[self._level][self._node]
-        if self._sigma == 0.0:
-            return base.copy()
-        return base + self._noise_at(self._cursor - 1, 1)[0]
+        return self._base[self._node] + self._noise_at(self._cursor - 1, 1)[0]
 
-    def _take_noise(self, count: int) -> np.ndarray | None:
+    def _take_noise(self, count: int) -> np.ndarray:
         """Consume the next ``count`` observations; their scaled noise rows, the
-        rows ``count`` calls of :meth:`_observe` would add, or None when sigma is 0."""
+        rows ``count`` calls of :meth:`_observe` would add."""
         start = self._cursor
         self._cursor += count
-        return None if self._sigma == 0.0 else self._noise_at(start, count)
+        return self._noise_at(start, count)
 
     def _apply_task(self) -> None:
         """Apply the pending task, as every episode's start does."""
         if self._pending is not None:
             self._active = self._pending
-            self._rewarded = self._tasks[self._active].rewarded_leaf
+            self._rewarded = self._first_leaf + self._tasks[self._active].rewarded_leaf
         if self._active is None:
             raise RuntimeError("no active task; call set_task before reset")
 
@@ -204,7 +204,6 @@ class TreeGraphEnv:
         """:meth:`reset` without its observation: the root visit's noise row
         is consumed, not added."""
         self._apply_task()
-        self._level = 0
         self._node = 0
         self._done = False
         self._cursor += 1
@@ -227,10 +226,9 @@ class TreeGraphEnv:
         b = self._branching
         if not 0 <= action < b:
             raise ValueError(f"action {action} out of range [0, {b})")
-        self._node = node = self._node * b + action
-        self._level += 1
+        self._node = node = self._node * b + 1 + action
         self._cursor += 1
-        if self._level < self._depth:
+        if node < self._first_leaf:
             return 0.0, False
         self._done = True
         return self._cfg.high_reward if node == self._rewarded else self._cfg.fail_reward, True
@@ -250,18 +248,15 @@ class TreeGraphEnv:
         observe where they act, consuming nothing.
 
         Returns ``(E, N, obs_dim)`` for the ``E`` episodes and the ``N``
-        nodes that are not leaves. Nodes are numbered root first, level by
-        level, so node ``g``'s children are ``g * branching + 1 + action``.
-        Episode ``e`` is the one whose :meth:`reset` makes observation
-        ``cursor + e * (depth + 1)``, and row ``[e, g]`` is the observation
-        that episode makes if it visits ``g``: the node's base vector plus
-        the noise row drawn at ``g``'s level, the vector :meth:`reset` or
+        nodes that are not leaves, by node number. Episode ``e`` is the one
+        whose :meth:`reset` makes observation ``cursor + e * (depth + 1)``,
+        and row ``[e, g]`` is the observation that episode makes if it
+        visits ``g``: the node's base vector plus the noise row drawn at
+        ``g``'s level, the vector :meth:`reset` or
         :meth:`step` returns there. Only those episodes' rows are drawn.
         """
         d = self._depth
         episodes = _NOISE_BLOCK // (d + 1)
-        if self._sigma == 0.0:
-            return np.repeat(self._inner[None], episodes, axis=0)
         noise = self._noise_at(self._cursor, episodes * (d + 1)).reshape(episodes, d + 1, -1)
         obs = noise.take(self._inner_levels, axis=1)  # C-contiguous, unlike [:, levels]
         obs += self._inner  # noise + base: the same sums as base + noise
@@ -272,7 +267,7 @@ class TreeGraphEnv:
 
         Equivalent to ``n`` :meth:`step` calls, each after a :meth:`reset`
         where an episode ends or none has begun: the same noise rows in the
-        same order, the same task and rewards, and the same level, node and
+        same order, the same task and rewards, and the same node and
         ``done`` at the end, a partial last episode included. At each level
         ``choose(steps, obs)`` receives the observations ``(A, obs_dim)`` of
         the ``A`` episodes that take a step there, in episode order, and the
@@ -295,22 +290,21 @@ class TreeGraphEnv:
             live = full + (part > level)  # the partial last episode stops at level part
             if not live:
                 break
-            obs = self._levels[level][nodes[:live]]
-            if noise is not None:
-                obs += noise[level::d + 1][:live]
+            obs = self._base[nodes[:live]]
+            obs += noise[level::d + 1][:live]
             chosen = choose(steps[:live, level], obs)
             if chosen.min() < 0 or chosen.max() >= b:
                 raise ValueError(f"actions must lie in [0, {b})")
             actions[:live, level] = chosen
-            nodes[:live] = nodes[:live] * b + chosen
+            nodes[:live] = nodes[:live] * b + 1 + chosen
         rewards = np.zeros((episodes, d))
         cfg = self._cfg
         rewards[:full, d - 1] = np.where(nodes[:full] == self._rewarded,
                                          cfg.high_reward, cfg.fail_reward)
         if part:  # the n-th step left the last episode at level part
-            self._level, self._node, self._done = part, int(nodes[full]), False
+            self._node, self._done = int(nodes[full]), False
         else:
-            self._level, self._node, self._done = d, int(nodes[full - 1]), True
+            self._node, self._done = int(nodes[full - 1]), True
         return actions.reshape(-1)[:n], rewards.reshape(-1)[:n]
 
 

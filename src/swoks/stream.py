@@ -5,6 +5,10 @@ A datapoint packs one environment step into a flat vector
 with the latent width so it is not drowned out by the latent block when
 the vector is projected onto random directions. Steps are packed a
 block at a time (:func:`make_datapoints`).
+
+A stream file is CSV with columns ``t, gt_task, r, a, phi_1..phi_k``.
+Its ids, ``t`` and ``gt_task``, are parsed as int64, so every id in
+int64 reads back exactly, and a fraction, ``1.0`` or ``1e3`` is refused.
 """
 from __future__ import annotations
 
@@ -62,13 +66,14 @@ class StreamBlock(NamedTuple):
     phi: np.ndarray  # (n, k)
 
 
-# t and gt_task are parsed as floats, which hold every integer exactly only
-# inside (-2**53, 2**53): a text id past it would read back as a neighbour.
-_EXACT_END = 2.0 ** 53
-
 # Lines parsed or formatted per batch: enough to amortise a numpy call,
 # few enough that a block's arrays stay well under a megabyte.
 _BLOCK_LINES = 4096
+
+
+def _record(k: int) -> np.dtype:
+    """One parsed line: the ids ``t, gt_task`` as int64, then ``r, a, phi_1..phi_k``."""
+    return np.dtype([("id", np.int64, 2), ("x", float, k + 2)])
 
 
 def _stream_header(latent_dim: int) -> list[str]:
@@ -105,10 +110,9 @@ def write_stream(path, block: StreamBlock) -> int:
 def read_stream_blocks(path) -> Iterator[StreamBlock]:
     """Parse a recorded stream block by block, reporting malformed lines by number.
 
-    Blank lines are skipped. Every value must be finite, ``t`` and
-    ``gt_task`` integers in ``(-2**53, 2**53)``, where a float holds
-    each exactly; the action is truncated toward zero. Only the current
-    block is held in memory.
+    Blank lines are skipped. ``t`` and ``gt_task`` must be integers in
+    int64, written as integers, and every other value finite; the action
+    is truncated toward zero. Only the current block is held in memory.
     """
     with open(path, "r", encoding="utf-8") as fh:
         k = _read_header(fh, path)
@@ -116,7 +120,8 @@ def read_stream_blocks(path) -> Iterator[StreamBlock]:
 
 
 def _tables(fh, k: int, path) -> Iterator[np.ndarray]:
-    """The validated ``(rows, k + 4)`` table of every non-empty block after the header."""
+    """The validated table of :func:`_record` rows of every non-empty block after
+    the header."""
     lineno = 2
     empty = True
     while lines := list(itertools.islice(fh, _BLOCK_LINES)):
@@ -132,14 +137,10 @@ def _tables(fh, k: int, path) -> Iterator[np.ndarray]:
 
 
 def _block(table: np.ndarray) -> StreamBlock:
-    """A table's columns as a block that owns its arrays, each contiguous."""
-    return StreamBlock(
-        t=table[:, 0].astype(np.int64),
-        gt_task=table[:, 1].astype(np.int64),
-        reward=table[:, 2].copy(),
-        action=np.trunc(table[:, 3]),
-        phi=table[:, 4:].copy(),
-    )
+    """A table's fields as a block that owns its arrays, each contiguous."""
+    ids, x = table["id"], table["x"]
+    return StreamBlock(t=ids[:, 0].copy(), gt_task=ids[:, 1].copy(), reward=x[:, 0].copy(),
+                       action=np.trunc(x[:, 1]), phi=x[:, 2:].copy())
 
 
 # How long a reader that was told to stop may take to exit before it is killed.
@@ -216,10 +217,11 @@ def _start_reader(fh, k: int, path):
     if multiprocessing.current_process().daemon:  # may not start children
         return None
     ctx = multiprocessing.get_context("fork")
-    slot_bytes = 8 * _BLOCK_LINES * (k + 4)
+    record = _record(k)
+    slot_bytes = record.itemsize * _BLOCK_LINES
     n_slots = max(2, min(_RING_BLOCKS, _RING_BYTES // slot_bytes))
     ring = mmap.mmap(-1, n_slots * slot_bytes)  # anonymous: shared with forked children
-    slots = np.frombuffer(ring, dtype=float).reshape(n_slots, _BLOCK_LINES, k + 4)
+    slots = np.frombuffer(ring, dtype=record).reshape(n_slots, _BLOCK_LINES)
     receiver, sender = ctx.Pipe(duplex=False)
     free, returns = ctx.Pipe(duplex=False)
     # Every process forked from here on, this reader and any other, closes
@@ -294,7 +296,9 @@ def _read_header(fh, path) -> int:
 
 
 def _parse_block(lines: list[str], k: int) -> np.ndarray | None:
-    """The lines as a ``(rows, k + 4)`` table, or None when any line is malformed.
+    """The lines as a table of :func:`_record` rows, or None when any line is
+    malformed: an id that is not an int64 literal, a line with another number
+    of fields, or a value that is not finite.
 
     A line of only whitespace also gives None; the per-line parse then
     skips it.
@@ -302,18 +306,10 @@ def _parse_block(lines: list[str], k: int) -> np.ndarray | None:
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")  # a block of empty lines "contains no data"
-            table = np.loadtxt(lines, delimiter=",", ndmin=2, comments=None)
+            table = np.loadtxt(lines, delimiter=",", ndmin=1, comments=None, dtype=_record(k))
     except ValueError:
         return None
-    if table.shape[0] == 0:
-        return np.empty((0, k + 4))
-    if table.shape[1] != k + 4:
-        return None
-    ids = table[:, :2]
-    if not (np.isfinite(table).all() and (ids == np.trunc(ids)).all()
-            and (np.abs(ids) < _EXACT_END).all()):
-        return None
-    return table
+    return table if np.isfinite(table["x"]).all() else None
 
 
 def _parse_lines(lines: list[str], k: int, path, first_lineno: int) -> np.ndarray:
@@ -326,17 +322,20 @@ def _parse_lines(lines: list[str], k: int, path, first_lineno: int) -> np.ndarra
         parts = line.split(",")
         if len(parts) != k + 4:
             raise ValueError(f"{path}:{lineno}: expected {k + 4} fields, got {len(parts)}")
+        ids = []
+        for name, text in zip(("t", "gt_task"), parts):
+            try:
+                ids.append(int(text))
+            except ValueError:
+                raise ValueError(f"{path}:{lineno}: {name} must be an integer, "
+                                 f"got {text.strip()!r}") from None
+            if not -2 ** 63 <= ids[-1] < 2 ** 63:
+                raise ValueError(f"{path}:{lineno}: {name} {text.strip()} is outside int64")
         try:
-            values = [float(v) for v in parts]
+            values = [float(v) for v in parts[2:]]
         except ValueError as exc:
             raise ValueError(f"{path}:{lineno}: unparseable value ({exc})") from None
         if not all(map(math.isfinite, values)):
             raise ValueError(f"{path}:{lineno}: non-finite value")
-        for name, v, text in zip(("t", "gt_task"), values, parts):
-            if not v.is_integer():
-                raise ValueError(f"{path}:{lineno}: {name} must be an integer, got {v!r}")
-            if not abs(v) < _EXACT_END:
-                raise ValueError(f"{path}:{lineno}: {name} {text.strip()} is outside "
-                                 "(-2**53, 2**53), the ids a float holds exactly")
-        rows.append(values)
-    return np.array(rows, dtype=float).reshape(-1, k + 4)
+        rows.append((ids, values))
+    return np.array(rows, dtype=_record(k))

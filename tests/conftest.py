@@ -1,14 +1,18 @@
-"""Shared pytest wiring, policy helpers and scripted detector streams.
+"""Shared pytest wiring, policy helpers, scripted detector streams and tiny runs.
 
 Acceptance tests register one verdict line each; they are echoed in the
 terminal summary so the pass/fail record survives output capture.
 """
 import io
 import itertools
+from dataclasses import replace
 
 import numpy as np
 
 from swoks.agent import EpisodeBuffer
+from swoks.config import AgentConfig, ExperimentConfig
+from swoks.detector import DetectorConfig
+from swoks.env import Curriculum, TaskSpec, TreeGraphConfig
 
 ACCEPTANCE_LINES: list[str] = []
 
@@ -165,3 +169,49 @@ def detector_view(det):
             None if st.ref_window is None else st.ref_window.tolist(),
         )
     return det.t, det.last_swd, det.last_p_value, det.labels, det.current_label, labels
+
+
+def env_view(env) -> tuple:
+    """Everything a step or a probe can change in a ``TreeGraphEnv``, in comparable
+    form, with the scaled noise rows it drew but has not consumed yet."""
+    return (env._node, env._done, env._active, env._rewarded, env.cursor,
+            env._noise_rows[env.cursor - env._first:].tobytes(), env._noise.bit_generator.state)
+
+
+LD, LW, PROBE = 10, 6, 8
+MIRROR = ((1, 900), (2, 900), (1, 900))
+
+
+def tiny_config(segments, seed=3, **det_overrides) -> ExperimentConfig:
+    """A two-task run on a miniature tree and windows: under a second for the mirror."""
+    det = dict(history_len=LD, swd_history_len=LW, alpha=0.01, beta=1.1,
+               stable_phase=0, n_projections=32, probe_swd_samples=PROBE)
+    det.update(det_overrides)
+    return ExperimentConfig(
+        detector=DetectorConfig(**det),
+        env=TreeGraphConfig(depth=2, branching=2, high_reward=1.0,
+                            fail_reward=-0.1, obs_dim=8, obs_noise_sigma=0.05),
+        agent=AgentConfig(latent_dim=4, learning_rate=0.1, backup_freq=50),
+        tasks=(TaskSpec(task_id=1, rewarded_leaf=0), TaskSpec(task_id=2, rewarded_leaf=3)),
+        curriculum=Curriculum(segments),
+        master_seed=seed,
+    )
+
+
+# Tiny live-loop cases: (depth, branching, sigma, curriculum, probe_swd_samples).
+TINY_CASES = {
+    "desk": (2, 2, 0.05, ((1, 700), (2, 700)), PROBE),
+    "depth-3-branching-3": (3, 3, 0.05, ((1, 700), (2, 700)), PROBE),
+    "sigma-0": (2, 2, 0.0, ((1, 700), (2, 700)), PROBE),
+    "branching-8": (2, 8, 0.05, ((1, 700), (2, 700)), PROBE),
+    # Checks land mid-episode, and a probe of 20 steps stays inside the plan.
+    "abort-after-probe": (3, 2, 0.05, MIRROR, 2),
+}
+
+
+def tiny_case(case: str, seed: int) -> ExperimentConfig:
+    """The config of a :data:`TINY_CASES` entry; its tasks reward the first and last leaf."""
+    depth, branching, sigma, segments, probe = TINY_CASES[case]
+    cfg = tiny_config(segments, seed=seed, probe_swd_samples=probe)
+    env = replace(cfg.env, depth=depth, branching=branching, obs_noise_sigma=sigma)
+    return replace(cfg, env=env, tasks=(TaskSpec(1, 0), TaskSpec(2, branching ** depth - 1)))

@@ -161,10 +161,9 @@ class TestDetectCommand:
 
     def test_stream_id_past_int64_exits_2(self, mirror_cfg, tmp_path, capsys):
         stream = tmp_path / "big.csv"
-        stream.write_text("t,gt_task,r,a,phi_1\n1,1,0.5,1,0.1\n1e300,1,0.5,1,0.1\n")
+        stream.write_text(f"t,gt_task,r,a,phi_1\n1,1,0.5,1,0.1\n{2 ** 63},1,0.5,1,0.1\n")
         assert main(["detect", "--stream", str(stream), "--config", mirror_cfg]) == 2
-        assert capsys.readouterr().err.startswith(
-            f"error: {stream}:3: t 1e300 is outside (-2**53, 2**53)")
+        assert capsys.readouterr().err.startswith(f"error: {stream}:3: t {2 ** 63} is outside int64")
 
     def test_missing_stream_exits_2(self, mirror_cfg, tmp_path, capsys):
         code = main(["detect", "--stream", str(tmp_path / "nope.csv"),

@@ -436,11 +436,12 @@ class TestAtomicIngest:
 
         Each entry is (kind, mean, block break); a block ends after an
         entry whose break flag is set, and a wide step is a block of its own.
-        A valid first step fixes the width.
+        A valid first step fixes the width. A block with an invalid step is
+        rejected whole; its valid steps are then fed as a block.
         """
         rng = np.random.default_rng(len(script))
         steps = []
-        for kind, mean, cut in [("ok", 0, False)] + script:
+        for kind, mean, cut in [("ok", 0, True)] + script:
             phi = rng.normal(mean, 1.0, size=4 if kind == "wide" else 3)
             action, reward = int(rng.integers(0, 2)), float(mean)
             if kind == "nan":
@@ -477,21 +478,15 @@ class TestAtomicIngest:
                 blocks.append(block)
                 block = []
         blocks.append(block)
-        for block in blocks:
-            while block:
-                phi = np.stack([s[1] for s in block])
-                actions = [s[2] for s in block]
-                rewards = [s[3] for s in block]
-                bad = next((i for i, s in enumerate(block) if s[0] != "ok"), None)
-                if bad is None:
-                    per_block.ingest_block(phi, actions, rewards)
-                    break
-                t_before = per_block.t
+        for block in blocks:  # fed as (phi, actions, rewards) columns
+            valid = [s for s in block if s[0] == "ok"]
+            if len(valid) < len(block):
+                before = detector_view(per_block)
                 with pytest.raises(ValueError):
-                    per_block.ingest_block(phi, actions, rewards)
-                if block[bad][0] != "wide":
-                    assert per_block.t == t_before + bad
-                block = block[bad + 1:]
+                    per_block.ingest_block(*zip(*(s[1:4] for s in block)))
+                assert detector_view(per_block) == before
+            if valid:
+                per_block.ingest_block(*zip(*(s[1:4] for s in valid)))
 
         assert detector_view(per_step) == detector_view(valid_only)
         assert detector_view(per_block) == detector_view(valid_only)

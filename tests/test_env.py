@@ -2,6 +2,8 @@
 import numpy as np
 import pytest
 
+from conftest import env_view
+
 from swoks.env import Curriculum, TaskSpec, TreeGraphConfig, TreeGraphEnv
 from swoks.seeding import substream
 
@@ -101,17 +103,10 @@ class TestRewards:
             e.set_task(2)
             e.reset()
             e.step(0)
-
-        def state():
-            # Position, the cursor, the unserved noise rows and the noise generator's state.
-            unserved = env._noise_rows[env.cursor - env._first:].tobytes()
-            return (env._level, env._node, env._done, env.cursor, unserved,
-                    env._noise.bit_generator.state)
-
-        before = state()
+        before = env_view(env)
         with pytest.raises(ValueError):
             env.step(action)
-        assert state() == before
+        assert env_view(env) == before
         obs, reward, done = env.step(1)
         expected_obs, expected_reward, expected_done = fresh.step(1)
         assert obs.tobytes() == expected_obs.tobytes()

@@ -45,7 +45,8 @@ class ReferenceDetector:
     A row is ``[sqrt(k) * reward, action, phi...]``. A label's ``rows``
     are the newest ``history_len * (swd_history_len + 1)`` pushed since
     its window was last cleared, and ``history`` its newest
-    ``2 * swd_history_len`` distances. Steps go in one at a time.
+    ``2 * swd_history_len`` distances. Steps go in one at a time; a block
+    with a step that is not finite is rejected before any goes in.
     """
 
     def __init__(self, config: DetectorConfig, probe=None):
@@ -64,7 +65,10 @@ class ReferenceDetector:
         return [math.sqrt(len(phi)) * float(reward), float(action), *map(float, phi)]
 
     def ingest_block(self, phi, actions, rewards) -> list[DetectionEvent]:
-        events = (self.ingest(*step) for step in zip(phi, actions, rewards))
+        steps = list(zip(phi, actions, rewards))
+        if not all(map(math.isfinite, itertools.chain(*map(self.pack, *zip(*steps))))):
+            raise ValueError("a step that is not finite: the block is rejected whole")
+        events = (self.ingest(*step) for step in steps)
         return [event for event in events if event is not None]
 
     def ingest(self, phi, action, reward) -> DetectionEvent | None:
@@ -143,7 +147,9 @@ def run_both(config, phi, actions, rewards, make_probe, order: str, seed: int = 
     source of its own, and return the events; after every input the two
     must agree with ``==``. ``order`` is ``"step"`` (one ``ingest`` per step),
     ``"aligned"`` (blocks ending on the check grid) or ``"random"`` (blocks
-    of 1 to ``3 * history_len`` steps, a one-step block through ``ingest``)."""
+    of 1 to ``3 * history_len`` steps, a one-step block through ``ingest``).
+    Each block of more than one step goes in first with a last reward that is
+    not finite, which both must reject whole."""
     det, ref = Detector(config, make_probe()), ReferenceDetector(config, make_probe())
     h, sizes = config.history_len, np.random.default_rng(seed)
     events, i = [], 0
@@ -157,6 +163,9 @@ def run_both(config, phi, actions, rewards, make_probe, order: str, seed: int = 
         if len(block[2]) == 1:
             got = [e for e in [det.ingest(*(column[0] for column in block))] if e is not None]
         else:
+            for detector in (det, ref):  # rejected whole: a change would show below
+                with pytest.raises(ValueError):
+                    detector.ingest_block(*block[:2], np.append(block[2][:-1], np.nan))
             got = det.ingest_block(*block)
         assert got == ref.ingest_block(*block), f"events of the block ending at step {i}"
         assert detector_view(det) == ref.view(), f"state after step {i}"
@@ -274,3 +283,4 @@ def test_random_configs_and_streams(scenario, order):
         return ScriptedProbe({z: script(*probes[(z - 1) % len(probes)]) for z in range(1, 64)})
 
     run_both(config, *stream(np.random.default_rng(seed), plan, width), make_probe, order, seed)
+

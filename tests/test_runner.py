@@ -15,17 +15,20 @@ import tracemalloc
 import warnings
 import weakref
 from dataclasses import replace
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import (LD, LW, MIRROR, PROBE, TINY_CASES, detector_view, env_view, tiny_case,
+                      tiny_config)
+from test_reference_run import ReferenceProbe
+
 import swoks.runner
 from swoks import stream
-from swoks.agent import Encoder, EpisodeBuffer, Policy, PolicyBank, episode_gradient
-from swoks.config import AgentConfig, ExperimentConfig, load_config
+from swoks.agent import Encoder, EpisodeBuffer, PolicyBank
+from swoks.config import load_config
 from swoks.detector import (
     EVENT_NEW_TASK,
     EVENT_RE_DETECTED,
@@ -39,27 +42,6 @@ from swoks.runner import _EnvProbe, detect_offline, run_experiment
 from swoks.seeding import UniformBlocks, substream
 from swoks.stream import StreamBlock, read_stream_blocks, write_stream
 from swoks.trace import event_record, read_trace
-
-LD, LW, PROBE = 10, 6, 8
-
-
-def tiny_config(segments, seed=3, **det_overrides) -> ExperimentConfig:
-    det = dict(history_len=LD, swd_history_len=LW, alpha=0.01, beta=1.1,
-               stable_phase=0, n_projections=32, probe_swd_samples=PROBE)
-    det.update(det_overrides)
-    return ExperimentConfig(
-        detector=DetectorConfig(**det),
-        env=TreeGraphConfig(depth=2, branching=2, high_reward=1.0,
-                            fail_reward=-0.1, obs_dim=8, obs_noise_sigma=0.05),
-        agent=AgentConfig(latent_dim=4, learning_rate=0.1, backup_freq=50),
-        tasks=(TaskSpec(task_id=1, rewarded_leaf=0), TaskSpec(task_id=2, rewarded_leaf=3)),
-        curriculum=Curriculum(segments),
-        master_seed=seed,
-    )
-
-
-MIRROR = ((1, 900), (2, 900), (1, 900))
-
 
 @pytest.fixture(scope="module")
 def mirror_run():
@@ -144,84 +126,9 @@ class TestMirrorCurriculum:
         assert mirror_run.bank.labels() == [1, 2]
 
 
-class TestRecordedProbabilities:
-    def test_live_updates_after_probe_and_abort_equal_the_recomputation(self, monkeypatch):
-        # The mirror run's return to task 1 probes label 1 with its stored
-        # policy, aborts the live episode and re-adopts label 1. Every
-        # update, including label 1's first after the probe, must equal
-        # the step the recomputed gradient of the episode's live steps gives.
-        original_act = Policy.act_row
-        original_update = Policy.update
-        original_redetect = Detector.redetect
-        seen = {"updates": 0, "re_detected": 0, "after_probe": 0}
-        live_steps = []  # (phi, action) of the live episode so far
-
-        def act_row(policy, x, rng, episode):
-            action = original_act(policy, x, rng, episode)
-            if episode.n == 1:
-                live_steps.clear()  # the buffer was cleared for a new episode
-            live_steps.append((x[:-1].copy(), action))
-            return action
-
-        def redetect(detector):
-            event = original_redetect(detector)
-            if event.kind == EVENT_RE_DETECTED:
-                seen["re_detected"] += 1
-            return event
-
-        def update(policy, episode):
-            # Every finished episode of the depth-2 tree is two live steps.
-            assert episode.n == len(live_steps) == len(episode.rewards) == 2
-            steps = [(phi, a, r) for (phi, a), r in zip(live_steps, episode.rewards)]
-            advantage = float(sum(episode.rewards)) - policy.baseline
-            expected = policy.params + (policy.learning_rate * advantage
-                                        * episode_gradient(policy.params, steps))
-            original_update(policy, episode)
-            if advantage != 0.0:
-                assert policy.params.tobytes() == expected.tobytes()
-            seen["updates"] += 1
-            seen["after_probe"] += seen["re_detected"] > 0
-
-        monkeypatch.setattr(Policy, "act_row", act_row)
-        monkeypatch.setattr(Policy, "update", update)
-        monkeypatch.setattr(Detector, "redetect", redetect)
-        result = run_experiment(tiny_config(MIRROR))
-        assert [e.kind for e in result.events] == [EVENT_NEW_TASK, EVENT_RE_DETECTED]
-        assert any(row.probe_flag for row in result.trace)
-        assert seen["re_detected"] == 1 and 0 < seen["after_probe"] < seen["updates"]
-
-
-def unserved_noise(env) -> bytes:
-    """The scaled noise rows a ``TreeGraphEnv`` drew but has not consumed yet."""
-    return env._noise_rows[env.cursor - env._first:].tobytes()
-
-
-def env_view(env) -> tuple:
-    """Everything a probe can change in a ``TreeGraphEnv``, in comparable form."""
-    return (env._level, env._node, env._done, env._active, env._rewarded,
-            env.cursor, unserved_noise(env), env._noise.bit_generator.state)
-
-
-def per_step_probe(env, encoder, policy, rng, n: int):
-    """``n`` probe steps through ``reset``/``step``/``encode``/``act``, one at a time."""
-    phis, actions, rewards = [], [], []
-    buffer = EpisodeBuffer(env.n_actions, encoder.latent_dim)
-    done = True
-    for _ in range(n):
-        if done:
-            obs = env.reset()
-            buffer.clear()
-        phi = encoder.encode(obs)
-        action = policy.act(phi, rng, buffer)
-        obs, reward, done = env.step(action)
-        phis.append(phi)
-        actions.append(action)
-        rewards.append(reward)
-    return np.array(phis), actions, rewards
-
-
 class TestBatchedProbe:
-    """One batched probe rollout against the same steps taken one at a time."""
+    """One batched probe rollout against the same steps taken one at a time
+    (``test_reference_run.ReferenceProbe``)."""
 
     # (depth, branching, sigma, n, switch task before the probe)
     CASES = {
@@ -260,25 +167,22 @@ class TestBatchedProbe:
             env.set_task(2)
         twins = copy.deepcopy((env, encoder, bank, rng))
         blocks = UniformBlocks(rng)
-        twin_blocks = UniformBlocks(twins[3])
-        for _ in range(5):
-            assert blocks.random() == twin_blocks.random()
+        assert [blocks.random() for _ in range(5)] == twins[3].random(5).tolist()
 
         probe = _EnvProbe(env, encoder, bank, blocks)
         phi, actions, rewards = probe.deploy(1, n)
-        ref_env, ref_encoder, ref_bank = twins[:3]
-        ref_phi, ref_actions, ref_rewards = per_step_probe(
-            ref_env, ref_encoder, ref_bank.get_or_create(1), twin_blocks, n)
+        ref = ReferenceProbe(*twins)  # on the generator itself, one draw per step
+        ref_phi, ref_actions, ref_rewards = ref.deploy(1, n)
 
         assert phi.shape == (n, 8) and phi.tobytes() == ref_phi.tobytes()
-        assert actions.tolist() == ref_actions
-        assert rewards.tolist() == ref_rewards
-        assert env_view(env) == env_view(ref_env)
-        assert blocks.random() == twin_blocks.random()
-        assert probe.blocks == [(ref_env.active_task, rewards)]
+        assert actions.tolist() == ref_actions.tolist()
+        assert rewards.tolist() == ref_rewards.tolist()
+        assert env_view(env) == env_view(ref.env)
+        assert blocks.random() == twins[3].random()
+        assert probe.blocks == [(ref.env.active_task, rewards)]
         assert env.active_task == (2 if switch else 1)
         if n > 1:  # not a degenerate policy: every action and a leaf's reward occur
-            assert len(set(ref_actions)) == branching and min(ref_rewards) < 0.0
+            assert len(set(actions.tolist())) == branching and min(rewards) < 0.0
 
     def test_label_without_a_policy_returns_no_steps(self):
         env = TreeGraphEnv(TreeGraphConfig(), (TaskSpec(1, 0),))
@@ -299,125 +203,30 @@ class TestBatchedProbe:
             env.rollout(4, lambda steps, obs: np.full(len(steps), 2))
 
 
-class ShadowEnv(TreeGraphEnv):
-    """A ``TreeGraphEnv`` that also plays every episode on a twin through
-    ``reset`` and ``step`` alone and checks that both pay the same; ``obs`` is
-    the twin's latest observation, ``plans`` the cursor of each plan made."""
-
-    made: list = []
-
-    def __init__(self, config, tasks):
-        super().__init__(config, tasks)
-        self.twin = TreeGraphEnv(config, tasks)
-        self.obs = None
-        self.plans: list[int] = []
-        self.made.append(self)
-
-    def set_task(self, task_id):
-        super().set_task(task_id)
-        self.twin.set_task(task_id)
-
-    def plan(self):
-        self.plans.append(self.cursor)
-        return super().plan()
-
-    def start(self):
-        super().start()
-        self.obs = self.twin.reset()
-
-    def advance(self, action):
-        reward, done = super().advance(action)
-        self.obs, twin_reward, twin_done = self.twin.step(action)
-        assert (reward, done) == (twin_reward, twin_done)
-        return reward, done
-
-    def rollout(self, n, choose):
-        actions, rewards = super().rollout(n, choose)
-        done = True
-        for action, reward in zip(actions.tolist(), rewards.tolist()):
-            if done:
-                self.twin.reset()
-            _, twin_reward, done = self.twin.step(action)
-            assert twin_reward == reward
-        return actions, rewards
-
-
 class TestLivePlan:
-    """Live steps served from plans against the same steps through per-step
-    ``reset``/``step``/``encode``/``act`` calls."""
+    """Plans are reused, and an episode off the latest plan's grid gets a new one;
+    ``test_reference_run.py`` checks the steps they serve."""
 
-    # (depth, branching, sigma, curriculum, probe_swd_samples)
-    CASES = {
-        "desk": (2, 2, 0.05, ((1, 700), (2, 700)), PROBE),
-        "depth-3-branching-3": (3, 3, 0.05, ((1, 700), (2, 700)), PROBE),
-        "sigma-0": (2, 2, 0.0, ((1, 700), (2, 700)), PROBE),
-        "branching-8": (2, 8, 0.05, ((1, 700), (2, 700)), PROBE),
-        # Checks land mid-episode, and a probe of 20 steps stays inside the plan.
-        "abort-after-probe": (3, 2, 0.05, MIRROR, 2),
-    }
+    @pytest.mark.parametrize("case", list(TINY_CASES))
+    def test_plans_are_reused_and_replanned_off_grid(self, case, monkeypatch):
+        plans = []  # the cursor of each plan made
+        encode_plan = swoks.runner._encode_plan
 
-    @pytest.mark.parametrize("case", list(CASES))
-    @pytest.mark.parametrize("seed", [0, 1])
-    def test_live_steps_equal_per_step_calls(self, case, seed, monkeypatch):
-        depth, branching, sigma, segments, probe = self.CASES[case]
-        cfg = tiny_config(segments, seed=seed, probe_swd_samples=probe)
-        cfg = replace(cfg, env=replace(cfg.env, depth=depth, branching=branching,
-                                       obs_noise_sigma=sigma),
-                      tasks=(TaskSpec(1, 0), TaskSpec(2, branching ** depth - 1)))
-        original_act_row = Policy.act_row
-        made: list[ShadowEnv] = []
-        # Per live step: the twin's observation, the policy's parameters, the
-        # uniform drawn, and the plan row, action and buffer rows of the live step.
-        steps = []
+        def counted(env, encoder):
+            plans.append(env.cursor)
+            return encode_plan(env, encoder)
 
-        def act_row(policy, x, rng, episode):
-            draws = []
-
-            def random():
-                draws.append(rng.random())
-                return draws[-1]
-
-            n, params = episode.n, policy.params.copy()
-            action = original_act_row(policy, x, SimpleNamespace(random=random), episode)
-            steps.append((made[-1].obs, params, draws[0], n, x.copy(), action,
-                          episode.x[n].copy(), episode.coeff[n].copy()))
-            return action
-
-        monkeypatch.setattr(ShadowEnv, "made", made)
-        monkeypatch.setattr(swoks.runner, "TreeGraphEnv", ShadowEnv)
-        monkeypatch.setattr(Policy, "act_row", act_row)
-        result = run_experiment(cfg)
-        monkeypatch.undo()
-
-        ref = EpisodeBuffer(branching, cfg.agent.latent_dim)
-        for obs, params, draw, n, x, action, x_row, coeff_row in steps:
-            phi = result.encoder.encode(obs)
-            assert x.tobytes() == np.append(phi, 1.0).tobytes()
-            policy = Policy(branching, cfg.agent.latent_dim)
-            policy.params = params
-            if n == 0:
-                ref.clear()
-            assert ref.n == n
-            assert policy.act(phi, SimpleNamespace(random=lambda: draw), ref) == action
-            assert ref.x[n].tobytes() == x_row.tobytes()
-            assert ref.coeff[n].tobytes() == coeff_row.tobytes()
-
-        env = result.env
-        assert env is made[0] and len(made) == 1
-        assert (env.cursor, env._level, env._node, env._done) == (
-            env.twin.cursor, env.twin._level, env.twin._node, env.twin._done)
-        live = result.trace.probe_flag == 0
-        assert len(steps) == int(live.sum())
-        # Plans are reused: one serves many episodes.
-        assert 0 < len(env.plans) < len(steps) / (10 * depth)
+        monkeypatch.setattr(swoks.runner, "_encode_plan", counted)
+        result = run_experiment(tiny_case(case, seed=0))
+        depth = result.config.env.depth
+        # One plan serves many episodes.
+        assert 0 < len(plans) < (result.trace.probe_flag == 0).sum() / (10 * depth)
         if case == "abort-after-probe":
             # An event after probing aborted a live episode mid-way: the cursor left
             # the grid of the plan's episodes before it ran out, and a new plan began.
-            assert any(e.probed_pvalues for e in result.events)
-            assert result.trace.probe_flag.any()
+            assert any(e.probed_pvalues for e in result.events) and result.trace.probe_flag.any()
             span = _NOISE_BLOCK // (depth + 1) * (depth + 1)
-            assert any((b - a) % (depth + 1) and b - a < span
-                       for a, b in zip(env.plans, env.plans[1:]))
+            assert any((b - a) % (depth + 1) and b - a < span for a, b in zip(plans, plans[1:]))
 
     @given(st.integers(1, 3), st.integers(2, 4), st.sampled_from([0.0, 0.05, 2.0]),
            st.integers(0, 2**16), st.lists(st.integers(-2, 7), max_size=300))
@@ -679,13 +488,7 @@ class TestOfflineReplay:
         assert kinds.count(EVENT_SUPPRESSED) >= 1 and kinds.count(EVENT_NEW_TASK) >= 3
         assert any(e.t > 4096 and e.kind == EVENT_NEW_TASK for e in step_events)
         assert events == step_events
-        assert detector.t == stepwise.t == 9437
-        assert detector.last_swd == stepwise.last_swd
-        assert detector.last_p_value == stepwise.last_p_value
-        assert detector.labels == stepwise.labels
-        for label in detector.labels:
-            assert (list(detector.label_state(label.id).history)
-                    == list(stepwise.label_state(label.id).history))
+        assert detector.t == 9437 and detector_view(detector) == detector_view(stepwise)
 
     def test_reader_process_and_in_process_replays_are_equal(self, tmp_path, monkeypatch):
         path, cfg = self.changes_stream(tmp_path)
@@ -695,9 +498,7 @@ class TestOfflineReplay:
         in_process_events, in_process = detect_offline(path, cfg)
         assert len(events) >= 4
         assert events == in_process_events
-        assert detector.t == in_process.t == 9437
-        assert detector.last_swd == in_process.last_swd
-        assert detector.last_p_value == in_process.last_p_value
+        assert detector.t == 9437 and detector_view(detector) == detector_view(in_process)
 
     @pytest.mark.parametrize("stop", [RuntimeError("ingest failed"), KeyboardInterrupt()])
     def test_reader_is_reaped_when_ingest_stops_early(self, tmp_path, monkeypatch, stop):

@@ -171,11 +171,10 @@ class TestStreamFiles:
         (0, "2.5"),  # t
         (1, "1.5"),  # gt_task
         (2, "nan"),  # reward
-        (0, "1e300"),  # t past int64
+        (0, "1e300"),  # t: a float, far past int64
         (1, "-9223372036854777856"),  # gt_task: the float below -2**63
-        (0, str(2 ** 53 + 1)),  # t: parses as 2**53, one lower
-        (1, str(2 ** 62 + 1)),  # gt_task: parses as 2**62
-        (0, str(-2 ** 53)),  # t: exact, but so is the parse of -2**53 - 1
+        (0, "4503599627370497.5"), (1, "1.0"), (0, "1e3"),  # ids written as floats
+        (0, str(2 ** 63)), (1, str(-2 ** 63 - 1)),  # one past either end of int64
     ])
     def test_malformed_value_reports_path_and_line(self, tmp_path, lineno, field, value):
         path = tmp_path / "bad.csv"
@@ -222,22 +221,20 @@ class TestStreamFiles:
         assert np.array_equal(np.concatenate([b.reward for b in blocks]), block.reward)
 
     def test_exact_id_ends_read_back_exactly(self, tmp_path):
-        """Ids up to 2**53 - 1 either way read back; 2**53 + 1 and 2**62 + 1,
-        which parse one lower, are refused with their line."""
+        """Ids at the ends of int64 and past a float's exact integers read back
+        exactly, through the block parse and through the per-line parse that a
+        blank line sends the block to; an action is still truncated."""
         path = tmp_path / "ends.csv"
-        top = 2 ** 53 - 1
-        write_stream(path, StreamBlock(t=np.array([-top, top]), gt_task=np.array([top, -top]),
-                                       reward=np.zeros(2), action=np.zeros(2),
-                                       phi=np.zeros((2, 1))))
-        back = read_all(path)
-        assert back.t.tolist() == [-top, top] and back.gt_task.tolist() == [top, -top]
-        for name, column, value in (("t", 0, 2 ** 53 + 1), ("gt_task", 1, 2 ** 62 + 1)):
-            row = ["1", "1", "0.5", "1", "0.1"]
-            row[column] = str(value)
-            path.write_text("t,gt_task,r,a,phi_1\n1,1,0.5,1,0.1\n" + ",".join(row) + "\n")
-            with pytest.raises(ValueError, match=rf"csv:3: {name} {value} is outside "
-                                                 r"\(-2\*\*53, 2\*\*53\)"):
-                read_all(path)
+        ids = [-2 ** 63, -2 ** 53, 2 ** 53 + 1, 2 ** 62 + 1, 2 ** 63 - 1]
+        write_stream(path, StreamBlock(t=np.array(ids), gt_task=np.array(ids[::-1]),
+                                       reward=np.zeros(5), action=np.zeros(5),
+                                       phi=np.zeros((5, 1))))
+        for blank in ("", "  \n"):
+            path.write_text(path.read_text() + blank)
+            back = read_all(path)
+            assert back.t.tolist() == ids and back.gt_task.tolist() == ids[::-1]
+        path.write_text("t,gt_task,r,a,phi_1\n1,1,0.5,1.9,0.1\n2,1,0.5,-1.9,0.1\n")
+        assert read_all(path).action.tolist() == [1.0, -1.0]
 
     def test_empty_file_rejected(self, tmp_path):
         path = tmp_path / "empty.csv"
@@ -375,9 +372,8 @@ class TestPrefetch:
     def test_id_past_int64_is_raised_after_the_blocks_before_it(self, tmp_path, monkeypatch,
                                                                 lineno):
         path = tmp_path / "bad.csv"
-        message = self.error_after_blocks(path, lineno, 0, "1e300", monkeypatch)
-        assert message == (f"{path}:{lineno}: t 1e300 is outside (-2**53, 2**53), "
-                           "the ids a float holds exactly")
+        message = self.error_after_blocks(path, lineno, 0, str(2 ** 63), monkeypatch)
+        assert message == f"{path}:{lineno}: t {2 ** 63} is outside int64"
 
     @pytest.mark.parametrize("content", [
         None,  # missing file
