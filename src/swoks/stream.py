@@ -306,8 +306,10 @@ def _parse_block(lines: list[str], k: int) -> np.ndarray | None:
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")  # a block of empty lines "contains no data"
+            # numpy 1.23-1.26 read an id like "1.0" through a float and only warn
+            warnings.simplefilter("error", DeprecationWarning)
             table = np.loadtxt(lines, delimiter=",", ndmin=1, comments=None, dtype=_record(k))
-    except ValueError:
+    except (ValueError, DeprecationWarning):
         return None
     return table if np.isfinite(table["x"]).all() else None
 

@@ -8,11 +8,13 @@ import itertools
 from dataclasses import replace
 
 import numpy as np
+import pytest
 
 from swoks.agent import EpisodeBuffer
-from swoks.config import AgentConfig, ExperimentConfig
+from swoks.config import AgentConfig, ExperimentConfig, load_config
 from swoks.detector import DetectorConfig
 from swoks.env import Curriculum, TaskSpec, TreeGraphConfig
+from swoks.runner import run_experiment
 
 ACCEPTANCE_LINES: list[str] = []
 
@@ -159,6 +161,32 @@ class ScriptedProbe:
         return tuple(zip(*steps)) or ((), (), ())
 
 
+class ReferenceProbe:
+    """Plays a stored policy's probe steps one ``reset``/``step``/``encode``/``act``
+    at a time, from the root; ``blocks`` gets each probe's ``(gt_task, rewards)``."""
+
+    def __init__(self, env, encoder, bank, rng):
+        self.env, self.encoder, self.bank, self.rng = env, encoder, bank, rng
+        self.blocks: list[tuple[int, np.ndarray]] = []
+
+    def deploy(self, label: int, n: int):
+        k, env = self.encoder.latent_dim, self.env
+        if label not in self.bank:  # no stored policy: no steps
+            return np.empty((0, k)), np.empty(0, int), np.empty(0)
+        policy, buffer = self.bank.get_or_create(label), EpisodeBuffer(env.n_actions, k)
+        phi, actions, rewards = np.empty((n, k)), np.empty(n, int), np.empty(n)
+        done = True
+        for i in range(n):
+            if done:
+                obs = env.reset()
+                buffer.clear()
+            phi[i] = self.encoder.encode(obs)
+            actions[i] = policy.act(phi[i], self.rng, buffer)
+            obs, rewards[i], done = env.step(int(actions[i]))
+        self.blocks.append((env.active_task, rewards))
+        return phi, actions, rewards
+
+
 def detector_view(det):
     """Everything an input can change in a ``Detector``, in comparable form."""
     labels = {}
@@ -215,3 +243,10 @@ def tiny_case(case: str, seed: int) -> ExperimentConfig:
     cfg = tiny_config(segments, seed=seed, probe_swd_samples=probe)
     env = replace(cfg.env, depth=depth, branching=branching, obs_noise_sigma=sigma)
     return replace(cfg, env=env, tasks=(TaskSpec(1, 0), TaskSpec(2, branching ** depth - 1)))
+
+
+@pytest.fixture(scope="session")
+def desk_seed_1(tmp_path_factory):
+    """Desk seed 1's run and the bank it saves; a test that changes the run copies it."""
+    bank = tmp_path_factory.mktemp("desk-seed-1") / "bank.npz"
+    return run_experiment(load_config("desk", seed=1), save_bank=bank), bank

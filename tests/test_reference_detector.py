@@ -283,4 +283,3 @@ def test_random_configs_and_streams(scenario, order):
         return ScriptedProbe({z: script(*probes[(z - 1) % len(probes)]) for z in range(1, 64)})
 
     run_both(config, *stream(np.random.default_rng(seed), plan, width), make_probe, order, seed)
-

@@ -13,7 +13,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from conftest import TINY_CASES, detector_view, tiny_case
+from conftest import TINY_CASES, ReferenceProbe, detector_view, tiny_case
 
 from swoks.agent import Encoder, EpisodeBuffer, PolicyBank
 from swoks.config import load_config
@@ -22,32 +22,6 @@ from swoks.env import TreeGraphEnv
 from swoks.runner import run_experiment
 from swoks.seeding import child_seed, substream
 from swoks.trace import TraceRow
-
-
-class ReferenceProbe:
-    """Plays a stored policy's probe steps one ``reset``/``step``/``encode``/``act``
-    at a time, from the root; ``blocks`` gets each probe's ``(gt_task, rewards)``."""
-
-    def __init__(self, env: TreeGraphEnv, encoder: Encoder, bank: PolicyBank, rng):
-        self.env, self.encoder, self.bank, self.rng = env, encoder, bank, rng
-        self.blocks: list[tuple[int, np.ndarray]] = []
-
-    def deploy(self, label: int, n: int):
-        k, env = self.encoder.latent_dim, self.env
-        if label not in self.bank:  # no stored policy: no steps
-            return np.empty((0, k)), np.empty(0, int), np.empty(0)
-        policy, buffer = self.bank.get_or_create(label), EpisodeBuffer(env.n_actions, k)
-        phi, actions, rewards = np.empty((n, k)), np.empty(n, int), np.empty(n)
-        done = True
-        for i in range(n):
-            if done:
-                obs = env.reset()
-                buffer.clear()
-            phi[i] = self.encoder.encode(obs)
-            actions[i] = policy.act(phi[i], self.rng, buffer)
-            obs, rewards[i], done = env.step(int(actions[i]))
-        self.blocks.append((env.active_task, rewards))
-        return phi, actions, rewards
 
 
 def reference_run(config, load_bank=None) -> SimpleNamespace:
@@ -127,8 +101,8 @@ RUNS += [pytest.param("desk-preset", 1, id="desk-preset-1"),
 
 
 @pytest.mark.parametrize("case, seed", RUNS)
-def test_run_equals_the_reference(case, seed, tmp_path):
-    load_bank = None
+def test_run_equals_the_reference(case, seed, tmp_path, request):
+    run = load_bank = None
     if case in TINY_CASES:
         config = tiny_case(case, seed)
     elif case == "deep-tree":  # the run whose hashes tools/output_hashes.py prints
@@ -138,10 +112,13 @@ def test_run_equals_the_reference(case, seed, tmp_path):
         config = load_config(tmp_path / "deep-tree.cfg", seed=seed)
     else:
         config = load_config("desk", seed=seed)
-        if case == "loaded-bank":  # seed 2 starts from the bank seed 1 saves
-            load_bank = tmp_path / "bank.npz"
-            run_experiment(load_config("desk", seed=1), save_bank=load_bank)
-    run, ref = run_experiment(config, load_bank=load_bank), reference_run(config, load_bank)
+        if case == "desk-preset":
+            run = request.getfixturevalue("desk_seed_1")[0]
+        else:  # seed 2 starts from the bank seed 1 saves
+            load_bank = request.getfixturevalue("desk_seed_1")[1]
+    if run is None:
+        run = run_experiment(config, load_bank=load_bank)
+    ref = reference_run(config, load_bank)
     assert run.events == ref.events
     assert list(run.trace) == ref.trace
     assert run.episodes == ref.episodes

@@ -21,9 +21,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import (LD, LW, MIRROR, PROBE, TINY_CASES, detector_view, env_view, tiny_case,
-                      tiny_config)
-from test_reference_run import ReferenceProbe
+from conftest import (LD, LW, MIRROR, PROBE, TINY_CASES, ReferenceProbe, detector_view,
+                      env_view, tiny_case, tiny_config)
 
 import swoks.runner
 from swoks import stream
@@ -128,7 +127,7 @@ class TestMirrorCurriculum:
 
 class TestBatchedProbe:
     """One batched probe rollout against the same steps taken one at a time
-    (``test_reference_run.ReferenceProbe``)."""
+    (``conftest.ReferenceProbe``)."""
 
     # (depth, branching, sigma, n, switch task before the probe)
     CASES = {
@@ -388,10 +387,10 @@ class TestArtifacts:
         res = run_experiment(tiny_config(((1, 200),)), load_bank=bank_path)
         assert set(res.bank.labels()) >= {1, 2}
 
-    def test_desk_bank_round_trip_is_exact(self, tmp_path):
+    def test_desk_bank_round_trip_is_exact(self, tmp_path, desk_seed_1):
         """Desk seed 1's four trained labels and one more go through the
         archive bit for bit, and saving the loaded bank gives the same bytes."""
-        bank = run_experiment(load_config("desk").with_seed(1)).bank
+        bank = copy.deepcopy(desk_seed_1[0].bank)
         assert bank.labels() == [1, 2, 3, 4]
         extra = bank.get_or_create(5)
         extra.params = np.random.default_rng(5).normal(size=extra.params.shape)

@@ -8,6 +8,7 @@ import errno
 import multiprocessing
 import multiprocessing.connection
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -187,6 +188,17 @@ class TestStreamFiles:
         self.rewrite(path, 6000, 2, edit)
         with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}:{lineno}: "):
             read_all(path)
+
+    def test_block_parse_refuses_an_id_numpy_reads_through_a_float(self, monkeypatch):
+        """numpy 1.23-1.26 read an int64 field written as a float (``1.0``) through
+        the float with only a DeprecationWarning; the per-line parse refuses it."""
+        def loadtxt(lines, dtype, **kwargs):
+            warnings.warn("loadtxt(): Parsing an integer via a float is deprecated.",
+                          DeprecationWarning, stacklevel=2)
+            return np.ones(len(lines), dtype)
+
+        monkeypatch.setattr(np, "loadtxt", loadtxt)
+        assert stream_module._parse_block(["1.0,1,0.5,1,0.1"], 1) is None
 
     @pytest.mark.parametrize("lineno", [4, 5000])
     def test_wrong_column_count_reports_path_and_line(self, tmp_path, lineno):
