@@ -1,9 +1,12 @@
 """Online task-change detector over streaming experience.
 
-Steps arrive in blocks of any size; each is packed into a datapoint
-and pushed into the current label's FIFO window. A block with a step
-that is not finite or has another width is rejected whole and leaves
-the detector as it was. Once per
+Each label has its own state, made with the label: a FIFO window of
+datapoints, a distance history and, once it departs, a frozen
+reference. Steps arrive in blocks of any size; each is packed into a
+datapoint and pushed into the current label's window. The first step
+fixes the datapoint width and draws the projection directions. A
+block with a step that is not finite or has another width is rejected
+whole and leaves the detector as it was. Once per
 ``history_len`` steps the sliced transport distance between the newest
 and oldest window is appended to that label's distance history; when
 the history is full, a one-sided shift test compares its new half
@@ -135,7 +138,8 @@ class ProbeSource(Protocol):
 class _Window:
     """One label's FIFO window: a ring of datapoint rows and its two point sets.
 
-    The ring holds ``set_len * (n_sets + 1)`` rows. Once it is full, its
+    The ring holds ``set_len * (n_sets + 1)`` rows, as wide as the first
+    rows it is given (it starts with no columns). Once it is full, its
     oldest ``set_len`` rows form the old set and its newest ``set_len``
     the recent set. Rows are indexed by arrival since the last clear;
     the sorted projections of each recent set are kept under the index
@@ -145,10 +149,10 @@ class _Window:
 
     __slots__ = ("_data", "_set_len", "_capacity", "_next", "_size", "_pushed", "_sorted")
 
-    def __init__(self, width: int, set_len: int, n_sets: int):
+    def __init__(self, set_len: int, n_sets: int):
         self._set_len = set_len
         self._capacity = set_len * (n_sets + 1)
-        self._data = np.zeros((self._capacity, width), dtype=float)
+        self._data = np.zeros((self._capacity, 0), dtype=float)
         # Sorted projections of earlier recent sets, oldest first.
         self._sorted: deque[tuple[int, np.ndarray]] = deque()
         self.clear()
@@ -163,6 +167,8 @@ class _Window:
     def extend(self, rows: np.ndarray) -> None:
         """Append the rows of an ``(n, width)`` array in order, evicting the oldest when full."""
         n = rows.shape[0]
+        if not self._data.shape[1]:
+            self._data = np.zeros((self._capacity, rows.shape[1]), dtype=float)
         self._pushed += n
         self._size = min(self._size + n, self._capacity)
         if n > self._capacity:
@@ -235,10 +241,10 @@ class Detector:
         self.last_swd: float | None = None
         self.last_p_value: float | None = None
         self._labels: dict[int, TaskLabel] = {1: TaskLabel(id=1, created_at=0)}
-        self._states: dict[int, _LabelState] = {}
+        self._states: dict[int, _LabelState] = {1: self._new_state()}  # the keys of _labels
         self._current = 1
-        self._width: int | None = None
-        self._dirs: np.ndarray | None = None  # (n_projections, width), unit rows
+        # (n_projections, width), unit rows: drawn when the first step fixes the width.
+        self._dirs: np.ndarray | None = None
 
     # -- introspection --------------------------------------------------
 
@@ -263,32 +269,17 @@ class Detector:
 
     # -- internals -------------------------------------------------------
 
-    def _init_width(self, width: int) -> None:
-        self._width = width
-        self._dirs = sample_unit_directions(
-            width, self._cfg.n_projections,
-            seed=child_seed(self._cfg.master_seed, "projections"),
-        )
-
     def _new_state(self) -> _LabelState:
-        assert self._width is not None
         return _LabelState(
-            window=_Window(self._width, self._cfg.history_len, self._cfg.swd_history_len),
+            window=_Window(self._cfg.history_len, self._cfg.swd_history_len),
             history=deque(maxlen=2 * self._cfg.swd_history_len),
         )
-
-    def _state(self, label: int) -> _LabelState:
-        st = self._states.get(label)
-        if st is None:
-            st = self._new_state()
-            self._states[label] = st
-        return st
 
     def _depart(self, label: int) -> None:
         # The shift test just adjudicated the newer data as foreign to
         # this label, so only the old window and old distance half are
         # kept as the label's frozen identity.
-        st, h = self._state(label), self._cfg.history_len
+        st, h = self._states[label], self._cfg.history_len
         st.ref_window = st.window.oldest(h) if len(st.window) >= h else None
         st.window.clear()
         while len(st.history) > self._cfg.swd_history_len:
@@ -311,22 +302,25 @@ class Detector:
         row) and changes nothing.
         """
         points = make_datapoints(phi, actions, rewards)
-        n = points.shape[0]
-        if self._width is not None and points.shape[1] != self._width:
-            raise ValueError(f"datapoint width {points.shape[1]} does not match {self._width}")
+        n, width = points.shape
+        if self._dirs is not None and width != self._dirs.shape[1]:
+            raise ValueError(f"datapoint width {width} does not match {self._dirs.shape[1]}")
         if not np.isfinite(points).all():  # the per-row mask only for a block that needs it
             bad = int(np.argmin(np.isfinite(points).all(axis=1)))
             raise ValueError(f"row {bad} of the block: phi, action and scaled reward "
                              "must be finite")
-        if n and self._width is None:
-            self._init_width(points.shape[1])
+        if n and self._dirs is None:
+            self._dirs = sample_unit_directions(
+                width, self._cfg.n_projections,
+                seed=child_seed(self._cfg.master_seed, "projections"),
+            )
         events: list[DetectionEvent] = []
         h = self._cfg.history_len
         i = 0
         while i < n:
             # Push up to the next check boundary; the label may change there.
             take = min(n - i, h - self.t % h)
-            st = self._state(self._current)
+            st = self._states[self._current]
             st.window.extend(points[i:i + take])
             self.t += take
             i += take
@@ -355,7 +349,7 @@ class Detector:
 
     def redetect(self) -> DetectionEvent:
         """Resolve a triggered shift: suppress, re-adopt a label, or mint one."""
-        if self._width is None:
+        if self._dirs is None:
             raise RuntimeError("redetect before any data was ingested")
         old = self._current
         if self.t - self.last_z_change < self._cfg.stable_phase:
@@ -390,8 +384,8 @@ class Detector:
         ValueError before ``t`` moves.
         """
         old = self._current
-        st = self._states.get(z)
-        if st is None or st.ref_window is None or not len(st.history):
+        st = self._states[z]
+        if st.ref_window is None or not len(st.history):
             pvalues[z] = None  # nothing to compare against; treat as rejection
             return None
         n_samples = self._cfg.resolved_probe_samples
@@ -405,9 +399,10 @@ class Detector:
                 probed_pvalues=pvalues,
             )
         points = make_datapoints(phi, actions, rewards)
-        if points.shape != (n_points, self._width) or not np.isfinite(points).all():
+        width = self._dirs.shape[1]
+        if points.shape != (n_points, width) or not np.isfinite(points).all():
             raise ValueError(f"probe steps of label {z} must be finite and "
-                             f"pack to width {self._width}")
+                             f"pack to width {width}")
         self.t += n_points
         ref = sorted_projections(st.ref_window, self._dirs)
         h = self._cfg.history_len

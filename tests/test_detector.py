@@ -10,7 +10,7 @@ import itertools
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import ScriptedProbe, detector_view, limited_regime, regime
@@ -143,6 +143,13 @@ class TestCadence:
     def test_redetect_before_any_data_raises(self):
         with pytest.raises(RuntimeError):
             Detector(make_config()).redetect()
+
+    def test_fresh_detector_has_an_empty_state_for_label_1(self):
+        det = Detector(make_config())
+        st = det.label_state(1)
+        assert (len(st.window), list(st.history), st.ref_window) == (0, [], None)
+        label = TaskLabel(id=1, created_at=0)
+        assert detector_view(det) == (0, None, None, [label], label, {1: ([], [], None)})
 
     def test_offline_flag_reflects_probe_presence(self):
         assert Detector(make_config()).offline
@@ -290,8 +297,9 @@ class TestProbeReidentification:
         det = Detector(make_config(master_seed=seed), probe)
         rng = np.random.default_rng(300 + seed)
         arm_second_label(det, rng)
-        # A label that never accumulated a reference cannot be probed.
+        # A label whose state holds no reference cannot be probed.
         det._labels[0] = TaskLabel(id=0, created_at=0)
+        det._states[0] = det._new_state()
         ev, _ = drive_until(det, regime(rng, 0.0, 1.0), 200)
         assert ev.kind == EVENT_RE_DETECTED
         assert ev.probed_pvalues[0] is None
@@ -430,18 +438,20 @@ class TestAtomicIngest:
                   st.integers(0, 3), st.booleans()),
         min_size=1, max_size=80,
     ))
+    @example([("nan", 0, False)])  # the first block, valid step and all, is rejected
     @settings(max_examples=60, deadline=None)
     def test_invalid_steps_change_nothing(self, script):
         """Mixed valid and invalid steps, per step or per block, act as the valid ones alone.
 
         Each entry is (kind, mean, block break); a block ends after an
         entry whose break flag is set, and a wide step is a block of its own.
-        A valid first step fixes the width. A block with an invalid step is
-        rejected whole; its valid steps are then fed as a block.
+        A valid first step, in the script's first block, fixes the width. A
+        block with an invalid step is rejected whole; its valid steps are
+        then fed as a block.
         """
         rng = np.random.default_rng(len(script))
         steps = []
-        for kind, mean, cut in [("ok", 0, True)] + script:
+        for kind, mean, cut in [("ok", 0, False)] + script:
             phi = rng.normal(mean, 1.0, size=4 if kind == "wide" else 3)
             action, reward = int(rng.integers(0, 2)), float(mean)
             if kind == "nan":

@@ -5,7 +5,6 @@ included, and never touches a plan, the env's cursor, the batched probe,
 the real one, fed once per check interval (``test_reference_detector.py``)."""
 from __future__ import annotations
 
-import ast
 from dataclasses import replace
 from pathlib import Path
 from types import SimpleNamespace
@@ -101,15 +100,13 @@ RUNS += [pytest.param("desk-preset", 1, id="desk-preset-1"),
 
 
 @pytest.mark.parametrize("case, seed", RUNS)
-def test_run_equals_the_reference(case, seed, tmp_path, request):
+def test_run_equals_the_reference(case, seed, request):
     run = load_bank = None
     if case in TINY_CASES:
         config = tiny_case(case, seed)
     elif case == "deep-tree":  # the run whose hashes tools/output_hashes.py prints
-        tool = ast.parse((Path(__file__).parents[1] / "tools" / "output_hashes.py").read_text())
-        assigned = {ast.unparse(n.targets[0]): n.value for n in tool.body if isinstance(n, ast.Assign)}
-        (tmp_path / "deep-tree.cfg").write_text(ast.literal_eval(assigned["DEEP_TREE_CONFIG"]))
-        config = load_config(tmp_path / "deep-tree.cfg", seed=seed)
+        config = load_config(Path(__file__).parents[1] / "tools" / "configs" / "deep-tree.cfg",
+                             seed=seed)
     else:
         config = load_config("desk", seed=seed)
         if case == "desk-preset":

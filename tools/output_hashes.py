@@ -12,16 +12,17 @@ as JSON:
   --load-bank bank``, a run that starts from seed 1's bank;
 - ``deep-tree``: the same files of ``swoks run`` seed 1 on the desk
   preset with a depth-3, branching-3 tree and probes of 13 x 50 steps
-  (``DEEP_TREE_CONFIG``, written to ``deep-tree.cfg``): 650 is not a
-  multiple of the depth, so every probe ends in the middle of an
-  episode, and the run re-detects labels;
+  (``tools/configs/deep-tree.cfg``): 650 is not a multiple of the
+  depth, so every probe ends in the middle of an episode, and the run
+  re-detects labels;
 - ``no-noise``: the same files of seed 1 on the desk preset with
-  ``observation_noise_sigma = 0`` (``NO_NOISE_CONFIG``): every episode
-  observes the base vectors, and the live loop draws no noise;
+  ``observation_noise_sigma = 0`` (``tools/configs/no-noise.cfg``):
+  every episode observes the base vectors, its noise drawn and scaled
+  to ±0.0;
 - ``wide-tree``: the same files of seed 1 on the desk preset with a
   depth-3, branching-6 tree and rewarded leaves 0, 50, 100 and 150
-  (``WIDE_TREE_CONFIG``): 43 nodes to act at per episode, so the live
-  loop's plans are far larger than its episodes' steps;
+  (``tools/configs/wide-tree.cfg``): 43 nodes to act at per episode,
+  so the live loop's plans are far larger than its episodes' steps;
 - ``detect``: the stdout of ``swoks detect --config desk`` on the
   synthetic stream ``perfbench/synth.py`` makes with
   ``generate(3, segments_for(4, 20000))``, written to ``stream.csv`` in
@@ -58,39 +59,7 @@ from swoks.cli import main  # noqa: E402
 
 DESK_SEEDS = range(1, 6)
 STATIONARY_CONFIG = ROOT / "perfbench" / "configs" / "stationary.cfg"
-DEEP_TREE_CONFIG = """\
-[experiment]
-preset = desk
-
-[detector]
-history_length = 50
-probe_swd_samples = 13
-
-[env]
-tree_depth = 3
-branching_factor = 3
-
-[tasks]
-rewarded_leaves = 0,13,26,8
-"""
-NO_NOISE_CONFIG = """\
-[experiment]
-preset = desk
-
-[env]
-observation_noise_sigma = 0
-"""
-WIDE_TREE_CONFIG = """\
-[experiment]
-preset = desk
-
-[env]
-tree_depth = 3
-branching_factor = 6
-
-[tasks]
-rewarded_leaves = 0,50,100,150
-"""
+EXTRA_CONFIGS = ROOT / "tools" / "configs"
 
 
 def _sha256(data: bytes) -> str:
@@ -119,10 +88,8 @@ def hashes() -> dict:
         flags = ["--save-bank", "bank"] if seed == 1 else []
         result["desk"][str(seed)] = _run("desk", seed, Path(f"desk-{seed}"), *flags)
     result["bank"] = _run("desk", 2, Path("bank-loaded"), "--load-bank", "bank")
-    for name, config in (("deep-tree", DEEP_TREE_CONFIG), ("no-noise", NO_NOISE_CONFIG),
-                         ("wide-tree", WIDE_TREE_CONFIG)):
-        Path(f"{name}.cfg").write_text(config, encoding="utf-8")
-        result[name] = _run(f"{name}.cfg", 1, Path(name))
+    for name in ("deep-tree", "no-noise", "wide-tree"):
+        result[name] = _run(str(EXTRA_CONFIGS / f"{name}.cfg"), 1, Path(name))
     synth.write_csv("stream.csv", synth.generate(3, synth.segments_for(4, 20000)))
     result["detect"] = _stdout(["detect", "--config", "desk", "--stream", "stream.csv"])
     synth.write_csv("paper-stream.csv", synth.generate(3, synth.segments_for(2, 150000)))
