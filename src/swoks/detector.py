@@ -5,10 +5,12 @@ datapoints, a distance history and, once it departs, a frozen
 reference. Steps arrive in blocks of any size; each is packed into a
 datapoint and pushed into the current label's window. The first step
 fixes the datapoint width and draws the projection directions. A
-block with a step that is not finite or has another width is rejected
-whole and leaves the detector as it was. Once per
-``history_len`` steps the sliced transport distance between the newest
-and oldest window is appended to that label's distance history; when
+block with a step that has another width, or a value too large for a
+distance to stay finite (nan and inf included), is rejected whole and
+leaves the detector as it was. Once per ``history_len`` steps the
+newest set of the window is sorted along every direction and kept
+until it is the oldest, and the sliced transport distance between the
+newest and oldest set is appended to that label's distance history; when
 the history is full, a one-sided shift test compares its new half
 against its scaled old half. A significant shift triggers
 re-detection: stored policies for the other labels are probed one by
@@ -23,6 +25,7 @@ fresh policy is still learning.
 from __future__ import annotations
 
 import math
+import sys
 from collections import deque
 from dataclasses import dataclass, field
 from typing import Protocol
@@ -135,16 +138,28 @@ class ProbeSource(Protocol):
         ...
 
 
+def _value_bound(history_len: int, width: int) -> float:
+    """Largest magnitude a datapoint value may have: no distance overflows below it.
+
+    A projection onto a unit direction is at most ``sqrt(width)`` times
+    the bound, so a squared difference of two is at most
+    ``4 * width * bound**2`` and a sum of ``history_len`` of them at most
+    a quarter of the largest double; the factor 4 is room for rounding.
+    """
+    return math.sqrt(sys.float_info.max / (16 * history_len * width))
+
+
 class _Window:
     """One label's FIFO window: a ring of datapoint rows and its two point sets.
 
     The ring holds ``set_len * (n_sets + 1)`` rows, as wide as the first
     rows it is given (it starts with no columns). Once it is full, its
     oldest ``set_len`` rows form the old set and its newest ``set_len``
-    the recent set. Rows are indexed by arrival since the last clear;
-    the sorted projections of each recent set are kept under the index
-    of its first row, because ``n_sets`` checks later the same rows are
-    the old set and need not be sorted again.
+    the recent set. Rows are indexed by arrival since the last clear.
+    At each check boundary the newest set is sorted (:meth:`keep_newest`)
+    and kept under the index of its first row: the check that follows
+    uses it as the recent set, and ``n_sets`` boundaries later the same
+    rows are the old set and need not be sorted again.
     """
 
     __slots__ = ("_data", "_set_len", "_capacity", "_next", "_size", "_pushed", "_sorted")
@@ -153,7 +168,7 @@ class _Window:
         self._set_len = set_len
         self._capacity = set_len * (n_sets + 1)
         self._data = np.zeros((self._capacity, 0), dtype=float)
-        # Sorted projections of earlier recent sets, oldest first.
+        # (index of first row, sorted projections) of the kept sets, oldest first.
         self._sorted: deque[tuple[int, np.ndarray]] = deque()
         self.clear()
 
@@ -198,19 +213,28 @@ class _Window:
             raise ValueError(f"cannot take {count} rows from {self._size} stored")
         return self._rows(0, count).copy()
 
+    def keep_newest(self, dirs: np.ndarray) -> None:
+        """Sort the newest set of a ring that holds one and keep it."""
+        n = self._set_len
+        newest = sorted_projections(self._rows(self._size - n, n), dirs)
+        self._sorted.append((self._pushed - n, newest))
+
     def distance(self, dirs: np.ndarray) -> float:
-        """Sliced distance between the recent and the old set of a full ring."""
-        cache, n = self._sorted, self._set_len
+        """Sliced distance between the recent set, just kept, and the old set of a full ring.
+
+        The old set was kept when it completed unless the check grid has
+        moved since (a probe that ran dry moves ``t`` by a partial set),
+        or the rows came in as one probe block; then it is sorted here.
+        """
+        cache = self._sorted
         old_first = self._pushed - self._capacity
-        while cache and cache[0][0] < old_first:
+        while cache[0][0] < old_first:
             cache.popleft()
-        if cache and cache[0][0] == old_first:
+        if cache[0][0] == old_first:
             old = cache.popleft()[1]
         else:
-            old = sorted_projections(self._rows(0, n), dirs)
-        recent = sorted_projections(self._rows(self._size - n, n), dirs)
-        cache.append((self._pushed - n, recent))
-        return sorted_distance(recent, old)
+            old = sorted_projections(self._rows(0, self._set_len), dirs)
+        return sorted_distance(cache[-1][1], old)
 
 
 class _LabelState:
@@ -298,17 +322,20 @@ class Detector:
         ``phi`` is ``(n, k)``; ``actions`` and ``rewards`` have length
         ``n``. How the steps are split into blocks does not change the
         result. A block whose width differs from the first step's, or with
-        a row that is not finite, raises ValueError (naming the first such
-        row) and changes nothing.
+        a value that is not finite or above :func:`_value_bound` in
+        magnitude, raises ValueError (naming the first such row) and
+        changes nothing.
         """
         points = make_datapoints(phi, actions, rewards)
         n, width = points.shape
         if self._dirs is not None and width != self._dirs.shape[1]:
             raise ValueError(f"datapoint width {width} does not match {self._dirs.shape[1]}")
-        if not np.isfinite(points).all():  # the per-row mask only for a block that needs it
-            bad = int(np.argmin(np.isfinite(points).all(axis=1)))
+        bound = _value_bound(self._cfg.history_len, width)
+        small = np.abs(points) <= bound  # False at nan and inf
+        if not small.all():
+            bad = int(np.argmin(small.all(axis=1)))
             raise ValueError(f"row {bad} of the block: phi, action and scaled reward "
-                             "must be finite")
+                             f"must be finite and at most {bound:.6g} in magnitude")
         if n and self._dirs is None:
             self._dirs = sample_unit_directions(
                 width, self._cfg.n_projections,
@@ -324,17 +351,17 @@ class Detector:
             st.window.extend(points[i:i + take])
             self.t += take
             i += take
-            if self.t % h == 0 and st.window.is_full:
-                event = self._check(st)
-                if event is not None:
-                    events.append(event)
+            if self.t % h == 0 and len(st.window) >= h:
+                st.window.keep_newest(self._dirs)
+                if st.window.is_full:
+                    event = self._check(st)
+                    if event is not None:
+                        events.append(event)
         return events
 
     def _check(self, st: _LabelState) -> DetectionEvent | None:
         """The distance check due at a full window on a history_len boundary."""
         swd = st.window.distance(self._dirs)
-        if not 0.0 <= swd < math.inf:  # projections of finite rows can overflow
-            raise ValueError(f"distance values must be finite and non-negative, got {swd}")
         st.history.append(swd)
         self.last_swd = swd
         half = self._cfg.swd_history_len
@@ -379,9 +406,9 @@ class Detector:
     def _probe_label(self, z: int, pvalues: dict[int, float | None]) -> DetectionEvent | None:
         """Probe one candidate label; returns an event on accept/error.
 
-        A probe step that is not finite or does not fit the width, or a
-        source that returns more than the steps asked for, raises
-        ValueError before ``t`` moves.
+        A probe step that does not fit the width or is refused as a live
+        step would be, or a source that returns more than the steps asked
+        for, raises ValueError before ``t`` moves.
         """
         old = self._current
         st = self._states[z]
@@ -400,9 +427,10 @@ class Detector:
             )
         points = make_datapoints(phi, actions, rewards)
         width = self._dirs.shape[1]
-        if points.shape != (n_points, width) or not np.isfinite(points).all():
-            raise ValueError(f"probe steps of label {z} must be finite and "
-                             f"pack to width {width}")
+        bound = _value_bound(self._cfg.history_len, width)
+        if points.shape != (n_points, width) or not (np.abs(points) <= bound).all():
+            raise ValueError(f"probe steps of label {z} must pack to width {width}, "
+                             f"finite and at most {bound:.6g} in magnitude")
         self.t += n_points
         ref = sorted_projections(st.ref_window, self._dirs)
         h = self._cfg.history_len

@@ -186,10 +186,21 @@ def sorted_projections(points: np.ndarray, dirs: np.ndarray) -> np.ndarray:
     Each direction's projections are sorted as one contiguous row, which
     is several times faster than sorting down the columns; the values
     are the same, since sorting is tie-invariant.
+
+    The product and the sort buffer are written into rows one value
+    wider than they need. A row of ``count`` or ``n`` doubles is often a
+    power-of-two number of bytes (1 KiB at 128 directions, 2 KiB at
+    256 points), and transposing an array with such a row stride maps
+    its column onto a few cache sets: the copy out of the padded product
+    takes about a third of the time at 240 x 128. BLAS writes the same
+    values at any row stride, so every bit of the result is unchanged.
     """
-    proj = (points @ dirs.T).T.copy()
-    proj.sort(axis=1)
-    return proj.T.copy()
+    n, count = points.shape[0], dirs.shape[0]
+    proj = np.matmul(points, dirs.T, out=np.empty((n, count + 1))[:, :count])
+    rows = np.empty((count, n + 1))[:, :n]
+    np.copyto(rows, proj.T)
+    rows.sort(axis=1)
+    return rows.T.copy()
 
 
 def sorted_distance(proj_a: np.ndarray, proj_b: np.ndarray) -> float:

@@ -7,6 +7,7 @@ down each of its paths: accept, reject, skip, and source failure.
 from __future__ import annotations
 
 import itertools
+import warnings
 
 import numpy as np
 import pytest
@@ -24,6 +25,7 @@ from swoks.detector import (
     Detector,
     DetectorConfig,
     TaskLabel,
+    _value_bound,
 )
 from swoks.ot import sorted_projections
 
@@ -342,31 +344,61 @@ class TestProbeReidentification:
 
 
 class TestSortedWindowCache:
-    def test_each_check_sorts_one_set_once_warm(self, monkeypatch):
-        """The first swd_history_len checks after a fill sort both sets;
-        from then on each check finds its old set among the kept recent
-        sets and sorts only the new recent set."""
+    """Each set of a window is sorted once, at the boundary where it completes."""
+
+    @staticmethod
+    def record_sorts(monkeypatch) -> list[bytes]:
         sorts = []
 
         def counted(points, dirs):
-            sorts.append(len(points))
+            sorts.append(points.tobytes())
             return sorted_projections(points, dirs)
 
         monkeypatch.setattr(swoks.detector, "sorted_projections", counted)
+        return sorts
+
+    def test_each_set_is_sorted_once_where_it_completes(self, monkeypatch):
+        """From the first boundary on, the fill included, a block of LD steps
+        sorts its own rows and nothing else: each check finds its recent set
+        kept at its own boundary and its old set kept LW boundaries before."""
+        sorts = self.record_sorts(monkeypatch)
         det = Detector(make_config(stable_phase=10**9))
-        rng = np.random.default_rng(7)
-        steps = regime(rng, 0.0, 1.0)
-        fill = CAPACITY // LD - 1  # blocks of LD steps before the first check
-        per_check = []
-        for _ in range(fill + 3 * LW):
+        window = det.label_state(1).window
+        steps = regime(np.random.default_rng(7), 0.0, 1.0)
+        for _ in range(CAPACITY // LD - 1 + 3 * LW):  # the fill, then 3 * LW checks
             phi, actions, rewards = zip(*itertools.islice(steps, LD))
             sorts.clear()
             det.ingest_block(np.stack(phi), actions, rewards)
-            per_check.append(sorts.copy())
-        assert det.current_label.id == 1 and len(det.label_state(1).window) == CAPACITY
-        assert per_check[:fill] == [[]] * fill
-        assert per_check[fill:fill + LW] == [[LD, LD]] * LW
-        assert per_check[fill + LW:] == [[LD]] * (2 * LW)
+            assert sorts == [window.oldest(len(window))[-LD:].tobytes()]
+        assert det.current_label.id == 1 and len(det.label_state(1).history) == 2 * LW
+
+    def test_a_moved_grid_sorts_only_the_sets_never_kept(self, monkeypatch):
+        """Probes of label 1 run dry after 25 steps, which moves t off the
+        check grid of label 2's window. Each boundary still sorts its newest
+        set; a check sorts its old set too only if those rows were never
+        sorted, and no set is sorted twice."""
+        sorts = self.record_sorts(monkeypatch)
+        probe_rng = np.random.default_rng(11)
+        probe = ScriptedProbe({1: lambda: limited_regime(probe_rng, 0.0, 1.0, 25)})
+        det = Detector(make_config(), probe)
+        rng = np.random.default_rng(300)
+        arm_second_label(det, rng)  # label 1 takes no probe here: it is the old label
+        window, seen = det.label_state(2).window, set(sorts)
+        steps, kinds, fresh, checks = regime(rng, 0.0, 1.0), [], 0, 0
+        for _ in range(4 * (LW + 1)):
+            take = LD - det.t % LD  # blocks end on the (moving) check grid
+            phi, actions, rewards = zip(*itertools.islice(steps, take))
+            sorts.clear()
+            kinds += [ev.kind for ev in det.ingest_block(np.stack(phi), actions, rewards)]
+            rows = window.oldest(len(window))
+            newest, old = rows[-LD:].tobytes(), rows[:LD].tobytes()
+            expected = [newest] + ([old] if old not in seen else [])
+            assert sorts == expected
+            fresh += len(sorts) - 1
+            checks += window.is_full
+            seen.update(sorts)
+        assert det.current_label.id == 2 and EVENT_PROBE_ERROR in kinds
+        assert 0 < fresh < checks
 
 
 # (phi, action, reward) of steps the detector rejects.
@@ -417,21 +449,37 @@ class TestAtomicIngest:
             det.ingest_block(np.zeros((2, 3)), [0, 0], [1.0, 1.0])
         assert det.t == 3
 
-    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
     def test_non_finite_distance_is_rejected_before_it_enters_the_history(self):
-        """Finite rows can still project past the float range: their distance
-        raises ValueError and the history, last_swd and the p-value stay."""
-        det = Detector(make_config(history_len=2, swd_history_len=2, n_projections=128))
-        for _ in range(12):  # a full history of zero distances, then one test
-            det.ingest([0.0], 0, 0.0)
-        history = det.label_state(1).history
-        assert list(history) == [0.0] * 4 and det.last_p_value == 1.0
-        huge = 1.7e308  # 3-wide rows of this project past 1.8e308 on many directions
-        det.ingest([huge], huge, 0.0)
-        with pytest.raises(ValueError, match="distance values must be finite"):
-            det.ingest([huge], huge, huge)
-        assert list(history) == [0.0] * 4
-        assert (det.last_swd, det.last_p_value) == (0.0, 1.0)
+        """Finite rows whose distance could overflow (past the value bound) are
+        refused before t moves: the ring, the kept sets and the history stay,
+        and numpy warns of nothing."""
+        det = Detector(DetectorConfig(history_len=4, swd_history_len=2, n_projections=4))
+        rng = np.random.default_rng(0)
+        det.ingest_block(rng.normal(size=(12, 3)), np.zeros(12), np.ones(12))
+        window = det.label_state(1).window
+        before, ring, kept = detector_view(det), window._data.copy(), list(window._sorted)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="must be finite and at most"):
+                det.ingest_block(np.full((4, 3), 1e200), np.zeros(4), np.zeros(4))
+        assert detector_view(det) == before and det.t == 12
+        assert np.array_equal(window._data, ring) and list(window._sorted) == kept
+
+    def test_values_at_the_bound_give_a_finite_distance(self):
+        """Sets at opposite corners of the bound are accepted and score a
+        finite distance; the next double up is refused."""
+        h, width = 4, 5
+        bound = _value_bound(h, width)
+        det = Detector(make_config(history_len=h, swd_history_len=3, n_projections=128))
+        for sign in (1, -1) * 3 + (1,):  # each check compares sets of opposite signs
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                det.ingest_block(np.full((h, 3), sign * bound), np.full(h, sign * bound),
+                                 np.full(h, sign * bound / 2))
+        assert list(det.label_state(1).history) == [det.last_swd] * 4
+        assert 0.0 < det.last_swd < np.inf
+        with pytest.raises(ValueError):
+            det.ingest([np.nextafter(bound, np.inf), 0.0, 0.0], 0, 0.0)
 
     @given(st.lists(
         st.tuples(st.sampled_from(["ok", "nan", "inf-reward", "wide"]),
@@ -520,3 +568,33 @@ class TestBlockIngestWithProbing:
             drive_until(det, regime(rng, 0.0, 1.0), 200)
         assert probe.deploy_calls == [1]
         assert det.t % LD == 0  # the probe steps were not counted
+
+    @pytest.mark.parametrize("bad_phi", [[0.0, np.nan, 0.0], [0.0, 1e200, 0.0]])
+    def test_refused_probe_leaves_the_detector_as_deploy_found_it(self, bad_phi):
+        """A probe step that is not finite, or too large for its distance to
+        stay finite, is refused before t moves: t, the ring, the kept sets and
+        the history are as they were when the probe was deployed."""
+        def script():
+            src = regime(np.random.default_rng(900), 0.0, 1.0)
+            for i in itertools.count():
+                yield (np.array(bad_phi), 0, 1.0) if i == 17 else next(src)
+
+        seen = []
+
+        class Watched(ScriptedProbe):
+            def deploy(self, label, n):
+                window = det.label_state(det.current_label.id).window
+                seen.append((detector_view(det), window._data.copy(), list(window._sorted)))
+                return super().deploy(label, n)
+
+        det = Detector(make_config(master_seed=0), Watched({1: script}))
+        rng = np.random.default_rng(300)
+        arm_second_label(det, rng)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="must pack to width"):
+                drive_until(det, regime(rng, 0.0, 1.0), 200)
+        [(view, ring, kept)] = seen
+        window = det.label_state(2).window
+        assert detector_view(det) == view
+        assert np.array_equal(window._data, ring) and list(window._sorted) == kept

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 from swoks.ot import (
     sample_unit_directions,
     sliced_wasserstein,
+    sorted_projections,
     wasserstein_1d,
     wasserstein_exact,
 )
@@ -227,3 +228,42 @@ class TestRowMajorSortIsExact:
             d2 = rng.integers(0, 2, size=(n, 4)).astype(float)
             d2[: n // 2] = d1[: n // 2]
             assert sliced_wasserstein(d1, d2, ds) == column_sort_swd(d1, d2, ds)
+
+
+def assert_plain_sort(points, dirs):
+    """``sorted_projections`` equals the plain column sort byte for byte, as a
+    C-contiguous ``(n, count)`` array."""
+    got = sorted_projections(points, dirs)
+    assert got.shape == (points.shape[0], dirs.shape[0]) and got.flags.c_contiguous
+    assert got.tobytes() == np.sort(points @ dirs.T, axis=0).tobytes()
+
+
+class TestSortedProjectionsBitIdentity:
+    """The padded rows change where the product and the sort buffer are
+    written, not one bit of what is written."""
+
+    @pytest.mark.parametrize("count", [64, 128, 256])
+    @pytest.mark.parametrize("n", [60, 240, 256])
+    def test_window_shapes(self, n, count):
+        rng = np.random.default_rng(n * 1000 + count)
+        for dim in (1, 5, 10, 34):
+            dirs = sample_unit_directions(dim, count, seed=dim)
+            for _ in range(5):
+                assert_plain_sort(rng.normal(size=(n, dim)) * rng.uniform(0.1, 1e3), dirs)
+
+    def test_random_shapes(self):
+        rng = np.random.default_rng(2024)
+        for _ in range(300):
+            n, count, dim = (int(v) for v in rng.integers(1, [300, 300, 40]))
+            dirs = sample_unit_directions(dim, count, seed=int(rng.integers(2**31)))
+            assert_plain_sort(rng.normal(rng.normal(), rng.uniform(0.1, 10), size=(n, dim)), dirs)
+
+    def test_ties_and_signed_zeros(self):
+        # Few distinct values, zero rows among them: projections tie, and
+        # zero rows project to +0.0 or -0.0 by the direction's signs.
+        rng = np.random.default_rng(5)
+        for n, count in [(60, 64), (240, 128), (256, 256)]:
+            dirs = sample_unit_directions(4, count, seed=n)
+            points = rng.integers(-1, 2, size=(n, 4)).astype(float)
+            points[::7] = 0.0
+            assert_plain_sort(points, dirs)

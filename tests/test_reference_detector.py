@@ -14,6 +14,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import sys
 from collections import defaultdict
 from types import SimpleNamespace
 
@@ -46,7 +47,9 @@ class ReferenceDetector:
     are the newest ``history_len * (swd_history_len + 1)`` pushed since
     its window was last cleared, and ``history`` its newest
     ``2 * swd_history_len`` distances. Steps go in one at a time; a block
-    with a step that is not finite is rejected before any goes in.
+    with a value above ``sqrt(DBL_MAX / (16 * history_len * width))`` in
+    magnitude, nan and inf included, is rejected before any goes in, and
+    so is a probe with such a value before its steps are counted.
     """
 
     def __init__(self, config: DetectorConfig, probe=None):
@@ -64,10 +67,15 @@ class ReferenceDetector:
     def pack(phi, action, reward) -> list[float]:
         return [math.sqrt(len(phi)) * float(reward), float(action), *map(float, phi)]
 
+    def refuse_large(self, rows) -> None:
+        for row in rows:
+            bound = math.sqrt(sys.float_info.max / (16 * self.cfg.history_len * len(row)))
+            if not all(abs(value) <= bound for value in row):
+                raise ValueError("a value that is not finite or too large: rejected whole")
+
     def ingest_block(self, phi, actions, rewards) -> list[DetectionEvent]:
         steps = list(zip(phi, actions, rewards))
-        if not all(map(math.isfinite, itertools.chain(*map(self.pack, *zip(*steps))))):
-            raise ValueError("a step that is not finite: the block is rejected whole")
+        self.refuse_large(map(self.pack, *zip(*steps)))
         events = (self.ingest(*step) for step in steps)
         return [event for event in events if event is not None]
 
@@ -112,6 +120,8 @@ class ReferenceDetector:
             return None
         n = self.cfg.resolved_probe_samples * h
         rows = [self.pack(*step) for step in zip(*self.probe.deploy(z, n))]
+        if len(rows) == n:
+            self.refuse_large(rows)
         self.t += len(rows)
         if len(rows) < n:
             pvalues[z] = None
