@@ -57,8 +57,10 @@ class ExperimentConfig:
 
 
 def _ints(raw: str) -> tuple[int, ...]:
+    if not raw.strip():
+        return ()  # refused as empty where the list is required
     try:
-        return tuple(int(part) for part in raw.split(",") if part.strip())
+        return tuple(int(part) for part in raw.split(","))
     except ValueError:
         raise ValueError("must be a comma-separated integer list") from None
 

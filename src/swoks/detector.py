@@ -1,22 +1,24 @@
 """Online task-change detector over streaming experience.
 
 Each label has its own state, made with the label: a FIFO window of
-datapoints, a distance history and, once it departs, a frozen
+datapoint sets, a distance history and, once it departs, a frozen
 reference. Steps arrive in blocks of any size; each is packed into a
 datapoint and pushed into the current label's window. The first step
 fixes the datapoint width and draws the projection directions. A
 block with a step that has another width, or a value too large for a
 distance to stay finite (nan and inf included), is rejected whole and
-leaves the detector as it was. Once per ``history_len`` steps the
-newest set of the window is sorted along every direction and kept
-until it is the oldest, and the sliced transport distance between the
-newest and oldest set is appended to that label's distance history; when
-the history is full, a one-sided shift test compares its new half
-against its scaled old half. A significant shift triggers
-re-detection: stored policies for the other labels are probed one by
-one in ascending id, fresh probe experience is scored against each
-label's frozen references, and the first label whose test does not
-reject is re-adopted. If every label rejects, a new label is minted.
+leaves the detector as it was. The window is a queue of whole sets of
+``history_len`` points and the set being filled; a set is sorted along
+every direction once, when its last point arrives. Each time a set
+completes a window of ``swd_history_len + 1`` sets, the sliced
+transport distance between the newest and oldest set is appended to
+that label's distance history; when the history is full, a one-sided
+shift test compares its new half against its scaled old half. A
+significant shift triggers re-detection: stored policies for the other
+labels are probed one by one in ascending id, fresh probe sets are
+scored against each label's frozen reference set, and the first label
+whose test does not reject is re-adopted, with the probe's sets, sorts
+and all, as its window. If every label rejects, a new label is minted.
 
 Probing is read-only with respect to stored references, and a stable
 phase after each new label suppresses further detections while the
@@ -55,10 +57,11 @@ EVENT_PROBE_ERROR = "probe-error"
 class DetectorConfig:
     """Tuning knobs for the detector.
 
-    history_len is both the size of each compared point set and the
-    cadence of distance computation; swd_history_len is the size of
-    each half of the shift test. probe_swd_samples defaults to
-    ``min(swd_history_len, 25)`` when left unset.
+    history_len is the size of each compared point set, and a label's
+    distance is taken each time its window takes ``history_len`` more
+    points once it holds ``swd_history_len + 1`` sets; swd_history_len
+    is also the size of each half of the shift test. probe_swd_samples
+    defaults to ``min(swd_history_len, 25)`` when left unset.
 
     A test never rejects if ``alpha`` is not above its smallest p-value,
     ``exp(-L)`` for the shift test and ``exp(-2 n L / (n + L))`` for a probe
@@ -133,7 +136,9 @@ class ProbeSource(Protocol):
 
         ``m <= n``; a source that cannot deliver all ``n`` steps returns
         the ``m < n`` it took, and the detector reports a probe error
-        after counting them.
+        after counting them in ``t``. They do not enter any window, so the
+        current label's next check still comes when its set being filled
+        completes, even though ``t`` is then off the ``history_len`` grid.
         """
         ...
 
@@ -150,104 +155,66 @@ def _value_bound(history_len: int, width: int) -> float:
 
 
 class _Window:
-    """One label's FIFO window: a ring of datapoint rows and its two point sets.
+    """One label's FIFO window: a queue of whole point sets and the set being filled.
 
-    The ring holds ``set_len * (n_sets + 1)`` rows, as wide as the first
-    rows it is given (it starts with no columns). Once it is full, its
-    oldest ``set_len`` rows form the old set and its newest ``set_len``
-    the recent set. Rows are indexed by arrival since the last clear.
-    At each check boundary the newest set is sorted (:meth:`keep_newest`)
-    and kept under the index of its first row: the check that follows
-    uses it as the recent set, and ``n_sets`` boundaries later the same
-    rows are the old set and need not be sorted again.
+    A set is whole once it holds ``set_len`` rows. It is then sorted
+    along every projection direction, once, and queued as ``(rows,
+    sorted projections)``; the queue keeps the newest ``n_sets + 1``
+    sets, so once it is full its first set is a check's old set and its
+    last set the recent one.
     """
 
-    __slots__ = ("_data", "_set_len", "_capacity", "_next", "_size", "_pushed", "_sorted")
+    __slots__ = ("sets", "_set_len", "_part", "_filled")
 
     def __init__(self, set_len: int, n_sets: int):
+        self.sets: deque[tuple[np.ndarray, np.ndarray]] = deque(maxlen=n_sets + 1)
         self._set_len = set_len
-        self._capacity = set_len * (n_sets + 1)
-        self._data = np.zeros((self._capacity, 0), dtype=float)
-        # (index of first row, sorted projections) of the kept sets, oldest first.
-        self._sorted: deque[tuple[int, np.ndarray]] = deque()
         self.clear()
 
     @property
     def is_full(self) -> bool:
-        return self._size == self._capacity
+        return len(self.sets) == self.sets.maxlen
 
-    def __len__(self) -> int:
-        return self._size
+    @property
+    def room(self) -> int:
+        """Rows the set being filled takes before it is whole."""
+        return self._set_len - self._filled
 
-    def extend(self, rows: np.ndarray) -> None:
-        """Append the rows of an ``(n, width)`` array in order, evicting the oldest when full."""
-        n = rows.shape[0]
-        if not self._data.shape[1]:
-            self._data = np.zeros((self._capacity, rows.shape[1]), dtype=float)
-        self._pushed += n
-        self._size = min(self._size + n, self._capacity)
-        if n > self._capacity:
-            rows = rows[n - self._capacity:]
-            n = self._capacity
-        head = min(n, self._capacity - self._next)
-        self._data[self._next:self._next + head] = rows[:head]
-        self._data[:n - head] = rows[head:]
-        self._next = (self._next + n) % self._capacity
+    @property
+    def filling(self) -> np.ndarray:
+        """The rows of the set being filled, a view."""
+        return self._part[:self._filled]
 
     def clear(self) -> None:
-        self._next = self._size = self._pushed = 0
-        self._sorted.clear()
+        self.sets.clear()
+        self._part = np.empty((self._set_len, 0))
+        self._filled = 0
 
-    def _rows(self, start: int, count: int) -> np.ndarray:
-        # start is an offset from the oldest stored row. A view of the ring
-        # where the rows do not wrap: valid only until the next extend.
-        first = (self._next - self._size + start) % self._capacity
-        head = min(count, self._capacity - first)
-        if head == count:
-            return self._data[first:first + count]
-        return np.concatenate([self._data[first:], self._data[:count - head]])
-
-    def oldest(self, count: int) -> np.ndarray:
-        """Oldest ``count`` stored rows, a copy: a frozen reference outlives the ring."""
-        if count < 0 or count > self._size:
-            raise ValueError(f"cannot take {count} rows from {self._size} stored")
-        return self._rows(0, count).copy()
-
-    def keep_newest(self, dirs: np.ndarray) -> None:
-        """Sort the newest set of a ring that holds one and keep it."""
-        n = self._set_len
-        newest = sorted_projections(self._rows(self._size - n, n), dirs)
-        self._sorted.append((self._pushed - n, newest))
-
-    def distance(self, dirs: np.ndarray) -> float:
-        """Sliced distance between the recent set, just kept, and the old set of a full ring.
-
-        The old set was kept when it completed unless the check grid has
-        moved since (a probe that ran dry moves ``t`` by a partial set),
-        or the rows came in as one probe block; then it is sorted here.
-        """
-        cache = self._sorted
-        old_first = self._pushed - self._capacity
-        while cache[0][0] < old_first:
-            cache.popleft()
-        if cache[0][0] == old_first:
-            old = cache.popleft()[1]
-        else:
-            old = sorted_projections(self._rows(0, self._set_len), dirs)
-        return sorted_distance(cache[-1][1], old)
+    def push(self, rows: np.ndarray, dirs: np.ndarray) -> bool:
+        """Append 1 to :attr:`room` rows of an ``(n, width)`` array; True when
+        they complete the set being filled, which is then sorted and queued."""
+        if not self._filled:
+            self._part = np.empty((self._set_len, rows.shape[1]))
+        end = self._filled + rows.shape[0]
+        self._part[self._filled:end] = rows
+        self._filled = end % self._set_len
+        if self._filled:
+            return False
+        self.sets.append((self._part, sorted_projections(self._part, dirs)))
+        return True
 
 
 class _LabelState:
-    __slots__ = ("window", "history", "ref_window")
+    __slots__ = ("window", "history", "reference")
 
     def __init__(self, window: _Window, history: deque[float]):
         self.window = window
         # The last 2 * swd_history_len distances, oldest first; frozen while
         # departed: only the current label's grows.
         self.history = history
-        # Frozen at departure: the last clean reference window, which with
-        # the history scores probes of this label later.
-        self.ref_window: np.ndarray | None = None
+        # Frozen at departure: the window's oldest set as (rows, sorted
+        # projections), which with the history scores probes of this label later.
+        self.reference: tuple[np.ndarray, np.ndarray] | None = None
 
 
 class Detector:
@@ -301,13 +268,30 @@ class Detector:
 
     def _depart(self, label: int) -> None:
         # The shift test just adjudicated the newer data as foreign to
-        # this label, so only the old window and old distance half are
-        # kept as the label's frozen identity.
-        st, h = self._states[label], self._cfg.history_len
-        st.ref_window = st.window.oldest(h) if len(st.window) >= h else None
+        # this label, so only the window's oldest set, sorts and all, and
+        # the old distance half are kept as the label's frozen identity.
+        st = self._states[label]
+        st.reference = st.window.sets[0] if st.window.sets else None
         st.window.clear()
         while len(st.history) > self._cfg.swd_history_len:
             st.history.pop()
+
+    def _pack(self, phi, actions, rewards) -> np.ndarray:
+        """The steps as datapoints, or ValueError naming the first step with
+        another width than the detector's first step, or with a value that is
+        not finite or above :func:`_value_bound` in magnitude."""
+        points = make_datapoints(phi, actions, rewards)
+        n, width = points.shape
+        if self._dirs is not None and width != self._dirs.shape[1]:
+            raise ValueError(f"step 0 of {n}: datapoint width {width} "
+                             f"does not match {self._dirs.shape[1]}")
+        bound = _value_bound(self._cfg.history_len, width)
+        small = np.abs(points) <= bound  # False at nan and inf
+        if not small.all():
+            bad = int(np.argmin(small.all(axis=1)))
+            raise ValueError(f"step {bad} of {n}: phi, action and scaled reward "
+                             f"must be finite and at most {bound:.6g} in magnitude")
+        return points
 
     # -- main entry points ------------------------------------------------
 
@@ -321,47 +305,35 @@ class Detector:
 
         ``phi`` is ``(n, k)``; ``actions`` and ``rewards`` have length
         ``n``. How the steps are split into blocks does not change the
-        result. A block whose width differs from the first step's, or with
-        a value that is not finite or above :func:`_value_bound` in
-        magnitude, raises ValueError (naming the first such row) and
-        changes nothing.
+        result. A block that :meth:`_pack` refuses raises its ValueError
+        and changes nothing.
         """
-        points = make_datapoints(phi, actions, rewards)
+        points = self._pack(phi, actions, rewards)
         n, width = points.shape
-        if self._dirs is not None and width != self._dirs.shape[1]:
-            raise ValueError(f"datapoint width {width} does not match {self._dirs.shape[1]}")
-        bound = _value_bound(self._cfg.history_len, width)
-        small = np.abs(points) <= bound  # False at nan and inf
-        if not small.all():
-            bad = int(np.argmin(small.all(axis=1)))
-            raise ValueError(f"row {bad} of the block: phi, action and scaled reward "
-                             f"must be finite and at most {bound:.6g} in magnitude")
         if n and self._dirs is None:
             self._dirs = sample_unit_directions(
                 width, self._cfg.n_projections,
                 seed=child_seed(self._cfg.master_seed, "projections"),
             )
         events: list[DetectionEvent] = []
-        h = self._cfg.history_len
         i = 0
         while i < n:
-            # Push up to the next check boundary; the label may change there.
-            take = min(n - i, h - self.t % h)
+            # Push up to the end of the set being filled; the label may change there.
             st = self._states[self._current]
-            st.window.extend(points[i:i + take])
+            take = min(n - i, st.window.room)
+            whole = st.window.push(points[i:i + take], self._dirs)
             self.t += take
             i += take
-            if self.t % h == 0 and len(st.window) >= h:
-                st.window.keep_newest(self._dirs)
-                if st.window.is_full:
-                    event = self._check(st)
-                    if event is not None:
-                        events.append(event)
+            if whole and st.window.is_full:
+                event = self._check(st)
+                if event is not None:
+                    events.append(event)
         return events
 
     def _check(self, st: _LabelState) -> DetectionEvent | None:
-        """The distance check due at a full window on a history_len boundary."""
-        swd = st.window.distance(self._dirs)
+        """The distance check due when a set completes a full window."""
+        sets = st.window.sets
+        swd = sorted_distance(sets[-1][1], sets[0][1])
         st.history.append(swd)
         self.last_swd = swd
         half = self._cfg.swd_history_len
@@ -406,13 +378,12 @@ class Detector:
     def _probe_label(self, z: int, pvalues: dict[int, float | None]) -> DetectionEvent | None:
         """Probe one candidate label; returns an event on accept/error.
 
-        A probe step that does not fit the width or is refused as a live
-        step would be, or a source that returns more than the steps asked
-        for, raises ValueError before ``t`` moves.
+        A probe step that :meth:`_pack` refuses, or a source that returns
+        more than the steps asked for, raises ValueError before ``t`` moves.
         """
         old = self._current
         st = self._states[z]
-        if st.ref_window is None or not len(st.history):
+        if st.reference is None or not len(st.history):
             pvalues[z] = None  # nothing to compare against; treat as rejection
             return None
         n_samples = self._cfg.resolved_probe_samples
@@ -425,27 +396,25 @@ class Detector:
                 t=self.t, old_label=old, new_label=old, kind=EVENT_PROBE_ERROR,
                 probed_pvalues=pvalues,
             )
-        points = make_datapoints(phi, actions, rewards)
-        width = self._dirs.shape[1]
-        bound = _value_bound(self._cfg.history_len, width)
-        if points.shape != (n_points, width) or not (np.abs(points) <= bound).all():
-            raise ValueError(f"probe steps of label {z} must pack to width {width}, "
-                             f"finite and at most {bound:.6g} in magnitude")
+        if len(rewards) > n_points:
+            raise ValueError(f"probe of label {z} returned {len(rewards)} steps, "
+                             f"not the {n_points} asked for")
+        points = self._pack(phi, actions, rewards)
         self.t += n_points
-        ref = sorted_projections(st.ref_window, self._dirs)
         h = self._cfg.history_len
-        probe_swds = np.array([
-            sorted_distance(sorted_projections(points[i * h:(i + 1) * h], self._dirs), ref)
-            for i in range(n_samples)
-        ])
+        sets = [points[i:i + h] for i in range(0, n_points, h)]
+        sorts = [sorted_projections(rows, self._dirs) for rows in sets]
+        ref = st.reference[1]
+        probe_swds = np.array([sorted_distance(s, ref) for s in sorts])
         result = detect_shift(probe_swds, np.array(st.history), beta=self._cfg.beta)
         pvalues[z] = result.p_value
         if result.p_value < self._cfg.alpha:
             return None  # rejected; caller tries the next candidate
-        # Accepted: freeze the departing label, hand the live window over.
+        # Accepted: freeze the departing label; the probe's sets, sorts and
+        # all, become the live window.
         self._depart(old)
         st.window.clear()
-        st.window.extend(points)
+        st.window.sets.extend(zip(sets, sorts))
         self._current = z
         return DetectionEvent(
             t=self.t, old_label=old, new_label=z, kind=EVENT_RE_DETECTED,

@@ -87,9 +87,9 @@ class Trace:
                p_value: float | None, swd: float | None, event: str = "") -> None:
         """Append rows ``t, t + 1, ...`` that share one check's p_value and swd.
 
-        ``reward`` holds one value per row; ``iteration``, ``gt_task``
-        and ``pred_label`` take one value per row or one for all of
-        them. ``event`` marks the first row. The check is stored once
+        ``reward`` holds one value per row; ``iteration`` and ``gt_task``
+        take one value per row or one for all of them, and ``pred_label``
+        one for all of them. ``event`` marks the first row. The check is stored once
         while the same ``p_value`` and ``swd`` objects keep coming.
         """
         k = len(reward)
@@ -165,7 +165,8 @@ class TraceWriter:
 
     def append(self, t: int, iteration, gt_task, pred_label, reward, probe_flag: int,
                p_value: float | None, swd: float | None, event: str = "") -> None:
-        """Write rows ``t, t + 1, ...``, as :meth:`Trace.append` stores them."""
+        """Write rows ``t, t + 1, ...``, as :meth:`Trace.append` stores them;
+        ``pred_label`` is one label for every row of the append."""
         k = len(reward)
         if not k:
             return
@@ -174,12 +175,7 @@ class TraceWriter:
             check = self._check = (p_value, swd, _check_text(p_value, swd))
         # The fields every row shares are formatted once, into the line format.
         fields = [range(t, t + k), _per_row(iteration), _per_row(gt_task)]
-        if np.isscalar(pred_label):
-            label = "%d" % pred_label
-        else:
-            label = "%d"
-            fields.append(pred_label)
-        head = "%d,%d,%d," + label + ","
+        head = "%d,%d,%d," + "%d" % pred_label + ","
         tail = "," + check[2] + ",%r," + "%d\n" % probe_flag
         first = head + str(event).replace("%", "%%") + tail
         # One format call for the block: zip stops at the shortest per-row field.

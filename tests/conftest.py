@@ -187,14 +187,19 @@ class ReferenceProbe:
         return phi, actions, rewards
 
 
+def window_rows(window) -> list[list[float]]:
+    """A label window's rows, oldest first: its whole sets, then the set being filled."""
+    return [row for rows, _ in window.sets for row in rows.tolist()] + window.filling.tolist()
+
+
 def detector_view(det):
     """Everything an input can change in a ``Detector``, in comparable form."""
     labels = {}
     for label in det.labels:
         st = det.label_state(label.id)
         labels[label.id] = (
-            st.window.oldest(len(st.window)).tolist(), list(st.history),
-            None if st.ref_window is None else st.ref_window.tolist(),
+            window_rows(st.window), list(st.history),
+            None if st.reference is None else st.reference[0].tolist(),
         )
     return det.t, det.last_swd, det.last_p_value, det.labels, det.current_label, labels
 

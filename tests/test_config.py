@@ -104,6 +104,31 @@ class TestSchemaErrors:
                                               "must be a comma-separated integer list, got '1, x'$"):
             load_config(path)
 
+    @pytest.mark.parametrize("leaves, order, line, key", [
+        ("0,,3", "1, 2", 2, "rewarded_leaves"),
+        ("0, 3,", "1, 2", 2, "rewarded_leaves"),
+        (",0", "1", 2, "rewarded_leaves"),
+        (" , ", "1", 2, "rewarded_leaves"),
+        ("0, 3", "1,,2", 4, "order"),
+        ("0, 3", "1, 2, ", 4, "order"),
+    ])
+    def test_empty_list_item_is_refused(self, tmp_path, leaves, order, line, key):
+        text = f"[tasks]\nrewarded_leaves = {leaves}\n[curriculum]\norder = {order}\nsegment_steps = 5\n"
+        path = write_cfg(tmp_path, text)
+        with pytest.raises(ConfigError, match=rf"^{re.escape(str(path))}:{line}: {key} "
+                                              "must be a comma-separated integer list, got "):
+            load_config(path)
+
+    @pytest.mark.parametrize("leaves, order, message", [
+        ("", "1", "rewarded_leaves must not be empty"),
+        ("0", "", "curriculum needs at least one segment"),
+    ])
+    def test_empty_list_is_refused_as_empty(self, tmp_path, leaves, order, message):
+        text = f"[tasks]\nrewarded_leaves = {leaves}\n[curriculum]\norder = {order}\nsegment_steps = 5\n"
+        path = write_cfg(tmp_path, text)
+        with pytest.raises(ConfigError, match=rf"^{re.escape(str(path))}: {message}$"):
+            load_config(path)
+
     def test_curriculum_must_reference_defined_tasks(self, tmp_path):
         path = write_cfg(tmp_path, MINIMAL.replace("order = 1, 2", "order = 1, 9"))
         with pytest.raises(ConfigError, match=r"curriculum task 9 not defined"):

@@ -6,6 +6,7 @@ down each of its paths: accept, reject, skip, and source failure.
 """
 from __future__ import annotations
 
+import collections
 import itertools
 import warnings
 
@@ -14,7 +15,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import ScriptedProbe, detector_view, limited_regime, regime
+from conftest import ScriptedProbe, detector_view, limited_regime, regime, window_rows
 
 import swoks.detector
 from swoks.detector import (
@@ -28,6 +29,7 @@ from swoks.detector import (
     _value_bound,
 )
 from swoks.ot import sorted_projections
+from swoks.stream import make_datapoints
 
 LD = 10                      # points per comparison set
 LW = 6                       # distance values per history half
@@ -71,6 +73,11 @@ def drive_until(det: Detector, source, limit: int):
         if ev is not None:
             return ev, before
     raise AssertionError(f"no event within {limit} steps")
+
+
+def window_bytes(window) -> list[bytes]:
+    """The bytes of a window's whole sets, their sorts and the set being filled."""
+    return [a.tobytes() for pair in window.sets for a in pair] + [window.filling.tobytes()]
 
 
 def arm_second_label(det: Detector, rng: np.random.Generator):
@@ -149,7 +156,7 @@ class TestCadence:
     def test_fresh_detector_has_an_empty_state_for_label_1(self):
         det = Detector(make_config())
         st = det.label_state(1)
-        assert (len(st.window), list(st.history), st.ref_window) == (0, [], None)
+        assert (window_rows(st.window), list(st.history), st.reference) == ([], [], None)
         label = TaskLabel(id=1, created_at=0)
         assert detector_view(det) == (0, None, None, [label], label, {1: ([], [], None)})
 
@@ -190,13 +197,13 @@ class TestOfflineDetection:
                 break
         departed = det.label_state(1)
         assert det.current_label.id == 2
-        assert departed.ref_window is not None
-        assert departed.ref_window.shape == (LD, WIDTH)
+        # The reference is the window's oldest set, with the sort it got there.
+        rows, sort = departed.reference
+        assert rows.shape == (LD, WIDTH)
+        assert np.array_equal(sort, sorted_projections(rows, det._dirs))
         # Live buffers were handed over: old label empties, new starts fresh.
-        assert len(departed.window) == 0
-        with pytest.raises(ValueError):
-            departed.window.oldest(1)
-        assert len(det.label_state(2).window) == 0
+        assert window_rows(departed.window) == []
+        assert window_rows(det.label_state(2).window) == []
         # The kept history is the old half of the triggering check's history
         # (whose append dropped the oldest value), and it stays frozen.
         assert len(before) == 2 * LW
@@ -253,7 +260,7 @@ class TestProbeReidentification:
         assert [lab.id for lab in det.labels] == [1, 2]
         # Probe data re-seeds the accepted label; the departed one froze.
         assert det.label_state(1).window.is_full
-        assert det.label_state(2).ref_window is not None
+        assert det.label_state(2).reference is not None
         # Back on the matching regime the detector stays put.
         assert drive(det, regime(rng, 0.0, 1.0), 200) == []
 
@@ -343,62 +350,93 @@ class TestProbeReidentification:
         assert run() == run()
 
 
-class TestSortedWindowCache:
-    """Each set of a window is sorted once, at the boundary where it completes."""
+class TestSortedSets:
+    """Each set is sorted once; a check comes each time a set completes a full window."""
 
-    @staticmethod
-    def record_sorts(monkeypatch) -> list[bytes]:
+    def test_every_set_is_sorted_once(self, monkeypatch):
+        """Across a new label, probes that run dry, reject and accept, every set
+        that enters a label's window, live or from an accepted probe, goes
+        through sorted_projections exactly once, and so does every set a probe
+        scores. A probe scores against its candidate's reference, which was
+        sorted when it entered the window and is not sorted again."""
         sorts = []
 
         def counted(points, dirs):
             sorts.append(points.tobytes())
             return sorted_projections(points, dirs)
 
+        entered, push = set(), swoks.detector._Window.push
+
+        def pushed(window, rows, dirs):  # a set that triggers a change leaves at once
+            whole = push(window, rows, dirs)
+            if whole:
+                entered.add(window.sets[-1][0].tobytes())
+            return whole
+
         monkeypatch.setattr(swoks.detector, "sorted_projections", counted)
-        return sorts
+        monkeypatch.setattr(swoks.detector._Window, "push", pushed)
+        probe_rng, deploys = np.random.default_rng(900), itertools.count()
 
-    def test_each_set_is_sorted_once_where_it_completes(self, monkeypatch):
-        """From the first boundary on, the fill included, a block of LD steps
-        sorts its own rows and nothing else: each check finds its recent set
-        kept at its own boundary and its old set kept LW boundaries before."""
-        sorts = self.record_sorts(monkeypatch)
-        det = Detector(make_config(stable_phase=10**9))
-        window = det.label_state(1).window
-        steps = regime(np.random.default_rng(7), 0.0, 1.0)
-        for _ in range(CAPACITY // LD - 1 + 3 * LW):  # the fill, then 3 * LW checks
-            phi, actions, rewards = zip(*itertools.islice(steps, LD))
-            sorts.clear()
-            det.ingest_block(np.stack(phi), actions, rewards)
-            assert sorts == [window.oldest(len(window))[-LD:].tobytes()]
-        assert det.current_label.id == 1 and len(det.label_state(1).history) == 2 * LW
+        def label_1():  # runs dry on its first deploy
+            dry = next(deploys) == 0
+            return limited_regime(probe_rng, 0.0, 1.0, 25) if dry else regime(probe_rng, 0.0, 1.0)
 
-    def test_a_moved_grid_sorts_only_the_sets_never_kept(self, monkeypatch):
-        """Probes of label 1 run dry after 25 steps, which moves t off the
-        check grid of label 2's window. Each boundary still sorts its newest
-        set; a check sorts its old set too only if those rows were never
-        sorted, and no set is sorted twice."""
-        sorts = self.record_sorts(monkeypatch)
+        probed = []
+
+        class Recorded(ScriptedProbe):
+            def deploy(self, label, n):
+                steps = super().deploy(label, n)
+                if len(steps[2]) == n:  # a probe that runs dry is not scored
+                    rows = make_datapoints(*steps)
+                    probed.extend(rows[i:i + LD].tobytes() for i in range(0, n, LD))
+                return steps
+
+        det = Detector(make_config(), Recorded({1: label_1,
+                                                 2: lambda: regime(probe_rng, 3.0, -1.0)}))
+        rng = np.random.default_rng(300)
+        references, kinds = set(), []
+        for mean, reward, n in [(0.0, 1.0, 300), (3.0, -1.0, 420), (0.0, 1.0, 300),
+                                (-3.0, 2.0, 300)]:
+            for phi, action, r in itertools.islice(regime(rng, mean, reward), n):
+                event = det.ingest(phi, action, r)
+                kinds += [event.kind] if event is not None else []
+                for label in det.labels:  # the sets an accepted probe hands over
+                    st = det.label_state(label.id)
+                    entered.update(rows.tobytes() for rows, _ in st.window.sets)
+                    if st.reference is not None:
+                        references.add(st.reference[0].tobytes())
+        assert kinds == [EVENT_NEW_TASK, EVENT_PROBE_ERROR, EVENT_RE_DETECTED, EVENT_NEW_TASK]
+        assert [lab.id for lab in det.labels] == [1, 2, 3]
+        counts = collections.Counter(sorts)
+        assert set(counts.values()) == {1}
+        assert set(counts) == entered | set(probed)
+        assert len(references) == 3 and references <= entered
+
+    def test_checks_follow_the_window_after_a_dry_probe(self, monkeypatch):
+        """Probes of label 1 run dry after 25 steps and move t off the
+        history_len grid; label 2's checks still come every LD rows of its
+        window."""
         probe_rng = np.random.default_rng(11)
         probe = ScriptedProbe({1: lambda: limited_regime(probe_rng, 0.0, 1.0, 25)})
         det = Detector(make_config(), probe)
         rng = np.random.default_rng(300)
-        arm_second_label(det, rng)  # label 1 takes no probe here: it is the old label
-        window, seen = det.label_state(2).window, set(sorts)
-        steps, kinds, fresh, checks = regime(rng, 0.0, 1.0), [], 0, 0
-        for _ in range(4 * (LW + 1)):
-            take = LD - det.t % LD  # blocks end on the (moving) check grid
-            phi, actions, rewards = zip(*itertools.islice(steps, take))
-            sorts.clear()
-            kinds += [ev.kind for ev in det.ingest_block(np.stack(phi), actions, rewards)]
-            rows = window.oldest(len(window))
-            newest, old = rows[-LD:].tobytes(), rows[:LD].tobytes()
-            expected = [newest] + ([old] if old not in seen else [])
-            assert sorts == expected
-            fresh += len(sorts) - 1
-            checks += window.is_full
-            seen.update(sorts)
+        arm_second_label(det, rng)
+        fed, checks, check = [0], [], Detector._check
+
+        def counted(self, st):
+            checks.append((fed[0], self.t))
+            return check(self, st)
+
+        monkeypatch.setattr(Detector, "_check", counted)
+        kinds = []
+        for phi, action, reward in itertools.islice(regime(rng, 0.0, 1.0), 12 * LD):
+            fed[0] += 1
+            event = det.ingest(phi, action, reward)
+            kinds += [event.kind] if event is not None else []
         assert det.current_label.id == 2 and EVENT_PROBE_ERROR in kinds
-        assert 0 < fresh < checks
+        rows = [n for n, _ in checks]
+        assert len(rows) == 12 and np.diff(rows).tolist() == [LD] * 11
+        assert any(t % LD for _, t in checks)
 
 
 # (phi, action, reward) of steps the detector rejects.
@@ -416,31 +454,28 @@ class TestAtomicIngest:
     def test_rejected_width_leaves_t(self):
         det = Detector(make_config(history_len=4, swd_history_len=2))
         det.ingest([0.5], 0, 1.0)  # 3-wide datapoint fixes the width
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^step 0 of 1: datapoint width 5 does not match 3$"):
             det.ingest([0.5, 0.5, 0.5], 0, 1.0)  # 5-wide
         assert det.t == 1
-        assert len(det.label_state(1).window) == 1
+        assert len(det.label_state(1).window.filling) == 1
 
     @pytest.mark.parametrize("phi, action, reward", REJECTED_STEPS,
                              ids=[f"phi{i}-{r}" for i, (_, _, r) in enumerate(REJECTED_STEPS)])
     @pytest.mark.parametrize("n_before", [7, CAPACITY + 3])
     def test_rejected_step_leaves_t_counters_and_ring(self, phi, action, reward, n_before):
-        """A rejected step leaves t, the ring and its counters as they were;
-        the next step is stored after the rows before it."""
+        """A rejected step leaves t, the window's sets, their sorts and the set
+        being filled as they were; the next step is stored after the rows
+        before it."""
         det = Detector(make_config())
         for i in range(n_before):
             det.ingest(np.full(len(phi), 0.01 * i), i % 2, 0.5)
         window = det.label_state(1).window
-        before = (det.t, len(window), window._pushed)
-        ring = window._data.copy()
-        rows = window.oldest(len(window))
+        before, kept, rows = detector_view(det), window_bytes(window), window_rows(window)
         with pytest.raises(ValueError):
             det.ingest(phi, action, reward)
-        assert (det.t, len(window), window._pushed) == before
-        assert np.array_equal(window._data, ring)
+        assert detector_view(det) == before and window_bytes(window) == kept
         det.ingest(np.full(len(phi), 9.0), 1, 0.5)
-        after = window.oldest(len(window))
-        assert np.array_equal(after[:-1], rows[len(rows) + 1 - len(after):])
+        assert window_rows(window) == rows + [[np.sqrt(len(phi)) * 0.5, 1.0] + [9.0] * len(phi)]
 
     def test_rejected_block_width_leaves_t(self):
         det = Detector(make_config(history_len=4, swd_history_len=2))
@@ -451,19 +486,19 @@ class TestAtomicIngest:
 
     def test_non_finite_distance_is_rejected_before_it_enters_the_history(self):
         """Finite rows whose distance could overflow (past the value bound) are
-        refused before t moves: the ring, the kept sets and the history stay,
-        and numpy warns of nothing."""
+        refused before t moves: the window's sets, their sorts and the history
+        stay, and numpy warns of nothing."""
         det = Detector(DetectorConfig(history_len=4, swd_history_len=2, n_projections=4))
         rng = np.random.default_rng(0)
         det.ingest_block(rng.normal(size=(12, 3)), np.zeros(12), np.ones(12))
         window = det.label_state(1).window
-        before, ring, kept = detector_view(det), window._data.copy(), list(window._sorted)
+        before, kept = detector_view(det), window_bytes(window)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(ValueError, match="must be finite and at most"):
+            with pytest.raises(ValueError, match="^step 0 of 4: .* must be finite and at most"):
                 det.ingest_block(np.full((4, 3), 1e200), np.zeros(4), np.zeros(4))
         assert detector_view(det) == before and det.t == 12
-        assert np.array_equal(window._data, ring) and list(window._sorted) == kept
+        assert window_bytes(window) == kept
 
     def test_values_at_the_bound_give_a_finite_distance(self):
         """Sets at opposite corners of the bound are accepted and score a
@@ -572,8 +607,8 @@ class TestBlockIngestWithProbing:
     @pytest.mark.parametrize("bad_phi", [[0.0, np.nan, 0.0], [0.0, 1e200, 0.0]])
     def test_refused_probe_leaves_the_detector_as_deploy_found_it(self, bad_phi):
         """A probe step that is not finite, or too large for its distance to
-        stay finite, is refused before t moves: t, the ring, the kept sets and
-        the history are as they were when the probe was deployed."""
+        stay finite, is refused before t moves: t, the window's sets, their
+        sorts and the history are as they were when the probe was deployed."""
         def script():
             src = regime(np.random.default_rng(900), 0.0, 1.0)
             for i in itertools.count():
@@ -584,7 +619,7 @@ class TestBlockIngestWithProbing:
         class Watched(ScriptedProbe):
             def deploy(self, label, n):
                 window = det.label_state(det.current_label.id).window
-                seen.append((detector_view(det), window._data.copy(), list(window._sorted)))
+                seen.append((detector_view(det), window_bytes(window)))
                 return super().deploy(label, n)
 
         det = Detector(make_config(master_seed=0), Watched({1: script}))
@@ -592,9 +627,27 @@ class TestBlockIngestWithProbing:
         arm_second_label(det, rng)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(ValueError, match="must pack to width"):
+            with pytest.raises(ValueError, match="^step 17 of 80: .* must be finite and at most"):
                 drive_until(det, regime(rng, 0.0, 1.0), 200)
-        [(view, ring, kept)] = seen
-        window = det.label_state(2).window
+        [(view, kept)] = seen
         assert detector_view(det) == view
-        assert np.array_equal(window._data, ring) and list(window._sorted) == kept
+        assert window_bytes(det.label_state(2).window) == kept
+
+    def test_probe_with_more_steps_than_asked_raises(self):
+        """A source that returns more steps than asked for is refused before t
+        moves: the detector is as it was when the probe was deployed."""
+        seen = []
+
+        class Overfull(ScriptedProbe):
+            def deploy(self, label, n):
+                seen.append(detector_view(det))
+                return super().deploy(label, n + 1)
+
+        det = Detector(make_config(master_seed=0),
+                       Overfull({1: lambda: regime(np.random.default_rng(900), 0.0, 1.0)}))
+        rng = np.random.default_rng(300)
+        arm_second_label(det, rng)
+        with pytest.raises(ValueError, match="^probe of label 1 returned 81 steps, not the 80 "):
+            drive_until(det, regime(rng, 0.0, 1.0), 200)
+        [view] = seen
+        assert detector_view(det) == view

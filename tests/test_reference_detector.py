@@ -4,10 +4,11 @@
 with a fresh sliced distance at every check and fresh sorts in every
 shift test and probe. It keeps no sorted projections, no sorted halves
 and no block boundaries, so it is the one oracle for the detector's
-fast paths: the ring and its kept sorted sets, the halves kept sorted
-across pushes, and block ingest split at check boundaries. The distance
-and the shift test themselves are shared; ``test_ot.py``,
-``test_stats.py`` and the acceptance tests check them against brute force.
+fast paths: the queue of sets sorted once each, the reference and probe
+sets whose sorts are reused, and block ingest split where a set ends.
+The distance and the shift test themselves are shared; ``test_ot.py``,
+``test_stats.py`` and the acceptance tests check them against brute
+force.
 """
 from __future__ import annotations
 
@@ -44,12 +45,15 @@ class ReferenceDetector:
     """The detector's decisions from per-label lists of rows, recomputed at every use.
 
     A row is ``[sqrt(k) * reward, action, phi...]``. A label's ``rows``
-    are the newest ``history_len * (swd_history_len + 1)`` pushed since
-    its window was last cleared, and ``history`` its newest
-    ``2 * swd_history_len`` distances. Steps go in one at a time; a block
-    with a value above ``sqrt(DBL_MAX / (16 * history_len * width))`` in
-    magnitude, nan and inf included, is rejected before any goes in, and
-    so is a probe with such a value before its steps are counted.
+    are those pushed since its window was last cleared; each time their
+    count is a multiple of ``history_len`` a set is complete, and they
+    are cut to the newest ``history_len * (swd_history_len + 1)``, the
+    window, which then gets a check if it is full. ``history`` holds the
+    newest ``2 * swd_history_len`` distances. Steps go in one at a time;
+    a block with a value above ``sqrt(DBL_MAX / (16 * history_len *
+    width))`` in magnitude, nan and inf included, is rejected before any
+    goes in, and so is a probe with such a value before its steps are
+    counted.
     """
 
     def __init__(self, config: DetectorConfig, probe=None):
@@ -85,9 +89,12 @@ class ReferenceDetector:
             self.dirs = sample_unit_directions(len(phi) + 2, cfg.n_projections,
                                                seed=child_seed(cfg.master_seed, "projections"))
         st = self.states[self.current]
-        st.rows = (st.rows + [self.pack(phi, action, reward)])[-self.capacity:]
+        st.rows.append(self.pack(phi, action, reward))
         self.t += 1
-        if self.t % h or len(st.rows) < self.capacity:
+        if len(st.rows) % h:
+            return None
+        st.rows = st.rows[-self.capacity:]
+        if len(st.rows) < self.capacity:
             return None
         self.last_swd = sliced_wasserstein(st.rows[-h:], st.rows[:h], self.dirs)
         st.history = (st.history + [self.last_swd])[-2 * half:]
@@ -156,8 +163,9 @@ def run_both(config, phi, actions, rewards, make_probe, order: str, seed: int = 
     """Feed one stream to a detector and a reference, each with a probe
     source of its own, and return the events; after every input the two
     must agree with ``==``. ``order`` is ``"step"`` (one ``ingest`` per step),
-    ``"aligned"`` (blocks ending on the check grid) or ``"random"`` (blocks
-    of 1 to ``3 * history_len`` steps, a one-step block through ``ingest``).
+    ``"aligned"`` (blocks ending where the current label's set being filled
+    completes) or ``"random"`` (blocks of 1 to ``3 * history_len`` steps, a
+    one-step block through ``ingest``).
     Each block of more than one step goes in first with a last reward that is
     not finite, which both must reject whole."""
     det, ref = Detector(config, make_probe()), ReferenceDetector(config, make_probe())
@@ -165,7 +173,7 @@ def run_both(config, phi, actions, rewards, make_probe, order: str, seed: int = 
     events, i = [], 0
     while i < len(actions):
         if order == "aligned":
-            take = h - det.t % h
+            take = det.label_state(det.current_label.id).window.room
         else:
             take = 1 if order == "step" else int(sizes.integers(1, 3 * h + 1))
         block = phi[i:i + take], actions[i:i + take], rewards[i:i + take]

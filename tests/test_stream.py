@@ -1,7 +1,7 @@
 """Datapoint layout, stream files and their reader process.
 
-A label's window (its ring of rows and their kept sorted sets) and its
-distance history are checked through the detector, against the plain
+A label's window (its queue of whole sets, each with its sorts, and the
+set being filled) and its distance history are checked through the detector, against the plain
 reference detector in ``test_reference_detector.py``.
 """
 import errno
@@ -12,6 +12,8 @@ import warnings
 
 import numpy as np
 import pytest
+
+from conftest import window_rows
 
 from swoks import stream as stream_module
 from swoks.detector import Detector, DetectorConfig
@@ -74,20 +76,19 @@ class TestWindowBuffer:
         (np.zeros(4), 0, 1e308),  # sqrt(4) * 1e308 overflows
     ])
     def test_rejected_step_writes_nothing(self, phi, action, reward):
-        """A step the detector rejects leaves its window's ring as it was."""
+        """A step the detector rejects leaves its window's sets as they were."""
         set_len, capacity = 2, 6
         det = Detector(DetectorConfig(history_len=set_len, swd_history_len=2, n_projections=4))
         latent = len(phi)
         for i in range(capacity):
             det.ingest(np.full(latent, float(i)), i, 0.0)
         buf = det.label_state(1).window
-        before = buf.oldest(capacity)
+        before = window_rows(buf)
         with pytest.raises(ValueError):
             det.ingest(phi, action, reward)
-        assert len(buf) == capacity and buf._pushed == capacity
-        assert np.array_equal(buf.oldest(capacity), before)
-        det.ingest(np.full(latent, 9.0), 9, 0.0)  # the next slot is still the oldest
-        assert np.array_equal(buf.oldest(capacity)[:-1], before[1:])
+        assert window_rows(buf) == before
+        det.ingest(np.full(latent, 9.0), 9, 0.0)  # the next row starts the next set
+        assert window_rows(buf) == before + [[0.0, 9.0] + [9.0] * latent]
 
 
 def read_all(path) -> StreamBlock:

@@ -95,8 +95,6 @@ RUNNER_APPENDS = [
     (7, 2, (3, 3, 3), 1, (0.0, 1.0, np.float64(-0.1)), 1, 0.0005, 0.5),
     # a multi-row block whose first row carries an event, numpy rewards
     (10, np.array([3, 3]), [3, 4], 2, np.array([-0.0, 1e-05]), 0, -0.0, 5e-324, "re-detected"),
-    # one pred_label per row, as Trace.append takes it
-    (12, 4, 4, np.array([2, 3]), [0.30000000000000004, -0.0], 0, None, None, "suppressed"),
     # an event text that reads as a format directive
     (14, 4, 4, 3, [1.0], 0, None, None, "%d%%"),
 ]
