@@ -8,7 +8,6 @@ from .agent import Encoder, EpisodeBuffer, Policy, PolicyBank
 from .config import AgentConfig, ConfigError, ExperimentConfig, load_config
 from .detector import (
     EVENT_NEW_TASK,
-    EVENT_PROBE_ERROR,
     EVENT_RE_DETECTED,
     EVENT_SUPPRESSED,
     DetectionEvent,
@@ -48,7 +47,6 @@ __all__ = [
     "Encoder",
     "EpisodeBuffer",
     "EVENT_NEW_TASK",
-    "EVENT_PROBE_ERROR",
     "EVENT_RE_DETECTED",
     "EVENT_SUPPRESSED",
     "ExperimentConfig",

@@ -98,7 +98,7 @@ def _cmd_detect(args) -> int:
 def _cmd_sweep_beta(args) -> int:
     config = load_config(args.config, seed=args.seed)
     try:
-        betas = [float(tok) for tok in args.betas.split(",") if tok.strip()]
+        betas = [float(tok) for tok in args.betas.split(",")] if args.betas.strip() else []
     except ValueError as exc:
         raise ConfigError(f"bad --betas value: {exc}") from None
     rows = sweep_beta(config, betas)

@@ -50,7 +50,6 @@ __all__ = [
 EVENT_NEW_TASK = "new-task"
 EVENT_RE_DETECTED = "re-detected"
 EVENT_SUPPRESSED = "suppressed-by-stablePhase"
-EVENT_PROBE_ERROR = "probe-error"
 
 
 @dataclass(frozen=True)
@@ -115,9 +114,9 @@ class DetectionEvent:
     """One detection outcome.
 
     ``probed_pvalues`` maps each probed label id to its acceptance
-    p-value (None when the label could not be probed). ``t`` is the
-    global step at which the outcome was settled, i.e. after any probe
-    steps the decision consumed.
+    p-value (None for a label without a reference, which is not
+    probed). ``t`` is the global step at which the outcome was settled,
+    i.e. after any probe steps the decision consumed.
     """
 
     t: int
@@ -131,14 +130,11 @@ class ProbeSource(Protocol):
     """Supplies fresh experience under a stored policy on demand."""
 
     def deploy(self, label: int, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """``n`` steps collected under ``label``'s policy, as ``phi (m, k)``,
-        ``actions (m,)`` and ``rewards (m,)``, in step order.
+        """``n`` steps collected under ``label``'s policy, as ``phi (n, k)``,
+        ``actions (n,)`` and ``rewards (n,)``, in step order.
 
-        ``m <= n``; a source that cannot deliver all ``n`` steps returns
-        the ``m < n`` it took, and the detector reports a probe error
-        after counting them in ``t``. They do not enter any window, so the
-        current label's next check still comes when its set being filled
-        completes, even though ``t`` is then off the ``history_len`` grid.
+        The detector refuses any other number of steps with ValueError, so
+        probe steps move ``t`` by whole sets of ``history_len``.
         """
         ...
 
@@ -376,10 +372,11 @@ class Detector:
         )
 
     def _probe_label(self, z: int, pvalues: dict[int, float | None]) -> DetectionEvent | None:
-        """Probe one candidate label; returns an event on accept/error.
+        """Probe one candidate label; its event if it is accepted, else None.
 
-        A probe step that :meth:`_pack` refuses, or a source that returns
-        more than the steps asked for, raises ValueError before ``t`` moves.
+        A source that returns another number of steps than asked for, or a
+        probe step that :meth:`_pack` refuses, raises ValueError before
+        ``t`` moves.
         """
         old = self._current
         st = self._states[z]
@@ -389,14 +386,7 @@ class Detector:
         n_samples = self._cfg.resolved_probe_samples
         n_points = n_samples * self._cfg.history_len
         phi, actions, rewards = self._probe.deploy(z, n_points)
-        if len(rewards) < n_points:
-            self.t += len(rewards)
-            pvalues[z] = None
-            return DetectionEvent(
-                t=self.t, old_label=old, new_label=old, kind=EVENT_PROBE_ERROR,
-                probed_pvalues=pvalues,
-            )
-        if len(rewards) > n_points:
+        if len(rewards) != n_points:
             raise ValueError(f"probe of label {z} returned {len(rewards)} steps, "
                              f"not the {n_points} asked for")
         points = self._pack(phi, actions, rewards)

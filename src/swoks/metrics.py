@@ -118,15 +118,14 @@ def false_positive_rate(config, n_runs: int, seed: int) -> float:
 
     Each run uses a seed derived from ``seed`` and the run index. The
     config's curriculum must hold a single task, so that every event is
-    spurious by construction; ValueError otherwise, before any run.
+    spurious by construction; ValueError otherwise, or for fewer than
+    one run, before any run.
     """
-    if n_runs < 0:
-        raise ValueError(f"n_runs must be >= 0, got {n_runs}")
+    if n_runs < 1:
+        raise ValueError(f"n_runs must be >= 1, got {n_runs}")
     tasks = sorted({task for task, _ in config.curriculum.segments})
     if len(tasks) > 1:
         raise ValueError(f"false-positive runs need a single-task curriculum, got tasks {tasks}")
-    if n_runs == 0:
-        return 0.0
     positives = 0
     for i in range(n_runs):
         cfg = replace(config, master_seed=child_seed(seed, f"fpr-run-{i}"))

@@ -11,12 +11,13 @@ actions and rewards, bit for bit, as ``reset``/``step``/``encode``/
 env's noise cursor sits at the start of one of its episodes, so an
 aborted episode or a probe simply leads to a new plan. Live steps are
 collected into a block and fed to the detector once per check interval
-(``history_len`` steps), the only steps at which it can raise an event;
-their latents are copied from the plan rows into the block at the
-check (or before a new plan), and the block's rows go to the trace at
-the check, with its p_value, swd and event. When it triggers, probing runs stored policies
-in the same environment, each probe as one batched rollout of whole
-episodes (:class:`_EnvProbe`), so probe steps consume curriculum time
+(``history_len`` steps), the only steps at which it can raise an event,
+since probes play whole sets; their latents are copied from the plan
+rows into the block at the check (or before a new plan), and the
+block's rows go to the trace at the check, with its p_value, swd and
+event. When it triggers, probing runs stored policies in the same
+environment, each probe as one batched rollout of whole episodes
+(:class:`_EnvProbe`), so probe steps consume curriculum time
 and are flagged in the trace. On any accepted detection the departing
 label's policy is rolled back to its older checkpoint and the current
 episode is abandoned. With an output directory the rows are written to
@@ -36,7 +37,6 @@ from .agent import Encoder, EpisodeBuffer, PolicyBank
 from .config import ExperimentConfig
 from .detector import (
     EVENT_NEW_TASK,
-    EVENT_PROBE_ERROR,
     EVENT_RE_DETECTED,
     DetectionEvent,
     Detector,
@@ -97,8 +97,6 @@ class _EnvProbe:
         self.blocks: list[tuple[int, np.ndarray]] = []
 
     def deploy(self, label: int, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        if label not in self._bank:  # no stored policy: immediate probe failure
-            return np.empty((0, self._encoder.latent_dim)), np.empty(0, int), np.empty(0)
         policy, encoder, random = self._bank.get_or_create(label), self._encoder, self._rng.random
         draws = np.array([random() for _ in range(n)])
         phi = np.empty((n, encoder.latent_dim))
@@ -246,9 +244,6 @@ def run_experiment(config: ExperimentConfig, out_dir: str | Path | None = None,
                 if event.kind in (EVENT_NEW_TASK, EVENT_RE_DETECTED):
                     bank.rollback(event.old_label)
                     aborted = True
-                    break
-                if event.kind == EVENT_PROBE_ERROR:
-                    aborted = True  # probes left the env mid-episode
                     break
                 # suppressed: keep playing the episode
             if not aborted:

@@ -136,19 +136,13 @@ def regime(rng: np.random.Generator, mean: float, reward: float, width: int = 3,
         yield rng.normal(mean, scale, size=width), int(rng.integers(0, 2)), reward
 
 
-def limited_regime(rng: np.random.Generator, mean: float, reward: float, n: int,
-                   width: int = 3):
-    """The first ``n`` tuples of :func:`regime`: a probe source that runs dry."""
-    return itertools.islice(regime(rng, mean, reward, width), n)
-
-
 class ScriptedProbe:
     """Probe source replaying a scripted generator per label.
 
     ``deploy(label, n)`` returns the first ``n`` steps of a fresh run of
-    the label's script as ``(phi, actions, rewards)`` columns, fewer when
-    the script runs dry. Records the order of deploy calls so tests can
-    assert which candidates were tried.
+    the label's script as ``(phi, actions, rewards)`` columns. Records
+    the order of deploy calls so tests can assert which candidates were
+    tried.
     """
 
     def __init__(self, scripts):
@@ -171,8 +165,6 @@ class ReferenceProbe:
 
     def deploy(self, label: int, n: int):
         k, env = self.encoder.latent_dim, self.env
-        if label not in self.bank:  # no stored policy: no steps
-            return np.empty((0, k)), np.empty(0, int), np.empty(0)
         policy, buffer = self.bank.get_or_create(label), EpisodeBuffer(env.n_actions, k)
         phi, actions, rewards = np.empty((n, k)), np.empty(n, int), np.empty(n)
         done = True

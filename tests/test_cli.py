@@ -184,6 +184,21 @@ class TestSweepBetaCommand:
         assert main(["sweep-beta", "--config", mirror_cfg, "--betas", "fast"]) == 2
         assert "bad --betas" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("betas", ["1.0,,1.4", "1.0,", ",1.1"])
+    def test_empty_beta_item_exits_2_before_any_run(self, mirror_cfg, capsys, monkeypatch,
+                                                     betas):
+        def no_run(config):
+            raise AssertionError("a run started")
+
+        monkeypatch.setattr(swoks.runner, "run_experiment", no_run)
+        assert main(["sweep-beta", "--config", mirror_cfg, "--betas", betas]) == 2
+        assert "bad --betas value" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("betas", ["", " "])
+    def test_empty_beta_list_exits_2(self, mirror_cfg, capsys, betas):
+        assert main(["sweep-beta", "--config", mirror_cfg, "--betas", betas]) == 2
+        assert "betas must not be empty" in capsys.readouterr().err
+
     @pytest.mark.parametrize("betas", ["nan", "1.1,nan", "inf"])
     def test_non_finite_beta_exits_2_before_any_run(self, mirror_cfg, capsys, monkeypatch,
                                                      betas):
@@ -209,6 +224,15 @@ class TestCalibrateFprCommand:
         monkeypatch.setattr(swoks.runner, "run_experiment", no_run)
         assert main(["calibrate-fpr", "--config", mirror_cfg, "--runs", "3"]) == 2
         assert "single-task curriculum" in capsys.readouterr().err
+
+    def test_zero_runs_exits_2_before_any_run(self, flat_cfg, capsys, monkeypatch):
+        def no_run(config):
+            raise AssertionError("a run started")
+
+        monkeypatch.setattr(swoks.runner, "run_experiment", no_run)
+        assert main(["calibrate-fpr", "--config", flat_cfg, "--runs", "0"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "error: n_runs must be >= 1, got 0\n" and captured.out == ""
 
 
 class TestParser:

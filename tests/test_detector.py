@@ -2,7 +2,7 @@
 
 Synthetic tuple streams with known change points drive the detector end
 to end, and scripted probe sources steer the re-identification branch
-down each of its paths: accept, reject, skip, and source failure.
+down each of its paths: accept, reject, skip, and a refused probe.
 """
 from __future__ import annotations
 
@@ -15,12 +15,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import ScriptedProbe, detector_view, limited_regime, regime, window_rows
+from conftest import ScriptedProbe, detector_view, regime, window_rows
 
 import swoks.detector
 from swoks.detector import (
     EVENT_NEW_TASK,
-    EVENT_PROBE_ERROR,
     EVENT_RE_DETECTED,
     EVENT_SUPPRESSED,
     Detector,
@@ -315,24 +314,6 @@ class TestProbeReidentification:
         assert ev.probed_pvalues[1] >= ALPHA
         assert probe.deploy_calls == [1]
 
-    def test_exhausted_probe_source_reports_an_error(self):
-        seed = 1
-        probe_rng = np.random.default_rng(900 + seed)
-        probe = ScriptedProbe({1: lambda: limited_regime(probe_rng, 0.0, 1.0, 30)})
-        det = Detector(make_config(master_seed=seed), probe)
-        rng = np.random.default_rng(300 + seed)
-        arm_second_label(det, rng)
-        ev, before = drive_until(det, regime(rng, 0.0, 1.0), 200)
-        assert ev.kind == EVENT_PROBE_ERROR
-        assert ev.old_label == ev.new_label == 2
-        assert ev.probed_pvalues == {1: None}
-        # One live step plus the 30 tuples consumed before the source died.
-        assert ev.t - before == 1 + 30
-        # The live buffer is untouched so streaming can continue.
-        assert det.current_label.id == 2
-        assert det.label_state(2).window.is_full
-        assert [lab.id for lab in det.labels] == [1, 2]
-
     def test_replay_with_same_seeds_is_identical(self):
         def run():
             probe_rng = np.random.default_rng(901)
@@ -354,7 +335,7 @@ class TestSortedSets:
     """Each set is sorted once; a check comes each time a set completes a full window."""
 
     def test_every_set_is_sorted_once(self, monkeypatch):
-        """Across a new label, probes that run dry, reject and accept, every set
+        """Across a new label, probes that reject and accept, every set
         that enters a label's window, live or from an accepted probe, goes
         through sorted_projections exactly once, and so does every set a probe
         scores. A probe scores against its candidate's reference, which was
@@ -375,24 +356,17 @@ class TestSortedSets:
 
         monkeypatch.setattr(swoks.detector, "sorted_projections", counted)
         monkeypatch.setattr(swoks.detector._Window, "push", pushed)
-        probe_rng, deploys = np.random.default_rng(900), itertools.count()
-
-        def label_1():  # runs dry on its first deploy
-            dry = next(deploys) == 0
-            return limited_regime(probe_rng, 0.0, 1.0, 25) if dry else regime(probe_rng, 0.0, 1.0)
-
-        probed = []
+        probe_rng, probed = np.random.default_rng(900), []
 
         class Recorded(ScriptedProbe):
             def deploy(self, label, n):
                 steps = super().deploy(label, n)
-                if len(steps[2]) == n:  # a probe that runs dry is not scored
-                    rows = make_datapoints(*steps)
-                    probed.extend(rows[i:i + LD].tobytes() for i in range(0, n, LD))
+                rows = make_datapoints(*steps)
+                probed.extend(rows[i:i + LD].tobytes() for i in range(0, n, LD))
                 return steps
 
-        det = Detector(make_config(), Recorded({1: label_1,
-                                                 2: lambda: regime(probe_rng, 3.0, -1.0)}))
+        det = Detector(make_config(), Recorded({1: lambda: regime(probe_rng, 0.0, 1.0),
+                                                 2: lambda: regime(probe_rng, -6.0, 8.0)}))
         rng = np.random.default_rng(300)
         references, kinds = set(), []
         for mean, reward, n in [(0.0, 1.0, 300), (3.0, -1.0, 420), (0.0, 1.0, 300),
@@ -405,38 +379,12 @@ class TestSortedSets:
                     entered.update(rows.tobytes() for rows, _ in st.window.sets)
                     if st.reference is not None:
                         references.add(st.reference[0].tobytes())
-        assert kinds == [EVENT_NEW_TASK, EVENT_PROBE_ERROR, EVENT_RE_DETECTED, EVENT_NEW_TASK]
+        assert kinds == [EVENT_NEW_TASK, EVENT_RE_DETECTED, EVENT_NEW_TASK]
         assert [lab.id for lab in det.labels] == [1, 2, 3]
         counts = collections.Counter(sorts)
         assert set(counts.values()) == {1}
         assert set(counts) == entered | set(probed)
         assert len(references) == 3 and references <= entered
-
-    def test_checks_follow_the_window_after_a_dry_probe(self, monkeypatch):
-        """Probes of label 1 run dry after 25 steps and move t off the
-        history_len grid; label 2's checks still come every LD rows of its
-        window."""
-        probe_rng = np.random.default_rng(11)
-        probe = ScriptedProbe({1: lambda: limited_regime(probe_rng, 0.0, 1.0, 25)})
-        det = Detector(make_config(), probe)
-        rng = np.random.default_rng(300)
-        arm_second_label(det, rng)
-        fed, checks, check = [0], [], Detector._check
-
-        def counted(self, st):
-            checks.append((fed[0], self.t))
-            return check(self, st)
-
-        monkeypatch.setattr(Detector, "_check", counted)
-        kinds = []
-        for phi, action, reward in itertools.islice(regime(rng, 0.0, 1.0), 12 * LD):
-            fed[0] += 1
-            event = det.ingest(phi, action, reward)
-            kinds += [event.kind] if event is not None else []
-        assert det.current_label.id == 2 and EVENT_PROBE_ERROR in kinds
-        rows = [n for n, _ in checks]
-        assert len(rows) == 12 and np.diff(rows).tolist() == [LD] * 11
-        assert any(t % LD for _, t in checks)
 
 
 # (phi, action, reward) of steps the detector rejects.
@@ -633,21 +581,24 @@ class TestBlockIngestWithProbing:
         assert detector_view(det) == view
         assert window_bytes(det.label_state(2).window) == kept
 
-    def test_probe_with_more_steps_than_asked_raises(self):
-        """A source that returns more steps than asked for is refused before t
-        moves: the detector is as it was when the probe was deployed."""
+    @pytest.mark.parametrize("returned", [79, 0, 81], ids=["n-1", "0", "n+1"])
+    def test_probe_with_another_step_count_raises(self, returned):
+        """A source that returns fewer or more steps than the 80 asked for is
+        refused before t moves: the detector is as it was when the probe was
+        deployed."""
         seen = []
 
-        class Overfull(ScriptedProbe):
+        class Miscounted(ScriptedProbe):
             def deploy(self, label, n):
                 seen.append(detector_view(det))
-                return super().deploy(label, n + 1)
+                return super().deploy(label, returned)
 
         det = Detector(make_config(master_seed=0),
-                       Overfull({1: lambda: regime(np.random.default_rng(900), 0.0, 1.0)}))
+                       Miscounted({1: lambda: regime(np.random.default_rng(900), 0.0, 1.0)}))
         rng = np.random.default_rng(300)
         arm_second_label(det, rng)
-        with pytest.raises(ValueError, match="^probe of label 1 returned 81 steps, not the 80 "):
+        match = f"^probe of label 1 returned {returned} steps, not the 80 asked for$"
+        with pytest.raises(ValueError, match=match):
             drive_until(det, regime(rng, 0.0, 1.0), 200)
         [view] = seen
         assert detector_view(det) == view

@@ -279,8 +279,13 @@ def tiny_stationary_config() -> ExperimentConfig:
 
 
 class TestFalsePositiveRate:
-    def test_zero_runs_scores_zero(self):
-        assert false_positive_rate(tiny_stationary_config(), 0, seed=1) == 0.0
+    def test_zero_runs_rejected_before_any_run(self, monkeypatch):
+        def no_run(config):
+            raise AssertionError("a run started")
+
+        monkeypatch.setattr(swoks.runner, "run_experiment", no_run)
+        with pytest.raises(ValueError, match="^n_runs must be >= 1, got 0$"):
+            false_positive_rate(tiny_stationary_config(), 0, seed=1)
 
     def test_negative_runs_rejected(self):
         with pytest.raises(ValueError):

@@ -24,11 +24,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import ScriptedProbe, detector_view, limited_regime, regime
+from conftest import ScriptedProbe, detector_view, regime
 
 from swoks.detector import (
     EVENT_NEW_TASK,
-    EVENT_PROBE_ERROR,
     EVENT_RE_DETECTED,
     EVENT_SUPPRESSED,
     DetectionEvent,
@@ -52,8 +51,8 @@ class ReferenceDetector:
     newest ``2 * swd_history_len`` distances. Steps go in one at a time;
     a block with a value above ``sqrt(DBL_MAX / (16 * history_len *
     width))`` in magnitude, nan and inf included, is rejected before any
-    goes in, and so is a probe with such a value before its steps are
-    counted.
+    goes in, and so is a probe with such a value, or with another number
+    of steps than asked for, before its steps are counted.
     """
 
     def __init__(self, config: DetectorConfig, probe=None):
@@ -127,13 +126,10 @@ class ReferenceDetector:
             return None
         n = self.cfg.resolved_probe_samples * h
         rows = [self.pack(*step) for step in zip(*self.probe.deploy(z, n))]
-        if len(rows) == n:
-            self.refuse_large(rows)
-        self.t += len(rows)
-        if len(rows) < n:
-            pvalues[z] = None
-            return DetectionEvent(t=self.t, old_label=old, new_label=old,
-                                  kind=EVENT_PROBE_ERROR, probed_pvalues=pvalues)
+        if len(rows) != n:
+            raise ValueError(f"probe of label {z} returned {len(rows)} steps, not {n}")
+        self.refuse_large(rows)
+        self.t += n
         swds = [sliced_wasserstein(rows[i:i + h], st.ref_window, self.dirs)
                 for i in range(0, n, h)]
         pvalues[z] = detect_shift(swds, st.history, beta=self.cfg.beta).p_value
@@ -213,8 +209,9 @@ def small_config(**overrides) -> DetectorConfig:
 @pytest.mark.parametrize("seed", [0, 1])
 def test_every_event_kind_and_a_moved_check_grid(seed, order):
     """A change inside the stable phase (suppressed), a new label, a return
-    that a probe re-detects, then changes whose probes run dry after 25
-    steps, so later checks fall off the history_len grid."""
+    that a probe re-detects and a change whose probe of label 2 rejects, so
+    label 3 is minted. Probes play whole sets, so every event lands on the
+    history_len grid."""
     plan = [(0.0, 1.0, 300), (3.0, -1.0, 280), (-3.0, 2.0, 420), (0.0, 1.0, 300),
             (3.0, -1.0, 300)]
 
@@ -222,15 +219,14 @@ def test_every_event_kind_and_a_moved_check_grid(seed, order):
         rng = np.random.default_rng(50 + seed)
         return ScriptedProbe({
             1: lambda: regime(rng, 3.0, -1.0),  # label 1 departed on this regime
-            2: lambda: limited_regime(rng, 3.0, -1.0, 25),
+            2: lambda: regime(rng, -6.0, 8.0),  # matches no regime of the stream
         })
 
     # A probe block of 8 sets is longer than the 7-set window it re-seeds.
     config = small_config(stable_phase=400, probe_swd_samples=8, master_seed=seed)
     events = run_both(config, *stream(np.random.default_rng(10 + seed), plan), make_probe, order)
-    assert {ev.kind for ev in events} == {EVENT_NEW_TASK, EVENT_RE_DETECTED, EVENT_SUPPRESSED,
-                                          EVENT_PROBE_ERROR}
-    assert any(ev.t % config.history_len for ev in events)
+    assert {ev.kind for ev in events} == {EVENT_NEW_TASK, EVENT_RE_DETECTED, EVENT_SUPPRESSED}
+    assert not any(ev.t % config.history_len for ev in events)
 
 
 @pytest.mark.parametrize("order", ORDERS)
@@ -279,9 +275,9 @@ def scenarios(draw):
              + draw(st.integers(0, h - 1)), scale)
             for i, (mean, reward, scale) in enumerate(REGIMES[r] for r in regimes)]
     # Label z is minted on segment z - 1 when every change is caught once;
-    # its probe replays that segment's regime or the next one, or runs dry.
-    probes = [((regimes[z % len(regimes)] + draw(st.sampled_from([0, 0, 0, 1]))) % n,
-               draw(st.sampled_from([None, None, None, None, 0, h // 2 + 1]))) for z in range(8)]
+    # its probe replays that segment's regime or the next one.
+    probes = [(regimes[z % len(regimes)] + draw(st.sampled_from([0, 0, 0, 1]))) % n
+              for z in range(8)]
     return config, draw(st.integers(1, 8)), plan, probes, draw(st.integers(0, 2**16))
 
 
@@ -293,11 +289,10 @@ def test_random_configs_and_streams(scenario, order):
     def make_probe():
         rng = np.random.default_rng(seed)
 
-        def script(regime_index, dry):
+        def script(regime_index):
             mean, reward, scale = REGIMES[regime_index]
-            steps = functools.partial(regime, rng, mean, reward, width, scale)
-            return steps if dry is None else lambda: itertools.islice(steps(), dry)
+            return functools.partial(regime, rng, mean, reward, width, scale)
 
-        return ScriptedProbe({z: script(*probes[(z - 1) % len(probes)]) for z in range(1, 64)})
+        return ScriptedProbe({z: script(probes[(z - 1) % len(probes)]) for z in range(1, 64)})
 
     run_both(config, *stream(np.random.default_rng(seed), plan, width), make_probe, order, seed)

@@ -16,7 +16,7 @@ from conftest import TINY_CASES, ReferenceProbe, detector_view, tiny_case
 
 from swoks.agent import Encoder, EpisodeBuffer, PolicyBank
 from swoks.config import load_config
-from swoks.detector import EVENT_PROBE_ERROR, EVENT_SUPPRESSED, Detector
+from swoks.detector import EVENT_SUPPRESSED, Detector
 from swoks.env import TreeGraphEnv
 from swoks.runner import run_experiment
 from swoks.seeding import child_seed, substream
@@ -72,8 +72,7 @@ def reference_run(config, load_bank=None) -> SimpleNamespace:
             probe.blocks.clear()
             if kind in ("", EVENT_SUPPRESSED):
                 continue  # keep playing the episode
-            if kind != EVENT_PROBE_ERROR:  # new-task or re-detected
-                bank.rollback(found[0].old_label)
+            bank.rollback(found[0].old_label)  # new-task or re-detected
             aborted = True
             break
         if not aborted:

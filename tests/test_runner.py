@@ -183,17 +183,22 @@ class TestBatchedProbe:
         if n > 1:  # not a degenerate policy: every action and a leaf's reward occur
             assert len(set(actions.tolist())) == branching and min(rewards) < 0.0
 
-    def test_label_without_a_policy_returns_no_steps(self):
-        env = TreeGraphEnv(TreeGraphConfig(), (TaskSpec(1, 0),))
-        env.set_task(1)
-        env.reset()
-        before = env_view(env)
-        blocks = UniformBlocks(substream(0, "probe-actions"))
-        probe = _EnvProbe(env, Encoder(16, 8), PolicyBank(2, 8), blocks)
-        phi, actions, rewards = probe.deploy(3, 120)
-        assert phi.shape == (0, 8) and len(actions) == len(rewards) == 0
-        assert env_view(env) == before and probe.blocks == []
-        assert blocks.random() == substream(0, "probe-actions").random()
+    def test_every_desk_probe_plays_whole_sets(self, desk_seed_1):
+        """Each event of desk seed 1 settles on a run of probe rows: one
+        probe of resolved_probe_samples sets of history_len steps per probed
+        label, right after the live row of the check, and each probed label
+        has a p-value."""
+        run = desk_seed_1[0]
+        cfg = run.config.detector
+        probe = cfg.resolved_probe_samples * cfg.history_len
+        t, flags = run.trace.t, run.trace.probe_flag
+        assert max(len(ev.probed_pvalues) for ev in run.events) > 1
+        for ev in run.events:
+            assert all(isinstance(p, float) for p in ev.probed_pvalues.values())
+            check = ev.t - len(ev.probed_pvalues) * probe  # the live row of the check
+            assert t[check - 1] == check and t[ev.t - 1] == ev.t
+            assert flags[check:ev.t].all() and not flags[check - 1]
+            assert check % cfg.history_len == 0
 
     def test_rollout_rejects_an_action_out_of_range(self):
         env = TreeGraphEnv(TreeGraphConfig(), (TaskSpec(1, 0),))

@@ -38,7 +38,7 @@ as JSON:
 
 Run it on two checkouts and compare the output: equal JSON means the
 same bytes. Everything is written under a temporary directory; nothing
-in the checkout changes. It takes about 30 s on 2 CPUs.
+in the checkout changes. It takes about 14 s on 2 CPUs.
 """
 from __future__ import annotations
 
