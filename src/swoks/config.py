@@ -52,9 +52,6 @@ class ExperimentConfig:
         if self.master_seed < 0:
             raise ValueError("master_seed must be non-negative")
 
-    def with_seed(self, seed: int) -> "ExperimentConfig":
-        return replace(self, master_seed=seed)
-
 
 def _ints(raw: str) -> tuple[int, ...]:
     if not raw.strip():
@@ -225,5 +222,5 @@ def load_config(source: str | Path, seed: int | None = None) -> ExperimentConfig
             values = merged
     config = _build(values, origin, preset or source)
     if seed is not None:
-        config = config.with_seed(seed)
+        config = replace(config, master_seed=seed)
     return config

@@ -1,28 +1,29 @@
 """Online task-change detector over streaming experience.
 
-Each label has its own state, made with the label: a FIFO window of
-datapoint sets, a distance history and, once it departs, a frozen
-reference. Steps arrive in blocks of any size; each is packed into a
-datapoint and pushed into the current label's window. The first step
-fixes the datapoint width and draws the projection directions. A
-block with a step that has another width, or a value too large for a
-distance to stay finite (nan and inf included), is rejected whole and
-leaves the detector as it was. The window is a queue of whole sets of
-``history_len`` points and the set being filled; a set is sorted along
-every direction once, when its last point arrives. Each time a set
-completes a window of ``swd_history_len + 1`` sets, the sliced
-transport distance between the newest and oldest set is appended to
-that label's distance history; when the history is full, a one-sided
-shift test compares its new half against its scaled old half. A
-significant shift triggers re-detection: stored policies for the other
-labels are probed one by one in ascending id, fresh probe sets are
-scored against each label's frozen reference set, and the first label
-whose test does not reject is re-adopted, with the probe's sets, sorts
-and all, as its window. If every label rejects, a new label is minted.
+Each label is one record, made when it is minted: its id and step of
+creation, a FIFO window of datapoint sets, a distance history and, once
+it departs, always from a full window, a frozen reference. Steps arrive
+in blocks of any size; each is packed into a datapoint and pushed into
+the current label's window. The first step fixes the datapoint width and
+draws the projection directions. A block with a step that has another
+width, or a value too large for a distance to stay finite (nan and inf
+included), is rejected whole and leaves the detector as it was. The
+window is a queue of whole sets of ``history_len`` points and the set
+being filled; a set is sorted along every direction once, when its last
+point arrives. Each time a set completes a window of
+``swd_history_len + 1`` sets, the sliced transport distance between the
+newest and oldest set is appended to that label's distance history; when
+the history is full, a one-sided shift test compares its new half
+against its scaled old half. A significant shift triggers re-detection:
+stored policies for the other labels are probed one by one in ascending
+id, fresh probe sets are scored against each label's frozen reference
+set, and the first label whose test does not reject is re-adopted, with
+the probe's sets, sorts and all, as its window. If every label rejects,
+a new label is minted.
 
 Probing is read-only with respect to stored references, and a stable
-phase after each new label suppresses further detections while the
-fresh policy is still learning.
+phase from the newest label's creation suppresses further detections
+while the fresh policy is still learning.
 """
 from __future__ import annotations
 
@@ -114,16 +115,16 @@ class DetectionEvent:
     """One detection outcome.
 
     ``probed_pvalues`` maps each probed label id to its acceptance
-    p-value (None for a label without a reference, which is not
-    probed). ``t`` is the global step at which the outcome was settled,
-    i.e. after any probe steps the decision consumed.
+    p-value, a float: every label but the current one has departed and
+    has its reference. ``t`` is the global step at which the outcome was
+    settled, i.e. after any probe steps the decision consumed.
     """
 
     t: int
     old_label: int
     new_label: int
     kind: str
-    probed_pvalues: dict[int, float | None] = field(default_factory=dict)
+    probed_pvalues: dict[int, float] = field(default_factory=dict)
 
 
 class ProbeSource(Protocol):
@@ -201,15 +202,16 @@ class _Window:
 
 
 class _LabelState:
-    __slots__ = ("window", "history", "reference")
+    __slots__ = ("label", "window", "history", "reference")
 
-    def __init__(self, window: _Window, history: deque[float]):
+    def __init__(self, label: TaskLabel, window: _Window, history: deque[float]):
+        self.label = label
         self.window = window
         # The last 2 * swd_history_len distances, oldest first; frozen while
         # departed: only the current label's grows.
         self.history = history
-        # Frozen at departure: the window's oldest set as (rows, sorted
-        # projections), which with the history scores probes of this label later.
+        # Set at departure, always from a full window: its oldest set as (rows,
+        # sorted projections), which with the history scores later probes.
         self.reference: tuple[np.ndarray, np.ndarray] | None = None
 
 
@@ -224,11 +226,9 @@ class Detector:
         self._cfg = config
         self._probe = probe
         self.t = 0
-        self.last_z_change = 0
         self.last_swd: float | None = None
         self.last_p_value: float | None = None
-        self._labels: dict[int, TaskLabel] = {1: TaskLabel(id=1, created_at=0)}
-        self._states: dict[int, _LabelState] = {1: self._new_state()}  # the keys of _labels
+        self._states: dict[int, _LabelState] = {1: self._new_state(1)}
         self._current = 1
         # (n_projections, width), unit rows: drawn when the first step fixes the width.
         self._dirs: np.ndarray | None = None
@@ -241,11 +241,11 @@ class Detector:
 
     @property
     def current_label(self) -> TaskLabel:
-        return self._labels[self._current]
+        return self._states[self._current].label
 
     @property
     def labels(self) -> list[TaskLabel]:
-        return [self._labels[i] for i in sorted(self._labels)]
+        return [self._states[i].label for i in sorted(self._states)]
 
     @property
     def offline(self) -> bool:
@@ -256,8 +256,9 @@ class Detector:
 
     # -- internals -------------------------------------------------------
 
-    def _new_state(self) -> _LabelState:
+    def _new_state(self, label: int) -> _LabelState:
         return _LabelState(
+            label=TaskLabel(id=label, created_at=self.t),
             window=_Window(self._cfg.history_len, self._cfg.swd_history_len),
             history=deque(maxlen=2 * self._cfg.swd_history_len),
         )
@@ -267,7 +268,7 @@ class Detector:
         # this label, so only the window's oldest set, sorts and all, and
         # the old distance half are kept as the label's frozen identity.
         st = self._states[label]
-        st.reference = st.window.sets[0] if st.window.sets else None
+        st.reference = st.window.sets[0]
         st.window.clear()
         while len(st.history) > self._cfg.swd_history_len:
             st.history.pop()
@@ -343,17 +344,21 @@ class Detector:
         return None
 
     def redetect(self) -> DetectionEvent:
-        """Resolve a triggered shift: suppress, re-adopt a label, or mint one."""
-        if self._dirs is None:
-            raise RuntimeError("redetect before any data was ingested")
+        """Resolve a triggered shift: suppress, re-adopt a label, or mint one.
+
+        Raises RuntimeError, changing nothing, unless the current label's window is full.
+        """
         old = self._current
-        if self.t - self.last_z_change < self._cfg.stable_phase:
+        if not self._states[old].window.is_full:
+            raise RuntimeError(f"redetect with label {old}'s window not full")
+        # Ids are minted as the largest plus one, so the largest is the newest label.
+        if self.t - self._states[max(self._states)].label.created_at < self._cfg.stable_phase:
             return DetectionEvent(
                 t=self.t, old_label=old, new_label=old, kind=EVENT_SUPPRESSED,
             )
-        pvalues: dict[int, float | None] = {}
+        pvalues: dict[int, float] = {}
         if self._probe is not None:
-            for z in sorted(self._labels):
+            for z in sorted(self._states):
                 if z == old:
                     continue
                 outcome = self._probe_label(z, pvalues)
@@ -361,17 +366,15 @@ class Detector:
                     return outcome
         # Every candidate rejected (or probing unavailable): new label.
         self._depart(old)
-        new_id = max(self._labels) + 1
-        self._labels[new_id] = TaskLabel(id=new_id, created_at=self.t)
-        self._states[new_id] = self._new_state()
+        new_id = max(self._states) + 1
+        self._states[new_id] = self._new_state(new_id)
         self._current = new_id
-        self.last_z_change = self.t
         return DetectionEvent(
             t=self.t, old_label=old, new_label=new_id, kind=EVENT_NEW_TASK,
             probed_pvalues=pvalues,
         )
 
-    def _probe_label(self, z: int, pvalues: dict[int, float | None]) -> DetectionEvent | None:
+    def _probe_label(self, z: int, pvalues: dict[int, float]) -> DetectionEvent | None:
         """Probe one candidate label; its event if it is accepted, else None.
 
         A source that returns another number of steps than asked for, or a
@@ -380,9 +383,6 @@ class Detector:
         """
         old = self._current
         st = self._states[z]
-        if st.reference is None or not len(st.history):
-            pvalues[z] = None  # nothing to compare against; treat as rejection
-            return None
         n_samples = self._cfg.resolved_probe_samples
         n_points = n_samples * self._cfg.history_len
         phi, actions, rewards = self._probe.deploy(z, n_points)

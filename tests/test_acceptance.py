@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import json
 import time
+from dataclasses import replace
 
 import numpy as np
 
@@ -134,7 +135,7 @@ def test_a6_desk_experiment_recovers_the_four_tasks():
     accuracies: dict[int, float] = {}
     greedy_ok: dict[int, bool] = {}
     for seed in seeds:
-        result = run_experiment(base.with_seed(seed))
+        result = run_experiment(replace(base, master_seed=seed))
         label_counts[seed] = result.final_label_count
         mask = run_included_mask(result.trace, result.events,
                                  base.detector.stable_phase)

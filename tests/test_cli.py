@@ -140,6 +140,16 @@ class TestRunCommand:
         assert capsys.readouterr().err.startswith("error:")
         assert not (out / "events.json").exists()
 
+    def test_tree_too_large_to_allocate_exits_2(self, tmp_path, capsys):
+        # The tree's 2^51 - 1 rows of 16 doubles need 2^58 B, more than any
+        # 64-bit address space maps: numpy raises MemoryError, allocating nothing.
+        cfg = tmp_path / "deep.cfg"
+        cfg.write_text("[experiment]\npreset = desk\n\n[env]\ntree_depth = 50\n")
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("error:")
+        assert not (out / "trace.csv").exists()
+
 
 class TestDetectCommand:
     def test_stdout_report(self, mirror_cfg, tmp_path, capsys):

@@ -4,6 +4,7 @@ override precedence, and construction of the experiment dataclasses.
 from __future__ import annotations
 
 import re
+from dataclasses import replace
 
 import pytest
 
@@ -167,12 +168,11 @@ class TestDefaultsAndBuild:
         assert cfg.curriculum.segments == ((1, 500), (2, 500))
         assert cfg.curriculum.total_steps == 1000
 
-    def test_with_seed_does_not_mutate(self, tmp_path):
-        cfg = load_config(write_cfg(tmp_path, MINIMAL))
-        other = cfg.with_seed(123)
-        assert other.master_seed == 123
+    def test_seed_argument_replaces_only_the_master_seed(self, tmp_path):
+        path = write_cfg(tmp_path, MINIMAL)
+        cfg = load_config(path)
         assert cfg.master_seed == 0
-        assert other.detector == cfg.detector
+        assert load_config(path, seed=123) == replace(cfg, master_seed=123)
 
 
 class TestPresets:

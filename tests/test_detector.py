@@ -2,7 +2,7 @@
 
 Synthetic tuple streams with known change points drive the detector end
 to end, and scripted probe sources steer the re-identification branch
-down each of its paths: accept, reject, skip, and a refused probe.
+down each of its paths: accept, reject and a refused probe.
 """
 from __future__ import annotations
 
@@ -148,9 +148,19 @@ class TestCadence:
         with pytest.raises(ValueError):
             det.ingest(np.zeros(4), 0, 1.0)
 
-    def test_redetect_before_any_data_raises(self):
-        with pytest.raises(RuntimeError):
-            Detector(make_config()).redetect()
+    @pytest.mark.parametrize("steps", [0, 1, LD, CAPACITY - 1])
+    def test_redetect_refused_unless_the_window_is_full(self, steps):
+        det, source = Detector(make_config()), regime(np.random.default_rng(7), 0.0, 1.0)
+        drive(det, source, steps)
+        before = detector_view(det)
+        with pytest.raises(RuntimeError, match="window not full"):
+            det.redetect()
+        assert detector_view(det) == before
+        # Once the window is full, label 1 departs with its oldest set as reference.
+        drive(det, source, CAPACITY - steps)
+        oldest = window_rows(det.label_state(1).window)[:LD]
+        assert det.redetect().kind == EVENT_NEW_TASK
+        assert det.label_state(1).reference[0].tolist() == oldest
 
     def test_fresh_detector_has_an_empty_state_for_label_1(self):
         det = Detector(make_config())
@@ -236,7 +246,7 @@ class TestSuppression:
             assert ev.old_label == ev.new_label == 1
         assert [lab.id for lab in det.labels] == [1]
         assert det.current_label.id == 1
-        assert det.last_z_change == 0
+        assert det.labels[-1].created_at == 0
 
 
 class TestProbeReidentification:
@@ -273,11 +283,10 @@ class TestProbeReidentification:
         ev, _ = drive_until(det, regime(rng, 0.0, 1.0), 200)
         assert ev.kind == EVENT_NEW_TASK
         assert (ev.old_label, ev.new_label) == (2, 3)
-        assert ev.probed_pvalues[1] is not None
         assert ev.probed_pvalues[1] < ALPHA
         assert det.current_label.id == 3
         assert [lab.id for lab in det.labels] == [1, 2, 3]
-        assert det.last_z_change == ev.t
+        assert det.labels[-1].created_at == ev.t
 
     @pytest.mark.parametrize("seed", [0, 1])
     def test_candidates_probed_ascending_first_accept_wins(self, seed):
@@ -297,22 +306,6 @@ class TestProbeReidentification:
         assert (ev3.old_label, ev3.new_label) == (3, 2)
         assert probe.deploy_calls == [1, 1, 2]
         assert ev3.probed_pvalues[1] < ALPHA <= ev3.probed_pvalues[2]
-
-    def test_label_without_reference_skipped_without_deploy(self):
-        seed = 2
-        probe_rng = np.random.default_rng(900 + seed)
-        probe = ScriptedProbe({1: lambda: regime(probe_rng, 0.0, 1.0)})
-        det = Detector(make_config(master_seed=seed), probe)
-        rng = np.random.default_rng(300 + seed)
-        arm_second_label(det, rng)
-        # A label whose state holds no reference cannot be probed.
-        det._labels[0] = TaskLabel(id=0, created_at=0)
-        det._states[0] = det._new_state()
-        ev, _ = drive_until(det, regime(rng, 0.0, 1.0), 200)
-        assert ev.kind == EVENT_RE_DETECTED
-        assert ev.probed_pvalues[0] is None
-        assert ev.probed_pvalues[1] >= ALPHA
-        assert probe.deploy_calls == [1]
 
     def test_replay_with_same_seeds_is_identical(self):
         def run():

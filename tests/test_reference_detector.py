@@ -52,7 +52,10 @@ class ReferenceDetector:
     a block with a value above ``sqrt(DBL_MAX / (16 * history_len *
     width))`` in magnitude, nan and inf included, is rejected before any
     goes in, and so is a probe with such a value, or with another number
-    of steps than asked for, before its steps are counted.
+    of steps than asked for, before its steps are counted. The stable
+    phase runs from ``last_z_change``, a step kept apart from the labels,
+    so it checks the detector's rule of reading the newest label's
+    ``created_at``.
     """
 
     def __init__(self, config: DetectorConfig, probe=None):
@@ -107,7 +110,7 @@ class ReferenceDetector:
         old = self.current
         if self.t - self.last_z_change < self.cfg.stable_phase:
             return DetectionEvent(t=self.t, old_label=old, new_label=old, kind=EVENT_SUPPRESSED)
-        pvalues: dict[int, float | None] = {}
+        pvalues: dict[int, float] = {}
         for z in sorted(self.labels) if self.probe is not None else []:
             if z != old and (event := self.probe_label(z, pvalues)) is not None:
                 return event
@@ -121,9 +124,6 @@ class ReferenceDetector:
 
     def probe_label(self, z: int, pvalues) -> DetectionEvent | None:
         old, h, st = self.current, self.cfg.history_len, self.states[z]
-        if st.ref_window is None or not st.history:
-            pvalues[z] = None
-            return None
         n = self.cfg.resolved_probe_samples * h
         rows = [self.pack(*step) for step in zip(*self.probe.deploy(z, n))]
         if len(rows) != n:
@@ -158,7 +158,7 @@ class ReferenceDetector:
 def run_both(config, phi, actions, rewards, make_probe, order: str, seed: int = 0):
     """Feed one stream to a detector and a reference, each with a probe
     source of its own, and return the events; after every input the two
-    must agree with ``==``. ``order`` is ``"step"`` (one ``ingest`` per step),
+    must agree with ``==``, and every probed p-value must be a float. ``order`` is ``"step"`` (one ``ingest`` per step),
     ``"aligned"`` (blocks ending where the current label's set being filled
     completes) or ``"random"`` (blocks of 1 to ``3 * history_len`` steps, a
     one-step block through ``ingest``).
@@ -181,7 +181,10 @@ def run_both(config, phi, actions, rewards, make_probe, order: str, seed: int = 
                 with pytest.raises(ValueError):
                     detector.ingest_block(*block[:2], np.append(block[2][:-1], np.nan))
             got = det.ingest_block(*block)
-        assert got == ref.ingest_block(*block), f"events of the block ending at step {i}"
+        want = ref.ingest_block(*block)
+        assert got == want, f"events of the block ending at step {i}"
+        for event in got + want:  # every probed label has a reference to score against
+            assert all(isinstance(p, float) for p in event.probed_pvalues.values())
         assert detector_view(det) == ref.view(), f"state after step {i}"
         events += got
     return events
