@@ -2,9 +2,9 @@
 
 Policies are linear-softmax over the latent plus a bias term, trained
 with one plain policy-gradient step per episode against an exponential
-running-mean baseline. A live episode is kept as rows of a caller-owned
-:class:`EpisodeBuffer`: sampling an action copies the step's ready
-features ``[phi; 1]`` into the next row, takes the logits from one
+running-mean baseline. A live episode is kept as the rows of a caller-owned
+:class:`EpisodeBuffer` of its fixed length: sampling an action copies the
+step's ready features ``[phi; 1]`` into the next row, takes the logits from one
 ``params.dot(row)``, subtracts the largest, exponentiates them in place
 with one ``np.exp`` call, runs the rest of the softmax and the inverse
 CDF on Python floats, and records the coefficients ``onehot(a) - p`` the
@@ -180,42 +180,34 @@ def episode_gradient(params: np.ndarray, episode) -> np.ndarray:
 
 
 class EpisodeBuffer:
-    """The rows of one live episode, written by :meth:`Policy.act` and
-    read by :meth:`Policy.update`.
+    """The rows of one live episode of ``steps`` steps, written by
+    :meth:`Policy.act` and read by :meth:`Policy.update`.
 
     ``n`` steps are recorded. For ``t < n``, row ``t`` of ``x`` holds
     step ``t``'s features ``[phi; 1]`` and row ``t`` of ``coeff`` its
     coefficients ``onehot(a_t) - p_t``, where ``p_t`` is the probability
     row the action was drawn from; ``rewards`` holds the step rewards,
-    appended by the caller. The arrays start with room for ``_ROWS``
-    steps and double when full. :meth:`clear` starts the next episode
-    in the same arrays.
+    appended by the caller. The arrays hold exactly ``steps`` rows: a
+    step past them raises IndexError before anything is written, and
+    :meth:`Policy.update` takes only a buffer that holds all ``steps``.
+    :meth:`clear` starts the next episode in the same arrays.
     """
 
-    __slots__ = ("x", "coeff", "rewards", "n", "_factors")
+    __slots__ = ("x", "coeff", "rewards", "n", "steps", "_views")
 
-    _ROWS = 4
-
-    def __init__(self, n_actions: int, latent_dim: int):
-        self.x = np.ones((self._ROWS, latent_dim + 1))
-        self.coeff = np.empty((self._ROWS, n_actions))
-        # The factors of update's outer products over the first n rows, by n.
-        self._factors: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+    def __init__(self, n_actions: int, latent_dim: int, steps: int):
+        if steps < 1:
+            raise ValueError(f"steps must be >= 1, got {steps}")
+        self.x = np.ones((steps, latent_dim + 1))
+        self.coeff = np.empty((steps, n_actions))
+        self._views = self.coeff[:, :, None], self.x[:, None, :]  # update's _outer_sum factors
         self.rewards: list[float] = []
+        self.steps = steps
         self.n = 0  # steps recorded by act
 
     def clear(self) -> None:
         self.n = 0
         self.rewards.clear()
-
-    def _grow(self) -> None:
-        rows, width = self.x.shape
-        x = np.ones((2 * rows, width))
-        x[:rows] = self.x
-        coeff = np.empty((2 * rows, self.coeff.shape[1]))
-        coeff[:rows] = self.coeff
-        self.x, self.coeff = x, coeff
-        self._factors.clear()
 
 
 class Policy:
@@ -256,11 +248,10 @@ class Policy:
         the largest logit is subtracted from the logits array, one
         ``np.exp`` call exponentiates it in place, and the sum and
         quotients are Python floats. ``x`` and the step's coefficients go
-        to the next row of ``episode``, for :meth:`update`.
+        to the next row of ``episode``, for :meth:`update`; past its last
+        row numpy raises IndexError, before anything is written.
         """
         n = episode.n
-        if n == episode.x.shape[0]:
-            episode._grow()
         episode.x[n] = x
         z = self.params.dot(x)
         z -= max(z.tolist())
@@ -288,24 +279,21 @@ class Policy:
     def update(self, episode: EpisodeBuffer) -> None:
         """One policy-gradient step on the episode return.
 
-        ``episode`` holds the rows :meth:`act` recorded under the
-        current ``params`` and one reward per step. Advantage is the
-        return minus the running-mean baseline; the baseline is updated
-        afterwards, so an episode whose return equals the baseline
-        leaves the parameters untouched.
+        ``episode`` holds all its ``steps`` rows, recorded by :meth:`act`
+        under the current ``params``, and one reward per step, else
+        ValueError is raised. Advantage is the return minus the running-mean
+        baseline; the baseline is updated afterwards, so an episode whose
+        return equals the baseline leaves the parameters untouched.
         """
         n = episode.n
-        if not n:
-            raise ValueError("episode must contain at least one step")
+        if n != episode.steps:
+            raise ValueError(f"episode holds {n} of its {episode.steps} steps")
         if len(episode.rewards) != n:
             raise ValueError(f"{len(episode.rewards)} rewards for {n} steps")
         ret = float(sum(episode.rewards))
         advantage = ret - self.baseline
         if advantage != 0.0:
-            factors = episode._factors.get(n)
-            if factors is None:
-                factors = episode._factors[n] = episode.coeff[:n, :, None], episode.x[:n, None, :]
-            grad = _outer_sum(*factors)
+            grad = _outer_sum(*episode._views)
             grad *= self.learning_rate * advantage
             self.params += grad
         self.update_count += 1
@@ -423,9 +411,10 @@ class PolicyBank:
         """
         try:
             with open(path, "rb") as fh:  # np.load leaves its own handle open on a bad zip
+                if not zipfile.is_zipfile(fh):
+                    raise ValueError("not a .npz zip archive")
+                fh.seek(0)
                 archive = np.load(fh, allow_pickle=False)
-                if not isinstance(archive, np.lib.npyio.NpzFile):
-                    raise ValueError("a single .npy array")
                 labels, counts, params = (archive[key] for key in ("labels", "iterations", "params"))
         except (EOFError, KeyError, ValueError, zipfile.BadZipFile) as exc:
             raise ValueError(f"{path}: not a policy bank archive ({exc})") from None

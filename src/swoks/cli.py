@@ -14,9 +14,8 @@ import sys
 from pathlib import Path
 
 from .config import ConfigError, load_config
-from .detector import DetectorConfig
 from .metrics import false_positive_rate, sweep_beta
-from .runner import detect_offline, run_experiment
+from .runner import detect_offline, detector_config, run_experiment
 from .trace import event_record
 
 
@@ -77,8 +76,7 @@ def _cmd_run(args) -> int:
 
 def _cmd_detect(args) -> int:
     config = load_config(args.config)
-    det_cfg: DetectorConfig = config.detector
-    events, detector = detect_offline(args.stream, det_cfg)
+    events, detector = detect_offline(args.stream, detector_config(config))
     payload = {
         "stream": str(args.stream),
         "probe_mode": "disabled",

@@ -182,6 +182,10 @@ def _build(values: dict[str, dict[str, object]], origin: str, preset: str) -> Ex
         )
     except ValueError as exc:
         raise ConfigError(f"{origin}: {exc}") from None
+    n_leaves = config.env.branching ** config.env.depth
+    for leaf in leaves:
+        if not 0 <= leaf < n_leaves:
+            raise ConfigError(f"{origin}: rewarded_leaf {leaf} out of range for {n_leaves} leaves")
     # A KS test whose smallest p-value, ks_pvalue(1, m, n), is not below alpha never rejects.
     d, L = config.detector, config.detector.swd_history_len
     n = d.resolved_probe_samples

@@ -47,7 +47,7 @@ from .seeding import UniformBlocks, child_seed, substream
 from .stream import prefetch_stream_blocks
 from .trace import Trace, TraceWriter, write_events
 
-__all__ = ["RunResult", "run_experiment", "detect_offline"]
+__all__ = ["RunResult", "run_experiment", "detect_offline", "detector_config"]
 
 
 @dataclass
@@ -120,22 +120,27 @@ def _encode_plan(env: TreeGraphEnv, encoder: Encoder) -> tuple[np.ndarray, int]:
     return x, nodes
 
 
+def detector_config(config: ExperimentConfig) -> DetectorConfig:
+    """``config.detector`` seeded from the run's master seed: the detector of
+    ``swoks run`` and ``swoks detect`` draws its projections from it."""
+    return replace(config.detector, master_seed=child_seed(config.master_seed, "detector"))
+
+
 def run_experiment(config: ExperimentConfig, out_dir: str | Path | None = None,
                    load_bank: str | Path | None = None,
                    save_bank: str | Path | None = None) -> RunResult:
     """Run one seeded experiment over the configured curriculum.
 
     Writes ``trace.csv`` and ``events.json`` under ``out_dir`` when
-    given; ``out_dir`` is created and ``trace.csv`` opened before the
-    first step, and its rows are written as the run goes. Both files are
-    written also when the run raises, with what it got to, and then the
-    run's own exception propagates. The bank is saved to ``save_bank``
+    given; ``out_dir`` is created and ``trace.csv`` opened after the bank
+    is loaded, so a run refused before then writes nothing, and its rows
+    are written as the run goes. Both files are written also when the
+    run raises, with what it got to, and then the run's own exception
+    propagates. The bank is saved to ``save_bank``
     after both files are written. Identical config and seed give
     byte-identical outputs.
     """
     out = None if out_dir is None else Path(out_dir)
-    if out is not None:
-        out.mkdir(parents=True, exist_ok=True)
     master = config.master_seed
     env = TreeGraphEnv(
         replace(config.env, env_seed=child_seed(master, "env")), config.tasks
@@ -151,7 +156,7 @@ def run_experiment(config: ExperimentConfig, out_dir: str | Path | None = None,
 
     events: list[DetectionEvent] = []
     probe_source = _EnvProbe(env, encoder, bank, probe_rng)
-    det_cfg = replace(config.detector, master_seed=child_seed(master, "detector"))
+    det_cfg = detector_config(config)
     detector = Detector(det_cfg, probe=probe_source)
 
     # Live steps since the last check boundary, fed to the detector at the next one.
@@ -171,13 +176,15 @@ def run_experiment(config: ExperimentConfig, out_dir: str | Path | None = None,
     rewards: list[float] = []
     gt_tasks: list[int] = []
     iterations: list[int] = []
-    episode = EpisodeBuffer(env.n_actions, config.agent.latent_dim)
+    episode = EpisodeBuffer(env.n_actions, config.agent.latent_dim, config.env.depth)
     backup_freq = bank.backup_freq
     t = 0  # steps taken, live and probe: the detector's t plus the pending steps
     iteration = 0
     total = config.curriculum.total_steps
     # Rows go straight to trace.csv with an out_dir, else to columns in memory
     # (room for the whole curriculum and the last check interval's overrun).
+    if out is not None:
+        out.mkdir(parents=True, exist_ok=True)
     trace = TraceWriter(out / "trace.csv") if out is not None else Trace(total + h)
     renew = 0  # steps taken when the task, the label and its policy are next looked up
     finished = False

@@ -70,7 +70,7 @@ def record_episode(policy, steps) -> EpisodeBuffer:
     """The buffer ``policy.act`` writes for (phi, action, reward) steps
     under its current params, each action forced by a draw inside its
     probability interval."""
-    episode = EpisodeBuffer(policy.n_actions, policy.latent_dim)
+    episode = EpisodeBuffer(policy.n_actions, policy.latent_dim, len(steps))
     for phi, action, reward in steps:
         cum = np.cumsum(policy.action_probs(phi))
         low = cum[action - 1] if action else 0.0
@@ -165,7 +165,8 @@ class ReferenceProbe:
 
     def deploy(self, label: int, n: int):
         k, env = self.encoder.latent_dim, self.env
-        policy, buffer = self.bank.get_or_create(label), EpisodeBuffer(env.n_actions, k)
+        policy = self.bank.get_or_create(label)
+        buffer = EpisodeBuffer(env.n_actions, k, env.config.depth)
         phi, actions, rewards = np.empty((n, k)), np.empty(n, int), np.empty(n)
         done = True
         for i in range(n):
@@ -231,6 +232,8 @@ TINY_CASES = {
     "branching-8": (2, 8, 0.05, ((1, 700), (2, 700)), PROBE),
     # Checks land mid-episode, and a probe of 20 steps stays inside the plan.
     "abort-after-probe": (3, 2, 0.05, MIRROR, 2),
+    # Episodes of five steps, longer than in any other case.
+    "depth-5": (5, 2, 0.05, ((1, 700), (2, 700)), PROBE),
 }
 
 

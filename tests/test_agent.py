@@ -100,7 +100,7 @@ class TestPolicyBasics:
         phi = np.array([0.4, -0.7])
         probs = pol.action_probs(phi)
         n = 10_000
-        buffer = EpisodeBuffer(3, 2)
+        buffer = EpisodeBuffer(3, 2, n)
         counts = np.bincount([pol.act(phi, rng, buffer) for _ in range(n)], minlength=3)
         for a in range(3):
             sigma = np.sqrt(n * probs[a] * (1 - probs[a]))
@@ -151,7 +151,7 @@ class TestGradient:
         pol = Policy(n_actions=2, latent_dim=3, learning_rate=0.15)
         phi_root = np.array([0.3, -0.2, 0.6])
         phi_mid = np.array([-0.5, 0.1, 0.2])
-        episode = EpisodeBuffer(2, 3)
+        episode = EpisodeBuffer(2, 3, 2)
         for _ in range(200):
             episode.clear()
             a1 = pol.act(phi_root, rng, episode)
@@ -164,7 +164,7 @@ class TestGradient:
 
     def test_empty_episode_rejected(self):
         with pytest.raises(ValueError):
-            Policy(2, 2).update(EpisodeBuffer(2, 2))
+            Policy(2, 2).update(EpisodeBuffer(2, 2, 1))
 
 
 def searchsorted_index(probs, u):
@@ -244,8 +244,8 @@ class TestFastPathEquivalence:
         phis = rng.normal(size=(600, 4))
         blocks = UniformBlocks(substream(2, "actions"))
         generator = substream(2, "actions")
-        assert ([pol.act(phi, blocks, EpisodeBuffer(3, 4)) for phi in phis]
-                == [pol.act(phi, generator, EpisodeBuffer(3, 4)) for phi in phis])
+        assert ([pol.act(phi, blocks, EpisodeBuffer(3, 4, 1)) for phi in phis]
+                == [pol.act(phi, generator, EpisodeBuffer(3, 4, 1)) for phi in phis])
 
     @given(st.integers(0, 2**32 - 1), st.integers(2, 10), st.integers(1, 6),
            st.sampled_from([0.1, 1.0, 10.0, 300.0]))
@@ -257,8 +257,9 @@ class TestFastPathEquivalence:
         phi = rng.normal(size=latent_dim)
         probs = softmax_probs(pol.params, phi)
         assert np.array_equal(pol.action_probs(phi), probs)
-        buffer = EpisodeBuffer(n_actions, latent_dim)
-        for u in boundary_draws(probs):
+        draws = boundary_draws(probs)
+        buffer = EpisodeBuffer(n_actions, latent_dim, len(draws))
+        for u in draws:
             assert pol.act(phi, FixedDraw(u), buffer) == searchsorted_index(probs, u)
 
     @given(st.integers(0, 2**32 - 1), st.integers(2, 10), st.integers(1, 6),
@@ -285,7 +286,7 @@ class TestFastPathEquivalence:
 
     def test_phi_of_the_wrong_shape_is_rejected(self):
         pol = Policy(n_actions=2, latent_dim=3)
-        episode = EpisodeBuffer(2, 3)
+        episode = EpisodeBuffer(2, 3, 1)
         for phi in ([0.5], np.zeros(4), np.zeros((1, 3))):
             with pytest.raises(ValueError):
                 pol.act(phi, FixedDraw(0.5), episode)
@@ -338,7 +339,7 @@ class TestRowWisePaths:
         phi = rng.normal(size=(rows, latent_dim))
         draws = [float(rng.choice(boundary_draws(pol.action_probs(p)))) if rng.random() < 0.5
                  else float(rng.random()) for p in phi]
-        buffer = EpisodeBuffer(n_actions, latent_dim)
+        buffer = EpisodeBuffer(n_actions, latent_dim, rows)
         expected = [pol.act(p, FixedDraw(u), buffer) for p, u in zip(phi, draws)]
         assert pol.act_rows(phi, np.array(draws)).tolist() == expected
 
@@ -358,9 +359,8 @@ class TestEpisodeBuffer:
         pol = Policy(n_actions=n_actions, latent_dim=latent_dim, learning_rate=0.1)
         pol.params = data.normal(size=pol.params.shape) * scale
         ref = copy.deepcopy(pol)
-        buffer = EpisodeBuffer(n_actions, latent_dim)
         for n_steps, aborted, probe_at in episodes:
-            buffer.clear()
+            buffer = EpisodeBuffer(n_actions, latent_dim, n_steps)
             phis = [data.normal(size=latent_dim) for _ in range(n_steps)]
             draws = data.random(n_steps).tolist()
             rewards = data.normal(size=n_steps).tolist()
@@ -393,7 +393,7 @@ class TestEpisodeBuffer:
     def test_update_rejects_a_reward_per_step_mismatch(self):
         rng = np.random.default_rng(4)
         pol = Policy(n_actions=3, latent_dim=2)
-        buffer = EpisodeBuffer(3, 2)
+        buffer = EpisodeBuffer(3, 2, 3)
         for _ in range(3):
             pol.act(rng.normal(size=2), rng, buffer)
         buffer.rewards.extend([1.0, 1.0])
@@ -403,6 +403,37 @@ class TestEpisodeBuffer:
         with pytest.raises(ValueError):
             pol.update(buffer)
         assert pol.update_count == 0 and not pol.params.any()
+
+    def test_a_buffer_has_at_least_one_step(self):
+        for steps in (0, -1):
+            with pytest.raises(ValueError, match="steps must be >= 1"):
+                EpisodeBuffer(3, 2, steps)
+
+    def test_a_step_past_the_last_row_writes_nothing(self):
+        rng = np.random.default_rng(6)
+        pol = Policy(n_actions=3, latent_dim=2)
+        pol.params = rng.normal(size=pol.params.shape)
+        buffer = EpisodeBuffer(3, 2, 2)
+        for _ in range(2):
+            pol.act(rng.normal(size=2), rng, buffer)
+        before = (buffer.x.tobytes(), buffer.coeff.tobytes(), buffer.n)
+        with pytest.raises(IndexError):
+            pol.act(rng.normal(size=2), rng, buffer)
+        assert (buffer.x.tobytes(), buffer.coeff.tobytes(), buffer.n) == before
+
+    def test_update_refuses_a_partly_filled_buffer(self):
+        rng = np.random.default_rng(8)
+        pol = Policy(n_actions=3, latent_dim=2)
+        pol.params = rng.normal(size=pol.params.shape)
+        pol.baseline, pol.update_count = 0.5, 7
+        before = (pol.params.tobytes(), pol.update_count, pol.baseline)
+        buffer = EpisodeBuffer(3, 2, 3)
+        for _ in range(2):
+            pol.act(rng.normal(size=2), rng, buffer)
+            buffer.rewards.append(1.0)
+            with pytest.raises(ValueError, match=f"episode holds {buffer.n} of its 3 steps"):
+                pol.update(buffer)
+            assert (pol.params.tobytes(), pol.update_count, pol.baseline) == before
 
 
 class TestBankCheckpoints:
@@ -559,8 +590,10 @@ class TestBankSerialization:
         path.write_bytes(data)
         bank = PolicyBank(3, 4)
         bank.get_or_create(1).params += 1.0
-        with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}: .*{re.escape(message)}"):
+        pattern = rf"^{re.escape(str(path))}: .*{re.escape(message)}"
+        with pytest.raises(ValueError, match=pattern) as exc:
             bank.load(path)
+        assert "allow_pickle" not in str(exc.value)  # numpy's advice to unpickle never shows
         assert bank.labels() == [1]
         assert (bank.get_or_create(1).params == 1.0).all()
 

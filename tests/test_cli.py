@@ -6,15 +6,19 @@ from __future__ import annotations
 import json
 import subprocess
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from conftest import bad_banks
 
+import swoks.cli
 import swoks.runner
 from swoks.cli import main
 from swoks.config import load_config
+from swoks.runner import detect_offline
+from swoks.seeding import child_seed
 from swoks.stream import StreamBlock, write_stream
 from swoks.trace import read_trace
 
@@ -115,6 +119,21 @@ class TestRunCommand:
         err = capsys.readouterr().err
         assert err.startswith(f"error: {bank}: ")
         assert message in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("case", ["leaf-off-the-tree", "missing-bank"])
+    def test_refused_run_leaves_no_out_directory(self, mirror_cfg, tmp_path, capsys, case):
+        if case == "leaf-off-the-tree":
+            config, flags = tmp_path / "leaf.cfg", []
+            config.write_text("[experiment]\npreset = desk\n\n[tasks]\nrewarded_leaves = 0,1,2,9\n")
+            message = f"error: {config}: rewarded_leaf 9 out of range for 4 leaves"
+        else:
+            bank = tmp_path / "absent.npz"
+            config, flags, message = mirror_cfg, ["--load-bank", str(bank)], "error: [Errno 2]"
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(config), "--out", str(out), *flags]) == 2
+        assert capsys.readouterr().err.startswith(message)
+        assert not out.exists()
 
     def test_missing_config_exits_2(self, tmp_path, capsys):
         code = main(["run", "--config", str(tmp_path / "nope.cfg"),
@@ -168,6 +187,19 @@ class TestDetectCommand:
                      "--out", str(target)]) == 0
         assert "wrote" in capsys.readouterr().out
         assert json.loads(target.read_text())["steps"] == 600
+
+    def test_detector_is_seeded_from_the_master_seed(self, mirror_cfg, tmp_path, capsys,
+                                                      monkeypatch):
+        seen = []
+
+        def recording(stream, det_config):
+            seen.append(det_config)
+            return detect_offline(stream, det_config)
+
+        monkeypatch.setattr(swoks.cli, "detect_offline", recording)
+        assert main(["detect", "--stream", shifted_stream(tmp_path), "--config", mirror_cfg]) == 0
+        config = load_config(mirror_cfg)
+        assert seen == [replace(config.detector, master_seed=child_seed(3, "detector"))]
 
     def test_stream_id_past_int64_exits_2(self, mirror_cfg, tmp_path, capsys):
         stream = tmp_path / "big.csv"

@@ -135,6 +135,14 @@ class TestSchemaErrors:
         with pytest.raises(ConfigError, match=r"curriculum task 9 not defined"):
             load_config(path)
 
+    @pytest.mark.parametrize("leaf", [4, -1])
+    def test_rewarded_leaf_must_be_on_the_tree(self, tmp_path, leaf):
+        leaves = MINIMAL.replace("0, 3", f"0, {leaf}")
+        path = write_cfg(tmp_path, "[env]\ntree_depth = 2\nbranching_factor = 2\n" + leaves)
+        with pytest.raises(ConfigError, match=rf"^{re.escape(str(path))}: rewarded_leaf {leaf} "
+                                              "out of range for 4 leaves$"):
+            load_config(path)
+
     def test_negative_master_seed_names_the_file(self, tmp_path):
         path = write_cfg(tmp_path, "[experiment]\nmaster_seed = -3\n" + MINIMAL)
         with pytest.raises(ConfigError,

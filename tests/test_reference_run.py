@@ -45,7 +45,7 @@ def reference_run(config, load_bank=None) -> SimpleNamespace:
         env.set_task(gt_task)
         label = detector.current_label.id
         policy = bank.get_or_create(label)
-        episode = EpisodeBuffer(env.n_actions, encoder.latent_dim)
+        episode = EpisodeBuffer(env.n_actions, encoder.latent_dim, config.env.depth)
         obs, done, aborted = env.reset(), False, False
         while not done:
             phi = encoder.encode(obs)

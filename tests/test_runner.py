@@ -157,7 +157,7 @@ class TestBatchedProbe:
         rng = substream(seed, "probe-actions")
         # Live steps first, so the probe starts mid-episode and mid noise block.
         live = bank.get_or_create(1)
-        buffer = EpisodeBuffer(branching, 8)
+        buffer = EpisodeBuffer(branching, 8, depth)
         obs = env.reset()
         for _ in range(depth - 1):
             obs, _, _ = env.step(live.act(encoder.encode(obs), data, buffer))
