@@ -51,6 +51,10 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.master_seed < 0:
             raise ValueError("master_seed must be non-negative")
+        # Every episode is ``depth`` steps, so sets, checks and probes fall on episode ends.
+        if self.detector.history_len % self.env.depth:
+            raise ValueError(f"history_len {self.detector.history_len} is not a multiple of "
+                             f"depth {self.env.depth}: a set must hold whole episodes")
 
 
 def _ints(raw: str) -> tuple[int, ...]:

@@ -263,49 +263,44 @@ class TreeGraphEnv:
         return obs
 
     def rollout(self, n: int, choose) -> tuple[np.ndarray, np.ndarray]:
-        """Play ``n`` steps as whole episodes, level by level across all of them.
+        """Play ``n`` steps as ``n / depth`` whole episodes, level by level
+        across all of them.
 
-        Equivalent to ``n`` :meth:`step` calls, each after a :meth:`reset`
-        where an episode ends or none has begun: the same noise rows in the
-        same order, the same task and rewards, and the same node and
-        ``done`` at the end, a partial last episode included. At each level
-        ``choose(steps, obs)`` receives the observations ``(A, obs_dim)`` of
-        the ``A`` episodes that take a step there, in episode order, and the
-        indexes of those steps among the ``n``, and returns their actions,
-        integers in ``[0, branching)``. Returns the ``(n,)`` actions and
-        rewards in step order. ``n = 0`` changes nothing.
+        ``n`` must be a positive multiple of ``depth``; any other raises
+        ValueError before anything moves. Equivalent to a :meth:`reset` and
+        ``depth`` :meth:`step` calls per episode: the same noise rows in the
+        same order, the same task and rewards, and the same last node, with
+        the env ``done`` at the end. At each level ``choose(steps,
+        obs)`` receives the observations ``(E, obs_dim)`` of the ``E``
+        episodes, in episode order, and the indexes of their steps at that
+        level among the ``n``, and returns their actions, integers in
+        ``[0, branching)``. Returns the ``(n,)`` actions and rewards in step
+        order.
         """
-        if n <= 0:
-            return np.zeros(0, dtype=np.intp), np.zeros(0)
-        self._apply_task()
         d, b = self._depth, self._branching
-        full, part = divmod(n, d)
-        episodes = full + (part > 0)
+        if n <= 0 or n % d:
+            raise ValueError(f"a rollout plays whole episodes: n must be a positive "
+                             f"multiple of depth {d}, got {n}")
+        self._apply_task()
+        episodes = n // d
         # Per-step order: each episode's root observation, then one per step.
-        noise = self._take_noise(full * (d + 1) + (part + 1 if part else 0))
-        steps = np.arange(episodes * d).reshape(episodes, d)
-        actions = np.zeros((episodes, d), dtype=np.intp)
+        noise = self._take_noise(episodes * (d + 1))
+        steps = np.arange(n).reshape(episodes, d)
+        actions = np.empty((episodes, d), dtype=np.intp)
         nodes = np.zeros(episodes, dtype=np.intp)
         for level in range(d):
-            live = full + (part > level)  # the partial last episode stops at level part
-            if not live:
-                break
-            obs = self._base[nodes[:live]]
-            obs += noise[level::d + 1][:live]
-            chosen = choose(steps[:live, level], obs)
+            obs = self._base[nodes]
+            obs += noise[level::d + 1]
+            chosen = choose(steps[:, level], obs)
             if chosen.min() < 0 or chosen.max() >= b:
                 raise ValueError(f"actions must lie in [0, {b})")
-            actions[:live, level] = chosen
-            nodes[:live] = nodes[:live] * b + 1 + chosen
+            actions[:, level] = chosen
+            nodes = nodes * b + 1 + chosen
         rewards = np.zeros((episodes, d))
         cfg = self._cfg
-        rewards[:full, d - 1] = np.where(nodes[:full] == self._rewarded,
-                                         cfg.high_reward, cfg.fail_reward)
-        if part:  # the n-th step left the last episode at level part
-            self._node, self._done = int(nodes[full]), False
-        else:
-            self._node, self._done = int(nodes[full - 1]), True
-        return actions.reshape(-1)[:n], rewards.reshape(-1)[:n]
+        rewards[:, d - 1] = np.where(nodes == self._rewarded, cfg.high_reward, cfg.fail_reward)
+        self._node, self._done = int(nodes[-1]), True
+        return actions.reshape(-1), rewards.reshape(-1)
 
 
 @dataclass(frozen=True)

@@ -7,22 +7,23 @@ them into ready rows ``[phi; 1]``, and a live step picks its row by
 episode and node, samples its action from it
 (:meth:`Policy.act_row`) and advances the env, with the same latents,
 actions and rewards, bit for bit, as ``reset``/``step``/``encode``/
-``act`` one step at a time. A plan serves an episode only where the
-env's noise cursor sits at the start of one of its episodes, so an
-aborted episode or a probe simply leads to a new plan. Live steps are
-collected into a block and fed to the detector once per check interval
-(``history_len`` steps), the only steps at which it can raise an event,
-since probes play whole sets; their latents are copied from the plan
-rows into the block at the check (or before a new plan), and the
-block's rows go to the trace at the check, with its p_value, swd and
-event. When it triggers, probing runs stored policies in the same
-environment, each probe as one batched rollout of whole episodes
-(:class:`_EnvProbe`), so probe steps consume curriculum time
-and are flagged in the trace. On any accepted detection the departing
-label's policy is rolled back to its older checkpoint and the current
-episode is abandoned. With an output directory the rows are written to
-``trace.csv`` as they come, so memory stays flat over the run and a run
-that raises leaves the rows and events it got to.
+``act`` one step at a time. ``history_len`` is a multiple of the
+depth, so checks and probes fall on episode ends, the env's noise
+cursor moves on by whole episodes, and a plan serves episodes until
+the cursor passes its span. Live steps are collected into a block and
+fed to the detector at the end of each check interval, the only steps
+at which it can raise an event, since probes play whole sets; their
+latents are copied from the plan rows into the block at the check (or
+before a new plan), and the block's rows go to the trace at the check,
+with its p_value, swd and event. When it triggers, probing runs stored
+policies in the same environment, each probe as one batched rollout of
+whole episodes (:class:`_EnvProbe`), so probe steps consume curriculum
+time and are flagged in the trace. On any accepted detection the
+departing label's policy is rolled back to its older checkpoint and
+the episode that ended at the check is not learned from. With an
+output directory the rows are written to ``trace.csv`` as they come,
+so memory stays flat over the run and a run that raises leaves the
+rows and events it got to.
 """
 from __future__ import annotations
 
@@ -54,8 +55,8 @@ __all__ = ["RunResult", "run_experiment", "detect_offline", "detector_config"]
 class RunResult:
     """A finished run. ``trace`` is None when its rows went to
     ``out_dir/trace.csv`` (:func:`~swoks.trace.read_trace` gives them
-    back); ``episodes`` counts the episodes begun, the trace's largest
-    ``iteration`` plus one."""
+    back); ``episodes`` counts the live episodes played, learned from or
+    not: ``episodes * depth`` is the number of live rows."""
 
     config: ExperimentConfig
     trace: Trace | None
@@ -74,13 +75,14 @@ class RunResult:
 class _EnvProbe:
     """Serves re-detection probes by running stored policies live.
 
-    A probe of ``n`` steps is one batched rollout
-    (:meth:`TreeGraphEnv.rollout`): whole episodes from the root, played
-    level by level across all of them, each level's observations encoded
-    and its actions sampled at once, with the probe RNG's uniforms taken
-    in step order. Its steps, phi, actions and rewards, and the env it
-    leaves behind equal those of ``n`` live ``reset``/``step`` calls with
-    :meth:`Encoder.encode` and :meth:`Policy.act`. Every step is a real
+    A probe of ``n`` steps, whole sets and so whole episodes, is one
+    batched rollout (:meth:`TreeGraphEnv.rollout`): its episodes start at
+    the root and are played level by level across all of them, each
+    level's observations encoded and its actions sampled at once, with the
+    probe RNG's uniforms taken in step order. Its steps, phi, actions and
+    rewards, and the env it leaves behind equal those of ``n`` live
+    ``reset``/``step`` calls with :meth:`Encoder.encode` and
+    :meth:`Policy.act`. Every step is a real
     environment step: the detector counts it and it never updates any
     policy. The source records each probe's ``(gt_task, rewards)`` in
     ``blocks``; the runner writes them to the trace, with probe_flag=1,
@@ -170,16 +172,17 @@ def run_experiment(config: ExperimentConfig, out_dir: str | Path | None = None,
     plan_rows: list[int] = []
     plan_x = None
     plan_at = plan_span = nodes = 0  # the plan's first cursor, its observations, nodes
-    stride = config.env.depth + 1  # observations per whole episode
+    depth = config.env.depth
+    stride = depth + 1  # observations per whole episode
     b = env.n_actions
     actions: list[int] = []
     rewards: list[float] = []
     gt_tasks: list[int] = []
     iterations: list[int] = []
-    episode = EpisodeBuffer(env.n_actions, config.agent.latent_dim, config.env.depth)
+    episode = EpisodeBuffer(env.n_actions, config.agent.latent_dim, depth)
     backup_freq = bank.backup_freq
     t = 0  # steps taken, live and probe: the detector's t plus the pending steps
-    iteration = 0
+    iteration = episodes = 0  # episodes learned from, episodes played
     total = config.curriculum.total_steps
     # Rows go straight to trace.csv with an out_dir, else to columns in memory
     # (room for the whole curriculum and the last check interval's overrun).
@@ -196,10 +199,10 @@ def run_experiment(config: ExperimentConfig, out_dir: str | Path | None = None,
                 env.set_task(gt_task)
                 label = detector.current_label.id
                 policy = bank.get_or_create(label)
-            # A plan serves an episode that starts where one of its episodes does;
-            # an aborted episode or a probe in between moves the cursor off them.
+            # A plan serves the episodes that start where one of its episodes does:
+            # the cursor moves by whole episodes, live or probe, and never back.
             offset = env.cursor - plan_at
-            if offset % stride or not 0 <= offset < plan_span:
+            if offset >= plan_span:
                 if plan_rows:
                     latents[written:len(rewards)] = plan_x[plan_rows, :-1]
                     written = len(rewards)
@@ -210,7 +213,7 @@ def run_experiment(config: ExperimentConfig, out_dir: str | Path | None = None,
             node = 0
             env.start()
             episode.clear()
-            aborted = done = False
+            done = False
             while not done:
                 row = first + node
                 action = policy.act_row(plan_x[row], act_rng, episode)
@@ -222,9 +225,9 @@ def run_experiment(config: ExperimentConfig, out_dir: str | Path | None = None,
                 rewards.append(reward)
                 gt_tasks.append(gt_task)
                 iterations.append(iteration)
-                t += 1
-                if t % h:
-                    continue
+            t += depth
+            episodes += 1
+            if t % h == 0:
                 # Check boundary. The rows before it keep the previous check's values,
                 # and all carry ``label``: the detector's label only changes in ingest_block.
                 trace.append(t - len(rewards) + 1, iterations[:-1], gt_tasks[:-1], label,
@@ -245,19 +248,15 @@ def run_experiment(config: ExperimentConfig, out_dir: str | Path | None = None,
                                  p_value, swd)
                     t += len(probe_rewards)
                 probe_source.blocks.clear()
-                if event is None:
-                    continue
-                events.append(event)
-                if event.kind in (EVENT_NEW_TASK, EVENT_RE_DETECTED):
-                    bank.rollback(event.old_label)
-                    aborted = True
-                    break
-                # suppressed: keep playing the episode
-            if not aborted:
-                policy.update(episode)
-                if policy.update_count % backup_freq == 0:  # else no backup is due
-                    bank.backup_if_due(label)
-                iteration += 1
+                if event is not None:
+                    events.append(event)
+                    if event.kind in (EVENT_NEW_TASK, EVENT_RE_DETECTED):
+                        bank.rollback(event.old_label)
+                        continue  # the episode that ended at the check is not learned from
+            policy.update(episode)
+            if policy.update_count % backup_freq == 0:  # else no backup is due
+                bank.backup_if_due(label)
+            iteration += 1
         if rewards:
             trace.append(t - len(rewards) + 1, iterations, gt_tasks, label, rewards, 0,
                          detector.last_p_value, detector.last_swd)
@@ -279,9 +278,8 @@ def run_experiment(config: ExperimentConfig, out_dir: str | Path | None = None,
     # not lose them.
     if save_bank is not None:
         bank.save(save_bank)
-    # Completed episodes advance ``iteration``; an aborted last one did not.
     return RunResult(config=config, trace=None if out is not None else trace,
-                     episodes=iteration + aborted, events=events,
+                     episodes=episodes, events=events,
                      detector=detector, bank=bank, encoder=encoder, env=env)
 
 

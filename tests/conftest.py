@@ -224,25 +224,26 @@ def tiny_config(segments, seed=3, **det_overrides) -> ExperimentConfig:
     )
 
 
-# Tiny live-loop cases: (depth, branching, sigma, curriculum, probe_swd_samples).
+# Tiny live-loop cases: (depth, branching, sigma, curriculum, history_len, probe_swd_samples).
 TINY_CASES = {
-    "desk": (2, 2, 0.05, ((1, 700), (2, 700)), PROBE),
-    "depth-3-branching-3": (3, 3, 0.05, ((1, 700), (2, 700)), PROBE),
-    "sigma-0": (2, 2, 0.0, ((1, 700), (2, 700)), PROBE),
-    "branching-8": (2, 8, 0.05, ((1, 700), (2, 700)), PROBE),
-    # Checks land mid-episode, and a probe of 20 steps stays inside the plan.
-    "abort-after-probe": (3, 2, 0.05, MIRROR, 2),
+    "desk": (2, 2, 0.05, ((1, 700), (2, 700)), LD, PROBE),
+    "depth-3-branching-3": (3, 3, 0.05, ((1, 700), (2, 700)), 9, PROBE),
+    "sigma-0": (2, 2, 0.0, ((1, 700), (2, 700)), LD, PROBE),
+    "branching-8": (2, 8, 0.05, ((1, 700), (2, 700)), LD, PROBE),
+    # Probes of 2 sets, 6 episodes, short enough to stay inside a plan's span.
+    "short-probe": (3, 2, 0.05, MIRROR, 9, 2),
     # Episodes of five steps, longer than in any other case.
-    "depth-5": (5, 2, 0.05, ((1, 700), (2, 700)), PROBE),
+    "depth-5": (5, 2, 0.05, ((1, 700), (2, 700)), LD, PROBE),
 }
 
 
 def tiny_case(case: str, seed: int) -> ExperimentConfig:
     """The config of a :data:`TINY_CASES` entry; its tasks reward the first and last leaf."""
-    depth, branching, sigma, segments, probe = TINY_CASES[case]
+    depth, branching, sigma, segments, history_len, probe = TINY_CASES[case]
     cfg = tiny_config(segments, seed=seed, probe_swd_samples=probe)
-    env = replace(cfg.env, depth=depth, branching=branching, obs_noise_sigma=sigma)
-    return replace(cfg, env=env, tasks=(TaskSpec(1, 0), TaskSpec(2, branching ** depth - 1)))
+    return replace(cfg, detector=replace(cfg.detector, history_len=history_len),
+                   env=replace(cfg.env, depth=depth, branching=branching, obs_noise_sigma=sigma),
+                   tasks=(TaskSpec(1, 0), TaskSpec(2, branching ** depth - 1)))
 
 
 @pytest.fixture(scope="session")

@@ -4,6 +4,7 @@ codes and stderr on bad input, in-process via main(argv).
 from __future__ import annotations
 
 import json
+import re
 import subprocess
 import sys
 from dataclasses import replace
@@ -89,8 +90,10 @@ class TestRunCommand:
         assert "events: 2" in stdout
         trace = read_trace(out / "trace.csv")
         assert trace.t[0] == 1
-        # Counted by the runner, not read back: aborted episodes repeat an iteration.
-        assert f"episodes: {int(trace.iteration.max()) + 1}\n" in stdout
+        # Every live episode played, those the events roll back included: whole
+        # episodes of the default depth 2 fill the live rows.
+        episodes = int(re.search(r"^episodes: (\d+)$", stdout, re.M).group(1))
+        assert episodes * 2 == (trace.probe_flag == 0).sum()
         assert json.loads((out / "events.json").read_text())
 
     def test_save_bank_flag(self, mirror_cfg, tmp_path):
@@ -163,11 +166,25 @@ class TestRunCommand:
         # The tree's 2^51 - 1 rows of 16 doubles need 2^58 B, more than any
         # 64-bit address space maps: numpy raises MemoryError, allocating nothing.
         cfg = tmp_path / "deep.cfg"
-        cfg.write_text("[experiment]\npreset = desk\n\n[env]\ntree_depth = 50\n")
+        cfg.write_text("[experiment]\npreset = desk\n\n[detector]\nhistory_length = 50\n\n"
+                       "[env]\ntree_depth = 50\n")
         out = tmp_path / "out"
         assert main(["run", "--config", str(cfg), "--out", str(out)]) == 2
         assert capsys.readouterr().err.startswith("error:")
         assert not (out / "trace.csv").exists()
+
+
+@pytest.mark.parametrize("command", ["run", "detect"])
+def test_sets_that_split_an_episode_exit_2(tmp_path, capsys, command):
+    """A recorded stream has no episode ends, so ``detect`` refuses such windows too."""
+    config = tmp_path / "split.cfg"
+    config.write_text("[experiment]\npreset = desk\n\n[detector]\nhistory_length = 61\n")
+    out = tmp_path / "out"
+    flags = ["--stream", shifted_stream(tmp_path)] if command == "detect" else []
+    assert main([command, "--config", str(config), "--out", str(out), *flags]) == 2
+    assert capsys.readouterr().err == (f"error: {config}: history_len 61 is not a multiple of "
+                                       "depth 2: a set must hold whole episodes\n")
+    assert not out.exists()
 
 
 class TestDetectCommand:

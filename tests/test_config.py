@@ -5,11 +5,20 @@ from __future__ import annotations
 
 import re
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
 from swoks.agent import Policy
-from swoks.config import _SCHEMA, AgentConfig, ConfigError, load_config, parse_config_text
+from swoks.config import (
+    _SCHEMA,
+    PRESETS,
+    AgentConfig,
+    ConfigError,
+    ExperimentConfig,
+    load_config,
+    parse_config_text,
+)
 from swoks.detector import DetectorConfig
 from swoks.env import TreeGraphConfig
 
@@ -229,10 +238,47 @@ class TestPresets:
         assert load_config(write_cfg(tmp_path, text), seed=77).master_seed == 77
 
 
+ROOT = Path(__file__).parents[1]
+SHIPPED = [*PRESETS, *sorted((ROOT / "tools" / "configs").glob("*.cfg")),
+           ROOT / "perfbench" / "configs" / "stationary.cfg"]
+
+
+class TestWholeEpisodeSets:
+    """Every episode is ``tree_depth`` steps, so a set holds whole episodes only
+    if ``history_length`` is a multiple of it; any other config is refused."""
+
+    @pytest.mark.parametrize("source", SHIPPED, ids=lambda s: Path(s).stem)
+    def test_every_shipped_config_loads(self, source):
+        cfg = load_config(source)
+        assert cfg.detector.history_len % cfg.env.depth == 0
+
+    @pytest.mark.parametrize("text, h, depth", [
+        ("[detector]\nhistory_length = 61\n", 61, 2),
+        ("[env]\ntree_depth = 7\n", 60, 7),
+    ], ids=["history_length", "tree_depth"])
+    def test_file_is_refused_with_its_name(self, tmp_path, text, h, depth):
+        path = write_cfg(tmp_path, "[experiment]\npreset = desk\n" + text)
+        with pytest.raises(ConfigError, match=rf"^{re.escape(str(path))}: history_len {h} "
+                           rf"is not a multiple of depth {depth}: a set must hold whole "
+                           "episodes$"):
+            load_config(path)
+
+    def test_config_built_in_python_is_refused(self):
+        desk = load_config("desk")
+        for make in (
+                lambda: replace(desk, detector=replace(desk.detector, history_len=61)),
+                lambda: replace(desk, env=replace(desk.env, depth=7)),
+                lambda: ExperimentConfig(replace(desk.detector, history_len=50),
+                                         TreeGraphConfig(depth=3), desk.agent, desk.tasks,
+                                         desk.curriculum)):
+            with pytest.raises(ValueError, match="is not a multiple of depth"):
+                make()
+
+
 # Every dataclass key, its field written out by hand (not read from the
 # schema) and a value that no other key uses and the desk preset does not set.
 FIELD_KEYS = [
-    ("detector", "history_length", "history_len", 61),
+    ("detector", "history_length", "history_len", 62),
     ("detector", "swd_history_length", "swd_history_len", 13),
     ("detector", "significance_threshold", "alpha", 0.002),
     ("detector", "ks_adjustment", "beta", 1.3),

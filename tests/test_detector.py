@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import collections
 import itertools
+import math
 import warnings
 
 import numpy as np
@@ -18,6 +19,7 @@ from hypothesis import strategies as st
 from conftest import ScriptedProbe, detector_view, regime, window_rows
 
 import swoks.detector
+from swoks.config import load_config
 from swoks.detector import (
     EVENT_NEW_TASK,
     EVENT_RE_DETECTED,
@@ -28,6 +30,7 @@ from swoks.detector import (
     _value_bound,
 )
 from swoks.ot import sorted_projections
+from swoks.runner import detector_config
 from swoks.stream import make_datapoints
 
 LD = 10                      # points per comparison set
@@ -595,3 +598,29 @@ class TestBlockIngestWithProbing:
             drive_until(det, regime(rng, 0.0, 1.0), 200)
         [view] = seen
         assert detector_view(det) == view
+
+
+class TestDetectionDelayFloor:
+    """On a clear change at a set boundary the first event waits for the shift
+    test, not for the data: the new half of the history needs ``k*`` high
+    distances of ``L`` before ``exp(-k*^2 / L)`` falls below alpha, so the
+    trigger comes ``k* * history_len`` steps after the change, with
+    ``k* = floor(sqrt(L ln(1 / alpha))) + 1``."""
+
+    @pytest.mark.parametrize("preset, change, floor", [("desk", 3360, 600),
+                                                       ("paper", 94800, 7200)])
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_first_event_lands_on_the_floor(self, preset, change, floor, seed):
+        config = load_config(preset, seed=seed)
+        cfg = detector_config(config)
+        h, half = cfg.history_len, cfg.swd_history_len
+        k_star = math.floor(math.sqrt(half * math.log(1 / cfg.alpha))) + 1
+        assert k_star * h == floor
+        assert change % h == 0 and change > 3 * half * h  # after the first label is armed
+        n = change + floor
+        rng = np.random.default_rng(seed)
+        phi = rng.normal(size=(n, config.agent.latent_dim))
+        phi[change:] += 3.0
+        actions, rewards = rng.integers(0, config.env.branching, n), rng.normal(size=n)
+        events = Detector(cfg, probe=None).ingest_block(phi, actions, rewards)
+        assert [(e.kind, e.t) for e in events] == [(EVENT_NEW_TASK, change + floor)]

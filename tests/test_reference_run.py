@@ -39,7 +39,7 @@ def reference_run(config, load_bank=None) -> SimpleNamespace:
     detector = Detector(replace(config.detector, master_seed=child_seed(master, "detector")),
                         probe)
     trace, events, pending = [], [], []  # pending: the live steps since the last check
-    t = iteration = 0
+    t = iteration = episodes = 0
     while t < curriculum.total_steps:
         gt_task = curriculum.task_at(t + 1)
         env.set_task(gt_task)
@@ -47,6 +47,7 @@ def reference_run(config, load_bank=None) -> SimpleNamespace:
         policy = bank.get_or_create(label)
         episode = EpisodeBuffer(env.n_actions, encoder.latent_dim, config.env.depth)
         obs, done, aborted = env.reset(), False, False
+        episodes += 1
         while not done:
             phi = encoder.encode(obs)
             action = policy.act(phi, act_rng, episode)
@@ -81,7 +82,7 @@ def reference_run(config, load_bank=None) -> SimpleNamespace:
             iteration += 1
     if pending:
         detector.ingest_block(*map(np.array, zip(*pending)))
-    return SimpleNamespace(trace=trace, events=events, episodes=iteration + aborted, bank=bank,
+    return SimpleNamespace(trace=trace, events=events, episodes=episodes, bank=bank,
                            env=env, detector=detector)
 
 
@@ -118,6 +119,7 @@ def test_run_equals_the_reference(case, seed, request):
     assert run.events == ref.events
     assert list(run.trace) == ref.trace
     assert run.episodes == ref.episodes
+    assert run.episodes * config.env.depth == (run.trace.probe_flag == 0).sum()
     assert bank_view(run.bank) == bank_view(ref.bank)
     assert (run.env.cursor, run.env._node, run.env._done) == (ref.env.cursor, ref.env._node,
                                                               ref.env._done)

@@ -15,6 +15,7 @@ import tracemalloc
 import warnings
 import weakref
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -132,10 +133,9 @@ class TestBatchedProbe:
     # (depth, branching, sigma, n, switch task before the probe)
     CASES = {
         "desk": (2, 2, 0.05, 720, False),
-        "depth-3-branching-3": (3, 3, 0.05, 650, False),
+        "depth-3-branching-3": (3, 3, 0.05, 651, False),
         "sigma-0": (2, 2, 0.0, 720, False),
-        "partial-last-episode": (3, 2, 0.05, 301, False),
-        "one-step": (2, 2, 0.05, 1, False),
+        "one-episode": (2, 2, 0.05, 2, False),
         "branching-8": (2, 8, 0.05, 500, False),
         "task-set-before-probe": (2, 3, 0.05, 400, True),
     }
@@ -180,7 +180,7 @@ class TestBatchedProbe:
         assert blocks.random() == twins[3].random()
         assert probe.blocks == [(ref.env.active_task, rewards)]
         assert env.active_task == (2 if switch else 1)
-        if n > 1:  # not a degenerate policy: every action and a leaf's reward occur
+        if n > depth:  # not a degenerate policy: every action and a leaf's reward occur
             assert len(set(actions.tolist())) == branching and min(rewards) < 0.0
 
     def test_every_desk_probe_plays_whole_sets(self, desk_seed_1):
@@ -200,6 +200,19 @@ class TestBatchedProbe:
             assert flags[check:ev.t].all() and not flags[check - 1]
             assert check % cfg.history_len == 0
 
+    @pytest.mark.parametrize("n", [0, 1, 4])
+    def test_rollout_refuses_a_part_of_an_episode(self, n):
+        """A rollout plays whole episodes of depth 3: any other n is refused
+        before the task, the node or the noise moves."""
+        env = TreeGraphEnv(TreeGraphConfig(depth=3), (TaskSpec(1, 0), TaskSpec(2, 7)))
+        env.set_task(1)
+        env.rollout(3, lambda steps, obs: np.zeros(len(steps), dtype=int))
+        env.set_task(2)
+        before = env_view(env)
+        with pytest.raises(ValueError, match=rf"positive multiple of depth 3, got {n}$"):
+            env.rollout(n, lambda steps, obs: np.zeros(len(steps), dtype=int))
+        assert env_view(env) == before
+
     def test_rollout_rejects_an_action_out_of_range(self):
         env = TreeGraphEnv(TreeGraphConfig(), (TaskSpec(1, 0),))
         env.set_task(1)
@@ -208,29 +221,37 @@ class TestBatchedProbe:
 
 
 class TestLivePlan:
-    """Plans are reused, and an episode off the latest plan's grid gets a new one;
+    """Plans are reused, and a plan is left only when the cursor passes its span;
     ``test_reference_run.py`` checks the steps they serve."""
 
     @pytest.mark.parametrize("case", list(TINY_CASES))
     def test_plans_are_reused_and_replanned_off_grid(self, case, monkeypatch):
-        plans = []  # the cursor of each plan made
-        encode_plan = swoks.runner._encode_plan
+        plans, probes = [], []  # the cursor of each plan made, the cursors each probe spans
+        encode_plan, rollout = swoks.runner._encode_plan, TreeGraphEnv.rollout
 
         def counted(env, encoder):
             plans.append(env.cursor)
             return encode_plan(env, encoder)
 
+        def spanned(env, n, choose):
+            start = env.cursor
+            played = rollout(env, n, choose)
+            probes.append((start, env.cursor))
+            return played
+
         monkeypatch.setattr(swoks.runner, "_encode_plan", counted)
+        monkeypatch.setattr(TreeGraphEnv, "rollout", spanned)
         result = run_experiment(tiny_case(case, seed=0))
         depth = result.config.env.depth
-        # One plan serves many episodes.
+        # One plan serves many episodes, and none is left before the cursor passes its span.
         assert 0 < len(plans) < (result.trace.probe_flag == 0).sum() / (10 * depth)
-        if case == "abort-after-probe":
-            # An event after probing aborted a live episode mid-way: the cursor left
-            # the grid of the plan's episodes before it ran out, and a new plan began.
-            assert any(e.probed_pvalues for e in result.events) and result.trace.probe_flag.any()
-            span = _NOISE_BLOCK // (depth + 1) * (depth + 1)
-            assert any((b - a) % (depth + 1) and b - a < span for a, b in zip(plans, plans[1:]))
+        span = _NOISE_BLOCK // (depth + 1) * (depth + 1)
+        assert all(b - a >= span for a, b in zip(plans, plans[1:]))
+        if case == "short-probe":
+            # A probe inside a plan's span: the plan serves the episodes after it too.
+            assert any(e.probed_pvalues for e in result.events) and probes
+            assert any(plan < start and end < plan + span and plan + span in plans
+                       for start, end in probes for plan in plans)
 
     @given(st.integers(1, 3), st.integers(2, 4), st.sampled_from([0.0, 0.05, 2.0]),
            st.integers(0, 2**16), st.lists(st.integers(-2, 7), max_size=300))
@@ -261,7 +282,7 @@ class TestLivePlan:
                 continue
             if move == -1:
                 cursor = env.cursor
-                env.rollout(5, lambda steps, obs: np.zeros(len(steps), dtype=int))
+                env.rollout(2 * depth, lambda steps, obs: np.zeros(len(steps), dtype=int))
                 per_call.standard_normal((env.cursor - cursor, 4))
                 done = True
                 continue
@@ -339,8 +360,9 @@ class TestArtifacts:
         streamed = tmp_path / "a" / "trace.csv"
         mem = run_experiment(cfg)
         assert read_trace(streamed) == mem.trace
-        # The mirror run aborts episodes at its events, which repeats an iteration.
-        assert res.episodes == mem.episodes == int(mem.trace.iteration.max()) + 1
+        # Every live episode is counted, those its events roll back included.
+        assert res.episodes == mem.episodes
+        assert res.episodes * cfg.env.depth == (mem.trace.probe_flag == 0).sum()
 
     def test_run_that_raises_leaves_its_rows_and_events(self, tmp_path, monkeypatch):
         cfg = tiny_config(MIRROR)
@@ -551,3 +573,16 @@ class TestBetaSweep:
     def test_empty_beta_list_rejected(self):
         with pytest.raises(ValueError):
             sweep_beta(tiny_config(MIRROR), [])
+
+
+class TestDeepTree:
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_ends_with_one_label_per_task(self, seed):
+        """Sets of 51 steps hold 17 whole depth-3 episodes, so every set sees each
+        level of the tree equally often: no re-detection is followed by a duplicate
+        label, and the four tasks end with four labels."""
+        path = Path(__file__).parents[1] / "tools" / "configs" / "deep-tree.cfg"
+        config = load_config(path, seed=seed)
+        [row] = sweep_beta(config, [config.detector.beta])
+        assert row["re_detected_events"] > 0
+        assert row["final_labels"] == 4 and row["accuracy"] >= 0.91

@@ -11,10 +11,9 @@ as JSON:
 - ``bank``: the same files of ``swoks run --config desk --seed 2
   --load-bank bank``, a run that starts from seed 1's bank;
 - ``deep-tree``: the same files of ``swoks run`` seed 1 on the desk
-  preset with a depth-3, branching-3 tree and probes of 13 x 50 steps
-  (``tools/configs/deep-tree.cfg``): 650 is not a multiple of the
-  depth, so every probe ends in the middle of an episode, and the run
-  re-detects labels;
+  preset with a depth-3, branching-3 tree, sets of 51 steps (17 whole
+  episodes) and probes of 13 x 51 steps (``tools/configs/deep-tree.cfg``):
+  the run re-detects labels, each after probes of 221 episodes;
 - ``no-noise``: the same files of seed 1 on the desk preset with
   ``observation_noise_sigma = 0`` (``tools/configs/no-noise.cfg``):
   every episode observes the base vectors, its noise drawn and scaled
