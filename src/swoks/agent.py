@@ -329,9 +329,6 @@ class PolicyBank:
     def labels(self) -> list[int]:
         return sorted(self._entries)
 
-    def __contains__(self, label: int) -> bool:
-        return label in self._entries
-
     def get_or_create(self, label: int) -> Policy:
         """Return the live policy for ``label``, zero-initialised if new."""
         entry = self._entries.get(label)

@@ -20,10 +20,6 @@ from .seeding import substream
 
 __all__ = ["TreeGraphConfig", "TaskSpec", "TreeGraphEnv", "Curriculum"]
 
-# Observations per noise draw: enough to amortise the call, small enough
-# (32 KB at 16 dimensions) that memory stays flat.
-_NOISE_BLOCK = 256
-
 
 @dataclass(frozen=True)
 class TreeGraphConfig:
@@ -102,7 +98,6 @@ class TreeGraphEnv:
         self._noise = substream(config.env_seed, "tree-obs-noise")
         # Scaled noise drawn so far, from row _first on; observation i adds row i.
         self._noise_rows = np.empty((0, config.obs_dim))
-        self._noise_buffer = np.empty((2 * _NOISE_BLOCK, config.obs_dim))
         self._first = 0
         self._cursor = 0  # observations made: the next one adds noise row _cursor
         self._active: int | None = None
@@ -148,35 +143,27 @@ class TreeGraphEnv:
     def cursor(self) -> int:
         """Observations made so far, by :meth:`reset`, :meth:`step`,
         :meth:`rollout` and their silent forms: the next one adds noise row
-        ``cursor``."""
+        ``cursor``. Noise is drawn no further than the furthest
+        :meth:`plan`, :meth:`rollout` or observation has reached."""
         return self._cursor
 
     def _noise_at(self, start: int, count: int) -> np.ndarray:
         """Scaled noise rows ``start`` to ``start + count``, ``start`` at or
         after every row still needed.
 
-        Noise is drawn in whole ``_NOISE_BLOCK``-row blocks, as many as the
-        rows asked for need, after the rows kept; a block draw gives the same
-        values, in order, as one ``standard_normal(obs_dim)`` call per
-        observation, so row ``i`` is always the ``i``-th such draw, scaled,
-        whenever it is drawn. Rows before ``start`` are dropped when the next
-        block comes. The rows live in a reused buffer, so the view returned
-        is valid only until the next call.
+        Rows not drawn yet are drawn now, up to ``start + count`` and no
+        further, after the rows kept; draws do not depend on how they are
+        split, so row ``i`` is always the ``i``-th ``standard_normal(obs_dim)``
+        draw, scaled, whenever it is drawn. Rows before ``start`` are dropped
+        when the next rows are drawn.
         """
         rows, first = self._noise_rows, self._first
         end = first + len(rows)
         if start + count > end:
-            blocks = -(-(start + count - end) // _NOISE_BLOCK)
-            kept = rows[min(start, end) - first:]
-            first = min(start, end)
-            size = len(kept) + blocks * _NOISE_BLOCK
-            # A plan's rows fit the buffer; a long rollout's get an array of their own.
-            rows = (self._noise_buffer[:size] if size <= len(self._noise_buffer)
-                    else np.empty((size, rows.shape[1])))
-            rows[:len(kept)] = kept  # numpy copies overlapping rows as if through a buffer
-            drawn = rows[len(kept):]
-            self._noise.standard_normal(out=drawn)
+            drawn = self._noise.standard_normal((start + count - end, rows.shape[1]))
             drawn *= self._sigma
+            first = min(start, end)
+            rows = np.concatenate((rows[first - self._first:], drawn))
             self._noise_rows, self._first = rows, first
         return rows[start - first:start - first + count]
 
@@ -243,20 +230,22 @@ class TreeGraphEnv:
         reward, done = self.advance(action)
         return self._observe(), reward, done
 
-    def plan(self) -> np.ndarray:
-        """What the next ``_NOISE_BLOCK // (depth + 1)`` whole episodes can
-        observe where they act, consuming nothing.
+    def plan(self, episodes: int) -> np.ndarray:
+        """What the next ``episodes`` whole episodes can observe where they
+        act, consuming nothing.
 
-        Returns ``(E, N, obs_dim)`` for the ``E`` episodes and the ``N``
+        ``episodes`` must be at least 1; any other raises ValueError before
+        anything moves. Returns ``(episodes, N, obs_dim)`` for the ``N``
         nodes that are not leaves, by node number. Episode ``e`` is the one
         whose :meth:`reset` makes observation ``cursor + e * (depth + 1)``,
         and row ``[e, g]`` is the observation that episode makes if it
         visits ``g``: the node's base vector plus the noise row drawn at
-        ``g``'s level, the vector :meth:`reset` or
-        :meth:`step` returns there. Only those episodes' rows are drawn.
+        ``g``'s level, the vector :meth:`reset` or :meth:`step` returns
+        there. Noise is drawn up to the last episode's end and no further.
         """
+        if episodes < 1:
+            raise ValueError(f"a plan needs at least one episode, got {episodes}")
         d = self._depth
-        episodes = _NOISE_BLOCK // (d + 1)
         noise = self._noise_at(self._cursor, episodes * (d + 1)).reshape(episodes, d + 1, -1)
         obs = noise.take(self._inner_levels, axis=1)  # C-contiguous, unlike [:, levels]
         obs += self._inner  # noise + base: the same sums as base + noise

@@ -8,22 +8,23 @@ episode and node, samples its action from it
 (:meth:`Policy.act_row`) and advances the env, with the same latents,
 actions and rewards, bit for bit, as ``reset``/``step``/``encode``/
 ``act`` one step at a time. ``history_len`` is a multiple of the
-depth, so checks and probes fall on episode ends, the env's noise
-cursor moves on by whole episodes, and a plan serves episodes until
-the cursor passes its span. Live steps are collected into a block and
-fed to the detector at the end of each check interval, the only steps
-at which it can raise an event, since probes play whole sets; their
-latents are copied from the plan rows into the block at the check (or
-before a new plan), and the block's rows go to the trace at the check,
-with its p_value, swd and event. When it triggers, probing runs stored
-policies in the same environment, each probe as one batched rollout of
-whole episodes (:class:`_EnvProbe`), so probe steps consume curriculum
-time and are flagged in the trace. On any accepted detection the
-departing label's policy is rolled back to its older checkpoint and
-the episode that ended at the check is not learned from. With an
-output directory the rows are written to ``trace.csv`` as they come,
-so memory stays flat over the run and a run that raises leaves the
-rows and events it got to.
+depth and probes play whole sets, so every check interval starts at a
+multiple of ``history_len`` with the env's noise cursor on an episode
+start. A plan is made only where an interval starts and the current
+plan cannot hold the whole interval, and it spans whole intervals, so
+every step of an interval takes its row from one plan. Live steps are
+collected into a block and fed to the detector at the end of each
+check interval, the only steps at which it can raise an event; their
+latents are taken from the plan rows at the check, and the block's
+rows go to the trace there, with its p_value, swd and event. When it
+triggers, probing runs stored policies in the same environment, each
+probe as one batched rollout of whole episodes (:class:`_EnvProbe`),
+so probe steps consume curriculum time and are flagged in the trace.
+On any accepted detection the departing label's policy is rolled back
+to its older checkpoint and the episode that ended at the check is
+not learned from. With an output directory the rows are written to
+``trace.csv`` as they come, so memory stays flat over the run and a
+run that raises leaves the rows and events it got to.
 """
 from __future__ import annotations
 
@@ -49,6 +50,10 @@ from .stream import prefetch_stream_blocks
 from .trace import Trace, TraceWriter, write_events
 
 __all__ = ["RunResult", "run_experiment", "detect_offline", "detector_config"]
+
+# Observations a live plan covers at least: enough to amortise its fixed cost,
+# small enough (32 KB at 16 dimensions) that memory stays flat.
+_PLAN_OBSERVATIONS = 256
 
 
 @dataclass
@@ -112,11 +117,12 @@ class _EnvProbe:
         return phi, actions, rewards
 
 
-def _encode_plan(env: TreeGraphEnv, encoder: Encoder) -> tuple[np.ndarray, int]:
-    """The rows ``[phi; 1]`` of :meth:`TreeGraphEnv.plan`'s observations,
-    episode after episode, and the number of nodes per episode."""
-    obs = env.plan()
-    episodes, nodes, _ = obs.shape
+def _encode_plan(env: TreeGraphEnv, encoder: Encoder, episodes: int) -> tuple[np.ndarray, int]:
+    """The rows ``[phi; 1]`` of what the next ``episodes`` whole episodes can
+    observe (:meth:`TreeGraphEnv.plan`), episode after episode, and the number
+    of nodes per episode."""
+    obs = env.plan(episodes)
+    _, nodes, _ = obs.shape
     x = np.ones((episodes * nodes, encoder.latent_dim + 1))
     x[:, :-1] = encoder.encode_rows(obs.reshape(episodes * nodes, -1))
     return x, nodes
@@ -163,17 +169,16 @@ def run_experiment(config: ExperimentConfig, out_dir: str | Path | None = None,
 
     # Live steps since the last check boundary, fed to the detector at the next one.
     # Their latents come from a plan: row ``r`` of ``plan_x`` is ``[phi; 1]`` of one
-    # node an episode of the plan can act at, encoded with the whole plan at once.
-    # ``plan_rows`` holds the rows of the pending steps whose latents are not yet
-    # copied into ``latents`` (the first ``written`` are).
+    # node an episode of the plan can act at, encoded with the whole plan at once,
+    # and ``plan_rows`` holds the rows of the pending steps. A plan spans the fewest
+    # whole check intervals that cover ``_PLAN_OBSERVATIONS`` observations.
     h = det_cfg.history_len
-    latents = np.empty((h, config.agent.latent_dim))
-    written = 0
-    plan_rows: list[int] = []
-    plan_x = None
-    plan_at = plan_span = nodes = 0  # the plan's first cursor, its observations, nodes
     depth = config.env.depth
     stride = depth + 1  # observations per whole episode
+    interval = h // depth * stride  # observations per check interval
+    plan_span = -(-_PLAN_OBSERVATIONS // interval) * interval
+    plan_rows: list[int] = []
+    plan_at = plan_end = 0  # the plan's first cursor and the one past its span
     b = env.n_actions
     actions: list[int] = []
     rewards: list[float] = []
@@ -199,17 +204,12 @@ def run_experiment(config: ExperimentConfig, out_dir: str | Path | None = None,
                 env.set_task(gt_task)
                 label = detector.current_label.id
                 policy = bank.get_or_create(label)
-            # A plan serves the episodes that start where one of its episodes does:
-            # the cursor moves by whole episodes, live or probe, and never back.
-            offset = env.cursor - plan_at
-            if offset >= plan_span:
-                if plan_rows:
-                    latents[written:len(rewards)] = plan_x[plan_rows, :-1]
-                    written = len(rewards)
-                    plan_rows.clear()
-                plan_x, nodes = _encode_plan(env, encoder)
-                plan_at, plan_span, offset = env.cursor, len(plan_x) // nodes * stride, 0
-            first = offset // stride * nodes
+            # An interval starts with no pending steps; a probe may have moved the
+            # cursor past the plan, but only by whole intervals.
+            if not plan_rows and env.cursor + interval > plan_end:
+                plan_x, nodes = _encode_plan(env, encoder, plan_span // stride)
+                plan_at, plan_end = env.cursor, env.cursor + plan_span
+            first = (env.cursor - plan_at) // stride * nodes
             node = 0
             env.start()
             episode.clear()
@@ -232,15 +232,12 @@ def run_experiment(config: ExperimentConfig, out_dir: str | Path | None = None,
                 # and all carry ``label``: the detector's label only changes in ingest_block.
                 trace.append(t - len(rewards) + 1, iterations[:-1], gt_tasks[:-1], label,
                              rewards[:-1], 0, detector.last_p_value, detector.last_swd)
-                latents[written:len(rewards)] = plan_x[plan_rows, :-1]
-                written = 0
-                plan_rows.clear()
-                found = detector.ingest_block(latents[:len(rewards)], actions, rewards)
+                found = detector.ingest_block(plan_x[plan_rows, :-1], actions, rewards)
                 event = found[0] if found else None
                 p_value, swd = detector.last_p_value, detector.last_swd
                 trace.append(t, iteration, gt_task, label, rewards[-1:],
                              0, p_value, swd, event.kind if event else "")
-                for column in (actions, rewards, gt_tasks, iterations):
+                for column in (plan_rows, actions, rewards, gt_tasks, iterations):
                     column.clear()
                 renew = t
                 for probe_task, probe_rewards in probe_source.blocks:
@@ -260,8 +257,7 @@ def run_experiment(config: ExperimentConfig, out_dir: str | Path | None = None,
         if rewards:
             trace.append(t - len(rewards) + 1, iterations, gt_tasks, label, rewards, 0,
                          detector.last_p_value, detector.last_swd)
-            latents[written:len(rewards)] = plan_x[plan_rows, :-1]
-            detector.ingest_block(latents[:len(rewards)], actions, rewards)
+            detector.ingest_block(plan_x[plan_rows, :-1], actions, rewards)
         finished = True
     finally:
         if out is not None:

@@ -208,6 +208,8 @@ def _usable_cpus() -> int:
 def _start_reader(fh, k: int, path):
     """``(block pipe, slot pipe, reader process, ring slots)``, or None where no
     reader can run. The reader goes on reading ``fh`` after its header."""
+    # On one CPU the reader only competes with the detector: a forked reader
+    # replayed a paper stream 10% slower than parsing in-process.
     if not hasattr(os, "fork") or _usable_cpus() < 2:
         return None
     import mmap  # on first use, like multiprocessing

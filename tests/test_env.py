@@ -167,7 +167,7 @@ class TestObservations:
         assert all(np.array_equal(r, again.standard_normal(16)) for r in block)
 
     def test_observations_equal_the_per_call_noise_formula(self):
-        # 1,203 observations cross several noise blocks.
+        # 1,203 observations, each drawn as it is made.
         base = make_env(seed=4, sigma=0.0)
         noisy = make_env(seed=4, sigma=0.05)
         per_call = substream(4, "tree-obs-noise")
@@ -185,6 +185,40 @@ class TestObservations:
                 a = int(rng.integers(2))
                 obs, _, done = noisy.step(a)
                 assert np.array_equal(obs, expected(base.step(a)[0]))
+
+    @pytest.mark.parametrize("depth", [1, 2, 3])
+    def test_noise_is_drawn_no_further_than_asked(self, depth):
+        """A plan draws the rows of its episodes, a rollout those of its steps,
+        an observation its own row, and none of them a row more."""
+        env = make_env(depth=depth)
+        env.set_task(1)
+
+        def ahead() -> int:
+            """Rows drawn from the cursor on."""
+            return env._first + len(env._noise_rows) - env.cursor
+
+        env.reset()
+        assert ahead() == 0
+        env.step(0)
+        assert ahead() == 0
+        for episodes, drawn in zip((1, 5, 3, 40), (1, 5, 5, 40)):
+            env.plan(episodes)  # a shorter plan than the last draws nothing
+            assert ahead() == drawn * (depth + 1)
+        env.rollout(2 * depth, lambda steps, obs: np.zeros(len(steps), dtype=int))
+        assert ahead() == 38 * (depth + 1)  # the rest of the last plan
+        env.rollout(40 * depth, lambda steps, obs: np.zeros(len(steps), dtype=int))
+        assert ahead() == 0
+
+    @pytest.mark.parametrize("episodes", [0, -1])
+    def test_plan_refuses_fewer_than_one_episode(self, episodes):
+        env = make_env(depth=3)
+        env.set_task(1)
+        env.plan(2)
+        env.reset()
+        before = env_view(env)
+        with pytest.raises(ValueError, match=rf"at least one episode, got {episodes}$"):
+            env.plan(episodes)
+        assert env_view(env) == before
 
     def test_deterministic_given_seed(self):
         def run(seed):

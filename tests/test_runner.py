@@ -36,7 +36,7 @@ from swoks.detector import (
     Detector,
     DetectorConfig,
 )
-from swoks.env import _NOISE_BLOCK, Curriculum, TaskSpec, TreeGraphConfig, TreeGraphEnv
+from swoks.env import Curriculum, TaskSpec, TreeGraphConfig, TreeGraphEnv
 from swoks.metrics import sweep_beta
 from swoks.runner import _EnvProbe, detect_offline, run_experiment
 from swoks.seeding import UniformBlocks, substream
@@ -221,43 +221,73 @@ class TestBatchedProbe:
 
 
 class TestLivePlan:
-    """Plans are reused, and a plan is left only when the cursor passes its span;
-    ``test_reference_run.py`` checks the steps they serve."""
+    """A plan is made only where a check interval starts, spans whole intervals
+    and is kept while it holds the next interval; ``test_reference_run.py``
+    checks the steps it serves."""
 
     @pytest.mark.parametrize("case", list(TINY_CASES))
     def test_plans_are_reused_and_replanned_off_grid(self, case, monkeypatch):
-        plans, probes = [], []  # the cursor of each plan made, the cursors each probe spans
+        """Every plan is made where an interval starts, at most one between two
+        checks, and only when the last one cannot hold the interval: at its
+        end, or off its grid where a probe moved the cursor past it."""
+        log = []  # ("plan", cursor, episodes), ("step",), ("check",), ("probe", start, end)
         encode_plan, rollout = swoks.runner._encode_plan, TreeGraphEnv.rollout
+        advance, ingest_block = TreeGraphEnv.advance, Detector.ingest_block
 
-        def counted(env, encoder):
-            plans.append(env.cursor)
-            return encode_plan(env, encoder)
+        def counted(env, encoder, episodes):
+            log.append(("plan", env.cursor, episodes))
+            return encode_plan(env, encoder, episodes)
 
         def spanned(env, n, choose):
             start = env.cursor
             played = rollout(env, n, choose)
-            probes.append((start, env.cursor))
+            log.append(("probe", start, env.cursor))
             return played
+
+        def stepped(env, action):
+            log.append(("step",))
+            return advance(env, action)
+
+        def checked(detector, phi, actions, rewards):
+            log.append(("check",))
+            return ingest_block(detector, phi, actions, rewards)
 
         monkeypatch.setattr(swoks.runner, "_encode_plan", counted)
         monkeypatch.setattr(TreeGraphEnv, "rollout", spanned)
+        monkeypatch.setattr(TreeGraphEnv, "advance", stepped)
+        monkeypatch.setattr(Detector, "ingest_block", checked)
         result = run_experiment(tiny_case(case, seed=0))
-        depth = result.config.env.depth
-        # One plan serves many episodes, and none is left before the cursor passes its span.
+        depth, h = result.config.env.depth, result.config.detector.history_len
+        interval = h // depth * (depth + 1)  # observations per check interval
+        # The fewest whole intervals that cover the plan's observations.
+        span = -(-swoks.runner._PLAN_OBSERVATIONS // interval) * interval
+        plans = [entry for entry in log if entry[0] == "plan"]
+        assert all(episodes * (depth + 1) == span for _, _, episodes in plans)
+        # One plan serves many episodes.
         assert 0 < len(plans) < (result.trace.probe_flag == 0).sum() / (10 * depth)
-        span = _NOISE_BLOCK // (depth + 1) * (depth + 1)
-        assert all(b - a >= span for a, b in zip(plans, plans[1:]))
+        since_check = planned = served = 0  # since the last check; probes a plan outlives
+        plan_at = -span
+        for i, (kind, *cursors) in enumerate(log):
+            if kind == "check":
+                since_check = planned = 0
+            elif kind == "step":
+                since_check += 1
+            elif kind == "plan":
+                # Only where an interval starts, and only if the last plan cannot hold it.
+                assert since_check == planned == 0
+                assert cursors[0] + interval > plan_at + span
+                planned, plan_at = 1, cursors[0]
+            elif cursors[1] + interval <= plan_at + span and log[i + 1:i + 2] == [("step",)]:
+                served += 1  # a probe inside the plan's span, and the plan serves on
         if case == "short-probe":
-            # A probe inside a plan's span: the plan serves the episodes after it too.
-            assert any(e.probed_pvalues for e in result.events) and probes
-            assert any(plan < start and end < plan + span and plan + span in plans
-                       for start, end in probes for plan in plans)
+            assert any(e.probed_pvalues for e in result.events) and served
 
     @given(st.integers(1, 3), st.integers(2, 4), st.sampled_from([0.0, 0.05, 2.0]),
-           st.integers(0, 2**16), st.lists(st.integers(-2, 7), max_size=300))
+           st.integers(0, 2**16), st.lists(st.integers(-2, 7), max_size=300),
+           st.integers(1, 100))
     @settings(max_examples=60, deadline=None)
     def test_observations_are_one_draw_each_in_order(self, depth, branching, sigma, seed,
-                                                     moves):
+                                                     moves, episodes):
         """``reset`` and ``step`` return the base vector plus ``sigma`` times one
         ``standard_normal(obs_dim)`` draw per observation, in order, whatever
         ``plan`` (move -2) and ``rollout`` (move -1) calls come between them; an
@@ -275,10 +305,10 @@ class TestLivePlan:
         for move in moves:
             if move == -2:
                 cursor = env.cursor
-                plan_at, plan = cursor, env.plan()
+                plan_at, plan = cursor, env.plan(episodes)
                 assert env.cursor == cursor
                 nodes = (branching ** depth - 1) // (branching - 1)  # those that are not leaves
-                assert plan.shape == (_NOISE_BLOCK // (depth + 1), nodes, 4)
+                assert plan.shape == (episodes, nodes, 4)
                 continue
             if move == -1:
                 cursor = env.cursor
