@@ -237,12 +237,12 @@ class Policy:
         return _softmax(self.params.dot(_features(phi, np.ones(self.params.shape[1]))))
 
     def act(self, phi, rng: np.random.Generator, episode: EpisodeBuffer) -> int:
-        """:meth:`act_row` of the features ``[phi; 1]``."""
-        return self.act_row(_features(phi, np.ones(self.params.shape[1])), rng, episode)
+        """:meth:`act_row` of the features ``[phi; 1]`` on ``rng.random()``."""
+        return self.act_row(_features(phi, np.ones(self.params.shape[1])), rng.random(), episode)
 
-    def act_row(self, x: np.ndarray, rng: np.random.Generator, episode: EpisodeBuffer) -> int:
+    def act_row(self, x: np.ndarray, u: float, episode: EpisodeBuffer) -> int:
         """Sample an action for the feature row ``x = [phi; 1]`` by inverse CDF
-        on one uniform draw.
+        on the uniform draw ``u``.
 
         The probabilities are those of :meth:`action_probs` bit for bit:
         the largest logit is subtracted from the logits array, one
@@ -258,7 +258,7 @@ class Policy:
         e = np.exp(z, out=z).tolist()
         total = _sum(e)
         p = [v / total for v in e]
-        action = _inverse_cdf(p, rng.random())
+        action = _inverse_cdf(p, u)
         episode.coeff[n] = _coefficients(p, action)
         episode.n = n + 1
         return action

@@ -104,14 +104,14 @@ def parse_config_text(text: str, origin: str = "<config>") -> dict[str, dict[str
     """Parse ``[section]`` / ``key = value`` lines.
 
     Returns ``{section: {key: (raw_value, line_number)}}``. Blank lines
-    and ``#`` comments are ignored; a section not in the schema is
-    rejected at its header line.
+    and ``#`` comments, also after a header or value, are ignored; a
+    section not in the schema is rejected at its header line.
     """
     sections: dict[str, dict[str, tuple[str, int]]] = {}
     current: str | None = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
             continue
         if line.startswith("[") and line.endswith("]"):
             current = line[1:-1].strip()
@@ -127,7 +127,7 @@ def parse_config_text(text: str, origin: str = "<config>") -> dict[str, dict[str
             raise ConfigError(f"{origin}:{lineno}: key outside any [section]")
         key, _, value = line.partition("=")
         key = key.strip()
-        value = value.split("#", 1)[0].strip()
+        value = value.strip()
         if not key:
             raise ConfigError(f"{origin}:{lineno}: empty key")
         if key in sections[current]:

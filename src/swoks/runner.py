@@ -10,9 +10,11 @@ actions and rewards, bit for bit, as ``reset``/``step``/``encode``/
 ``act`` one step at a time. ``history_len`` is a multiple of the
 depth and probes play whole sets, so every check interval starts at a
 multiple of ``history_len`` with the env's noise cursor on an episode
-start. A plan is made only where an interval starts and the current
-plan cannot hold the whole interval, and it spans whole intervals, so
-every step of an interval takes its row from one plan. Live steps are
+start. There one call draws the interval's ``history_len`` action
+uniforms, so no action uniform is drawn before its step's interval. A
+plan is made only where an interval starts and the current plan cannot
+hold the whole interval, and it spans whole intervals, so every step of
+an interval takes its row from one plan. Live steps are
 collected into a block and fed to the detector at the end of each
 check interval, the only steps at which it can raise an event; their
 latents are taken from the plan rows at the check, and the block's
@@ -45,7 +47,7 @@ from .detector import (
     DetectorConfig,
 )
 from .env import TreeGraphEnv
-from .seeding import UniformBlocks, child_seed, substream
+from .seeding import child_seed, substream
 from .stream import prefetch_stream_blocks
 from .trace import Trace, TraceWriter, write_events
 
@@ -83,8 +85,8 @@ class _EnvProbe:
     A probe of ``n`` steps, whole sets and so whole episodes, is one
     batched rollout (:meth:`TreeGraphEnv.rollout`): its episodes start at
     the root and are played level by level across all of them, each
-    level's observations encoded and its actions sampled at once, with the
-    probe RNG's uniforms taken in step order. Its steps, phi, actions and
+    level's observations encoded and its actions sampled at once, on ``n``
+    probe uniforms drawn in one call. Its steps, phi, actions and
     rewards, and the env it leaves behind equal those of ``n`` live
     ``reset``/``step`` calls with :meth:`Encoder.encode` and
     :meth:`Policy.act`. Every step is a real
@@ -96,7 +98,7 @@ class _EnvProbe:
     """
 
     def __init__(self, env: TreeGraphEnv, encoder: Encoder, bank: PolicyBank,
-                 rng: UniformBlocks):
+                 rng: np.random.Generator):
         self._env = env
         self._encoder = encoder
         self._bank = bank
@@ -104,8 +106,8 @@ class _EnvProbe:
         self.blocks: list[tuple[int, np.ndarray]] = []
 
     def deploy(self, label: int, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        policy, encoder, random = self._bank.get_or_create(label), self._encoder, self._rng.random
-        draws = np.array([random() for _ in range(n)])
+        policy, encoder = self._bank.get_or_create(label), self._encoder
+        draws = self._rng.random(n)
         phi = np.empty((n, encoder.latent_dim))
 
         def choose(steps: np.ndarray, obs: np.ndarray) -> np.ndarray:
@@ -159,11 +161,10 @@ def run_experiment(config: ExperimentConfig, out_dir: str | Path | None = None,
                       config.agent.learning_rate, config.agent.backup_freq)
     if load_bank is not None:
         bank.load(load_bank)
-    act_rng = UniformBlocks(substream(master, "actions"))
-    probe_rng = UniformBlocks(substream(master, "probe-actions"))
+    act_rng = substream(master, "actions")
 
     events: list[DetectionEvent] = []
-    probe_source = _EnvProbe(env, encoder, bank, probe_rng)
+    probe_source = _EnvProbe(env, encoder, bank, substream(master, "probe-actions"))
     det_cfg = detector_config(config)
     detector = Detector(det_cfg, probe=probe_source)
 
@@ -204,11 +205,13 @@ def run_experiment(config: ExperimentConfig, out_dir: str | Path | None = None,
                 env.set_task(gt_task)
                 label = detector.current_label.id
                 policy = bank.get_or_create(label)
-            # An interval starts with no pending steps; a probe may have moved the
-            # cursor past the plan, but only by whole intervals.
-            if not plan_rows and env.cursor + interval > plan_end:
-                plan_x, nodes = _encode_plan(env, encoder, plan_span // stride)
-                plan_at, plan_end = env.cursor, env.cursor + plan_span
+            # An interval starts with no pending steps and draws its h action uniforms;
+            # a probe may have moved the cursor past the plan, but only by whole intervals.
+            if not plan_rows:
+                draws = act_rng.random(h).tolist()
+                if env.cursor + interval > plan_end:
+                    plan_x, nodes = _encode_plan(env, encoder, plan_span // stride)
+                    plan_at, plan_end = env.cursor, env.cursor + plan_span
             first = (env.cursor - plan_at) // stride * nodes
             node = 0
             env.start()
@@ -216,7 +219,7 @@ def run_experiment(config: ExperimentConfig, out_dir: str | Path | None = None,
             done = False
             while not done:
                 row = first + node
-                action = policy.act_row(plan_x[row], act_rng, episode)
+                action = policy.act_row(plan_x[row], draws[len(plan_rows)], episode)
                 reward, done = env.advance(action)
                 node = node * b + 1 + action
                 plan_rows.append(row)

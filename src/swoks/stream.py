@@ -15,6 +15,7 @@ from __future__ import annotations
 import itertools
 import math
 import os
+import re
 import warnings
 from typing import Iterator, NamedTuple
 
@@ -302,8 +303,8 @@ def _parse_block(lines: list[str], k: int) -> np.ndarray | None:
     malformed: an id that is not an int64 literal, a line with another number
     of fields, or a value that is not finite.
 
-    A line of only whitespace also gives None; the per-line parse then
-    skips it.
+    A line of only whitespace also gives None; :func:`_parse_lines` then
+    drops it.
     """
     try:
         with warnings.catch_warnings():
@@ -317,29 +318,40 @@ def _parse_block(lines: list[str], k: int) -> np.ndarray | None:
 
 
 def _parse_lines(lines: list[str], k: int, path, first_lineno: int) -> np.ndarray:
-    """Parse line by line: the table of a block, or an error naming the bad line."""
-    rows = []
-    for lineno, line in enumerate(lines, start=first_lineno):
-        line = line.strip()
-        if not line:
-            continue
-        parts = line.split(",")
-        if len(parts) != k + 4:
-            raise ValueError(f"{path}:{lineno}: expected {k + 4} fields, got {len(parts)}")
-        ids = []
-        for name, text in zip(("t", "gt_task"), parts):
-            try:
-                ids.append(int(text))
-            except ValueError:
-                raise ValueError(f"{path}:{lineno}: {name} must be an integer, "
-                                 f"got {text.strip()!r}") from None
-            if not -2 ** 63 <= ids[-1] < 2 ** 63:
-                raise ValueError(f"{path}:{lineno}: {name} {text.strip()} is outside int64")
-        try:
-            values = [float(v) for v in parts[2:]]
-        except ValueError as exc:
-            raise ValueError(f"{path}:{lineno}: unparseable value ({exc})") from None
-        if not all(map(math.isfinite, values)):
-            raise ValueError(f"{path}:{lineno}: non-finite value")
-        rows.append((ids, values))
-    return np.array(rows, dtype=_record(k))
+    """The table of a block :func:`_parse_block` refused: its lines that are not
+    only whitespace, parsed by it as one block, so a value reads only as numpy
+    reads it. Else an error naming the first line it refuses on its own."""
+    kept = [(lineno, line) for lineno, line in enumerate(lines, start=first_lineno)
+            if line.strip()]
+    table = _parse_block([line for _, line in kept], k)
+    if table is not None:
+        return table
+    lineno, line = next((lineno, line) for lineno, line in kept
+                        if _parse_block([line], k) is None)
+    raise ValueError(f"{path}:{lineno}: {_fault(line, k)}")
+
+
+def _fault(line: str, k: int) -> str:
+    """What makes :func:`_parse_block` refuse the line."""
+    parts = line.strip().split(",")
+    if len(parts) != k + 4:
+        return f"expected {k + 4} fields, got {len(parts)}"
+    for name, text in zip(("t", "gt_task"), parts):
+        if _parse_field(text, np.int64) is None:
+            if re.fullmatch(r"[+-]?[0-9]+", text.strip()):
+                return f"{name} {text.strip()} is outside int64"
+            return f"{name} must be an integer, got {text.strip()!r}"
+    for text in parts[2:]:
+        if _parse_field(text, float) is None:
+            return f"unparseable value (could not convert string to float: {text!r})"
+    return "non-finite value"  # every field reads
+
+
+def _parse_field(text: str, dtype) -> int | float | None:
+    """The field as :func:`_parse_block` reads a ``dtype`` field, or None if refused."""
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # the id warning above; "no data" for ""
+            return np.loadtxt([text], delimiter=",", comments=None, dtype=dtype).item()
+    except (ValueError, Warning):
+        return None

@@ -20,7 +20,6 @@ from swoks.agent import (
     episode_gradient,
     episode_log_prob,
 )
-from swoks.seeding import UniformBlocks, substream
 
 
 def random_episode(rng, n_steps=2, latent_dim=4, n_actions=2):
@@ -228,24 +227,6 @@ class TestFastPathEquivalence:
             for _ in range(20):
                 values = rng.random(n).tolist()
                 assert _sum(values) == np.sum(np.array(values))
-
-    def test_block_uniforms_equal_per_call_draws(self):
-        # 700 draws cross two block boundaries.
-        blocks = UniformBlocks(substream(7, "actions"))
-        per_call = substream(7, "actions")
-        draws = [blocks.random() for _ in range(700)]
-        assert all(type(u) is float for u in draws)
-        assert draws == [per_call.random() for _ in range(700)]
-
-    def test_act_on_block_uniforms_equals_act_on_the_generator(self):
-        rng = np.random.default_rng(5)
-        pol = Policy(n_actions=3, latent_dim=4)
-        pol.params = rng.normal(size=pol.params.shape)
-        phis = rng.normal(size=(600, 4))
-        blocks = UniformBlocks(substream(2, "actions"))
-        generator = substream(2, "actions")
-        assert ([pol.act(phi, blocks, EpisodeBuffer(3, 4, 1)) for phi in phis]
-                == [pol.act(phi, generator, EpisodeBuffer(3, 4, 1)) for phi in phis])
 
     @given(st.integers(0, 2**32 - 1), st.integers(2, 10), st.integers(1, 6),
            st.sampled_from([0.1, 1.0, 10.0, 300.0]))

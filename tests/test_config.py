@@ -40,10 +40,12 @@ def write_cfg(tmp_path, text):
 
 class TestGrammar:
     def test_sections_keys_and_comments(self):
-        text = "# top comment\n[detector]\nn_projections = 8  # inline\n\nhistory_length = 30\n"
+        text = ("# top comment\n[detector]\nn_projections = 8  # inline\n\nhistory_length = 30\n"
+                "[env]  # a note after a header\ndepth = 3\n")
         parsed = parse_config_text(text, origin="x")
         assert parsed == {
             "detector": {"n_projections": ("8", 3), "history_length": ("30", 5)},
+            "env": {"depth": ("3", 7)},
         }
 
     @pytest.mark.parametrize(

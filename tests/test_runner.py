@@ -39,7 +39,7 @@ from swoks.detector import (
 from swoks.env import Curriculum, TaskSpec, TreeGraphConfig, TreeGraphEnv
 from swoks.metrics import sweep_beta
 from swoks.runner import _EnvProbe, detect_offline, run_experiment
-from swoks.seeding import UniformBlocks, substream
+from swoks.seeding import substream
 from swoks.stream import StreamBlock, read_stream_blocks, write_stream
 from swoks.trace import event_record, read_trace
 
@@ -165,10 +165,8 @@ class TestBatchedProbe:
         if switch:
             env.set_task(2)
         twins = copy.deepcopy((env, encoder, bank, rng))
-        blocks = UniformBlocks(rng)
-        assert [blocks.random() for _ in range(5)] == twins[3].random(5).tolist()
 
-        probe = _EnvProbe(env, encoder, bank, blocks)
+        probe = _EnvProbe(env, encoder, bank, rng)
         phi, actions, rewards = probe.deploy(1, n)
         ref = ReferenceProbe(*twins)  # on the generator itself, one draw per step
         ref_phi, ref_actions, ref_rewards = ref.deploy(1, n)
@@ -177,7 +175,7 @@ class TestBatchedProbe:
         assert actions.tolist() == ref_actions.tolist()
         assert rewards.tolist() == ref_rewards.tolist()
         assert env_view(env) == env_view(ref.env)
-        assert blocks.random() == twins[3].random()
+        assert rng.random() == twins[3].random()
         assert probe.blocks == [(ref.env.active_task, rewards)]
         assert env.active_task == (2 if switch else 1)
         if n > depth:  # not a degenerate policy: every action and a leaf's reward occur
@@ -281,6 +279,27 @@ class TestLivePlan:
                 served += 1  # a probe inside the plan's span, and the plan serves on
         if case == "short-probe":
             assert any(e.probed_pvalues for e in result.events) and served
+
+    def test_no_action_draw_runs_ahead(self, monkeypatch):
+        """Desk seed 1's action generator has drawn ``history_len`` uniforms per
+        check interval started and its probe generator one per probe row: no
+        value the run did not use, so their ``bit_generator.state`` is all a
+        snapshot of them needs."""
+        drawn = {}
+
+        def captured(master_seed, name):
+            drawn[name] = substream(master_seed, name)
+            return drawn[name]
+
+        monkeypatch.setattr(swoks.runner, "substream", captured)
+        result = run_experiment(load_config("desk", seed=1))
+        h, flags = result.config.detector.history_len, result.trace.probe_flag
+        live, probed = int((flags == 0).sum()), int(flags.sum())
+        assert live == result.episodes * result.config.env.depth and probed > 0
+        for name, used in (("actions", -(-live // h) * h), ("probe-actions", probed)):
+            fresh = substream(1, name)
+            fresh.random(used)
+            assert drawn[name].bit_generator.state == fresh.bit_generator.state, name
 
     @given(st.integers(1, 3), st.integers(2, 4), st.sampled_from([0.0, 0.05, 2.0]),
            st.integers(0, 2**16), st.lists(st.integers(-2, 7), max_size=300),

@@ -177,6 +177,8 @@ class TestStreamFiles:
         (1, "-9223372036854777856"),  # gt_task: the float below -2**63
         (0, "4503599627370497.5"), (1, "1.0"), (0, "1e3"),  # ids written as floats
         (0, str(2 ** 63)), (1, str(-2 ** 63 - 1)),  # one past either end of int64
+        # Python's int() and float() read these; numpy's parse refuses them.
+        (0, "2_0"), (2, "0_5"), (-1, "0.2_5"), (0, "\u0661"),  # digit separators, Arabic-Indic 1
     ])
     def test_malformed_value_reports_path_and_line(self, tmp_path, lineno, field, value):
         path = tmp_path / "bad.csv"
@@ -192,7 +194,8 @@ class TestStreamFiles:
 
     def test_block_parse_refuses_an_id_numpy_reads_through_a_float(self, monkeypatch):
         """numpy 1.23-1.26 read an int64 field written as a float (``1.0``) through
-        the float with only a DeprecationWarning; the per-line parse refuses it."""
+        the float with only a DeprecationWarning; the block parse refuses it, and so
+        does the field parse that names the bad line."""
         def loadtxt(lines, dtype, **kwargs):
             warnings.warn("loadtxt(): Parsing an integer via a float is deprecated.",
                           DeprecationWarning, stacklevel=2)
@@ -200,6 +203,7 @@ class TestStreamFiles:
 
         monkeypatch.setattr(np, "loadtxt", loadtxt)
         assert stream_module._parse_block(["1.0,1,0.5,1,0.1"], 1) is None
+        assert stream_module._parse_field("1.0", np.int64) is None
 
     @pytest.mark.parametrize("lineno", [4, 5000])
     def test_wrong_column_count_reports_path_and_line(self, tmp_path, lineno):
@@ -235,8 +239,8 @@ class TestStreamFiles:
 
     def test_exact_id_ends_read_back_exactly(self, tmp_path):
         """Ids at the ends of int64 and past a float's exact integers read back
-        exactly, through the block parse and through the per-line parse that a
-        blank line sends the block to; an action is still truncated."""
+        exactly, also from a block with a blank line, which is parsed again
+        without it; an action is still truncated."""
         path = tmp_path / "ends.csv"
         ids = [-2 ** 63, -2 ** 53, 2 ** 53 + 1, 2 ** 62 + 1, 2 ** 63 - 1]
         write_stream(path, StreamBlock(t=np.array(ids), gt_task=np.array(ids[::-1]),
@@ -380,6 +384,15 @@ class TestPrefetch:
         path = tmp_path / "bad.csv"
         message = self.error_after_blocks(path, lineno, -1, "not_a_number", monkeypatch)
         assert message.startswith(f"{path}:{lineno}: unparseable value")
+
+    @pytest.mark.parametrize("lineno", [3, 5000])
+    def test_digit_separator_is_raised_after_the_blocks_before_it(self, tmp_path, monkeypatch,
+                                                                  lineno):
+        """A reward Python's float() reads as 5.0 and numpy's parse refuses."""
+        path = tmp_path / "bad.csv"
+        message = self.error_after_blocks(path, lineno, 2, "0_5", monkeypatch)
+        assert message == (f"{path}:{lineno}: unparseable value "
+                           "(could not convert string to float: '0_5')")
 
     @pytest.mark.parametrize("lineno", [3, 5000])
     def test_id_past_int64_is_raised_after_the_blocks_before_it(self, tmp_path, monkeypatch,
