@@ -10,18 +10,16 @@ with one ``np.exp`` call, runs the rest of the softmax and the inverse
 CDF on Python floats, and records the coefficients ``onehot(a) - p`` the
 gradient needs. The update sums the per-step outer products of those
 rows over the step axis, in step order, so the result equals the
-step-by-step sum bit for bit and no probability is recomputed. Live
-plans and probe rollouts encode many observations at once
-(:meth:`Encoder.encode_rows`), and probes sample many steps at once
-(:meth:`Policy.act_rows`), with the same results per row; a probe
-records nothing.
+step-by-step sum bit for bit and no probability is recomputed. Plans
+encode many observations at once (:meth:`Encoder.encode_rows`), and
+probes sample many of their rows at once (:meth:`Policy.act_rows`),
+with the same results per row and nothing recorded.
 The bank keeps two rolling parameter checkpoints per label; rolling
 back restores the older one, so the restored policy predates a detected
 change by at least one full backup interval.
 """
 from __future__ import annotations
 
-import logging
 import math
 import zipfile
 from typing import NamedTuple
@@ -36,8 +34,6 @@ __all__ = [
     "episode_log_prob",
     "episode_gradient",
 ]
-
-logger = logging.getLogger(__name__)
 
 BASELINE_RATE = 0.1
 _FLOAT = np.dtype(float)
@@ -73,9 +69,9 @@ class Encoder:
         return np.tanh(self._w.dot(obs))
 
     def encode_rows(self, obs: np.ndarray) -> np.ndarray:
-        """The latents of ``(S, obs_dim)`` observations: :meth:`encode` of each
-        row bit for bit, from one stacked product that runs the same
-        matrix-vector kernel per row."""
+        """The latents of ``(S, obs_dim)`` observations, such as the rows of a
+        plan: :meth:`encode` of each row bit for bit, from one stacked product
+        that runs the same matrix-vector kernel per row."""
         return np.tanh(np.matmul(self._w, obs[:, :, None])[:, :, 0])
 
 
@@ -139,22 +135,21 @@ def _outer_sum(coeff: np.ndarray, x: np.ndarray) -> np.ndarray:
     return np.add.reduce(coeff * x, axis=0)
 
 
-def _rows_probs(params: np.ndarray, phis) -> tuple[np.ndarray, np.ndarray]:
-    """Feature rows ``[phi; 1]`` of ``(S, k)`` latents and their action probabilities.
+def _rows_probs(params: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """The action probabilities of the ``(S, k + 1)`` feature rows ``[phi; 1]``.
 
     The logits come from one stacked product that runs the same
     matrix-vector kernel per row as ``params.dot(x)``.
     """
-    x = np.ones((len(phis), params.shape[1]))
-    x[:, :-1] = phis
-    return x, _softmax(np.matmul(params, x[:, :, None])[:, :, 0])
+    return _softmax(np.matmul(params, x[:, :, None])[:, :, 0])
 
 
 def _episode_probs(params: np.ndarray, episode):
     """Feature rows ``[phi; 1]``, actions and action probabilities of every step."""
     phis, actions, _ = zip(*episode)
-    x, probs = _rows_probs(params, phis)
-    return x, actions, probs
+    x = np.ones((len(phis), params.shape[1]))
+    x[:, :-1] = phis
+    return x, actions, _rows_probs(params, x)
 
 
 def episode_log_prob(params: np.ndarray, episode) -> float:
@@ -263,16 +258,16 @@ class Policy:
         episode.n = n + 1
         return action
 
-    def act_rows(self, phi: np.ndarray, draws: np.ndarray) -> np.ndarray:
-        """Actions for the ``(S, k)`` latents, row ``i`` drawn by inverse CDF
-        on ``draws[i]``, recording nothing.
+    def act_rows(self, x: np.ndarray, draws: np.ndarray) -> np.ndarray:
+        """Actions for the ``(S, k + 1)`` feature rows ``[phi; 1]``, row ``i``
+        drawn by inverse CDF on ``draws[i]``, recording nothing.
 
-        Each action is the one :meth:`act` draws from the same latent and
+        Each action is the one :meth:`act_row` draws from the same row and
         uniform, bit for bit: the row-wise softmax of :func:`episode_gradient`,
         and the first index whose running sum of probabilities
         (``np.cumsum``, accumulated in order) exceeds the draw, else the last.
         """
-        _, probs = _rows_probs(self.params, phi)
+        probs = _rows_probs(self.params, x)
         below = np.cumsum(probs, axis=1) <= draws[:, None]
         return np.minimum(np.add.reduce(below, axis=1), probs.shape[1] - 1)
 
@@ -370,7 +365,6 @@ class PolicyBank:
         """
         entry = self._entry(label)
         if not entry.checkpoints:
-            logger.warning("rollback(%s): no checkpoint on file, policy unchanged", label)
             return None
         oldest = entry.checkpoints[0]
         live = entry.policy

@@ -4,7 +4,8 @@ Episodes descend a fixed branching tree from the root; every action
 picks a child, the episode ends at a leaf, and only the leaf pays.
 Tasks differ solely in which leaf pays the high reward: observations,
 transitions, and episode length are shared across tasks, so a task is
-invisible until rewards are inspected.
+invisible until rewards are inspected. Future observations are built in
+one place, :meth:`TreeGraphEnv.plan`; the batched rollout reads them from it.
 """
 from __future__ import annotations
 
@@ -141,22 +142,18 @@ class TreeGraphEnv:
 
     @property
     def cursor(self) -> int:
-        """Observations made so far, by :meth:`reset`, :meth:`step`,
-        :meth:`rollout` and their silent forms: the next one adds noise row
-        ``cursor``. Noise is drawn no further than the furthest
-        :meth:`plan`, :meth:`rollout` or observation has reached."""
+        """Observations made so far, by :meth:`reset`, :meth:`step` and their
+        silent forms, :meth:`start`, :meth:`advance` and :meth:`rollout`: the
+        next one adds noise row ``cursor``. Noise is drawn by :meth:`plan` and
+        by observations only, no further than the furthest of them reaches."""
         return self._cursor
 
     def _noise_at(self, start: int, count: int) -> np.ndarray:
         """Scaled noise rows ``start`` to ``start + count``, ``start`` at or
-        after every row still needed.
-
-        Rows not drawn yet are drawn now, up to ``start + count`` and no
-        further, after the rows kept; draws do not depend on how they are
-        split, so row ``i`` is always the ``i``-th ``standard_normal(obs_dim)``
-        draw, scaled, whenever it is drawn. Rows before ``start`` are dropped
-        when the next rows are drawn.
-        """
+        after every row still needed. Rows not drawn yet are drawn now, after
+        the rows kept and no further; row ``i`` is always the ``i``-th
+        ``standard_normal(obs_dim)`` draw, scaled, however draws are split.
+        Rows before ``start`` are dropped when the next rows are drawn."""
         rows, first = self._noise_rows, self._first
         end = first + len(rows)
         if start + count > end:
@@ -171,13 +168,6 @@ class TreeGraphEnv:
         """The current node's base vector plus the noise row its visit
         consumed, row ``cursor - 1``."""
         return self._base[self._node] + self._noise_at(self._cursor - 1, 1)[0]
-
-    def _take_noise(self, count: int) -> np.ndarray:
-        """Consume the next ``count`` observations; their scaled noise rows, the
-        rows ``count`` calls of :meth:`_observe` would add."""
-        start = self._cursor
-        self._cursor += count
-        return self._noise_at(start, count)
 
     def _apply_task(self) -> None:
         """Apply the pending task, as every episode's start does."""
@@ -241,7 +231,9 @@ class TreeGraphEnv:
         and row ``[e, g]`` is the observation that episode makes if it
         visits ``g``: the node's base vector plus the noise row drawn at
         ``g``'s level, the vector :meth:`reset` or :meth:`step` returns
-        there. Noise is drawn up to the last episode's end and no further.
+        there; flattened to ``(episodes * N, obs_dim)``, row ``e * N + g`` is
+        the one :meth:`rollout` names. Noise is drawn up to the last episode's
+        end and no further.
         """
         if episodes < 1:
             raise ValueError(f"a plan needs at least one episode, got {episodes}")
@@ -252,19 +244,16 @@ class TreeGraphEnv:
         return obs
 
     def rollout(self, n: int, choose) -> tuple[np.ndarray, np.ndarray]:
-        """Play ``n`` steps as ``n / depth`` whole episodes, level by level
-        across all of them.
-
-        ``n`` must be a positive multiple of ``depth``; any other raises
-        ValueError before anything moves. Equivalent to a :meth:`reset` and
-        ``depth`` :meth:`step` calls per episode: the same noise rows in the
-        same order, the same task and rewards, and the same last node, with
-        the env ``done`` at the end. At each level ``choose(steps,
-        obs)`` receives the observations ``(E, obs_dim)`` of the ``E``
-        episodes, in episode order, and the indexes of their steps at that
-        level among the ``n``, and returns their actions, integers in
-        ``[0, branching)``. Returns the ``(n,)`` actions and rewards in step
-        order.
+        """Play ``n`` steps, a positive multiple of ``depth`` (else ValueError
+        before anything moves), as whole episodes, level by level across all
+        of them, as a :meth:`reset` and ``depth`` :meth:`step` calls per
+        episode would: the same task, rewards and last node, the env ``done``
+        at the end and the cursor past their observations, but no noise drawn.
+        At each level ``choose(steps, rows)`` gets the episodes' steps there,
+        as indexes among the ``n``, and the row of each, ``episode * N +
+        node`` (``N`` as in :meth:`plan`), in a plan of the rollout's episodes
+        made at its start; it returns their actions, integers in ``[0,
+        branching)``. Returns the ``(n,)`` actions and rewards in step order.
         """
         d, b = self._depth, self._branching
         if n <= 0 or n % d:
@@ -272,15 +261,13 @@ class TreeGraphEnv:
                              f"multiple of depth {d}, got {n}")
         self._apply_task()
         episodes = n // d
-        # Per-step order: each episode's root observation, then one per step.
-        noise = self._take_noise(episodes * (d + 1))
+        self._cursor += episodes * (d + 1)
         steps = np.arange(n).reshape(episodes, d)
         actions = np.empty((episodes, d), dtype=np.intp)
+        firsts = np.arange(0, episodes * self._first_leaf, self._first_leaf)
         nodes = np.zeros(episodes, dtype=np.intp)
         for level in range(d):
-            obs = self._base[nodes]
-            obs += noise[level::d + 1]
-            chosen = choose(steps[:, level], obs)
+            chosen = choose(steps[:, level], firsts + nodes)
             if chosen.min() < 0 or chosen.max() >= b:
                 raise ValueError(f"actions must lie in [0, {b})")
             actions[:, level] = chosen

@@ -20,8 +20,8 @@ check interval, the only steps at which it can raise an event; their
 latents are taken from the plan rows at the check, and the block's
 rows go to the trace there, with its p_value, swd and event. When it
 triggers, probing runs stored policies in the same environment, each
-probe as one batched rollout of whole episodes (:class:`_EnvProbe`),
-so probe steps consume curriculum time and are flagged in the trace.
+probe one plan played as one batched rollout (:class:`_EnvProbe`), so
+probe steps consume curriculum time and are flagged in the trace.
 On any accepted detection the departing label's policy is rolled back
 to its older checkpoint and the episode that ended at the check is
 not learned from. With an output directory the rows are written to
@@ -82,19 +82,16 @@ class RunResult:
 class _EnvProbe:
     """Serves re-detection probes by running stored policies live.
 
-    A probe of ``n`` steps, whole sets and so whole episodes, is one
-    batched rollout (:meth:`TreeGraphEnv.rollout`): its episodes start at
-    the root and are played level by level across all of them, each
-    level's observations encoded and its actions sampled at once, on ``n``
-    probe uniforms drawn in one call. Its steps, phi, actions and
-    rewards, and the env it leaves behind equal those of ``n`` live
-    ``reset``/``step`` calls with :meth:`Encoder.encode` and
-    :meth:`Policy.act`. Every step is a real
-    environment step: the detector counts it and it never updates any
-    policy. The source records each probe's ``(gt_task, rewards)`` in
-    ``blocks``; the runner writes them to the trace, with probe_flag=1,
-    after the live step whose check ran the probes, and then clears the
-    list.
+    A probe of ``n`` steps, whole episodes, encodes one plan of them
+    (:func:`_encode_plan`) and plays them as one batched rollout
+    (:meth:`TreeGraphEnv.rollout`), each level's actions sampled at once
+    from the plan rows the rollout names, on ``n`` uniforms drawn in one
+    call. Its phi, actions and rewards, and the env it leaves, equal those
+    of ``n`` ``reset``/``step`` calls with :meth:`Encoder.encode` and
+    :meth:`Policy.act`. Every step is a real environment step: the detector
+    counts it and no policy learns from it. Each probe's ``(gt_task,
+    rewards)`` goes to ``blocks``, which the runner writes to the trace with
+    probe_flag=1 after the live step whose check ran the probes, and clears.
     """
 
     def __init__(self, env: TreeGraphEnv, encoder: Encoder, bank: PolicyBank,
@@ -106,23 +103,25 @@ class _EnvProbe:
         self.blocks: list[tuple[int, np.ndarray]] = []
 
     def deploy(self, label: int, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        policy, encoder = self._bank.get_or_create(label), self._encoder
+        env, policy = self._env, self._bank.get_or_create(label)
         draws = self._rng.random(n)
-        phi = np.empty((n, encoder.latent_dim))
+        x, _ = _encode_plan(env, self._encoder, n // env.config.depth)
+        phi = np.empty((n, self._encoder.latent_dim))
 
-        def choose(steps: np.ndarray, obs: np.ndarray) -> np.ndarray:
-            phi[steps] = latents = encoder.encode_rows(obs)
-            return policy.act_rows(latents, draws[steps])
+        def choose(steps: np.ndarray, rows: np.ndarray) -> np.ndarray:
+            phi[steps] = x[rows, :-1]
+            return policy.act_rows(x[rows], draws[steps])
 
-        actions, rewards = self._env.rollout(n, choose)
-        self.blocks.append((self._env.active_task, rewards))
+        actions, rewards = env.rollout(n, choose)
+        self.blocks.append((env.active_task, rewards))
         return phi, actions, rewards
 
 
 def _encode_plan(env: TreeGraphEnv, encoder: Encoder, episodes: int) -> tuple[np.ndarray, int]:
     """The rows ``[phi; 1]`` of what the next ``episodes`` whole episodes can
     observe (:meth:`TreeGraphEnv.plan`), episode after episode, and the number
-    of nodes per episode."""
+    of nodes per episode: the one call of :meth:`Encoder.encode_rows`, for
+    live plans and probes alike."""
     obs = env.plan(episodes)
     _, nodes, _ = obs.shape
     x = np.ones((episodes * nodes, encoder.latent_dim + 1))

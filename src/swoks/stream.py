@@ -86,7 +86,10 @@ def write_stream(path, block: StreamBlock) -> int:
 
     ``t``, ``gt_task`` and the action are written as integers (the
     action truncated toward zero), the reward and latents with ``repr``.
-    Returns the number of rows written.
+    Returns the number of rows written. An id that is not an integer in
+    int64, or another value that is not finite, which the reader would
+    refuse or read back changed, raises ValueError naming its column and
+    first row before ``path`` is opened.
     """
     t, gt_task, reward, action = (np.asarray(column) for column in block[:4])
     reward = reward.astype(float)  # repr of a float, also for integer rewards
@@ -97,6 +100,22 @@ def write_stream(path, block: StreamBlock) -> int:
     n, k = phi.shape
     if not n:
         raise ValueError("cannot write an empty stream")
+    for name, column in (("t", t), ("gt_task", gt_task), ("r", reward),
+                         ("a", np.asarray(action, dtype=float)),
+                         *((f"phi_{j + 1}", phi[:, j]) for j in range(k))):
+        if column.dtype.kind not in "biuf":
+            raise ValueError(f"cannot write {path}: {name} holds {column.dtype}, not numbers")
+        is_id = name in ("t", "gt_task")
+        if not is_id:
+            bad = ~np.isfinite(column)
+        elif column.dtype.kind == "f":
+            bad = ~((column == np.trunc(column)) & (column >= -2.0 ** 63) & (column < 2.0 ** 63))
+        else:
+            bad = column > np.iinfo(np.int64).max
+        if bad.any():
+            row = int(bad.argmax())
+            raise ValueError(f"cannot write {path}: {name} at row {row} is {column[row].item()!r}, "
+                             f"not {'an integer in int64' if is_id else 'finite'}")
     line = "%d,%d,%r,%d" + ",%r" * k + "\n"
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(",".join(_stream_header(k)) + "\n")

@@ -322,7 +322,8 @@ class TestRowWisePaths:
                  else float(rng.random()) for p in phi]
         buffer = EpisodeBuffer(n_actions, latent_dim, rows)
         expected = [pol.act(p, FixedDraw(u), buffer) for p, u in zip(phi, draws)]
-        assert pol.act_rows(phi, np.array(draws)).tolist() == expected
+        x = np.append(phi, np.ones((rows, 1)), axis=1)  # the feature rows [phi; 1]
+        assert pol.act_rows(x, np.array(draws)).tolist() == expected
 
 
 class TestEpisodeBuffer:
@@ -350,7 +351,8 @@ class TestEpisodeBuffer:
             for t, (phi, u, reward) in enumerate(zip(phis, draws, rewards)):
                 if t == probe_at:
                     before = (buffer.x.tobytes(), buffer.coeff.tobytes(), buffer.n)
-                    pol.act_rows(data.normal(size=(3, latent_dim)), data.random(3))
+                    x = np.append(data.normal(size=(3, latent_dim)), np.ones((3, 1)), axis=1)
+                    pol.act_rows(x, data.random(3))
                     assert (buffer.x.tobytes(), buffer.coeff.tobytes(), buffer.n) == before
                 assert pol.act(phi, FixedDraw(u), buffer) == expected[t]
                 buffer.rewards.append(reward)

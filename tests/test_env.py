@@ -188,8 +188,8 @@ class TestObservations:
 
     @pytest.mark.parametrize("depth", [1, 2, 3])
     def test_noise_is_drawn_no_further_than_asked(self, depth):
-        """A plan draws the rows of its episodes, a rollout those of its steps,
-        an observation its own row, and none of them a row more."""
+        """A plan draws the rows of its episodes, an observation its own row, and
+        neither a row more; a rollout draws none, its plan drew its rows."""
         env = make_env(depth=depth)
         env.set_task(1)
 
@@ -204,10 +204,42 @@ class TestObservations:
         for episodes, drawn in zip((1, 5, 3, 40), (1, 5, 5, 40)):
             env.plan(episodes)  # a shorter plan than the last draws nothing
             assert ahead() == drawn * (depth + 1)
-        env.rollout(2 * depth, lambda steps, obs: np.zeros(len(steps), dtype=int))
+        env.rollout(2 * depth, lambda steps, rows: np.zeros(len(steps), dtype=int))
         assert ahead() == 38 * (depth + 1)  # the rest of the last plan
-        env.rollout(40 * depth, lambda steps, obs: np.zeros(len(steps), dtype=int))
+        env.plan(40)  # the next rollout's plan
+        assert ahead() == 40 * (depth + 1)
+        env.rollout(40 * depth, lambda steps, rows: np.zeros(len(steps), dtype=int))
         assert ahead() == 0
+        drawn = env._first + len(env._noise_rows)
+        env.rollout(3 * depth, lambda steps, rows: np.zeros(len(steps), dtype=int))
+        assert env._first + len(env._noise_rows) == drawn  # no plan: nothing drawn
+
+    @pytest.mark.parametrize("depth, branching", [(1, 2), (2, 3), (3, 2)])
+    def test_rollout_rows_name_the_observations_of_its_plan(self, depth, branching):
+        """Row ``episode * N + node`` of a plan made at a rollout's start is what
+        ``reset``/``step`` observe there with the same actions, and the env ends
+        where that play ends."""
+        env, twin = (make_env(depth=depth, branching=branching) for _ in range(2))
+        for e in (env, twin):
+            e.set_task(2)
+            e.reset()  # the rollout starts mid-stream and mid-episode
+        plan = np.concatenate(env.plan(7))  # (7 * N, obs_dim), episode after episode
+        choices = np.random.default_rng(depth)
+        seen = []
+
+        def choose(steps, rows):
+            seen.append(plan[rows])
+            return choices.integers(branching, size=len(rows))
+
+        actions, rewards = env.rollout(7 * depth, choose)
+        actions, rewards = actions.reshape(7, depth), rewards.reshape(7, depth)
+        for episode in range(7):
+            obs = twin.reset()
+            for level in range(depth):
+                assert obs.tobytes() == seen[level][episode].tobytes()
+                obs, reward, _ = twin.step(int(actions[episode, level]))
+                assert reward == rewards[episode, level]
+        assert env_view(env) == env_view(twin)
 
     @pytest.mark.parametrize("episodes", [0, -1])
     def test_plan_refuses_fewer_than_one_episode(self, episodes):

@@ -29,8 +29,9 @@ def test_every_listed_name_resolves(name):
 
 def test_import_loads_no_heavy_module():
     """Every run pays for ``import swoks``: scipy (label alignment) and the
-    stream reader's process modules load where they are used, not here."""
-    heavy = ("scipy", "multiprocessing", "mmap", "signal")
+    stream reader's process modules load where they are used, not here, and
+    nothing loads ``logging``."""
+    heavy = ("scipy", "multiprocessing", "mmap", "signal", "logging")
     src = os.path.dirname(os.path.dirname(swoks.__file__))
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
     code = f"import sys, swoks; print(*(m for m in {heavy!r} if m in sys.modules))"

@@ -10,6 +10,7 @@ from __future__ import annotations
 import copy
 import gc
 import json
+import math
 import multiprocessing
 import tracemalloc
 import warnings
@@ -218,6 +219,31 @@ class TestBatchedProbe:
             env.rollout(4, lambda steps, obs: np.full(len(steps), 2))
 
 
+class TestDeskDecisions:
+    """Desk seed 1's decisions, pinned: every host and dependency version must
+    reproduce them, even where ``trace.csv``'s last float digits differ."""
+
+    # (t, kind, old label, new label, {probed label: p-value}); a p-value here
+    # is exp(-12), every new-half distance past the scaled old half, or 1.0.
+    REJECT = math.exp(-12)
+    EVENTS = [
+        (8580, EVENT_NEW_TASK, 1, 2, {}),
+        (17280, EVENT_NEW_TASK, 2, 3, {1: REJECT}),
+        (26040, EVENT_NEW_TASK, 3, 4, {1: REJECT, 2: REJECT}),
+        (33300, EVENT_RE_DETECTED, 4, 1, {1: 1.0}),
+        (41280, EVENT_RE_DETECTED, 1, 2, {2: 1.0}),
+        (49920, EVENT_RE_DETECTED, 2, 3, {1: REJECT, 3: 1.0}),
+        (58740, EVENT_RE_DETECTED, 3, 4, {1: REJECT, 2: REJECT, 4: 1.0}),
+    ]
+
+    def test_events_and_probed_pvalues(self, desk_seed_1):
+        events = desk_seed_1[0].events
+        assert [(e.t, e.kind, e.old_label, e.new_label) for e in events] == [
+            event[:4] for event in self.EVENTS]
+        for event, (*_, pvalues) in zip(events, self.EVENTS):
+            assert event.probed_pvalues == pytest.approx(pvalues, rel=1e-9, abs=0.0)
+
+
 class TestLivePlan:
     """A plan is made only where a check interval starts, spans whole intervals
     and is kept while it holds the next interval; ``test_reference_run.py``
@@ -225,9 +251,10 @@ class TestLivePlan:
 
     @pytest.mark.parametrize("case", list(TINY_CASES))
     def test_plans_are_reused_and_replanned_off_grid(self, case, monkeypatch):
-        """Every plan is made where an interval starts, at most one between two
-        checks, and only when the last one cannot hold the interval: at its
-        end, or off its grid where a probe moved the cursor past it."""
+        """Every live plan is made where an interval starts, at most one between
+        two checks, and only when the last one cannot hold the interval: at its
+        end, or off its grid where a probe moved the cursor past it. A probe's
+        own plan is made at its start cursor, for exactly its episodes."""
         log = []  # ("plan", cursor, episodes), ("step",), ("check",), ("probe", start, end)
         encode_plan, rollout = swoks.runner._encode_plan, TreeGraphEnv.rollout
         advance, ingest_block = TreeGraphEnv.advance, Detector.ingest_block
@@ -256,6 +283,14 @@ class TestLivePlan:
         monkeypatch.setattr(Detector, "ingest_block", checked)
         result = run_experiment(tiny_case(case, seed=0))
         depth, h = result.config.env.depth, result.config.detector.history_len
+        # A probe's plan comes right before its rollout; the live plans are the rest.
+        probe_plans = [i for i, entry in enumerate(log[:-1])
+                       if entry[0] == "plan" and log[i + 1][0] == "probe"]
+        assert len(probe_plans) == sum(entry[0] == "probe" for entry in log)
+        for i in probe_plans:
+            (_, cursor, episodes), (_, start, end) = log[i], log[i + 1]
+            assert cursor == start and episodes * (depth + 1) == end - start
+        log = [entry for i, entry in enumerate(log) if i not in probe_plans]
         interval = h // depth * (depth + 1)  # observations per check interval
         # The fewest whole intervals that cover the plan's observations.
         span = -(-swoks.runner._PLAN_OBSERVATIONS // interval) * interval
@@ -278,7 +313,7 @@ class TestLivePlan:
             elif cursors[1] + interval <= plan_at + span and log[i + 1:i + 2] == [("step",)]:
                 served += 1  # a probe inside the plan's span, and the plan serves on
         if case == "short-probe":
-            assert any(e.probed_pvalues for e in result.events) and served
+            assert any(e.probed_pvalues for e in result.events) and served and probe_plans
 
     def test_no_action_draw_runs_ahead(self, monkeypatch):
         """Desk seed 1's action generator has drawn ``history_len`` uniforms per

@@ -137,6 +137,38 @@ class TestStreamFiles:
         with pytest.raises(ValueError, match="empty"):
             write_stream(tmp_path / "s.csv", StreamBlock(*(c[:0] for c in block)))
 
+    @pytest.mark.parametrize("column, dtype, value, message", [
+        pytest.param("t", float, 1.5, "t at row 9000 is 1.5, not an integer in int64",
+                     id="fraction"),
+        pytest.param("gt_task", float, 2.0 ** 63,
+                     "gt_task at row 9000 is 9.223372036854776e+18, not an integer in int64",
+                     id="float-past-int64"),
+        pytest.param("t", np.uint64, 2 ** 63 + 5,
+                     "t at row 9000 is 9223372036854775813, not an integer in int64",
+                     id="uint64-past-int64"),
+        pytest.param("t", object, 1, "t holds object, not numbers", id="object-ids"),
+        pytest.param("reward", float, np.nan, "r at row 9000 is nan, not finite",
+                     id="nan-reward"),
+        pytest.param("action", float, np.inf, "a at row 9000 is inf, not finite",
+                     id="infinite-action"),
+        pytest.param("phi", float, -np.inf, "phi_2 at row 9000 is -inf, not finite",
+                     id="infinite-latent"),
+    ])
+    def test_what_would_not_read_back_is_refused_before_writing(self, tmp_path, column, dtype,
+                                                                value, message):
+        """A value the reader refuses or reads back changed, at row 9,000 of
+        10,000, raises ValueError naming its column and row before anything is
+        written: an existing file at the path is not touched."""
+        path = tmp_path / "s.csv"
+        path.write_text("kept\n")
+        block = make_block(n=10000, k=2)
+        values = getattr(block, column).astype(dtype)
+        values.reshape(10000, -1)[9000, -1] = value  # the last latent of a phi row
+        with pytest.raises(ValueError, match=f"^cannot write {re.escape(str(path))}: "
+                                             f"{re.escape(message)}$"):
+            write_stream(path, block._replace(**{column: values}))
+        assert path.read_text() == "kept\n"
+
     def test_header_written(self, tmp_path):
         path = tmp_path / "stream.csv"
         write_stream(path, make_block(n=2, k=2))
