@@ -46,7 +46,6 @@ class ExperimentConfig:
     tasks: tuple[TaskSpec, ...]
     curriculum: Curriculum
     master_seed: int = 0
-    preset: str = ""
 
     def __post_init__(self):
         if self.master_seed < 0:
@@ -163,7 +162,7 @@ def _load_preset(name: str) -> dict[str, dict[str, object]]:
     return _convert(parse_config_text(text, origin), origin)
 
 
-def _build(values: dict[str, dict[str, object]], origin: str, preset: str) -> ExperimentConfig:
+def _build(values: dict[str, dict[str, object]], origin: str) -> ExperimentConfig:
     for section, key in _REQUIRED:
         if key not in values.get(section, {}):
             raise ConfigError(f"{origin}: missing [{section}] {key}")
@@ -182,7 +181,7 @@ def _build(values: dict[str, dict[str, object]], origin: str, preset: str) -> Ex
             agent=AgentConfig(**values.get("agent", {})),
             tasks=tuple(TaskSpec(task_id=i + 1, rewarded_leaf=leaf) for i, leaf in enumerate(leaves)),
             curriculum=Curriculum(tuple((tid, steps) for tid in order)),
-            preset=preset, **values.get("experiment", {}),
+            **values.get("experiment", {}),
         )
     except ValueError as exc:
         raise ConfigError(f"{origin}: {exc}") from None
@@ -211,7 +210,7 @@ def load_config(source: str | Path, seed: int | None = None) -> ExperimentConfig
     """
     source = str(source)
     if source in PRESETS:
-        origin, values, preset = f"<preset:{source}>", _load_preset(source), source
+        origin, values = f"<preset:{source}>", _load_preset(source)
     else:
         path = Path(source)
         if not path.exists():
@@ -228,7 +227,7 @@ def load_config(source: str | Path, seed: int | None = None) -> ExperimentConfig
             for section, entries in values.items():
                 merged.setdefault(section, {}).update(entries)
             values = merged
-    config = _build(values, origin, preset or source)
+    config = _build(values, origin)
     if seed is not None:
         config = replace(config, master_seed=seed)
     return config

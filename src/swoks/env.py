@@ -253,15 +253,17 @@ class TreeGraphEnv:
         as indexes among the ``n``, and the row of each, ``episode * N +
         node`` (``N`` as in :meth:`plan`), in a plan of the rollout's episodes
         made at its start; it returns their actions, integers in ``[0,
-        branching)``. Returns the ``(n,)`` actions and rewards in step order.
+        branching)``, else ValueError before anything moves. With no task
+        set, RuntimeError before ``choose`` is called. Returns the ``(n,)``
+        actions and rewards in step order.
         """
         d, b = self._depth, self._branching
         if n <= 0 or n % d:
             raise ValueError(f"a rollout plays whole episodes: n must be a positive "
                              f"multiple of depth {d}, got {n}")
-        self._apply_task()
+        if self._pending is None and self._active is None:
+            raise RuntimeError("no active task; call set_task before reset")
         episodes = n // d
-        self._cursor += episodes * (d + 1)
         steps = np.arange(n).reshape(episodes, d)
         actions = np.empty((episodes, d), dtype=np.intp)
         firsts = np.arange(0, episodes * self._first_leaf, self._first_leaf)
@@ -272,6 +274,8 @@ class TreeGraphEnv:
                 raise ValueError(f"actions must lie in [0, {b})")
             actions[:, level] = chosen
             nodes = nodes * b + 1 + chosen
+        self._apply_task()
+        self._cursor += episodes * (d + 1)
         rewards = np.zeros((episodes, d))
         cfg = self._cfg
         rewards[:, d - 1] = np.where(nodes == self._rewarded, cfg.high_reward, cfg.fail_reward)

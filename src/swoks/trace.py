@@ -2,17 +2,18 @@
 
 One row per global step, live and probe steps alike. The swd and
 p_value columns carry the detector's latest distance check and shift
-test, whichever label ran them: they are empty only before the run's
-first check and first test, and after a label switch they keep the
-triggering check's values until the new label's window is checked.
-Floats are written with repr so a rerun with identical seeds produces
-byte-identical files. A :class:`TraceWriter` writes the file as rows
-are appended, so a run's memory does not grow with its length.
+test, whichever label ran them: they are empty (None in a
+:class:`Trace`, which keeps every field but ``event`` as a column) only
+before the run's first check and first test, and after a label switch
+they keep the triggering check's values until the new label's window is
+checked. Floats are written with repr so a rerun with identical seeds
+produces byte-identical files. A :class:`TraceWriter` writes the file as
+rows are appended, so a run's memory does not grow with its length.
 """
 from __future__ import annotations
 
 import json
-from itertools import chain, repeat
+from itertools import chain, repeat, starmap
 from typing import NamedTuple
 
 import numpy as np
@@ -52,35 +53,45 @@ class _Column:
         return trace._data[self.name][:trace._n]
 
 
-class Trace:
-    """A run's trace as numpy columns, one row per global step.
+def _row_count(reward, iteration, gt_task) -> int:
+    """``len(reward)``; ValueError if ``iteration`` or ``gt_task`` is a sequence of another."""
+    k = len(reward)
+    for value in (iteration, gt_task):
+        if hasattr(value, "__len__") and len(value) != k:
+            raise ValueError(f"iteration and gt_task must hold one value, or one per reward ({k})")
+    return k
 
-    ``t``, ``iteration``, ``gt_task``, ``pred_label``, ``reward`` and
-    ``probe_flag`` are per-row columns. The shift-check values are kept
-    once per check: ``checks`` lists ``(p_value, swd)`` pairs, None
-    where no check has run, and the ``check`` column holds each row's
-    index into it. ``events`` maps a row index to the event kind it
-    carries. Iterating yields :class:`TraceRow` records; ``len`` and
-    ``==`` behave as they do for the list of those records.
+
+class Trace:
+    """A run's trace as columns, one row per global step.
+
+    Every field of ``trace.csv`` but ``event`` is a column: ``t``,
+    ``iteration``, ``gt_task``, ``pred_label``, ``reward`` and
+    ``probe_flag`` numeric, ``p_value`` and ``swd`` object columns that
+    hold the appended float, or None where no check has run; the rows of
+    one append share the same objects. ``events`` maps a row index to the
+    event kind it carries. Iterating yields :class:`TraceRow` records;
+    ``len`` and ``==`` behave as they do for the list of those records,
+    and ``==`` compares the columns and ``events``.
     """
 
     t = _Column()
     iteration = _Column()
     gt_task = _Column()
     pred_label = _Column()
+    p_value = _Column()
+    swd = _Column()
     reward = _Column()
     probe_flag = _Column()
-    check = _Column()
 
     _DTYPES = {"t": np.int64, "iteration": np.int64, "gt_task": np.int64,
-               "pred_label": np.int64, "reward": np.float64, "probe_flag": np.int64,
-               "check": np.int64}
+               "pred_label": np.int64, "p_value": object, "swd": object,
+               "reward": np.float64, "probe_flag": np.int64}
 
     def __init__(self, capacity: int = 0):
         """An empty trace with room for ``capacity`` rows; it grows past that as needed."""
         self._n = 0
         self._data = {name: np.empty(capacity, dtype) for name, dtype in self._DTYPES.items()}
-        self.checks: list[tuple[float | None, float | None]] = []
         self.events: dict[int, str] = {}
 
     def append(self, t: int, iteration, gt_task, pred_label, reward, probe_flag: int,
@@ -88,11 +99,11 @@ class Trace:
         """Append rows ``t, t + 1, ...`` that share one check's p_value and swd.
 
         ``reward`` holds one value per row; ``iteration`` and ``gt_task``
-        take one value per row or one for all of them, and ``pred_label``
-        one for all of them. ``event`` marks the first row. The check is stored once
-        while the same ``p_value`` and ``swd`` objects keep coming.
+        take one value per row or one for all of them (ValueError before
+        anything is stored if a sequence has another length), and
+        ``pred_label`` one for all of them. ``event`` marks the first row.
         """
-        k = len(reward)
+        k = _row_count(reward, iteration, gt_task)
         if not k:
             return
         n = self._n
@@ -102,18 +113,10 @@ class Trace:
                 grown = np.empty(size, dtype=col.dtype)
                 grown[:n] = col[:n]
                 self._data[name] = grown
-        last = self.checks[-1] if self.checks else None
-        if last is None or last[0] is not p_value or last[1] is not swd:
-            self.checks.append((p_value, swd))
-        d = self._data
-        rows = slice(n, n + k)
-        d["t"][rows] = np.arange(t, t + k)
-        d["iteration"][rows] = iteration
-        d["gt_task"][rows] = gt_task
-        d["pred_label"][rows] = pred_label
-        d["reward"][rows] = reward
-        d["probe_flag"][rows] = probe_flag
-        d["check"][rows] = len(self.checks) - 1
+        values = (np.arange(t, t + k), iteration, gt_task, pred_label, p_value, swd, reward,
+                  probe_flag)  # in _DTYPES order
+        for col, value in zip(self._data.values(), values):
+            col[n:n + k] = value
         if event:
             self.events[n] = event
         self._n = n + k
@@ -123,25 +126,20 @@ class Trace:
 
     def __iter__(self):
         """The rows as :class:`TraceRow` records, converted ``_CHUNK`` rows at a time."""
-        d, checks = self._data, self.checks
         for lo in range(0, self._n, _CHUNK):
             hi = min(lo + _CHUNK, self._n)
-            events = [""] * (hi - lo)
+            fields = {name: col[lo:hi].tolist() for name, col in self._data.items()}
+            fields["event"] = events = [""] * (hi - lo)
             for i, kind in self.events.items():
                 if lo <= i < hi:
                     events[i - lo] = kind
-            rows = zip(d["t"][lo:hi].tolist(), d["iteration"][lo:hi].tolist(),
-                       d["gt_task"][lo:hi].tolist(), d["pred_label"][lo:hi].tolist(), events,
-                       d["check"][lo:hi].tolist(), d["reward"][lo:hi].tolist(),
-                       d["probe_flag"][lo:hi].tolist())
-            for t, iteration, gt_task, pred_label, event, check, reward, probe_flag in rows:
-                yield TraceRow(t, iteration, gt_task, pred_label, event, *checks[check],
-                               reward, probe_flag)
+            yield from starmap(TraceRow, zip(*(fields[name] for name in TRACE_COLUMNS)))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Trace):
             return NotImplemented
-        return len(self) == len(other) and all(a == b for a, b in zip(self, other))
+        return self.events == other.events and all(
+            np.array_equal(getattr(self, name), getattr(other, name)) for name in self._DTYPES)
 
 
 def _check_text(p_value: float | None, swd: float | None) -> str:
@@ -167,7 +165,7 @@ class TraceWriter:
                p_value: float | None, swd: float | None, event: str = "") -> None:
         """Write rows ``t, t + 1, ...``, as :meth:`Trace.append` stores them;
         ``pred_label`` is one label for every row of the append."""
-        k = len(reward)
+        k = _row_count(reward, iteration, gt_task)
         if not k:
             return
         check = self._check
@@ -178,11 +176,9 @@ class TraceWriter:
         head = "%d,%d,%d," + "%d" % pred_label + ","
         tail = "," + check[2] + ",%r," + "%d\n" % probe_flag
         first = head + str(event).replace("%", "%%") + tail
-        # One format call for the block: zip stops at the shortest per-row field.
+        # One format call for the block.
         values = tuple(chain.from_iterable(zip(*fields, map(float, reward))))
-        rows = len(values) // (len(fields) + 1)
-        if rows:
-            self._fh.write((first + (head + tail) * (rows - 1)) % values)
+        self._fh.write((first + (head + tail) * (k - 1)) % values)
 
     def close(self) -> None:
         self._fh.close()
@@ -196,18 +192,19 @@ class TraceWriter:
 
 def _per_row(value):
     """``value`` as an iterable over rows: one value repeats for every row."""
-    return repeat(value) if np.isscalar(value) else value
+    return value if hasattr(value, "__len__") else repeat(value)
 
 
 def read_trace(path) -> Trace:
     """The trace of a ``trace.csv`` written by a :class:`TraceWriter`.
 
     Lines go straight into the columns. A run of lines with the same
-    p_value and swd text is one check, so 0.0 and -0.0 stay apart.
+    p_value and swd text shares one parsed pair, as an append's rows do:
+    0.0 and -0.0 stay apart, and a row parses no floats of its own there.
     """
     trace = Trace()
     columns = [[] for _ in Trace._DTYPES]  # in _DTYPES order
-    check_text = None
+    check_text = check = None
     with open(path, "r", encoding="utf-8") as fh:
         header = fh.readline().strip()
         if header.split(",") != TRACE_COLUMNS:
@@ -222,15 +219,14 @@ def read_trace(path) -> Trace:
                                  f"got {len(parts)}")
             t, iteration, gt_task, pred_label, event, p_value, swd, reward, probe_flag = parts
             try:
-                values = (int(t), int(iteration), int(gt_task), int(pred_label), float(reward),
-                          int(probe_flag))
                 if (p_value, swd) != check_text:
-                    trace.checks.append((float(p_value) if p_value else None,
-                                         float(swd) if swd else None))
+                    check = (float(p_value) if p_value else None, float(swd) if swd else None)
                     check_text = p_value, swd
+                values = (int(t), int(iteration), int(gt_task), int(pred_label), *check,
+                          float(reward), int(probe_flag))
             except ValueError as exc:
                 raise ValueError(f"{path}:{lineno}: unparseable value ({exc})") from None
-            for column, value in zip(columns, (*values, len(trace.checks) - 1)):
+            for column, value in zip(columns, values):
                 column.append(value)
             if event:
                 trace.events[trace._n] = event

@@ -197,7 +197,6 @@ class TestDefaultsAndBuild:
 class TestPresets:
     def test_desk_preset_loads(self):
         cfg = load_config("desk")
-        assert cfg.preset == "desk"
         assert cfg.detector.history_len == 60
         assert cfg.detector.swd_history_len == 12
         assert cfg.detector.stable_phase == 2000
@@ -222,7 +221,6 @@ class TestPresets:
             "[detector]\nhistory_length = 30\n"
         )
         cfg = load_config(write_cfg(tmp_path, text))
-        assert cfg.preset == "desk"
         assert cfg.detector.history_len == 30          # file wins
         assert cfg.detector.swd_history_len == 12      # preset value kept
         assert cfg.agent.learning_rate == 0.15         # preset value kept

@@ -213,10 +213,27 @@ class TestBatchedProbe:
         assert env_view(env) == before
 
     def test_rollout_rejects_an_action_out_of_range(self):
-        env = TreeGraphEnv(TreeGraphConfig(), (TaskSpec(1, 0),))
+        """A refused action leaves the env as it was, its cursor, node, done
+        and task, also with a set_task pending; with no task set the rollout
+        refuses before choose is called."""
+        env = TreeGraphEnv(TreeGraphConfig(), (TaskSpec(1, 0), TaskSpec(2, 3)))
+        with pytest.raises(RuntimeError, match="no active task"):
+            env.rollout(4, lambda steps, obs: pytest.fail("choose called with no task"))
         env.set_task(1)
-        with pytest.raises(ValueError):
-            env.rollout(4, lambda steps, obs: np.full(len(steps), 2))
+        env.reset()
+        for pending in (None, 2):
+            if pending is not None:
+                env.set_task(pending)
+            before = env_view(env)
+            for bad in (2, 5, -1):
+                with pytest.raises(ValueError, match=r"actions must lie in \[0, 2\)"):
+                    env.rollout(4, lambda steps, obs: np.full(len(steps), bad))
+                assert env_view(env) == before
+            # A bad action at the last level only: the first level's choice moves nothing.
+            with pytest.raises(ValueError):
+                env.rollout(4, lambda steps, obs: np.full(len(steps), 5 * (steps[0] % 2)))
+            assert env_view(env) == before
+        assert env.active_task == 1
 
 
 class TestDeskDecisions:

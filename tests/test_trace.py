@@ -75,10 +75,13 @@ def test_trace_csv_matches_the_row_formula_and_round_trips(tmp_path_factory, blo
     assert text == ",".join(TRACE_COLUMNS) + "\n" + "".join(format_row(r) + "\n" for r in rows)
     back = read_trace(path)
     assert back == trace
-    # The rebuilt trace keeps every sign and bit.
-    for name in Trace._DTYPES:
-        assert getattr(back, name).tobytes() == getattr(trace, name).tobytes(), name
-    assert repr(back.checks) == repr(trace.checks)
+    # The rebuilt trace keeps every sign and bit: an object column's tobytes
+    # gives pointers, so its values compare by repr.
+    for name, dtype in Trace._DTYPES.items():
+        if dtype is object:
+            assert repr(getattr(back, name).tolist()) == repr(getattr(trace, name).tolist()), name
+        else:
+            assert getattr(back, name).tobytes() == getattr(trace, name).tobytes(), name
     assert back.events == trace.events
 
 
@@ -135,10 +138,48 @@ def test_columns_hold_the_appended_rows(tmp_path):
     assert trace.iteration.tolist() == [0, 0, 1, 1]
     assert trace.pred_label.tolist() == [7] * 4
     assert trace.probe_flag.tolist() == [0, 0, 0, 1]
-    assert trace.checks == [(None, 0.5), (0.25, 0.5)]
-    assert trace.check.tolist() == [0, 0, 0, 1]
+    assert trace.p_value.tolist() == [None, None, None, 0.25]
+    assert trace.swd.tolist() == [0.5] * 4
     assert trace.events == {3: "new-task"}
     assert list(trace)[-1] == TraceRow(4, 1, 2, 7, "new-task", 0.25, 0.5, 1.0, 1)
+
+
+def test_rows_of_one_append_share_their_check_values(tmp_path):
+    """Each append stores its p_value and swd objects in every row it adds,
+    None before the first check; read_trace shares one parsed pair across a
+    run of lines with the same text, and keeps 0.0 and -0.0 apart."""
+    p, s, q = 0.25, 0.5, -0.0
+    trace = Trace()
+    with TraceWriter(tmp_path / "trace.csv") as writer:
+        for sink in (trace, writer):
+            sink.append(1, 0, 1, 1, [0.0, 1.0], 0, None, None)
+            sink.append(3, [1, 1, 2], 1, 1, [0.0, 1.0, 0.0], 0, p, s, "new-task")
+            sink.append(6, 2, [1, 2], 1, [1.0, 1.0], 1, q, 0.0)
+    assert trace.p_value.tolist() == [None, None, p, p, p, q, q]
+    assert trace.swd.tolist() == [None, None, s, s, s, 0.0, 0.0]
+    assert all(v is p for v in trace.p_value[2:5]) and all(v is s for v in trace.swd[2:5])
+    assert all(v is q for v in trace.p_value[5:])
+    back = read_trace(tmp_path / "trace.csv")
+    assert back == trace
+    assert back.p_value[2] is back.p_value[4] and back.swd[2] is back.swd[4]
+    assert back.p_value[5] is back.p_value[6] and back.swd[5] is back.swd[6]
+    assert repr(back.p_value[5]) == "-0.0" and repr(back.swd[5]) == "0.0"
+
+
+def test_both_sinks_refuse_a_per_row_field_of_another_length(tmp_path):
+    """An iteration or gt_task sequence whose length is not the rewards' is
+    refused before anything is written or stored."""
+    trace, rewards = Trace(), [0.0, 1.0, 2.0]
+    with TraceWriter(tmp_path / "good.csv") as good, TraceWriter(tmp_path / "trace.csv") as writer:
+        for sink in (trace, good, writer):
+            sink.append(1, 0, 1, 1, [0.5], 0, 0.25, 0.5, "new-task")
+        before = list(trace)
+        for sink in (trace, writer):
+            for iteration, gt_task in (([0, 0], 1), (1, [1, 1, 1, 1]), ([0, 0, 0], [])):
+                with pytest.raises(ValueError, match="one per reward"):
+                    sink.append(2, iteration, gt_task, 1, rewards, 0, None, None, "re-detected")
+    assert (tmp_path / "trace.csv").read_bytes() == (tmp_path / "good.csv").read_bytes()
+    assert list(trace) == before and trace.events == {0: "new-task"}
 
 
 def test_empty_trace_writes_a_header_only(tmp_path):
