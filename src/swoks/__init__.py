@@ -24,14 +24,9 @@ from .metrics import (
     run_included_mask,
     sweep_beta,
 )
-from .ot import (
-    sample_unit_directions,
-    sliced_wasserstein,
-    wasserstein_1d,
-    wasserstein_exact,
-)
+from .ot import sample_unit_directions
 from .runner import RunResult, detect_offline, run_experiment
-from .stats import KsResult, detect_shift, ks_critical, ks_one_sided, ks_pvalue
+from .stats import KsResult, detect_shift, ks_pvalue
 from .stream import StreamBlock, make_datapoints, read_stream_blocks, write_stream
 from .trace import Trace, TraceRow, read_trace, write_events
 
@@ -65,8 +60,6 @@ __all__ = [
     "detect_shift",
     "detection_delay",
     "false_positive_rate",
-    "ks_critical",
-    "ks_one_sided",
     "ks_pvalue",
     "label_alignment_accuracy",
     "load_config",
@@ -77,10 +70,7 @@ __all__ = [
     "run_experiment",
     "run_included_mask",
     "sample_unit_directions",
-    "sliced_wasserstein",
     "sweep_beta",
-    "wasserstein_1d",
-    "wasserstein_exact",
     "write_events",
     "write_stream",
     "__version__",

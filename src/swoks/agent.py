@@ -31,8 +31,6 @@ __all__ = [
     "EpisodeBuffer",
     "Policy",
     "PolicyBank",
-    "episode_log_prob",
-    "episode_gradient",
 ]
 
 BASELINE_RATE = 0.1
@@ -144,36 +142,6 @@ def _rows_probs(params: np.ndarray, x: np.ndarray) -> np.ndarray:
     return _softmax(np.matmul(params, x[:, :, None])[:, :, 0])
 
 
-def _episode_probs(params: np.ndarray, episode):
-    """Feature rows ``[phi; 1]``, actions and action probabilities of every step."""
-    phis, actions, _ = zip(*episode)
-    x = np.ones((len(phis), params.shape[1]))
-    x[:, :-1] = phis
-    return x, actions, _rows_probs(params, x)
-
-
-def episode_log_prob(params: np.ndarray, episode) -> float:
-    """Sum of log action probabilities along an episode.
-
-    ``episode`` is a sequence of (phi, action, reward) steps. Together
-    with a constant advantage this is the surrogate objective whose
-    gradient :func:`episode_gradient` returns.
-    """
-    _, actions, probs = _episode_probs(params, episode)
-    return float(np.log(probs[np.arange(len(actions)), actions]).sum())
-
-
-def episode_gradient(params: np.ndarray, episode) -> np.ndarray:
-    """Gradient of :func:`episode_log_prob` with respect to ``params``.
-
-    The probabilities are recomputed for the whole episode at once, so
-    this is the reference for the rows :meth:`Policy.act` records.
-    """
-    x, actions, probs = _episode_probs(params, episode)
-    coeff = np.array([_coefficients(p, a) for p, a in zip(probs.tolist(), actions)])
-    return _outer_sum(coeff[:, :, None], x[:, None, :])
-
-
 class EpisodeBuffer:
     """The rows of one live episode of ``steps`` steps, written by
     :meth:`Policy.act` and read by :meth:`Policy.update`.
@@ -263,7 +231,7 @@ class Policy:
         drawn by inverse CDF on ``draws[i]``, recording nothing.
 
         Each action is the one :meth:`act_row` draws from the same row and
-        uniform, bit for bit: the row-wise softmax of :func:`episode_gradient`,
+        uniform, bit for bit: the row-wise softmax of :func:`_rows_probs`,
         and the first index whose running sum of probabilities
         (``np.cumsum``, accumulated in order) exceeds the draw, else the last.
         """

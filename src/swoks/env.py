@@ -252,10 +252,11 @@ class TreeGraphEnv:
         At each level ``choose(steps, rows)`` gets the episodes' steps there,
         as indexes among the ``n``, and the row of each, ``episode * N +
         node`` (``N`` as in :meth:`plan`), in a plan of the rollout's episodes
-        made at its start; it returns their actions, integers in ``[0,
-        branching)``, else ValueError before anything moves. With no task
-        set, RuntimeError before ``choose`` is called. Returns the ``(n,)``
-        actions and rewards in step order.
+        made at its start; it returns their actions, an array of an integer
+        or bool dtype with values in ``[0, branching)``, else ValueError
+        before anything moves. With no task set, RuntimeError before
+        ``choose`` is called. Returns the ``(n,)`` actions and rewards in
+        step order.
         """
         d, b = self._depth, self._branching
         if n <= 0 or n % d:
@@ -270,6 +271,8 @@ class TreeGraphEnv:
         nodes = np.zeros(episodes, dtype=np.intp)
         for level in range(d):
             chosen = choose(steps[:, level], firsts + nodes)
+            if chosen.dtype.kind not in "biu":
+                raise ValueError(f"actions must be integers, got {chosen.dtype}")
             if chosen.min() < 0 or chosen.max() >= b:
                 raise ValueError(f"actions must lie in [0, {b})")
             actions[:, level] = chosen

@@ -16,8 +16,6 @@ import numpy as np
 
 __all__ = [
     "KsResult",
-    "ks_one_sided",
-    "ks_critical",
     "ks_pvalue",
     "detect_shift",
 ]
@@ -50,28 +48,9 @@ def _as_sample(x, name: str) -> np.ndarray:
     return arr
 
 
-def ks_one_sided(x1, x2) -> float:
-    """Signed supremum of the ECDF difference, ``sup_x (F1(x-) - F2(x-))``.
-
-    The supremum over all real thresholds of ``P[X1 < x] - P[X2 < x]``
-    is attained at a pooled sample value or past the largest one, where
-    the difference is 0, so the strict counts at the pooled values are
-    the only candidates. The result is clamped below at 0.
-
-    Parameters
-    ----------
-    x1, x2 : array-like of shape (n1,), (n2,)
-        Sizes may differ.
-
-    Returns
-    -------
-    float in [0, 1]
-    """
-    return _ks_sorted(np.sort(_as_sample(x1, "x1")), np.sort(_as_sample(x2, "x2")))
-
-
 def _ks_sorted(sa: np.ndarray, sb: np.ndarray) -> float:
-    """:func:`ks_one_sided` of two samples, each in ascending order.
+    """The statistic ``sup_x (F1(x-) - F2(x-))``, clamped below at 0, of
+    two samples, each in ascending order.
 
     Only the values of the second sample are candidates. The difference
     is constant between consecutive pooled values, so its value just
@@ -88,34 +67,12 @@ def _ks_sorted(sa: np.ndarray, sb: np.ndarray) -> float:
     return min(1.0, max(0.0, float((f1 - f2).max())))
 
 
-def ks_critical(n1: int, n2: int, alpha: float) -> float:
-    """Critical value of the one-sided statistic at significance ``alpha``.
-
-    ``sqrt(-0.5 * (n1 + n2) * ln(alpha / 2) / (n1 * n2))``.
-
-    Parameters
-    ----------
-    n1, n2 : int
-        Sample sizes, at least 1.
-    alpha : float in (0, 1)
-
-    Returns
-    -------
-    float
-    """
-    if n1 < 1 or n2 < 1:
-        raise ValueError(f"sample sizes must be >= 1, got n1={n1}, n2={n2}")
-    if not 0.0 < alpha < 1.0:
-        raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
-    return math.sqrt(-0.5 * (n1 + n2) * math.log(0.5 * alpha) / (n1 * n2))
-
-
 def ks_pvalue(statistic: float, n1: int, n2: int) -> float:
     """Asymptotic one-sided tail probability of the statistic.
 
     ``p = min(1, exp(-2 * statistic^2 * n_e))`` with the effective size
-    ``n_e = n1 * n2 / (n1 + n2)``. Consistent with :func:`ks_critical`:
-    the critical value at ``alpha`` maps back to ``p = alpha / 2``.
+    ``n_e = n1 * n2 / (n1 + n2)``. The critical value at ``alpha``,
+    ``sqrt(-ln(alpha / 2) / (2 n_e))``, maps back to ``p = alpha / 2``.
 
     Parameters
     ----------

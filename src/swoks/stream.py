@@ -89,11 +89,16 @@ def write_stream(path, block: StreamBlock) -> int:
     Returns the number of rows written. An id that is not an integer in
     int64, or another value that is not finite, which the reader would
     refuse or read back changed, raises ValueError naming its column and
-    first row before ``path`` is opened.
+    first row before ``path`` is opened, and so does a column of another
+    dtype than bool, integer or float, naming the column.
     """
-    t, gt_task, reward, action = (np.asarray(column) for column in block[:4])
+    t, gt_task, reward, action, phi = (np.asarray(column) for column in block)
+    for name, column in (("t", t), ("gt_task", gt_task), ("r", reward), ("a", action),
+                         ("phi", phi)):
+        if column.dtype.kind not in "biuf":
+            raise ValueError(f"cannot write {path}: {name} holds {column.dtype}, not numbers")
     reward = reward.astype(float)  # repr of a float, also for integer rewards
-    phi = np.asarray(block.phi, dtype=float)
+    phi = np.asarray(phi, dtype=float)
     if phi.ndim != 2 or any(c.shape != phi.shape[:1] for c in (t, gt_task, reward, action)):
         raise ValueError(f"t, gt_task, r and a must be 1D with one entry per row of phi "
                          f"{phi.shape}")
@@ -103,8 +108,6 @@ def write_stream(path, block: StreamBlock) -> int:
     for name, column in (("t", t), ("gt_task", gt_task), ("r", reward),
                          ("a", np.asarray(action, dtype=float)),
                          *((f"phi_{j + 1}", phi[:, j]) for j in range(k))):
-        if column.dtype.kind not in "biuf":
-            raise ValueError(f"cannot write {path}: {name} holds {column.dtype}, not numbers")
         is_id = name in ("t", "gt_task")
         if not is_id:
             bad = ~np.isfinite(column)

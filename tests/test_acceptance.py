@@ -12,8 +12,16 @@ from dataclasses import replace
 import numpy as np
 
 from conftest import greedy_action, record_acceptance, record_episode
+from oracles import (
+    episode_gradient,
+    episode_log_prob,
+    ks_critical,
+    sliced_wasserstein,
+    wasserstein_1d,
+    wasserstein_exact,
+)
 
-from swoks.agent import Policy, PolicyBank, episode_gradient, episode_log_prob
+from swoks.agent import Policy, PolicyBank
 from swoks.cli import main as cli_main
 from swoks.config import load_config
 from swoks.detector import DetectorConfig
@@ -22,14 +30,9 @@ from swoks.metrics import (
     optimal_label_map,
     run_included_mask,
 )
-from swoks.ot import (
-    sample_unit_directions,
-    sliced_wasserstein,
-    wasserstein_1d,
-    wasserstein_exact,
-)
+from swoks.ot import sample_unit_directions
 from swoks.runner import detect_offline, run_experiment
-from swoks.stats import detect_shift, ks_critical, ks_pvalue
+from swoks.stats import detect_shift, ks_pvalue
 from swoks.stream import StreamBlock, write_stream
 
 

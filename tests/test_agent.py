@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import FixedDraw, bad_banks, greedy_action, record_episode
+from oracles import episode_gradient, episode_log_prob
 
 from swoks.agent import (
     BASELINE_RATE,
@@ -17,8 +18,6 @@ from swoks.agent import (
     PolicyBank,
     _inverse_cdf,
     _sum,
-    episode_gradient,
-    episode_log_prob,
 )
 
 

@@ -7,6 +7,7 @@ down each of its paths: accept, reject and a refused probe.
 from __future__ import annotations
 
 import collections
+import functools
 import itertools
 import math
 import warnings
@@ -250,6 +251,77 @@ class TestSuppression:
         assert [lab.id for lab in det.labels] == [1]
         assert det.current_label.id == 1
         assert det.labels[-1].created_at == 0
+
+
+class TestStablePhaseReach:
+    """A label's first shift test comes ``3 L h`` steps after it is made: its
+    window needs ``L + 1`` sets for the first distance, and the test needs
+    ``2 L`` distances (``L`` is ``swd_history_len``, ``h`` ``history_len``).
+    Only the current label is tested, and a label made by a trigger is current
+    until its own test triggers, so no trigger comes sooner than ``3 L h``
+    after the newest label was made: a stable phase of at most that never
+    suppresses one."""
+
+    @pytest.mark.parametrize("config, change", [
+        (make_config(), 300),
+        (detector_config(load_config("desk", seed=1)), 3360),
+    ], ids=["tiny", "desk"])
+    def test_a_new_label_is_first_tested_3_L_h_after_it_is_made(self, config, change,
+                                                                monkeypatch):
+        h, half = config.history_len, config.swd_history_len
+        reach = 3 * half * h
+        det = Detector(config)
+        tests = []  # det.t at every shift test
+        shift = swoks.detector.detect_shift
+
+        def spy(*args, **kwargs):
+            tests.append(det.t)
+            return shift(*args, **kwargs)
+
+        monkeypatch.setattr(swoks.detector, "detect_shift", spy)
+        n = change + 2 * half * h + reach + h  # the change is caught within 2 L h steps
+        rng = np.random.default_rng(4)
+        phi = rng.normal(size=(n, 3))
+        phi[change:] += 3.0
+        events = det.ingest_block(phi, rng.integers(0, 2, n), rng.normal(size=n))
+        assert [(e.kind, e.old_label, e.new_label) for e in events] == [(EVENT_NEW_TASK, 1, 2)]
+        made = [label.created_at for label in det.labels]
+        assert made == [0, events[0].t]
+        for created in made:
+            assert [t for t in tests if t > created][0] == created + reach
+
+    @given(st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_a_stable_phase_within_reach_suppresses_nothing(self, data):
+        h, half = data.draw(st.integers(2, 12)), data.draw(st.integers(2, 6))
+        reach = 3 * half * h
+        config = DetectorConfig(
+            history_len=h, swd_history_len=half, alpha=0.2,  # exp(-2) is below 0.2
+            beta=data.draw(st.sampled_from([1.0, 1.1])),
+            stable_phase=data.draw(st.one_of(st.just(reach), st.integers(0, reach))),
+            n_projections=data.draw(st.integers(1, 16)),
+            probe_swd_samples=data.draw(st.integers(1, half + 2)),
+            master_seed=data.draw(st.integers(0, 3)))
+        seed = data.draw(st.integers(0, 2**16))
+        means = [data.draw(st.sampled_from([0.0, 3.0, -3.0])) for _ in range(3)]
+        probe = data.draw(st.sampled_from([None, "scripted"]))
+        if probe is not None:
+            probe_rng = np.random.default_rng(seed + 1)
+            probe = ScriptedProbe({z: functools.partial(regime, probe_rng, means[z % 3], 1.0)
+                                   for z in range(1, 64)})
+        rng = np.random.default_rng(seed)
+        steps = []
+        for mean in means * 2:
+            length = data.draw(st.integers(1, 3)) * reach + data.draw(st.integers(0, h - 1))
+            steps += itertools.islice(regime(rng, mean, mean / 3), length)
+        phi, actions, rewards = (np.array(column) for column in zip(*steps))
+        det = Detector(config, probe)
+        events, i = [], 0
+        while i < len(rewards):
+            take = int(rng.integers(1, 3 * h + 1))
+            events += det.ingest_block(phi[i:i + take], actions[i:i + take], rewards[i:i + take])
+            i += take
+        assert [e for e in events if e.kind == EVENT_SUPPRESSED] == []
 
 
 class TestProbeReidentification:

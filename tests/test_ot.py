@@ -1,8 +1,8 @@
 """Transport-distance primitives against independent oracles.
 
 The brute-force matcher here is written from the definition (min over
-all pairings of the root-sum-squared cost) so the package's sorting
-shortcut and its own exact solver are checked against a third opinion.
+all pairings of the root-sum-squared cost) so the sorting shortcut and
+the exact solver of ``oracles.py`` are checked against a third opinion.
 """
 import itertools
 
@@ -11,13 +11,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from swoks.ot import (
-    sample_unit_directions,
-    sliced_wasserstein,
-    sorted_projections,
-    wasserstein_1d,
-    wasserstein_exact,
-)
+from oracles import sliced_wasserstein, wasserstein_1d, wasserstein_exact
+
+from swoks.ot import sample_unit_directions, sorted_projections
 
 
 def bruteforce_match_cost(d1, d2):

@@ -25,6 +25,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import ScriptedProbe, detector_view, regime
+from oracles import sliced_wasserstein
 
 from swoks.detector import (
     EVENT_NEW_TASK,
@@ -35,7 +36,7 @@ from swoks.detector import (
     DetectorConfig,
     TaskLabel,
 )
-from swoks.ot import sample_unit_directions, sliced_wasserstein
+from swoks.ot import sample_unit_directions
 from swoks.seeding import child_seed
 from swoks.stats import detect_shift
 

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import copy
 import gc
+import importlib.util
 import json
 import math
 import multiprocessing
@@ -39,7 +40,7 @@ from swoks.detector import (
 )
 from swoks.env import Curriculum, TaskSpec, TreeGraphConfig, TreeGraphEnv
 from swoks.metrics import sweep_beta
-from swoks.runner import _EnvProbe, detect_offline, run_experiment
+from swoks.runner import _EnvProbe, detect_offline, detector_config, run_experiment
 from swoks.seeding import substream
 from swoks.stream import StreamBlock, read_stream_blocks, write_stream
 from swoks.trace import event_record, read_trace
@@ -235,6 +236,24 @@ class TestBatchedProbe:
             assert env_view(env) == before
         assert env.active_task == 1
 
+    @pytest.mark.parametrize("value", [0.5, 0.0])
+    def test_rollout_refuses_actions_that_are_not_integers(self, value):
+        """A level whose actions are floats, whole or not, is refused as
+        ``step(0.5)`` and ``step(0.0)`` are, before the task, cursor, node or
+        ``done`` moves; bool actions play as the integers they equal."""
+        env, twin = (TreeGraphEnv(TreeGraphConfig(depth=2), (TaskSpec(1, 0), TaskSpec(2, 3)))
+                     for _ in range(2))
+        for e in (env, twin):
+            e.set_task(1)
+        before = env_view(env)
+        with pytest.raises(ValueError, match="actions must be integers, got float64$"):
+            env.rollout(4, lambda steps, rows: np.full(len(steps), value))
+        assert env_view(env) == before
+        played = env.rollout(4, lambda steps, rows: steps % 2 == 1)
+        expected = twin.rollout(4, lambda steps, rows: (steps % 2 == 1).astype(int))
+        assert [a.tolist() for a in played] == [a.tolist() for a in expected]
+        assert env_view(env) == env_view(twin)
+
 
 class TestDeskDecisions:
     """Desk seed 1's decisions, pinned: every host and dependency version must
@@ -259,6 +278,28 @@ class TestDeskDecisions:
             event[:4] for event in self.EVENTS]
         for event, (*_, pvalues) in zip(events, self.EVENTS):
             assert event.probed_pvalues == pytest.approx(pvalues, rel=1e-9, abs=0.0)
+
+
+class TestDetectReplayDecisions:
+    """The decisions of ``swoks detect --config desk`` on the ``detect`` input of
+    ``tools/output_hashes.py``, pinned: every host and dependency version must
+    reproduce them."""
+
+    def test_events_and_last_check(self, tmp_path):
+        spec = importlib.util.spec_from_file_location(
+            "synth", Path(__file__).resolve().parent.parent / "perfbench" / "synth.py")
+        synth = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(synth)
+        path = tmp_path / "stream.csv"
+        synth.write_csv(path, synth.generate(3, synth.segments_for(4, 20000)))
+        events, detector = detect_offline(path, detector_config(load_config("desk")))
+        assert (detector.t, len(detector.labels)) == (80000, 3)
+        # Four tasks change at t = 20,001, 40,001 and 60,001. The first change
+        # is missed: tasks 1 and 2 differ only in the second action.
+        assert [(e.t, e.kind, e.old_label, e.new_label, e.probed_pvalues) for e in events] == [
+            (40500, EVENT_NEW_TASK, 1, 2, {}), (60720, EVENT_NEW_TASK, 2, 3, {})]
+        assert detector.last_swd == pytest.approx(0.9758386871025159, rel=1e-9, abs=0.0)
+        assert detector.last_p_value == pytest.approx(1.0, rel=1e-9, abs=0.0)
 
 
 class TestLivePlan:

@@ -147,6 +147,8 @@ class TestStreamFiles:
                      "t at row 9000 is 9223372036854775813, not an integer in int64",
                      id="uint64-past-int64"),
         pytest.param("t", object, 1, "t holds object, not numbers", id="object-ids"),
+        pytest.param("action", str, "1", "a holds <U21, not numbers", id="text-action"),
+        pytest.param("reward", str, "1.5", "r holds <U32, not numbers", id="text-reward"),
         pytest.param("reward", float, np.nan, "r at row 9000 is nan, not finite",
                      id="nan-reward"),
         pytest.param("action", float, np.inf, "a at row 9000 is inf, not finite",
